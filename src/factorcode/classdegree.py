@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import graphs
-from .core import PeriodicPoint, PreconditionError
-from .codes import (exact_backward_sweep, exact_forward_sweep, forward_sets,
-                    image_blocks, image_irreducible, sofic_image)
+from .core import PeriodicPoint, PreconditionError, is_irreducible
+from .codes import (d_star, exact_backward_sweep, exact_forward_sweep,
+                    forward_sets, image_blocks, sofic_image)
 
 
 @dataclass(frozen=True)
@@ -364,12 +364,12 @@ def find_minimal_transition_block(t, horizon=8):
     """
     if horizon < 3:
         raise ValueError("horizon must be >= 3")
-    if not image_irreducible(t):
+    image = sofic_image(t)
+    # the certificate of image_irreducible, on the image built above
+    if not (is_irreducible(t.x) or image.irreducible):
         raise PreconditionError("image shift is not certified irreducible")
-    from .codes import d_star
     witness = d_star(t)
     seed_word, _ = _pad_to_interior(t, witness.word, witness.index)
-    image = sofic_image(t)
     return _depth_search(t, horizon, lambda n: image_blocks(t, n),
                          seed_word, image, None)
 

@@ -14,8 +14,7 @@ from math import log
 
 from .classdegree import (class_count_for_measure,
                           find_minimal_transition_block)
-from .codes import (d_star, degree, image_irreducible, is_finite_to_one,
-                    sofic_image)
+from .codes import degree_witness, is_finite_to_one, sofic_image
 from .core import (EmptyShiftError, MeasureParseError, PeriodicPoint,
                    PreconditionError, TripleParseError, higher_block,
                    is_irreducible, parse_triple, triple_to_text)
@@ -122,21 +121,22 @@ def _load_measure(path, base, inputs):
 
 def _cmd_check(t, args, inputs):
     image = sofic_image(t)
+    irreducible = is_irreducible(t.x)
     return {
         "x_symbols": list(t.x.symbols),
         "y_symbols": list(t.y_alphabet),
         "edge_count": len(t.x.transitions),
-        "irreducible": is_irreducible(t.x),
+        "irreducible": irreducible,
         "finite_to_one": is_finite_to_one(t),
-        "image_irreducible_certified": image_irreducible(t),
+        # the certificate of image_irreducible, on the image built above
+        "image_irreducible_certified": irreducible or image.irreducible,
         "presentation_states": len(image.triple.x.symbols),
     }, 0
 
 
 def _cmd_degree(t, args, inputs):
-    value = degree(t, strict=args.strict)
-    witness = d_star(t)
-    return {"value": value,
+    witness = degree_witness(t, strict=args.strict)
+    return {"value": witness.value,
             "witness": {"w": list(witness.word), "i": witness.index}}, 0
 
 

@@ -11,6 +11,7 @@ of the code (the minimal number of preimages of a point).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -104,22 +105,10 @@ def preimage_profile(t, word, index):
     return preimage_profiles(t, word)[index]
 
 
-def exact_forward_set(t, start, word):
-    """Symbols reachable from ``start`` along paths labeled by ``word``
-    (start must carry word[0]); the set after the full word."""
-    current = {start} if t.label[start] == word[0] else set()
-    for c in word[1:]:
-        nxt = set()
-        for s in current:
-            for u in t.x.successors(s):
-                if t.label[u] == c:
-                    nxt.add(u)
-        current = nxt
-    return current
-
-
 def exact_forward_sweep(t, start, word):
-    """All intermediate sets of exact_forward_set, one per coordinate."""
+    """Symbols reachable from ``start`` along paths labeled by the
+    prefixes of ``word`` (start must carry word[0]), one set per
+    coordinate."""
     current = {start} if t.label[start] == word[0] else set()
     sweep = [frozenset(current)]
     for c in word[1:]:
@@ -179,67 +168,152 @@ class MagicWitness:
     value: int
 
 
-def _subset_automaton(t, forward):
+def _labelled_neighbours(t, forward):
+    """``{symbol: {image symbol: neighbours carrying it}}``, built in one
+    pass over the successor (or predecessor) map, lists in symbol order."""
+    nbrs = t.x.successor_map if forward else t.x.predecessor_map
+    out = {}
+    for s in t.x.symbols:
+        by_label = out[s] = {}
+        for u in nbrs[s]:
+            by_label.setdefault(t.label[u], []).append(u)
+    return out
+
+
+@dataclass
+class _SubsetAutomaton:
     """Reachable subset states of the label-determinized automaton.
 
-    States are frozensets of equally-labeled X-symbols; the sweep direction
-    is forward (successors) or backward (predecessors). Returns a dict
-    state -> (word, label) where word is a shortest witness word read from
-    an initial full-preimage state ending (or starting) at that state.
-    BFS order follows the image alphabet, so witnesses are deterministic.
+    State i is the bitmask ``masks[i]`` over X-symbol indices (bit j is
+    ``t.x.symbols[j]``) of equally labeled symbols, carrying the image
+    symbol ``labels[i]``. ``succ[i]`` lists the states one image symbol
+    away, in image alphabet order. State i was first reached from state
+    ``parent[i]`` (None for the one-symbol preimage sets the search starts
+    from), so the labels along the parent chain spell a shortest witness
+    word of the state, read from the start state; ``depth[i]`` is its
+    length minus one.
     """
-    step = t.x.successor_map if forward else t.x.predecessor_map
+
+    masks: list
+    labels: list
+    parent: list
+    depth: list
+    succ: list
+
+    def witness(self, i):
+        """Labels from state i back to its start state."""
+        out = []
+        while i is not None:
+            out.append(self.labels[i])
+            i = self.parent[i]
+        return out
+
+
+def _bit_indices(mask):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _subset_automaton(t, forward):
+    """Breadth-first subset construction from the one-symbol preimage
+    sets, stepping along successors (forward) or predecessors (backward).
+
+    Discovery order follows the image alphabet at every state, so state
+    numbers and witness words are deterministic. Each state's step folds
+    the per-symbol labelled neighbour masks of its members into one mask
+    per image symbol."""
+    index = {s: i for i, s in enumerate(t.x.symbols)}
+    step = [[(c, sum(1 << index[u] for u in us))
+             for c, us in by_label.items()]
+            for by_label in _labelled_neighbours(t, forward).values()]
+    yorder = {c: k for k, c in enumerate(t.y_alphabet)}
+    auto = _SubsetAutomaton([], [], [], [], [])
     found = {}
-    queue = []
+
+    def visit(mask, c, parent):
+        i = found.get(mask)
+        if i is None:
+            i = found[mask] = len(auto.masks)
+            auto.masks.append(mask)
+            auto.labels.append(c)
+            auto.parent.append(parent)
+            auto.depth.append(0 if parent is None else auto.depth[parent] + 1)
+            auto.succ.append([])
+        return i
+
     for c in t.y_alphabet:
-        state = frozenset(t.preimages(c))
-        if state not in found:
-            found[state] = ((c,), c)
-            queue.append(state)
+        visit(sum(1 << index[s] for s in t.preimages(c)), c, None)
     head = 0
-    while head < len(queue):
-        state = queue[head]
+    while head < len(auto.masks):
+        acc = {}
+        for j in _bit_indices(auto.masks[head]):
+            for c, bits in step[j]:
+                acc[c] = acc.get(c, 0) | bits
+        for c in sorted(acc, key=yorder.get):
+            auto.succ[head].append(visit(acc[c], c, head))
         head += 1
-        word, _ = found[state]
-        for c in t.y_alphabet:
-            nxt = frozenset(u for s in state for u in step[s]
-                            if t.label[u] == c)
-            if nxt and nxt not in found:
-                found[nxt] = (word + (c,), c)
-                queue.append(nxt)
-    return found
+    return auto
 
 
 def d_star(t):
     """Exact minimum of d(w, i) over all image words w and indices i.
 
-    Computed by intersecting every reachable forward subset state with
-    every reachable backward subset state over a common image symbol; a
-    witness word is assembled from the two shortest witness halves. The
-    witness is chosen to minimize (value, total length, word).
+    A forward subset state F (the symbols that can end a preimage of a
+    word) and a backward subset state B (the symbols that can start a
+    preimage of another word) over a common image symbol meet in the
+    profile of the joined word at the joint; every profile arises this
+    way. Both automata keep their states as bitmasks, so each pair costs
+    one ``&`` and one ``int.bit_count()``. The witness is chosen to
+    minimize (value, total length, word), the first such pair in
+    (label, forward state, backward state) order winning exact ties; a
+    witness word is spelled out only for pairs whose (value, length) can
+    tie or beat the best so far.
     """
     fwd = _subset_automaton(t, forward=True)
     bwd = _subset_automaton(t, forward=False)
     by_label_f = {}
-    for state, (word, c) in fwd.items():
-        by_label_f.setdefault(c, []).append((word, state))
+    for i, c in enumerate(fwd.labels):
+        by_label_f.setdefault(c, []).append(i)
     by_label_b = {}
-    for state, (word, c) in bwd.items():
-        by_label_b.setdefault(c, []).append((word, state))
+    for j, c in enumerate(bwd.labels):
+        by_label_b.setdefault(c, []).append((bwd.masks[j], bwd.depth[j], j))
     best = None
+    best_value = best_length = None
     for c in t.y_alphabet:
-        for fword, fstate in by_label_f.get(c, ()):
-            for bword, bstate in by_label_b.get(c, ()):
-                meet = fstate & bstate
+        backward = by_label_b.get(c, [])
+        # breadth-first numbering makes depths non-decreasing
+        bdepths = [bdepth for _, bdepth, _ in backward]
+        for i in by_label_f.get(c, ()):
+            fmask = fwd.masks[i]
+            fdepth = fwd.depth[i]
+            candidates = backward
+            if best_value == 1:
+                # no value is below 1: only words no longer than the best
+                # can still tie it
+                candidates = backward[:bisect_right(
+                    bdepths, best_length - fdepth - 1)]
+            for bmask, bdepth, j in candidates:
+                meet = fmask & bmask
                 if not meet:
                     continue
-                # backward witness words were read right-to-left
-                word = fword + tuple(reversed(bword))[1:]
-                key = (len(meet), len(word), word)
+                value = meet.bit_count()
+                length = fdepth + bdepth + 1
+                if best is not None and (value, length) > (best_value,
+                                                           best_length):
+                    continue
+                fword = fwd.witness(i)
+                fword.reverse()
+                # the backward witness was read right to left; drop the
+                # shared symbol at the joint
+                word = tuple(fword + bwd.witness(j)[1:])
+                key = (value, length, word)
                 if best is None or key < best:
                     best = key
-                    best_witness = MagicWitness(word, len(fword) - 1,
-                                                len(meet))
+                    best_value, best_length = value, length
+                    best_witness = MagicWitness(word, fdepth, value)
     if best is None:
         raise EmptyShiftError("image shift is empty")
     return best_witness
@@ -248,24 +322,33 @@ def d_star(t):
 @dataclass(frozen=True)
 class PairGraph:
     """Label product of X with itself: vertices are ordered pairs of
-    equally labeled symbols, edges act componentwise."""
+    equally labeled symbols, edges act componentwise.
+
+    ``adjacency`` is built directly as products of equally labeled
+    successors: (a, b) -> (c, d) for every successor c of a and every
+    successor d of b with the label of c. Vertices and every adjacency
+    list are in lexicographic symbol order; ``edges`` is derived from it
+    on first use.
+    """
 
     vertices: tuple
-    edges: frozenset
+    adjacency: dict
 
     @cached_property
-    def adjacency(self):
-        return {v: [w for w in self.vertices if (v, w) in self.edges]
-                for v in self.vertices}
+    def edges(self):
+        return frozenset((v, w) for v in self.vertices
+                         for w in self.adjacency[v])
 
 
 def pair_graph(t):
-    vertices = tuple((a, b) for a in t.x.symbols for b in t.x.symbols
-                     if t.label[a] == t.label[b])
-    edges = frozenset(((a, b), (c, d)) for (a, b) in vertices
-                      for (c, d) in vertices
-                      if t.x.allows(a, c) and t.x.allows(b, d))
-    return PairGraph(vertices, edges)
+    succ = t.x.successor_map
+    by_label = _labelled_neighbours(t, forward=True)
+    vertices = tuple((a, b) for a in t.x.symbols
+                     for b in t.preimages(t.label[a]))
+    adjacency = {(a, b): [(c, d) for c in succ[a]
+                          for d in by_label[b].get(t.label[c], ())]
+                 for a, b in vertices}
+    return PairGraph(vertices, adjacency)
 
 
 def is_finite_to_one(t):
@@ -300,60 +383,35 @@ class SoficImage:
 
 
 def sofic_image(t):
-    label_of = {}
-    order = []
-    for c in t.y_alphabet:
-        state = frozenset(t.preimages(c))
-        if state not in label_of:
-            label_of[state] = c
-            order.append(state)
-    head = 0
-    edges = set()
-    while head < len(order):
-        state = order[head]
-        head += 1
-        for c in t.y_alphabet:
-            nxt = frozenset(u for s in state for u in t.x.successors(s)
-                            if t.label[u] == c)
-            if not nxt:
-                continue
-            if nxt not in label_of:
-                label_of[nxt] = c
-                order.append(nxt)
-            edges.add((state, nxt))
+    """Canonical right-resolving presentation of the image shift.
 
-    xorder = {s: i for i, s in enumerate(t.x.symbols)}
-
-    def name(state):
-        return "+".join(sorted(state, key=xorder.get))
-
-    # Essentialize the state graph; acceptance of finite blocks is
-    # preserved because every run can be stabilized on the left into the
-    # essential part.
-    alive = set(order)
-    changed = True
-    while changed:
-        changed = False
-        for s in list(alive):
-            if not any(a == s and b in alive for (a, b) in edges):
-                alive.discard(s)
-                changed = True
-                continue
-            if not any(b == s and a in alive for (a, b) in edges):
-                alive.discard(s)
-                changed = True
+    Runs the forward subset construction from the one-symbol preimage
+    sets, keeps the states on some bi-infinite walk of its state graph
+    (``graphs.bi_essential_nodes``; every finite image block is still
+    presented, since each run can be stabilized on the left into that
+    part) and names every state by joining its members with '+' in symbol
+    order. States keep their breadth-first discovery order. Linear in the
+    size of the subset automaton. Raises EmptyShiftError when no state
+    survives.
+    """
+    auto = _subset_automaton(t, forward=True)
+    alive = graphs.bi_essential_nodes(dict(enumerate(auto.succ)))
     if not alive:
         raise EmptyShiftError("image shift is empty")
-    kept = [s for s in order if s in alive]
-    names = tuple(name(s) for s in kept)
-    name_of = {s: name(s) for s in kept}
-    sft = Sft(names, frozenset((name_of[a], name_of[b]) for (a, b) in edges
-                               if a in alive and b in alive))
-    label = {name_of[s]: label_of[s] for s in kept}
-    used = {label[nm] for nm in names}
+    kept = [i for i in range(len(auto.masks)) if i in alive]
+    members = {}
+    names = {}
+    for i in kept:
+        state = [t.x.symbols[j] for j in _bit_indices(auto.masks[i])]
+        names[i] = "+".join(state)
+        members[names[i]] = frozenset(state)
+    sft = Sft(tuple(names[i] for i in kept),
+              frozenset((names[i], names[j]) for i in kept
+                        for j in auto.succ[i] if j in alive))
+    label = {names[i]: auto.labels[i] for i in kept}
+    used = set(label.values())
     triple = FactorTriple(sft, label,
                           tuple(c for c in t.y_alphabet if c in used))
-    members = {name_of[s]: s for s in kept}
     return SoficImage(triple, members,
                       graphs.is_strongly_connected(sft.adjacency()))
 
@@ -391,9 +449,10 @@ def image_blocks(t, n):
     return out
 
 
-def degree(t, strict=False):
-    """Degree of a finite-to-one code over an irreducible image: the
-    minimal number of preimages of an image point, equal to d*.
+def degree_witness(t, strict=False):
+    """The magic witness of ``d_star`` for a finite-to-one code over an
+    irreducible image, whose value is the degree of the code; raises
+    PreconditionError where ``degree`` is undefined.
 
     With strict=True the domain itself must be irreducible as well.
     """
@@ -403,7 +462,16 @@ def degree(t, strict=False):
         raise PreconditionError("domain shift is not irreducible")
     if not image_irreducible(t):
         raise PreconditionError("image shift is not certified irreducible")
-    return d_star(t).value
+    return d_star(t)
+
+
+def degree(t, strict=False):
+    """Degree of a finite-to-one code over an irreducible image: the
+    minimal number of preimages of an image point, equal to d*.
+
+    With strict=True the domain itself must be irreducible as well.
+    """
+    return degree_witness(t, strict).value
 
 
 def periodic_image_points(t, max_period):

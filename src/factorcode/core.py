@@ -60,15 +60,28 @@ class Sft:
 
     @cached_property
     def successor_map(self):
-        out = {s: tuple(t for t in self.symbols if (s, t) in self.transitions)
-               for s in self.symbols}
-        return out
+        """Successors of every symbol, each tuple in symbol order.
+
+        A two-pass bucket sort of the transitions: grouping them by target
+        and then visiting the targets in symbol order appends every
+        successor list in order, in O(symbols + transitions)."""
+        into = {s: [] for s in self.symbols}
+        for a, b in self.transitions:
+            into[b].append(a)
+        out = {s: [] for s in self.symbols}
+        for b in self.symbols:
+            for a in into[b]:
+                out[a].append(b)
+        return {s: tuple(v) for s, v in out.items()}
 
     @cached_property
     def predecessor_map(self):
-        out = {s: tuple(t for t in self.symbols if (t, s) in self.transitions)
-               for s in self.symbols}
-        return out
+        """Predecessors of every symbol, each tuple in symbol order."""
+        out = {s: [] for s in self.symbols}
+        for a in self.symbols:
+            for b in self.successor_map[a]:
+                out[b].append(a)
+        return {s: tuple(v) for s, v in out.items()}
 
     def successors(self, s):
         return self.successor_map[s]
@@ -207,19 +220,10 @@ class FactorTriple:
 
 
 def essentialize(x):
-    """Largest essential sub-SFT: every symbol keeps a successor and a
-    predecessor. Iterates removal to a fixed point; raises EmptyShiftError
-    when nothing survives."""
-    alive = set(x.symbols)
-    changed = True
-    while changed:
-        changed = False
-        for s in list(alive):
-            has_out = any(t in alive for t in x.successor_map[s])
-            has_in = any(t in alive for t in x.predecessor_map[s])
-            if not (has_out and has_in):
-                alive.discard(s)
-                changed = True
+    """Largest essential sub-SFT: the symbols on some bi-infinite walk,
+    each of which keeps a successor and a predecessor inside it. Raises
+    EmptyShiftError when nothing survives."""
+    alive = graphs.bi_essential_nodes(x.adjacency())
     if not alive:
         raise EmptyShiftError("empty shift")
     symbols = tuple(s for s in x.symbols if s in alive)
@@ -447,12 +451,12 @@ def higher_block(t, n):
     if len(set(names)) != len(names):
         raise ValueError("symbol names collide under '.' joining")
     windows = {name: b.symbols for name, b in zip(names, blocks)}
-    edges = set()
-    for u in names:
-        for v in names:
-            if windows[u][1:] == windows[v][:-1]:
-                edges.add((u, v))
-    x = Sft(tuple(names), frozenset(edges))
+    by_prefix = {}
+    for v in names:
+        by_prefix.setdefault(windows[v][:-1], []).append(v)
+    edges = frozenset((u, v) for u in names
+                      for v in by_prefix.get(windows[u][1:], ()))
+    x = Sft(tuple(names), edges)
     label = {u: t.label[windows[u][0]] for u in names}
     recoded = FactorTriple(x, label, t.y_alphabet)
     if not recoded.x.is_essential:

@@ -241,3 +241,175 @@ def random_triple(rng):
     for i in range(y_size):
         label[syms[i]] = y_syms[i]
     return FactorTriple(make_sft(syms, edges), dict(label), y_syms)
+
+
+# Reference implementations of the graph core by definition: quadratic
+# or worse, but each a direct transcription of what the fast version in
+# the library must reproduce, down to every output order.
+
+def ref_successor_map(x):
+    return {s: tuple(u for u in x.symbols if (s, u) in x.transitions)
+            for s in x.symbols}
+
+
+def ref_predecessor_map(x):
+    return {s: tuple(u for u in x.symbols if (u, s) in x.transitions)
+            for s in x.symbols}
+
+
+def ref_essential_nodes(nodes, edges):
+    """Remove nodes without a live successor or predecessor until nothing
+    changes."""
+    alive = set(nodes)
+    changed = True
+    while changed:
+        changed = False
+        for s in list(alive):
+            if not any(a == s and b in alive for (a, b) in edges) or \
+                    not any(b == s and a in alive for (a, b) in edges):
+                alive.discard(s)
+                changed = True
+    return alive
+
+
+def ref_essentialize(x):
+    alive = ref_essential_nodes(x.symbols, x.transitions)
+    if not alive:
+        return None
+    return make_sft([s for s in x.symbols if s in alive],
+                    [(a, b) for (a, b) in x.transitions
+                     if a in alive and b in alive])
+
+
+def _ref_step(t, state, c, forward):
+    return frozenset(u for s in state for u in t.x.symbols
+                     if t.label[u] == c
+                     and t.x.allows(*((s, u) if forward else (u, s))))
+
+
+def ref_subset_automaton(t, forward):
+    """Frozenset subset construction: state -> (witness word, label) in
+    breadth-first order, and the set of state graph edges."""
+    found = {}
+    queue = []
+    edges = set()
+    for c in t.y_alphabet:
+        state = frozenset(t.preimages(c))
+        found[state] = ((c,), c)
+        queue.append(state)
+    head = 0
+    while head < len(queue):
+        state = queue[head]
+        head += 1
+        word, _ = found[state]
+        for c in t.y_alphabet:
+            nxt = _ref_step(t, state, c, forward)
+            if not nxt:
+                continue
+            if nxt not in found:
+                found[nxt] = (word + (c,), c)
+                queue.append(nxt)
+            edges.add((state, nxt))
+    return found, edges
+
+
+def ref_sofic_image(t):
+    """(state names, edges by name, label by name, members by name,
+    strongly connected) of the essentialized forward subset construction,
+    or None when no state survives."""
+    found, edges = ref_subset_automaton(t, forward=True)
+    alive = ref_essential_nodes(found, edges)
+    if not alive:
+        return None
+    xorder = {s: i for i, s in enumerate(t.x.symbols)}
+
+    def name(state):
+        return "+".join(sorted(state, key=xorder.get))
+
+    kept = [s for s in found if s in alive]
+    names = tuple(name(s) for s in kept)
+    named_edges = frozenset((name(a), name(b)) for (a, b) in edges
+                            if a in alive and b in alive)
+    succ = {s: {b for (a, b) in named_edges if a == s} for s in names}
+    reach = {}
+    for s in names:
+        seen = {s}
+        stack = [s]
+        while stack:
+            for b in succ[stack.pop()] - seen:
+                seen.add(b)
+                stack.append(b)
+        reach[s] = seen
+    connected = all(reach[s] == set(names) for s in names)
+    return (names, named_edges, {name(s): found[s][1] for s in kept},
+            {name(s): s for s in kept}, connected)
+
+
+def ref_pair_graph(t):
+    """(vertices, edges, adjacency) of the label product, from all pairs
+    of vertices."""
+    vertices = tuple((a, b) for a in t.x.symbols for b in t.x.symbols
+                     if t.label[a] == t.label[b])
+    edges = frozenset(((a, b), (c, d)) for (a, b) in vertices
+                      for (c, d) in vertices
+                      if t.x.allows(a, c) and t.x.allows(b, d))
+    adjacency = {v: [w for w in vertices if (v, w) in edges]
+                 for v in vertices}
+    return vertices, edges, adjacency
+
+
+def ref_d_star(t):
+    """(word, index, value) minimizing (value, length, word) over every
+    pair of forward and backward frozenset states with a common label,
+    the first pair in scan order winning exact ties."""
+    fwd, _ = ref_subset_automaton(t, forward=True)
+    bwd, _ = ref_subset_automaton(t, forward=False)
+    best = None
+    for c in t.y_alphabet:
+        for fstate, (fword, fc) in fwd.items():
+            if fc != c:
+                continue
+            for bstate, (bword, bc) in bwd.items():
+                meet = fstate & bstate
+                if bc != c or not meet:
+                    continue
+                word = fword + tuple(reversed(bword))[1:]
+                key = (len(meet), len(word), word)
+                if best is None or key < best[0]:
+                    best = (key, (word, len(fword) - 1, len(meet)))
+    return best[1]
+
+
+def random_code(rng, n, reducible):
+    """A random triple on n domain symbols s0, s1, ... with up to four
+    image symbols.
+
+    Irreducible codes get a cycle through every symbol. Reducible ones
+    split the symbols into up to four runs; edges only run forward from
+    run to run, each run but the first gets a cycle through it only with
+    probability 1/2, so the domain has several strongly connected pieces,
+    transient symbols and, often, symbols on no bi-infinite walk.
+    """
+    syms = tuple("s%d" % i for i in range(n))
+    edges = set()
+    if reducible:
+        runs = rng.randint(2, 4)
+        run = [i * runs // n for i in range(n)]
+        for r in range(runs):
+            members = [syms[i] for i in range(n) if run[i] == r]
+            if members and (r == 0 or rng.random() < 0.5):
+                edges.update(zip(members, members[1:] + members[:1]))
+        for _ in range(2 * n):
+            i, j = sorted((rng.randrange(n), rng.randrange(n)))
+            edges.add((syms[i], syms[j]))
+    else:
+        edges.update(zip(syms, syms[1:] + syms[:1]))
+        for _ in range(2 * n):
+            edges.add((rng.choice(syms), rng.choice(syms)))
+    # image alphabets out of string order, so that no output order can
+    # come from sorting names
+    y_syms = tuple(rng.sample("wxyz", rng.randint(1, min(n, 4))))
+    label = {s: rng.choice(y_syms) for s in syms}
+    for s, c in zip(rng.sample(syms, len(y_syms)), y_syms):
+        label[s] = c
+    return FactorTriple(make_sft(syms, edges), label, y_syms)

@@ -21,6 +21,7 @@ from factorcode import (
     backward_sets,
     d_star,
     degree,
+    degree_witness,
     fixtures,
     forward_sets,
     image_blocks,
@@ -212,6 +213,9 @@ def test_degree_frozen_values():
     assert degree(fixtures.load("fix_a")) == 1
     assert degree(fixtures.load("fix_b")) == 2
     assert degree(fixtures.load("fix_g")) == 1
+    for name in ("fix_a", "fix_b", "fix_g"):
+        t = fixtures.load(name)
+        assert degree_witness(t) == d_star(t)
     with pytest.raises(PreconditionError, match="infinite-to-one"):
         degree(fixtures.load("fix_c"))
 

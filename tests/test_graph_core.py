@@ -1,0 +1,108 @@
+"""The linear-time graph core against its definitions.
+
+The library builds neighbour maps, essentializations, the sofic image,
+the pair graph and d* in time linear in the graphs involved; the
+reference versions in conftest build the same objects by definition, in
+quadratic time or worse. Every output order is part of the comparison,
+because the CLI reports depend on it. The population mixes irreducible
+codes with reducible ones, whose domains carry transient and
+non-essential symbols, at up to 30 domain symbols.
+"""
+
+import random
+
+import pytest
+
+from conftest import (
+    FIXTURE_NAMES,
+    random_code,
+    ref_d_star,
+    ref_essentialize,
+    ref_pair_graph,
+    ref_predecessor_map,
+    ref_sofic_image,
+    ref_successor_map,
+)
+from factorcode import (
+    EmptyShiftError,
+    d_star,
+    essentialize,
+    fixtures,
+    pair_graph,
+    sofic_image,
+)
+
+
+def population(seed):
+    rng = random.Random(seed)
+    triples = [fixtures.load(name) for name in FIXTURE_NAMES]
+    for _ in range(30):
+        n = rng.randint(1, 30)
+        triples.append(random_code(rng, n, reducible=rng.random() < 0.5))
+    return triples
+
+
+def test_population_has_reducible_and_non_essential_domains():
+    triples = population(43)
+    assert any(ref_essentialize(t.x) != t.x for t in triples)
+    assert any(not sofic_image(t).irreducible for t in triples
+               if ref_sofic_image(t) is not None)
+
+
+def test_neighbour_maps_match_definition():
+    for t in population(47):
+        assert t.x.successor_map == ref_successor_map(t.x)
+        assert t.x.predecessor_map == ref_predecessor_map(t.x)
+
+
+def test_essentialize_matches_fixed_point_reference():
+    for t in population(53):
+        want = ref_essentialize(t.x)
+        if want is None:
+            with pytest.raises(EmptyShiftError):
+                essentialize(t.x)
+            continue
+        got = essentialize(t.x)
+        assert got.symbols == want.symbols
+        assert got.transitions == want.transitions
+
+
+def test_sofic_image_matches_reference():
+    for t in population(59):
+        want = ref_sofic_image(t)
+        if want is None:
+            with pytest.raises(EmptyShiftError):
+                sofic_image(t)
+            continue
+        names, edges, label, members, connected = want
+        image = sofic_image(t)
+        assert image.triple.x.symbols == names
+        assert image.triple.x.transitions == edges
+        assert image.triple.label == label
+        assert image.triple.y_alphabet == tuple(
+            c for c in t.y_alphabet if c in set(label.values()))
+        assert image.members == members
+        assert list(image.members) == list(names)
+        assert image.irreducible == connected
+
+
+def test_pair_graph_matches_all_pairs_reference():
+    for t in population(61):
+        vertices, edges, adjacency = ref_pair_graph(t)
+        pg = pair_graph(t)
+        assert pg.vertices == vertices
+        assert pg.edges == edges
+        assert list(pg.adjacency) == list(adjacency)
+        assert pg.adjacency == adjacency
+
+
+def test_d_star_matches_frozenset_scan():
+    values = set()
+    for t in population(67):
+        if ref_sofic_image(t) is None:
+            continue
+        w = d_star(t)
+        assert (w.word, w.index, w.value) == ref_d_star(t)
+        values.add(w.value)
+    # the length cut of the scan applies only once the best value is 1
+    assert values - {1}
