@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import graphs
-from .core import PeriodicPoint, PreconditionError, is_irreducible
-from .codes import (d_star, exact_backward_sweep, exact_forward_sweep,
-                    forward_sets, image_blocks, sofic_image)
+from .core import PeriodicPoint, PreconditionError, sub_triple
+from .codes import (_sweep, d_star, exact_backward_sweep, exact_forward_sweep,
+                    forward_sets, image_blocks, image_irreducible,
+                    sofic_image)
 
 
 @dataclass(frozen=True)
@@ -105,10 +106,11 @@ def transition_block(t, word, index, symbols):
     return TransitionBlock(word, index, symbols)
 
 
-def _min_hitting_set(route_sets, pool):
-    """Smallest subset of ``pool`` meeting every route set; the first
+def _min_hitting_set(route_sets, pool, below):
+    """Smallest subset of ``pool`` meeting every route set, among those of
+    fewer than ``below`` symbols (None if there is none); the first
     combination in lexicographic pool order wins ties."""
-    for size in range(1, len(pool) + 1):
+    for size in range(1, below):
         for combo in combinations(pool, size):
             chosen = set(combo)
             if all(chosen & rs for rs in route_sets):
@@ -134,20 +136,11 @@ def minimal_depth_at(t, word):
     for n in range(1, len(word) - 1):
         route_sets = [fsweeps[s][n] & bsweeps[e][n] for s, e in pairs]
         pool = sorted(set().union(*route_sets), key=xorder.get)
-        if best is not None:
-            # only a strictly smaller depth can improve on an earlier index
-            found = None
-            for size in range(1, len(best[1])):
-                for combo in combinations(pool, size):
-                    if all(set(combo) & rs for rs in route_sets):
-                        found = combo
-                        break
-                if found:
-                    break
-            if found:
-                best = (n, found)
-        else:
-            best = (n, _min_hitting_set(route_sets, pool))
+        # only a strictly smaller depth can improve on an earlier index
+        below = len(pool) + 1 if best is None else len(best[1])
+        found = _min_hitting_set(route_sets, pool, below)
+        if found:
+            best = (n, found)
     return best[0], frozenset(best[1])
 
 
@@ -169,94 +162,43 @@ class DepthSearchResult:
     certificate: PeriodicPoint | None
 
 
-def _present_word(presentation, word, allowed=None):
-    """Run a word through the right-resolving presentation.
+def _present_word(pres, word):
+    """Run a word through a right-resolving presentation.
 
     Returns the state path (one state per coordinate) from the first
-    start state that carries the word, or None. ``allowed`` optionally
-    restricts the states and edges."""
-    sft = presentation.x
-    label = presentation.label
-    for start in sft.symbols:
-        if label[start] != word[0]:
-            continue
-        if allowed is not None and start not in allowed["states"]:
-            continue
-        path = [start]
-        for c in word[1:]:
-            nxt = None
-            for u in sft.successors(path[-1]):
-                if label[u] != c:
-                    continue
-                if allowed is not None and (
-                        u not in allowed["states"]
-                        or (path[-1], u) not in allowed["edges"]):
-                    continue
-                nxt = u
-                break
-            if nxt is None:
-                path = None
-                break
-            path.append(nxt)
-        if path is not None:
-            return path
+    start state that carries the word, or None."""
+    for start in pres.preimage_map.get(word[0], ()):
+        path = _sweep(pres, [start], word, True)
+        if path[-1]:
+            # right-resolving: every set holds exactly one state
+            return [next(iter(states)) for states in path]
     return None
 
 
-def _close_word(t, word, allowed=None, image=None):
+def _close_word(pres, word):
     """Extend an image word into a periodic image point containing it.
 
-    A word embeds in a periodic point iff it can be presented inside a
-    single strongly connected piece of the (possibly restricted)
-    presentation graph; the subset construction may also present it along
-    transient states, from which no closed walk returns. So each cyclic
-    component is tried in turn: present the word inside it, then return
-    from the final state to the initial one along a shortest state path.
-    The labels along the closed walk give the periodic point, whose window
-    [0, L) equals the word."""
-    if image is None:
-        image = sofic_image(t)
-    pres = image.triple
+    ``pres`` is the image presentation, or its part on the support of a
+    measure. A word embeds in a periodic point iff it can be presented
+    inside a single strongly connected piece of that graph; the subset
+    construction may also present it along transient states, from which
+    no closed walk returns. So each cyclic component is tried in turn:
+    present the word inside it, then return from the final state to the
+    initial one along a shortest state walk. The labels along the closed
+    walk give the periodic point, whose window [0, L) equals the word."""
     adj = pres.x.adjacency()
-    if allowed is not None:
-        adj = {v: [u for u in adj[v]
-                   if u in allowed["states"] and (v, u) in allowed["edges"]]
-               for v in adj if v in allowed["states"]}
     for comp in graphs.nontrivial_components(adj):
         members = set(comp)
-        sub = {"states": members,
-               "edges": {(a, b) for a in comp for b in adj[a] if b in members}}
-        path = _present_word(pres, word, sub)
+        piece = sub_triple(pres, members, ((a, b) for a in comp
+                                           for b in adj[a] if b in members))
+        path = _present_word(piece, word)
         if path is None:
             continue
-        start, end = path[0], path[-1]
-        # BFS for a shortest nonempty state walk end -> start inside the
-        # component; strong connectivity guarantees one exists.
-        parent = {}
-        queue = []
-        for u in adj[end]:
-            if u in members and u not in parent:
-                parent[u] = None
-                queue.append(u)
-        head = 0
-        while head < len(queue) and start not in parent:
-            v = queue[head]
-            head += 1
-            for u in adj[v]:
-                if u in members and u not in parent:
-                    parent[u] = v
-                    queue.append(u)
-        if start not in parent:
+        # strong connectivity guarantees a walk back to the start
+        back = graphs.shortest_walk(adj, path[-1], path[0], members)
+        if back is None:
             raise AssertionError("cyclic component failed to close a word")
-        chain = []
-        node = start
-        while node is not None:
-            chain.append(node)
-            node = parent[node]
-        chain.reverse()  # successors of end, ending at start
-        middle = chain[:-1]
-        cycle_states = path + middle
-        return PeriodicPoint(tuple(pres.label[s] for s in cycle_states))
+        return PeriodicPoint(tuple(pres.label[s] for s in path + back[:-1]))
     return None
 
 
@@ -294,8 +236,10 @@ def _pad_to_interior(t, word, index):
     return tuple(word), index
 
 
-def _depth_search(t, horizon, words_of_length, seed_word, image, allowed):
-    """Shared search core for the plain and measure-restricted variants."""
+def _depth_search(t, horizon, words_of_length, seed_word, pres):
+    """Shared search core for the plain and measure-restricted variants;
+    candidates are closed into periodic points on the presentation
+    ``pres``."""
     best = None
     failed = set()
     top_length = 0
@@ -310,7 +254,7 @@ def _depth_search(t, horizon, words_of_length, seed_word, image, allowed):
         return False
 
     def certify():
-        y = _close_word(t, best[1], allowed, image)
+        y = _close_word(pres, best[1])
         if y is None:
             return None
         count = _count_classes_over(t, y)
@@ -364,14 +308,12 @@ def find_minimal_transition_block(t, horizon=8):
     """
     if horizon < 3:
         raise ValueError("horizon must be >= 3")
-    image = sofic_image(t)
-    # the certificate of image_irreducible, on the image built above
-    if not (is_irreducible(t.x) or image.irreducible):
+    if not image_irreducible(t):
         raise PreconditionError("image shift is not certified irreducible")
     witness = d_star(t)
     seed_word, _ = _pad_to_interior(t, witness.word, witness.index)
     return _depth_search(t, horizon, lambda n: image_blocks(t, n),
-                         seed_word, image, None)
+                         seed_word, sofic_image(t).triple)
 
 
 def class_count_for_measure(t, measure, horizon=8):
@@ -381,38 +323,11 @@ def class_count_for_measure(t, measure, horizon=8):
     points whenever a closure succeeds."""
     if horizon < 3:
         raise ValueError("horizon must be >= 3")
-    image = sofic_image(t)
-    pres = image.triple
+    pres = sofic_image(t).triple
     if tuple(measure.base.symbols) != tuple(pres.x.symbols):
         raise PreconditionError("measure is not on the image presentation")
-    support_states = frozenset(
-        s for s in pres.x.symbols if measure.stationary[s] > 0)
-    support_edges = frozenset(
-        e for e in measure.kernel if measure.kernel[e] > 0
-        and e[0] in support_states and e[1] in support_states)
-    allowed = {"states": support_states, "edges": support_edges}
-
-    def words_of_length(n):
-        out = []
-
-        def extend(word, states):
-            if len(word) == n:
-                out.append(tuple(word))
-                return
-            for c in pres.y_alphabet:
-                nxt = frozenset(
-                    u for s in states for u in pres.x.successors(s)
-                    if pres.label[u] == c and (s, u) in support_edges)
-                if nxt:
-                    word.append(c)
-                    extend(word, nxt)
-                    word.pop()
-
-        for c in pres.y_alphabet:
-            states = frozenset(s for s in support_states
-                               if pres.label[s] == c)
-            if states:
-                extend([c], states)
-        return out
-
-    return _depth_search(t, horizon, words_of_length, None, image, allowed)
+    keep = set(measure.support_states())
+    support = sub_triple(pres, keep, (e for e in measure.kernel
+                                      if e[0] in keep and e[1] in keep))
+    return _depth_search(t, horizon, lambda n: image_blocks(support, n),
+                         None, support)

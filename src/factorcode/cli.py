@@ -14,7 +14,8 @@ from math import log
 
 from .classdegree import (class_count_for_measure,
                           find_minimal_transition_block)
-from .codes import degree_witness, is_finite_to_one, sofic_image
+from .codes import (degree_witness, image_irreducible, is_finite_to_one,
+                    sofic_image)
 from .core import (EmptyShiftError, MeasureParseError, PeriodicPoint,
                    PreconditionError, TripleParseError, higher_block,
                    is_irreducible, parse_triple, triple_to_text)
@@ -120,17 +121,14 @@ def _load_measure(path, base, inputs):
 
 
 def _cmd_check(t, args, inputs):
-    image = sofic_image(t)
-    irreducible = is_irreducible(t.x)
     return {
         "x_symbols": list(t.x.symbols),
         "y_symbols": list(t.y_alphabet),
         "edge_count": len(t.x.transitions),
-        "irreducible": irreducible,
+        "irreducible": is_irreducible(t.x),
         "finite_to_one": is_finite_to_one(t),
-        # the certificate of image_irreducible, on the image built above
-        "image_irreducible_certified": irreducible or image.irreducible,
-        "presentation_states": len(image.triple.x.symbols),
+        "image_irreducible_certified": image_irreducible(t),
+        "presentation_states": len(sofic_image(t).triple.x.symbols),
     }, 0
 
 

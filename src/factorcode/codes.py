@@ -18,7 +18,7 @@ from functools import cached_property
 from . import graphs
 from .core import (Block, EmptyShiftError, FactorTriple, PeriodicPoint,
                    PreconditionError, Sft, canonical_orbit_word,
-                   is_irreducible)
+                   is_irreducible, per_triple)
 
 
 def apply_code(t, obj):
@@ -42,37 +42,37 @@ def _check_image_word(t, word):
     return word
 
 
+def step(t, symbols, c, forward=True):
+    """The labelled step: the successors (forward) or predecessors of
+    ``symbols`` that carry the image symbol ``c``, read off the triple's
+    ``successors_by_label``/``predecessors_by_label`` tables."""
+    table = t.successors_by_label if forward else t.predecessors_by_label
+    out = set()
+    for s in symbols:
+        out.update(table[s].get(c, ()))
+    return frozenset(out)
+
+
+def _sweep(t, start, word, forward):
+    """``step`` along ``word`` from the set ``start`` at its first
+    (forward) or last coordinate: one set per coordinate, in coordinate
+    order."""
+    sets = [frozenset(start)]
+    for c in (word[1:] if forward else word[-2::-1]):
+        sets.append(step(t, sets[-1], c, forward))
+    return sets if forward else sets[::-1]
+
+
 def forward_sets(t, word):
     """F_i sweep: F_0 = preimages(w_0), F_{i+1} = succ(F_i) & preimages."""
     word = _check_image_word(t, word)
-    sets = []
-    current = set(t.preimages(word[0]))
-    sets.append(frozenset(current))
-    for c in word[1:]:
-        nxt = set()
-        for s in current:
-            for u in t.x.successors(s):
-                if t.label[u] == c:
-                    nxt.add(u)
-        current = nxt
-        sets.append(frozenset(current))
-    return sets
+    return _sweep(t, t.preimages(word[0]), word, True)
+
 
 def backward_sets(t, word):
     """B_i sweep from the right end, mirror image of forward_sets."""
     word = _check_image_word(t, word)
-    sets = [None] * len(word)
-    current = set(t.preimages(word[-1]))
-    sets[-1] = frozenset(current)
-    for i in range(len(word) - 2, -1, -1):
-        prv = set()
-        for s in current:
-            for u in t.x.predecessors(s):
-                if t.label[u] == word[i]:
-                    prv.add(u)
-        current = prv
-        sets[i] = frozenset(current)
-    return sets
+    return _sweep(t, t.preimages(word[-1]), word, False)
 
 
 @dataclass(frozen=True)
@@ -109,32 +109,14 @@ def exact_forward_sweep(t, start, word):
     """Symbols reachable from ``start`` along paths labeled by the
     prefixes of ``word`` (start must carry word[0]), one set per
     coordinate."""
-    current = {start} if t.label[start] == word[0] else set()
-    sweep = [frozenset(current)]
-    for c in word[1:]:
-        nxt = set()
-        for s in current:
-            for u in t.x.successors(s):
-                if t.label[u] == c:
-                    nxt.add(u)
-        current = nxt
-        sweep.append(frozenset(current))
-    return sweep
+    return _sweep(t, [start] if t.label[start] == word[0] else (), word,
+                  True)
 
 
 def exact_backward_sweep(t, end, word):
-    current = {end} if t.label[end] == word[-1] else set()
-    sweep = [frozenset(current)]
-    for i in range(len(word) - 2, -1, -1):
-        prv = set()
-        for s in current:
-            for u in t.x.predecessors(s):
-                if t.label[u] == word[i]:
-                    prv.add(u)
-        current = prv
-        sweep.append(frozenset(current))
-    sweep.reverse()
-    return sweep
+    """Mirror image of exact_forward_sweep, from ``end`` at the last
+    coordinate."""
+    return _sweep(t, [end] if t.label[end] == word[-1] else (), word, False)
 
 
 def preimage_blocks(t, word):
@@ -147,14 +129,14 @@ def preimage_blocks(t, word):
         if i == len(word):
             out.append(tuple(path))
             return
-        for u in t.x.successors(path[-1]):
-            if t.label[u] == word[i] and u in bwd[i]:
+        for u in t.successors_by_label[path[-1]].get(word[i], ()):
+            if u in bwd[i]:
                 path.append(u)
                 extend(path, i + 1)
                 path.pop()
 
-    for s in t.x.symbols:
-        if t.label[s] == word[0] and s in bwd[0]:
+    for s in t.preimages(word[0]):
+        if s in bwd[0]:
             extend([s], 1)
     return out
 
@@ -166,18 +148,6 @@ class MagicWitness:
     word: tuple
     index: int
     value: int
-
-
-def _labelled_neighbours(t, forward):
-    """``{symbol: {image symbol: neighbours carrying it}}``, built in one
-    pass over the successor (or predecessor) map, lists in symbol order."""
-    nbrs = t.x.successor_map if forward else t.x.predecessor_map
-    out = {}
-    for s in t.x.symbols:
-        by_label = out[s] = {}
-        for u in nbrs[s]:
-            by_label.setdefault(t.label[u], []).append(u)
-    return out
 
 
 @dataclass
@@ -217,18 +187,21 @@ def _bit_indices(mask):
         mask ^= low
 
 
+@per_triple
 def _subset_automaton(t, forward):
     """Breadth-first subset construction from the one-symbol preimage
     sets, stepping along successors (forward) or predecessors (backward).
 
     Discovery order follows the image alphabet at every state, so state
     numbers and witness words are deterministic. Each state's step folds
-    the per-symbol labelled neighbour masks of its members into one mask
-    per image symbol."""
+    the per-symbol labelled neighbour masks of its members (the triple's
+    labelled tables as bitmasks) into one mask per image symbol. Built
+    once per triple and direction, and kept on the triple."""
     index = {s: i for i, s in enumerate(t.x.symbols)}
-    step = [[(c, sum(1 << index[u] for u in us))
-             for c, us in by_label.items()]
-            for by_label in _labelled_neighbours(t, forward).values()]
+    table = t.successors_by_label if forward else t.predecessors_by_label
+    masks = [[(c, sum(1 << index[u] for u in us))
+              for c, us in by_label.items()]
+             for by_label in table.values()]
     yorder = {c: k for k, c in enumerate(t.y_alphabet)}
     auto = _SubsetAutomaton([], [], [], [], [])
     found = {}
@@ -250,7 +223,7 @@ def _subset_automaton(t, forward):
     while head < len(auto.masks):
         acc = {}
         for j in _bit_indices(auto.masks[head]):
-            for c, bits in step[j]:
+            for c, bits in masks[j]:
                 acc[c] = acc.get(c, 0) | bits
         for c in sorted(acc, key=yorder.get):
             auto.succ[head].append(visit(acc[c], c, head))
@@ -272,8 +245,8 @@ def d_star(t):
     witness word is spelled out only for pairs whose (value, length) can
     tie or beat the best so far.
     """
-    fwd = _subset_automaton(t, forward=True)
-    bwd = _subset_automaton(t, forward=False)
+    fwd = _subset_automaton(t, True)
+    bwd = _subset_automaton(t, False)
     by_label_f = {}
     for i, c in enumerate(fwd.labels):
         by_label_f.setdefault(c, []).append(i)
@@ -342,7 +315,7 @@ class PairGraph:
 
 def pair_graph(t):
     succ = t.x.successor_map
-    by_label = _labelled_neighbours(t, forward=True)
+    by_label = t.successors_by_label
     vertices = tuple((a, b) for a in t.x.symbols
                      for b in t.preimages(t.label[a]))
     adjacency = {(a, b): [(c, d) for c in succ[a]
@@ -382,6 +355,7 @@ class SoficImage:
     irreducible: bool
 
 
+@per_triple
 def sofic_image(t):
     """Canonical right-resolving presentation of the image shift.
 
@@ -392,9 +366,10 @@ def sofic_image(t):
     part) and names every state by joining its members with '+' in symbol
     order. States keep their breadth-first discovery order. Linear in the
     size of the subset automaton. Raises EmptyShiftError when no state
-    survives.
+    survives. Built once per triple and kept on it: every command that
+    needs the image shares one.
     """
-    auto = _subset_automaton(t, forward=True)
+    auto = _subset_automaton(t, True)
     alive = graphs.bi_essential_nodes(dict(enumerate(auto.succ)))
     if not alive:
         raise EmptyShiftError("image shift is empty")
@@ -437,8 +412,7 @@ def image_blocks(t, n):
             out.append(tuple(word))
             return
         for c in t.y_alphabet:
-            nxt = frozenset(u for s in fset for u in t.x.successors(s)
-                            if t.label[u] == c)
+            nxt = step(t, fset, c)
             if nxt:
                 word.append(c)
                 extend(word, nxt)

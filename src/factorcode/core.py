@@ -13,7 +13,7 @@ downstream, which keeps every derived quantity deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 from . import graphs
 
@@ -189,11 +189,18 @@ class FactorTriple:
 
     ``label`` sends each SFT symbol to an image symbol; ``y_alphabet`` is
     the ordered image alphabet (every member has at least one preimage).
+
+    Triples are not mutated after construction. Everything derived from
+    one (the labelled neighbour tables below, and the objects of functions
+    decorated with ``per_triple``, such as the sofic image) is built on
+    first use and kept on it, in ``derived``.
     """
 
     x: Sft
     label: dict
     y_alphabet: tuple
+    derived: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if set(self.label) != set(self.x.symbols):
@@ -218,6 +225,52 @@ class FactorTriple:
     def label_word(self, word):
         return tuple(self.label[s] for s in word)
 
+    def _by_label(self, neighbours):
+        out = {}
+        for s in self.x.symbols:
+            by_label = out[s] = {}
+            for u in neighbours[s]:
+                by_label.setdefault(self.label[u], []).append(u)
+        return out
+
+    @cached_property
+    def successors_by_label(self):
+        """``{symbol: {image symbol: successors carrying it}}``, every list
+        in symbol order; built in one pass over the successor map. This
+        table is the labelled step: see ``codes.step``."""
+        return self._by_label(self.x.successor_map)
+
+    @cached_property
+    def predecessors_by_label(self):
+        """``{symbol: {image symbol: predecessors carrying it}}``, every
+        list in symbol order."""
+        return self._by_label(self.x.predecessor_map)
+
+
+def per_triple(build):
+    """Keep what ``build(t, *args)`` derives from a triple on the triple.
+
+    The first call with given arguments builds the object and stores it
+    in ``t.derived``; later calls return the stored object. This is sound
+    because triples are not mutated after construction."""
+    @wraps(build)
+    def kept(t, *args):
+        key = (build,) + args
+        if key not in t.derived:
+            t.derived[key] = build(t, *args)
+        return t.derived[key]
+    return kept
+
+
+def sub_triple(t, keep, transitions):
+    """The part of ``t`` on the domain symbols in ``keep`` and the given
+    transitions among them; symbol and image orders are kept."""
+    symbols = tuple(s for s in t.x.symbols if s in keep)
+    label = {s: t.label[s] for s in symbols}
+    used = set(label.values())
+    return FactorTriple(Sft(symbols, frozenset(transitions)), label,
+                        tuple(c for c in t.y_alphabet if c in used))
+
 
 def essentialize(x):
     """Largest essential sub-SFT: the symbols on some bi-infinite walk,
@@ -234,10 +287,7 @@ def essentialize(x):
 
 def essentialize_triple(t):
     x = essentialize(t.x)
-    label = {s: t.label[s] for s in x.symbols}
-    used = {label[s] for s in x.symbols}
-    y_alphabet = tuple(c for c in t.y_alphabet if c in used)
-    return FactorTriple(x, label, y_alphabet)
+    return sub_triple(t, x.symbol_set, x.transitions)
 
 
 def is_irreducible(x):

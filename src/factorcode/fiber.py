@@ -56,15 +56,11 @@ def build_fiber_graph(t, y):
             raise ValueError("unknown image symbol %r" % (c,))
     p = len(word)
     vertices = tuple((s, k) for k in range(p) for s in t.preimages(word[k]))
-    vert_set = set(vertices)
     adjacency = {}
-    for (s, k) in vertices:
-        nxt = []
-        for u in t.x.successors(s):
-            w = (u, (k + 1) % p)
-            if w in vert_set:
-                nxt.append(w)
-        adjacency[(s, k)] = nxt
+    for s, k in vertices:
+        nxt = (k + 1) % p
+        adjacency[(s, k)] = [(u, nxt) for u in
+                             t.successors_by_label[s].get(word[nxt], ())]
     pruned = frozenset(graphs.bi_essential_nodes(adjacency))
     if not pruned:
         raise PreconditionError("point has no preimage in the domain")
@@ -196,30 +192,8 @@ def transition_classes(g):
 def _shortest_cycle_word(adj, members, start):
     """Symbols along a shortest closed walk through ``start`` inside one
     strongly connected component."""
-    parent = {}
-    dist = {}
-    queue = []
-    for u in adj[start]:
-        if u in members and u not in dist:
-            dist[u] = 1
-            parent[u] = start
-            queue.append(u)
-    head = 0
-    while head < len(queue) and start not in dist:
-        v = queue[head]
-        head += 1
-        for u in adj[v]:
-            if u in members and u not in dist:
-                dist[u] = dist[v] + 1
-                parent[u] = v
-                queue.append(u)
-    back = []
-    node = parent[start]
-    while node != start:
-        back.append(node)
-        node = parent[node]
-    chain = [start] + back[::-1]
-    return tuple(v[0] for v in chain)
+    walk = graphs.shortest_walk(adj, start, start, members)
+    return tuple(v[0] for v in [start] + walk[:-1])
 
 
 def class_of_preimage(t, report, x):

@@ -98,6 +98,36 @@ def nontrivial_components(adj):
     return out
 
 
+def shortest_walk(adj, source, target, members):
+    """A shortest nonempty walk from ``source`` to ``target`` through
+    ``members``: its nodes after the source, ending at the target, or
+    None if there is none. Breadth first in adjacency order, so the walk
+    is deterministic; with source == target it closes a shortest cycle."""
+    parent = {}
+    queue = []
+    for u in adj[source]:
+        if u in members and u not in parent:
+            parent[u] = None
+            queue.append(u)
+    head = 0
+    while head < len(queue) and target not in parent:
+        v = queue[head]
+        head += 1
+        for u in adj[v]:
+            if u in members and u not in parent:
+                parent[u] = v
+                queue.append(u)
+    if target not in parent:
+        return None
+    walk = []
+    node = target
+    while node is not None:
+        walk.append(node)
+        node = parent[node]
+    walk.reverse()
+    return walk
+
+
 def is_strongly_connected(adj):
     if not adj:
         return False

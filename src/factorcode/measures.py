@@ -50,15 +50,18 @@ def _check_invariants(measure):
     rows = {}
     for (s, _t), p in measure.kernel.items():
         rows[s] = rows.get(s, 0.0) + p
+    # explicit checks rather than asserts, so that they survive -O; the
+    # negated comparisons also reject NaN
     for s, total in rows.items():
-        assert abs(total - 1.0) <= _ROW_INVARIANT, \
-            "kernel row for %r drifted from stochastic" % (s,)
+        if not abs(total - 1.0) <= _ROW_INVARIANT:
+            raise AssertionError(
+                "kernel row for %r drifted from stochastic" % (s,))
     flow = {s: 0.0 for s in measure.base.symbols}
     for (s, t), p in measure.kernel.items():
         flow[t] += measure.stationary[s] * p
     for s in measure.base.symbols:
-        assert abs(flow[s] - measure.stationary[s]) <= _FLOW_INVARIANT, \
-            "stationary vector is not kernel invariant"
+        if not abs(flow[s] - measure.stationary[s]) <= _FLOW_INVARIANT:
+            raise AssertionError("stationary vector is not kernel invariant")
 
 
 def markov_measure(base, kernel):
@@ -309,24 +312,39 @@ def _require_presentation_measure(measure, pres):
         raise PreconditionError("measure is not on the image presentation")
 
 
+def _start(pres, measure, c):
+    """Stationary weights of the states carrying ``c``, where positive."""
+    return {s: measure.stationary[s] for s in pres.preimage_map.get(c, ())
+            if measure.stationary[s] > 0}
+
+
+def _push(pres, measure, vec, c):
+    """The labelled step of ``codes.step`` for weighted states: the
+    weights ``vec`` carried one step along the kernel onto the states
+    carrying ``c``. Sums run in symbol order, so they are deterministic."""
+    nxt = {}
+    for s in pres.x.symbols:
+        v = vec.get(s)
+        if not v:
+            continue
+        for u in pres.successors_by_label[s].get(c, ()):
+            p = measure.kernel.get((s, u))
+            if p:
+                nxt[u] = nxt.get(u, 0.0) + v * p
+    return nxt
+
+
+def _mass(pres, vec):
+    return float(sum(vec[s] for s in pres.x.symbols if s in vec))
+
+
 def _word_measure(pres, measure, word):
-    vec = {s: measure.stationary[s] for s in pres.x.symbols
-           if pres.label[s] == word[0] and measure.stationary[s] > 0}
+    vec = _start(pres, measure, word[0])
     for c in word[1:]:
-        nxt = {}
-        for s in pres.x.symbols:
-            v = vec.get(s)
-            if not v:
-                continue
-            for u in pres.x.successors(s):
-                if pres.label[u] == c:
-                    p = measure.kernel.get((s, u))
-                    if p:
-                        nxt[u] = nxt.get(u, 0.0) + v * p
-        vec = nxt
+        vec = _push(pres, measure, vec, c)
         if not vec:
             return 0.0
-    return float(sum(vec[s] for s in pres.x.symbols if s in vec))
+    return _mass(pres, vec)
 
 
 def image_word_measure(t, measure, word):
@@ -360,28 +378,17 @@ def _positive_word_measures(pres, measure, n):
 
     def extend(word, vec):
         if len(word) == n:
-            out[tuple(word)] = float(
-                sum(vec[s] for s in pres.x.symbols if s in vec))
+            out[tuple(word)] = _mass(pres, vec)
             return
         for c in pres.y_alphabet:
-            nxt = {}
-            for s in pres.x.symbols:
-                v = vec.get(s)
-                if not v:
-                    continue
-                for u in pres.x.successors(s):
-                    if pres.label[u] == c:
-                        p = measure.kernel.get((s, u))
-                        if p:
-                            nxt[u] = nxt.get(u, 0.0) + v * p
+            nxt = _push(pres, measure, vec, c)
             if nxt:
                 word.append(c)
                 extend(word, nxt)
                 word.pop()
 
     for c in pres.y_alphabet:
-        vec = {s: measure.stationary[s] for s in pres.x.symbols
-               if pres.label[s] == c and measure.stationary[s] > 0}
+        vec = _start(pres, measure, c)
         if vec:
             extend([c], vec)
     return out
@@ -404,18 +411,22 @@ class RelativeEntropyBound:
 
 
 def _prune_support(blocks):
-    """Drop blocks that cannot carry weight under marginal consistency: a
-    positive block needs its prefix to occur as some suffix and its suffix
-    as some prefix, iterated to a fixed point."""
-    alive = set(blocks)
-    while True:
-        prefixes = {U[:-1] for U in alive}
-        suffixes = {U[1:] for U in alive}
-        keep = {U for U in alive
-                if U[:-1] in suffixes and U[1:] in prefixes}
-        if keep == alive:
-            return keep
-        alive = keep
+    """The blocks that can carry weight under marginal consistency.
+
+    Read each (k+1)-block as an edge from its prefix k-block to its suffix
+    k-block. Marginally consistent weights are circulations on that graph,
+    and a nonnegative circulation vanishes off cycles, so exactly the
+    blocks whose two ends share a strongly connected component stay."""
+    blocks = list(blocks)
+    adj = {}
+    for U in blocks:
+        adj.setdefault(U[:-1], []).append(U[1:])
+        adj.setdefault(U[1:], [])
+    component = {}
+    for i, comp in enumerate(graphs.strongly_connected_components(adj)):
+        for W in comp:
+            component[W] = i
+    return {U for U in blocks if component[U[:-1]] == component[U[1:]]}
 
 
 def relative_entropy_upper_bound(t, measure, k, max_iterations=100000):

@@ -3,12 +3,18 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from math import log, sqrt
 from pathlib import Path
 
+import pytest
+
 import factorcode
+from conftest import random_code
+from factorcode import cli, codes, triple_to_text
 
 FIXDIR = Path(factorcode.__file__).parent / "fixtures"
 GOLDEN = (1 + sqrt(5)) / 2
@@ -264,3 +270,37 @@ def test_timing_flag_adds_elapsed_ms():
     assert with_timing["elapsed_ms"] >= 0.0
     without = run_json("check", fixture_path("fix_a"))
     assert "elapsed_ms" not in without
+
+
+@pytest.mark.parametrize("argv, automata", [
+    (["bound", fixture_path("fix_a"), "--measure",
+      fixture_path("fix_a_parry", ".measure"), "--k", "1"], 1),
+    (["classdegree", fixture_path("fix_a"), "--measure",
+      fixture_path("fix_a_parry", ".measure")], 1),
+    (["classdegree", "RANDOM", "--horizon", "5"], 2),
+])
+def test_one_image_and_one_automaton_per_direction_per_command(
+        argv, automata, monkeypatch, tmp_path, capsys):
+    """Derived objects are built once per triple: one sofic image per
+    command, and one subset automaton per direction the command needs
+    (forward for the image; d* in classdegree adds the backward one)."""
+    if "RANDOM" in argv:
+        path = tmp_path / "random.triple"
+        path.write_text(triple_to_text(
+            random_code(random.Random(3), 12, reducible=False)))
+        argv = [str(path) if a == "RANDOM" else a for a in argv]
+    built = Counter()
+
+    def counting(kind, cls):
+        def build(*args):
+            built[kind] += 1
+            return cls(*args)
+        return build
+
+    monkeypatch.setattr(codes, "SoficImage",
+                        counting("image", codes.SoficImage))
+    monkeypatch.setattr(codes, "_SubsetAutomaton",
+                        counting("automaton", codes._SubsetAutomaton))
+    assert cli.main(argv) in (0, 3)
+    capsys.readouterr()
+    assert built == {"image": 1, "automaton": automata}

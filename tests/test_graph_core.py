@@ -31,6 +31,8 @@ from factorcode import (
     pair_graph,
     sofic_image,
 )
+from factorcode.codes import step
+from factorcode.graphs import shortest_walk
 
 
 def population(seed):
@@ -106,3 +108,43 @@ def test_d_star_matches_frozenset_scan():
         values.add(w.value)
     # the length cut of the scan applies only once the best value is 1
     assert values - {1}
+
+
+def test_labelled_tables_and_step_match_definition():
+    rng = random.Random(71)
+    for t in population(73):
+        for forward, table, nbrs in (
+                (True, t.successors_by_label, ref_successor_map(t.x)),
+                (False, t.predecessors_by_label, ref_predecessor_map(t.x))):
+            for s in t.x.symbols:
+                assert table[s] == {
+                    c: [u for u in nbrs[s] if t.label[u] == c]
+                    for c in {t.label[u] for u in nbrs[s]}}
+            subset = [s for s in t.x.symbols if rng.random() < 0.5]
+            for c in t.y_alphabet:
+                assert step(t, subset, c, forward) == frozenset(
+                    u for s in subset for u in nbrs[s] if t.label[u] == c)
+
+
+def test_shortest_walk_is_a_shortest_walk_inside_members():
+    rng = random.Random(79)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        adj = {v: sorted(rng.sample(range(n), rng.randint(0, n)))
+               for v in range(n)}
+        members = {v for v in range(n) if rng.random() < 0.8}
+        source, target = rng.randrange(n), rng.randrange(n)
+        # walks by length, breadth first: length l reaches ``frontier``
+        frontier, distance = {source}, None
+        for length in range(1, n + 1):
+            frontier = {u for v in frontier for u in adj[v] if u in members}
+            if target in frontier:
+                distance = length
+                break
+        walk = shortest_walk(adj, source, target, members)
+        if distance is None:
+            assert walk is None
+            continue
+        assert len(walk) == distance and walk[-1] == target
+        assert all(u in members for u in walk)
+        assert all(b in adj[a] for a, b in zip([source] + walk, walk))

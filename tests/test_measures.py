@@ -1,6 +1,10 @@
 """Tests for Markov measures, entropies, and the relative entropy bound."""
 
+import os
+import subprocess
+import sys
 from math import log, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from conftest import (
     all_words,
     image_measure,
 )
+import factorcode
 from factorcode import (
     MeasureParseError,
     PeriodicPoint,
@@ -77,6 +82,29 @@ def test_markov_measure_invariants_and_rows():
         flow = sum(m.stationary[u] * m.kernel.get((u, s), 0.0)
                    for u in x.symbols)
         assert abs(flow - m.stationary[s]) < 1e-10
+
+
+@pytest.mark.parametrize("kernel, stationary, message", [
+    ({("0", "0"): 0.5, ("0", "1"): 0.6, ("1", "0"): 1.0},
+     {"0": 0.625, "1": 0.375}, "drifted from stochastic"),
+    ({("0", "0"): 0.5, ("0", "1"): 0.5, ("1", "0"): 1.0},
+     {"0": 0.5, "1": 0.5}, "not kernel invariant"),
+])
+def test_measure_invariants_are_checked_under_python_O(kernel, stationary,
+                                                       message):
+    code = (
+        "from factorcode import make_sft\n"
+        "from factorcode.measures import MarkovMeasure, _check_invariants\n"
+        "x = make_sft(('0', '1'), [('0', '0'), ('0', '1'), ('1', '0')])\n"
+        "_check_invariants(MarkovMeasure(x, %r, %r))\n"
+        % (kernel, stationary))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(factorcode.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode != 0
+    assert message in proc.stderr
 
 
 def test_measure_with_transient_state_has_zero_mass_there():
@@ -271,25 +299,22 @@ def bound_for(name, kind, k):
     return _BOUND_CACHE[key]
 
 
-def ks_for(name, kind):
-    # The orbit measure on fix_e concentrates on alternating words; its
-    # degenerate support makes the alternating KL projection converge
-    # slowly, so exercise it at k=1 only and accept a looser residual.
-    if (name, kind) == ("fix_e", "orbit01"):
-        return (1,)
-    return (1, 2)
-
-
-def marginal_tolerance(name, kind):
-    return 1e-3 if (name, kind) == ("fix_e", "orbit01") else 1e-8
-
-
 def test_bound_exact_on_full_shift_fiber():
     for k in (1, 2, 3):
         b = bound_for("fix_c", "point", k)
         assert abs(b.value - log(2)) < 1e-12
         assert b.residuals["image"] < 1e-10
         assert b.residuals["marginal"] < 1e-10
+
+
+def test_bound_exact_on_degenerate_orbit_support():
+    # the fiber over the (01)-orbit of fix_e is three disjoint 2-cycles,
+    # so the relative maximal entropy is 0; blocks off the cycles of the
+    # block graph carry no circulation and are pruned before the ascent
+    for k in (1, 2, 3):
+        b = bound_for("fix_e", "orbit01", k)
+        assert b.value == 0.0
+        assert b.residuals == {"image": 0.0, "marginal": 0.0}
 
 
 def test_bound_exact_on_degree_one_and_degree_two_codes():
@@ -306,13 +331,13 @@ def test_bound_optimizer_is_a_consistent_block_measure():
     for name, kind in MEASURE_PAIRS:
         t = fixtures.load(name)
         _, measure = image_measure(t, kind)
-        for k in ks_for(name, kind):
+        for k in (1, 2):
             b = bound_for(name, kind, k)
             q = b.optimizer
             assert all(v >= 0 for v in q.values())
             assert abs(sum(q.values()) - 1.0) < 1e-9
             assert b.residuals["image"] < 1e-8
-            assert b.residuals["marginal"] < marginal_tolerance(name, kind)
+            assert b.residuals["marginal"] < 1e-8
             assert b.value >= -1e-12
             cells = {}
             for U, v in q.items():
@@ -357,7 +382,7 @@ def value_of_block_measure(q_items, k):
 
 def test_bound_value_matches_independent_objective_evaluation():
     for name, kind in MEASURE_PAIRS:
-        k = max(ks_for(name, kind))
+        k = 2
         b = bound_for(name, kind, k)
         assert abs(value_of_block_measure(list(b.optimizer.items()), k) -
                    b.value) < 1e-9
@@ -369,7 +394,7 @@ def test_bound_optimizer_is_locally_optimal():
     concave objective. Only meaningful where the projection converged."""
     for name, kind in MEASURE_PAIRS:
         t = fixtures.load(name)
-        for k in ks_for(name, kind):
+        for k in (1, 2):
             b = bound_for(name, kind, k)
             if b.residuals["marginal"] >= 1e-8:
                 continue
