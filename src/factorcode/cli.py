@@ -2,7 +2,8 @@
 
 Every subcommand reads a triple file and prints a JSON report (recode
 prints a triple file instead). Exit status: 0 success, 1 bad input or
-usage, 2 failed precondition, 3 uncertified class degree bound.
+usage, 2 failed precondition, 3 uncertified class degree bound, 4 internal
+error (a broken invariant or an exhausted internal cap).
 """
 
 import argparse
@@ -283,6 +284,9 @@ def main(argv=None):
             ValueError, OSError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 1
+    except (AssertionError, RuntimeError) as exc:
+        print("internal error: %s" % (exc,), file=sys.stderr)
+        return 4
 
     if args.command == "recode":
         sys.stdout.write(result)

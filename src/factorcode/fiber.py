@@ -17,10 +17,10 @@ unrolling, which the doubling certificate re-checks explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import inf, lcm
 
 from . import graphs
-from .core import PeriodicPoint, PreconditionError, primitive_root
+from .core import PeriodicPoint, PreconditionError, per_triple, primitive_root
 from .classdegree import TransitionBlock, transition_block
 
 
@@ -49,11 +49,20 @@ def build_fiber_graph(t, y):
     """Phase graph of y, pruned to the bi-infinite part.
 
     Raises PreconditionError when y has no preimage (y not in the image).
+    The graph is built once per triple and word and shared by every caller.
     """
     word = tuple(y.word) if isinstance(y, PeriodicPoint) else tuple(y)
     for c in word:
         if c not in t.preimage_map:
             raise ValueError("unknown image symbol %r" % (c,))
+    g = _phase_graph(t, word)
+    if not g.pruned:
+        raise PreconditionError("point has no preimage in the domain")
+    return g
+
+
+@per_triple
+def _phase_graph(t, word):
     p = len(word)
     vertices = tuple((s, k) for k in range(p) for s in t.preimages(word[k]))
     adjacency = {}
@@ -62,9 +71,12 @@ def build_fiber_graph(t, y):
         adjacency[(s, k)] = [(u, nxt) for u in
                              t.successors_by_label[s].get(word[nxt], ())]
     pruned = frozenset(graphs.bi_essential_nodes(adjacency))
-    if not pruned:
-        raise PreconditionError("point has no preimage in the domain")
     return FiberGraph(t, word, p, vertices, adjacency, pruned)
+
+
+def _unrolled(g, period):
+    """Phase graph of g's point read with the given multiple of its period."""
+    return _phase_graph(g.triple, g.word * (period // g.period))
 
 
 @dataclass
@@ -87,6 +99,10 @@ class TransitionClassReport:
     match class C exactly at phase n, and transient[n] the preimage
     symbols matching no class there. ``transient_symbols`` are the symbols
     transient at every phase where they are preimage symbols at all.
+    ``class_of_vertex`` maps each vertex of the unrolled phase graph lying
+    in a class to that class; ``class_match`` maps each vertex whose
+    future options match a class exactly (its reachable classes are that
+    class's) to the class.
     """
 
     word: tuple
@@ -100,20 +116,7 @@ class TransitionClassReport:
     transient_symbols: frozenset
     stable_under_doubling: bool
     class_of_vertex: dict
-
-
-def _unrolled_graph(t, word, period):
-    reps = period // len(word)
-    return build_fiber_graph(t, PeriodicPoint(tuple(word) * reps))
-
-
-def _vertex_reach_names(adj, class_of_vertex):
-    out = {}
-    for v in adj:
-        seen = graphs.reachable_from(adj, [v])
-        out[v] = frozenset(class_of_vertex[w] for w in seen
-                           if w in class_of_vertex)
-    return out
+    class_match: dict
 
 
 def transition_classes(g):
@@ -124,15 +127,15 @@ def transition_classes(g):
     cyclicities = [graphs.component_cyclicity(adj, comp)
                    for comp in graphs.nontrivial_components(adj)]
     big_p = lcm(*cyclicities) if cyclicities else p
-    gp = _unrolled_graph(t, g.word, big_p) if big_p != p else g
-    adj_p = gp.pruned_adjacency()
+    adj_p = _unrolled(g, big_p).pruned_adjacency()
 
     xorder = {s: i for i, s in enumerate(t.x.symbols)}
 
     def vkey(v):
         return (v[1], xorder[v[0]])
 
-    comps = sorted(graphs.nontrivial_components(adj_p),
+    order = graphs.strongly_connected_components(adj_p)
+    comps = sorted((comp for comp in order if graphs.is_cyclic(adj_p, comp)),
                    key=lambda comp: min(vkey(v) for v in comp))
     names = ["C%d" % (i + 1) for i in range(len(comps))]
     class_of_vertex = {}
@@ -140,35 +143,41 @@ def transition_classes(g):
         for v in comp:
             class_of_vertex[v] = name
 
-    reach_names = _vertex_reach_names(adj_p, class_of_vertex)
-    reach_of_class = {name: reach_names[comp[0]]
+    # class names reachable from each vertex; Tarjan emits every component
+    # after all the components it reaches
+    reach = {}
+    for comp in order:
+        found = set()
+        if comp[0] in class_of_vertex:
+            found.add(class_of_vertex[comp[0]])
+        for v in comp:
+            for w in adj_p[v]:
+                if w in reach:
+                    found |= reach[w]
+        found = frozenset(found)
+        for v in comp:
+            reach[v] = found
+    reach_of_class = {name: reach[comp[0]]
                       for name, comp in zip(names, comps)}
     reaches = tuple((a, b) for a in names for b in names
                     if a != b and b in reach_of_class[a])
 
-    s_sets = {}
-    for name in names:
-        target = reach_of_class[name]
-        per_phase = []
-        for n in range(big_p):
-            members = {v[0] for v in adj_p
-                       if v[1] == n and reach_names[v] == target}
-            per_phase.append(frozenset(members))
-        s_sets[name] = tuple(per_phase)
-    transient = []
-    for n in range(big_p):
-        placed = set()
-        for name in names:
-            placed |= s_sets[name][n]
-        transient.append(frozenset(
-            s for s in t.preimages(g.word[n % p]) if s not in placed))
-    candidates = set()
-    for n in range(big_p):
-        candidates.update(t.preimages(g.word[n % p]))
+    # distinct classes reach distinct class sets (each reaches itself)
+    class_by_reach = {r: name for name, r in reach_of_class.items()}
+    class_match = {v: class_by_reach[r] for v, r in reach.items()
+                   if r in class_by_reach}
+    members = {name: [set() for _ in range(big_p)] for name in names}
+    placed = [set() for _ in range(big_p)]
+    for (s, n), name in class_match.items():
+        members[name][n].add(s)
+        placed[n].add(s)
+    s_sets = {name: tuple(map(frozenset, members[name])) for name in names}
+    transient = tuple(
+        frozenset(s for s in t.preimages(g.word[n % p]) if s not in placed[n])
+        for n in range(big_p))
+    matched = set().union(*placed)
     transient_symbols = frozenset(
-        s for s in candidates
-        if all(s in transient[n] for n in range(big_p)
-               if s in t.preimages(g.word[n % p])))
+        s for phase in transient for s in phase if s not in matched)
 
     classes = []
     for name, comp in zip(names, comps):
@@ -177,16 +186,16 @@ def transition_classes(g):
         classes.append(TransitionClass(name, frozenset(comp),
                                        PeriodicPoint(rep_word)))
 
-    doubled = _unrolled_graph(t, g.word, 2 * big_p)
+    doubled = _unrolled(g, 2 * big_p)
     stable = (len(graphs.nontrivial_components(doubled.pruned_adjacency()))
               == len(comps))
 
     return TransitionClassReport(
         word=tuple(g.word), period=p, unrolled_period=big_p,
         class_count=len(comps), classes=tuple(classes), reaches=reaches,
-        s_sets=s_sets, transient=tuple(transient),
+        s_sets=s_sets, transient=transient,
         transient_symbols=transient_symbols, stable_under_doubling=stable,
-        class_of_vertex=class_of_vertex)
+        class_of_vertex=class_of_vertex, class_match=class_match)
 
 
 def _shortest_cycle_word(adj, members, start):
@@ -255,38 +264,44 @@ class SynchronizingExtension:
     per_coordinate: tuple
 
 
-def _walk_words(t, g, interval, adjacency, start_ok, end_ok):
+def _window_radii(t, y, interval):
+    """Every preimage block of the window with its radius.
+
+    The blocks are the symbol sequences of paths across the window in the
+    label-compatible phase graph; a block fixes its path. Its radius r is
+    the lesser of the longest backward walk into the path's start and the
+    longest forward walk out of its end, infinite where that walk is
+    unbounded. The block survives the l-extended local condition iff
+    r >= l, and it is a true block iff r is infinite. One iterative depth
+    first walk; blocks come in symbol order."""
     m, n = interval
-    p = g.period
-    xorder = {s: i for i, s in enumerate(t.x.symbols)}
+    if m > n:
+        raise ValueError("empty interval")
+    g = build_fiber_graph(t, y)
+    adjacency = g.adjacency
+    fwd = graphs.walk_depths(adjacency)
+    back = graphs.walk_depths(graphs.invert(adjacency))
     width = n - m + 1
-    out = set()
-
-    def extend(node, word):
-        if len(word) == width:
-            if end_ok(node):
-                out.add(word)
-            return
-        for u in adjacency[node]:
-            extend(u, word + (u[0],))
-
-    for v in sorted((v for v in adjacency if v[1] == m % p),
-                    key=lambda v: xorder[v[0]]):
-        if start_ok(v):
-            extend(v, (v[0],))
-    return sorted(out, key=lambda w: tuple(xorder[s] for s in w))
-
-
-def _capacity_levels(adjacency):
-    """levels[r] = vertices from which a path of length >= r starts."""
-    levels = [set(adjacency)]
-    while levels[-1]:
-        nxt = {v for v in adjacency
-               if any(u in levels[-1] for u in adjacency[v])}
-        if nxt == levels[-1]:
-            break
-        levels.append(nxt)
-    return levels
+    radii = {}
+    for v in (v for v in adjacency if v[1] == m % g.period):
+        start = inf if back[v] is None else back[v]
+        path, todo = [v], [iter(adjacency[v])]
+        while path:
+            if len(path) < width:
+                u = next(todo[-1], None)
+                if u is not None:
+                    path.append(u)
+                    todo.append(iter(adjacency[u]))
+                    continue
+            else:
+                end = fwd[path[-1]]
+                radii[tuple(u[0] for u in path)] = (
+                    start if end is None else min(start, end))
+            path.pop()
+            todo.pop()
+    xorder = {s: i for i, s in enumerate(t.x.symbols)}
+    return {w: radii[w] for w in
+            sorted(radii, key=lambda w: tuple(xorder[s] for s in w))}
 
 
 def window_blocks(t, y, interval, radius=None):
@@ -299,41 +314,24 @@ def window_blocks(t, y, interval, radius=None):
     forward. The latter decrease with l and reach the true blocks at a
     finite radius (the synchronizing radius).
     """
-    m, n = interval
-    if m > n:
-        raise ValueError("empty interval")
-    g = build_fiber_graph(t, y)
+    radii = _window_radii(t, y, interval)
     if radius is None:
-        return _walk_words(t, g, interval, g.pruned_adjacency(),
-                           lambda v: True, lambda v: True)
-    if radius < 0:
+        radius = inf
+    elif radius < 0:
         raise ValueError("radius must be >= 0")
-    back = _capacity_levels(graphs.invert(g.adjacency))
-    fwd = _capacity_levels(g.adjacency)
-    bl = back[min(radius, len(back) - 1)]
-    fl = fwd[min(radius, len(fwd) - 1)]
-    return _walk_words(t, g, interval, g.adjacency,
-                       lambda v: v in bl, lambda v: v in fl)
+    return [w for w, r in radii.items() if r >= radius]
 
 
 def synchronizing_extension(t, y, interval):
+    """True blocks of the window and its synchronizing radius: one more
+    than the largest finite block radius, or 0 when there is none."""
+    radii = _window_radii(t, y, interval)
+    true_blocks = tuple(w for w, r in radii.items() if r == inf)
+    radius = 1 + max((r for r in radii.values() if r != inf), default=-1)
     m, n = interval
-    if m > n:
-        raise ValueError("empty interval")
-    true_blocks = window_blocks(t, y, interval)
-    cap = len(build_fiber_graph(t, y).vertices) + 1
-    radius = 0
-    while radius <= cap:
-        if window_blocks(t, y, interval, radius) == true_blocks:
-            break
-        radius += 1
-    else:
-        raise AssertionError("synchronizing radius failed to stabilize")
-
-    width = n - m + 1
     per_coordinate = tuple(frozenset(w[i] for w in true_blocks)
-                           for i in range(width))
-    return SynchronizingExtension((m, n), radius, tuple(true_blocks),
+                           for i in range(n - m + 1))
+    return SynchronizingExtension((m, n), radius, true_blocks,
                                   per_coordinate)
 
 
@@ -361,26 +359,20 @@ def extract_transition_block(t, y):
     synchronizing radius so that finite preimage blocks behave like the
     bi-infinite fiber. The result is machine-checked on construction.
     """
-    report = transition_classes(build_fiber_graph(t, y))
+    g = build_fiber_graph(t, y)
+    report = transition_classes(g)
     big_p = report.unrolled_period
-    g = _unrolled_graph(t, report.word, big_p)
-    adj = g.pruned_adjacency()
+    adj = _unrolled(g, big_p).pruned_adjacency()
     xorder = {s: i for i, s in enumerate(t.x.symbols)}
+    class_match = report.class_match
 
-    reach_names = _vertex_reach_names(adj, report.class_of_vertex)
-    reach_of_class = {}
-    for cls in report.classes:
-        reach_of_class[cls.name] = reach_names[next(iter(cls.vertices))]
-    class_match = {}
-    for v in adj:
-        for cls in report.classes:
-            if reach_names[v] == reach_of_class[cls.name]:
-                class_match[v] = cls.name
-                break
-
+    # n2: vertices on the longest walk through transient vertices
     transient_sub = {v: [w for w in adj[v] if w not in class_match]
                      for v in adj if v not in class_match}
-    n2 = graphs.longest_path_vertices(transient_sub)
+    depths = graphs.walk_depths(transient_sub)
+    if None in depths.values():
+        raise AssertionError("transient vertex reaches a cycle")
+    n2 = 1 + max(depths.values(), default=-1)
 
     def step(frontier):
         nxt = set()

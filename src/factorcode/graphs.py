@@ -89,13 +89,16 @@ def strongly_connected_components(adj):
     return components
 
 
+def is_cyclic(adj, comp):
+    """Whether the strongly connected component ``comp`` contains a cycle:
+    it has more than one node, or its one node has a self-loop."""
+    return len(comp) > 1 or comp[0] in adj[comp[0]]
+
+
 def nontrivial_components(adj):
-    """SCCs that contain a cycle: size > 1, or a single self-looped node."""
-    out = []
-    for comp in strongly_connected_components(adj):
-        if len(comp) > 1 or comp[0] in adj[comp[0]]:
-            out.append(comp)
-    return out
+    """SCCs that contain a cycle."""
+    return [comp for comp in strongly_connected_components(adj)
+            if is_cyclic(adj, comp)]
 
 
 def shortest_walk(adj, source, target, members):
@@ -179,29 +182,25 @@ def bi_essential_nodes(adj):
     return {u for u in adj if u in fwd and u in bwd}
 
 
-def longest_path_vertices(adj):
-    """Number of vertices on the longest simple path of a DAG (0 if empty).
+def walk_depths(adj):
+    """Length of the longest walk starting at each node, or None where
+    walks are unbounded because the node reaches a cycle.
 
-    Raises ValueError if the graph has a cycle.
-    """
-    if not adj:
-        return 0
-    indeg = {u: 0 for u in adj}
-    for u in adj:
+    One pass: Tarjan's algorithm emits each component after every
+    component it reaches, so each acyclic node is settled from settled
+    successors."""
+    depth = {}
+    for comp in strongly_connected_components(adj):
+        if is_cyclic(adj, comp):
+            for u in comp:
+                depth[u] = None
+            continue
+        u = comp[0]
+        best = 0
         for v in adj[u]:
-            indeg[v] += 1
-    order = [u for u in adj if indeg[u] == 0]
-    best = {u: 1 for u in adj}
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for v in adj[u]:
-            if best[u] + 1 > best[v]:
-                best[v] = best[u] + 1
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                order.append(v)
-    if len(order) != len(adj):
-        raise ValueError("graph has a cycle")
-    return max(best.values())
+            if depth[v] is None:
+                best = None
+                break
+            best = max(best, depth[v] + 1)
+        depth[u] = best
+    return depth

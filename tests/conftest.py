@@ -213,6 +213,38 @@ def brute_window_blocks(t, y, interval):
     return {tuple(v[0] for v in w) for w in walks}
 
 
+def brute_window_blocks_at_radius(t, y, interval, radius):
+    """Blocks of the ``radius``-extended local condition: label-compatible
+    symbol paths over the window whose start has a backward walk of at
+    least ``radius`` steps and whose end a forward walk of at least
+    ``radius`` steps, i.e. the restrictions to the window of the
+    label-compatible paths over the window widened by ``radius`` on both
+    sides."""
+    m, n = interval
+    walks = [(s,) for s in t.x.symbols
+             if t.label[s] == y.symbol_at(m - radius)]
+    for i in range(m - radius + 1, n + radius + 1):
+        walks = [w + (s,) for w in walks for s in t.x.symbols
+                 if t.label[s] == y.symbol_at(i) and t.x.allows(w[-1], s)]
+    return {w[radius:radius + n - m + 1] for w in walks}
+
+
+def brute_walk_depths(adj):
+    """Longest walk from each node, by the endpoint sets of the walks of
+    each length; a walk of len(adj) steps repeats a node, so its start
+    reaches a cycle and gets None."""
+    out = {}
+    for v in adj:
+        frontier, length = {v}, 0
+        while length < len(adj):
+            frontier = {u for w in frontier for u in adj[w]}
+            if not frontier:
+                break
+            length += 1
+        out[v] = None if length == len(adj) else length
+    return out
+
+
 def brute_periodic_image_words(t, max_period):
     """Canonical periodic image orbit words, by trying every candidate."""
     out = set()

@@ -14,7 +14,7 @@ import pytest
 
 import factorcode
 from conftest import random_code
-from factorcode import cli, codes, triple_to_text
+from factorcode import cli, codes, fiber, triple_to_text
 
 FIXDIR = Path(factorcode.__file__).parent / "fixtures"
 GOLDEN = (1 + sqrt(5)) / 2
@@ -304,3 +304,54 @@ def test_one_image_and_one_automaton_per_direction_per_command(
     assert cli.main(argv) in (0, 3)
     capsys.readouterr()
     assert built == {"image": 1, "automaton": automata}
+
+
+def test_sync_walks_a_wide_window(capsys):
+    """The window walk is iterative: a window of 1501 coordinates, far
+    past the interpreter's recursion limit, has its one block."""
+    assert cli.main(["sync", fixture_path("fix_a"), "--y", "0",
+                     "--interval", "0", "1500"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["radius"] == 0
+    assert result["blocks"] == [["0"] * 1501]
+
+
+@pytest.mark.parametrize("error", [
+    RuntimeError("transition block extraction exhausted its caps"),
+    AssertionError("routing targets share a symbol"),
+])
+def test_internal_errors_exit_4_on_one_line(error, monkeypatch, capsys):
+    def broken(t, y):
+        raise error
+
+    monkeypatch.setattr(cli, "extract_transition_block", broken)
+    assert cli.main(["extract", fixture_path("fix_e"), "--y", "0", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: %s\n" % (error,)
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["sync", fixture_path("fix_e"), "--y", "0", "1",
+      "--interval", "0", "3"], [("0", "1")]),
+    (["extract", fixture_path("fix_e"), "--y", "0", "1"],
+     [("0", "1"), ("0", "1", "0", "1")]),
+    (["fiber", fixture_path("fix_e"), "--y", "0", "1"],
+     [("0", "1"), ("0", "1", "0", "1")]),
+])
+def test_one_phase_graph_per_point_per_command(argv, words, monkeypatch,
+                                               capsys):
+    """Each phase graph is built once per triple and word: sync builds
+    the point's graph, extract and fiber add its reading unrolled to the
+    class period (here the doubled reading of the doubling check)."""
+    built = []
+
+    def build(t, word, *args):
+        built.append(word)
+        return real(t, word, *args)
+
+    real = fiber.FiberGraph
+    monkeypatch.setattr(fiber, "FiberGraph", build)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert built == words

@@ -9,6 +9,8 @@ from conftest import (
     brute_is_transition_block,
     brute_periodic_preimages,
     brute_window_blocks,
+    brute_window_blocks_at_radius,
+    random_code,
     random_triple,
 )
 from factorcode import (
@@ -227,6 +229,38 @@ def test_window_blocks_radius_filtration_is_monotone():
                 if previous is not None:
                     assert previous >= s_r
                 previous = s_r
+
+
+def test_window_blocks_at_radius_match_brute():
+    rng = random.Random(59)
+    cases = []
+    for name in FIXTURE_NAMES:
+        t, points = fixture_points(name, max_period=3)
+        cases.extend((t, y) for y in points)
+    for i in range(16):
+        t = (random_triple(rng) if i % 2 else
+             random_code(rng, rng.randint(3, 6), reducible=True))
+        pts = periodic_image_points(t, 2)
+        cases.extend((t, y) for y in pts[:2])
+    radii_seen = set()
+    for t, y in cases:
+        for interval in ((0, 0), (0, 2), (-1, 1)):
+            true_blocks = set(window_blocks(t, y, interval))
+            for radius in range(5):
+                got = set(window_blocks(t, y, interval, radius))
+                assert got == brute_window_blocks_at_radius(
+                    t, y, interval, radius), (t, y, interval, radius)
+                if got != true_blocks:
+                    radii_seen.add(radius)
+            radius = synchronizing_extension(t, y, interval).radius
+            if radius < 5:
+                assert brute_window_blocks_at_radius(
+                    t, y, interval, radius) == true_blocks
+            if 0 < radius <= 5:
+                assert brute_window_blocks_at_radius(
+                    t, y, interval, radius - 1) != true_blocks
+    # the population has windows that settle only after several radii
+    assert {0, 1, 2} <= radii_seen
 
 
 def test_window_blocks_validates_arguments():

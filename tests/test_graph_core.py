@@ -15,6 +15,7 @@ import pytest
 
 from conftest import (
     FIXTURE_NAMES,
+    brute_walk_depths,
     random_code,
     ref_d_star,
     ref_essentialize,
@@ -32,7 +33,7 @@ from factorcode import (
     sofic_image,
 )
 from factorcode.codes import step
-from factorcode.graphs import shortest_walk
+from factorcode.graphs import shortest_walk, walk_depths
 
 
 def population(seed):
@@ -148,3 +149,19 @@ def test_shortest_walk_is_a_shortest_walk_inside_members():
         assert len(walk) == distance and walk[-1] == target
         assert all(u in members for u in walk)
         assert all(b in adj[a] for a, b in zip([source] + walk, walk))
+
+
+def test_walk_depths_match_bounded_enumeration():
+    rng = random.Random(83)
+    unbounded = finite = 0
+    for trial in range(300):
+        n = rng.randint(1, 9)
+        acyclic = trial % 2 == 0
+        adj = {v: sorted(u for u in rng.sample(range(n), rng.randint(0, n))
+                         if not acyclic or u > v)
+               for v in range(n)}
+        got = walk_depths(adj)
+        assert got == brute_walk_depths(adj)
+        unbounded += sum(d is None for d in got.values())
+        finite += sum(d is not None and d > 1 for d in got.values())
+    assert unbounded and finite
