@@ -3,10 +3,12 @@
 Every subcommand reads a triple file and prints a JSON report (recode
 prints a triple file instead). Exit status: 0 success, 1 bad input or
 usage, 2 failed precondition, 3 uncertified class degree bound, 4 internal
-error (a broken invariant or an exhausted internal cap).
+error (a broken invariant or an exhausted internal cap), 5 relative entropy
+bound not converged (the report is still printed).
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -37,6 +39,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+@functools.cache
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("triple", help="path to a triple file")
@@ -235,9 +238,11 @@ def _cmd_bound(t, args, inputs):
         "units": "bits" if args.bits else "nats",
         "pqs": pqs_bound(t, measure),
         "residuals": bound.residuals,
+        "tolerance": bound.tolerance,
+        "converged": bound.converged,
         "iterations": bound.iterations,
         "diagnostic": uniform_conditional_diagnostic(t, bound),
-    }, 0
+    }, 0 if bound.converged else 5
 
 
 _HANDLERS = {

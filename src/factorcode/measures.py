@@ -7,14 +7,16 @@ measure-restricted class count, the preimage-count bound, and the
 relative entropy relaxation: an upper bound for the largest entropy a
 measure on the domain can have among those pushing forward to the given
 image measure.
+
+numpy is imported by the functions that compute with it, so commands
+that never touch a measure (``check``, ``degree``, the fiber commands)
+do not pay for importing it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, sqrt
-
-import numpy as np
+from math import log
 
 from . import graphs
 from .core import (MeasureParseError, PeriodicPoint, PreconditionError,
@@ -22,6 +24,10 @@ from .core import (MeasureParseError, PeriodicPoint, PreconditionError,
 from .codes import sofic_image
 
 ROW_SUM_TOLERANCE = 1e-9
+# The KL projection of the relative entropy bound stops once both
+# constraint families hold within the tolerance, or after the cycle cap.
+PROJECTION_TOLERANCE = 1e-12
+PROJECTION_CYCLES = 5000
 _ROW_INVARIANT = 1e-12
 _FLOW_INVARIANT = 1e-10
 
@@ -73,6 +79,8 @@ def markov_measure(base, kernel):
     communicating class, so the stationary measure is unique and ergodic;
     otherwise PreconditionError is raised.
     """
+    import numpy as np
+
     rows = {s: {} for s in base.symbols}
     for (s, t), p in kernel.items():
         if s not in base.symbol_set or t not in base.symbol_set:
@@ -232,6 +240,8 @@ def spectral_entropy(base):
 
 
 def _perron_data(base):
+    import numpy as np
+
     if not is_irreducible(base):
         raise PreconditionError("shift is not irreducible")
     symbols = base.symbols
@@ -401,13 +411,17 @@ class RelativeEntropyBound:
     ``value`` is in nats; ``optimizer`` maps admissible (k+1)-blocks of
     the domain to their optimal weights; ``residuals`` reports the largest
     violation of the image and marginal constraint families at the
-    optimizer; ``iterations`` counts ascent steps taken."""
+    optimizer; ``iterations`` counts ascent steps taken. ``converged`` is
+    true when the final projection met ``tolerance`` on both families and
+    the ascent stopped before its iteration cap."""
 
     k: int
     value: float
     optimizer: dict
     residuals: dict
     iterations: int
+    converged: bool
+    tolerance: float
 
 
 def _prune_support(blocks):
@@ -429,6 +443,46 @@ def _prune_support(blocks):
     return {U for U in blocks if component[U[:-1]] == component[U[1:]]}
 
 
+def _marginal_levels(moving, src, dst, count):
+    """Level schedule of the Gauss-Seidel marginal sweep.
+
+    Block ``moving[i]`` sits on the left side of marginal ``src[i]`` (its
+    prefix k-block) and on the right side of marginal ``dst[i]`` (its
+    suffix k-block); blocks whose prefix equals their suffix are on no
+    side and are left out by the caller. Marginals with an empty side are
+    never rescaled and get no level. Every other marginal gets level 1 +
+    the highest level of the earlier marginals it shares a block with, so
+    the marginals of one level touch disjoint blocks, and rescaling them
+    level by level applies the same updates in the same order as
+    rescaling them one by one in k-block order.
+
+    Returns one (left blocks, their marginals, right blocks, their
+    marginals, ones) per level, marginals numbered from 0 within their
+    level, blocks in ascending order and one 1.0 per marginal of the
+    level (the factor of a marginal that a step leaves alone)."""
+    import numpy as np
+
+    active = ((np.bincount(src, minlength=count) > 0)
+              & (np.bincount(dst, minlength=count) > 0)).tolist()
+    earlier = [[] for _ in range(count)]
+    for a, b in zip(src.tolist(), dst.tolist()):
+        if active[a] and active[b]:
+            earlier[max(a, b)].append(min(a, b))
+    level = [-1] * count
+    for i in np.flatnonzero(active).tolist():
+        level[i] = 1 + max((level[j] for j in earlier[i]), default=-1)
+    level = np.array(level, dtype=np.intp)
+    schedule = []
+    for lev in range(int(level.max()) + 1):
+        members = level == lev
+        local = np.cumsum(members) - 1
+        left, right = members[src], members[dst]
+        schedule.append((moving[left], local[src[left]],
+                         moving[right], local[dst[right]],
+                         np.ones(int(members.sum()))))
+    return schedule
+
+
 def relative_entropy_upper_bound(t, measure, k, max_iterations=100000):
     """Upper bound for the maximal entropy among measures on the domain
     pushing forward to the given Markov measure on the image presentation.
@@ -441,7 +495,17 @@ def relative_entropy_upper_bound(t, measure, k, max_iterations=100000):
     ascent with cyclic KL projections onto the two affine constraint
     families converges to the relaxation's maximum, which bounds the
     relative maximal entropy from above. Gradient: log(m(prefix)/q).
+
+    Each projection cycle rescales the marginals in the Gauss-Seidel
+    order of their k-blocks, one vectorized step per level of
+    ``_marginal_levels``, then every image cell at once; it stops once
+    both constraint families hold within ``PROJECTION_TOLERANCE`` or
+    after ``PROJECTION_CYCLES`` cycles. ``converged`` on the result says
+    whether the final projection met the tolerance and the ascent stopped
+    before ``max_iterations``.
     """
+    import numpy as np
+
     if k < 1:
         raise ValueError("k must be >= 1")
     pres = sofic_image(t).triple
@@ -458,92 +522,74 @@ def relative_entropy_upper_bound(t, measure, k, max_iterations=100000):
     blocks = sorted(support, key=block_key)
     if not blocks:
         raise AssertionError("image measure admits no preimage blocks")
-    position = {U: i for i, U in enumerate(blocks)}
 
-    cell_groups = {}
-    for U in blocks:
-        cell_groups.setdefault(t.label_word(U), []).append(position[U])
-    for word in nu:
-        if word not in cell_groups:
-            raise AssertionError("image block lost all preimage blocks "
-                                 "in pruning")
-    cells = [(np.array(cell_groups[word], dtype=int), nu[word])
-             for word in sorted(cell_groups, key=lambda w: tuple(w))]
+    words = sorted({t.label_word(U) for U in blocks})
+    if len(words) != len(nu):
+        raise AssertionError("image block lost all preimage blocks "
+                             "in pruning")
+    cell_index = {w: i for i, w in enumerate(words)}
+    cell_of = np.array([cell_index[t.label_word(U)] for U in blocks],
+                       dtype=np.intp)
+    targets = np.array([nu[w] for w in words])
 
-    prefix_groups = {}
-    suffix_groups = {}
-    for U in blocks:
-        prefix_groups.setdefault(U[:k], []).append(position[U])
-        suffix_groups.setdefault(U[1:], []).append(position[U])
-    kblocks = sorted(set(prefix_groups) | set(suffix_groups), key=block_key)
-    marginals = []
-    for W in kblocks:
-        pre = set(prefix_groups.get(W, ()))
-        suf = set(suffix_groups.get(W, ()))
-        left = np.array(sorted(pre - suf), dtype=int)
-        right = np.array(sorted(suf - pre), dtype=int)
-        marginals.append((left, right))
-    prefix_of = np.zeros(len(blocks), dtype=int)
+    kblocks = sorted({U[:k] for U in blocks} | {U[1:] for U in blocks},
+                     key=block_key)
     kindex = {W: i for i, W in enumerate(kblocks)}
-    for U in blocks:
-        prefix_of[position[U]] = kindex[U[:k]]
+    prefix_of = np.array([kindex[U[:k]] for U in blocks], dtype=np.intp)
+    suffix_of = np.array([kindex[U[1:]] for U in blocks], dtype=np.intp)
+    moving = np.flatnonzero(prefix_of != suffix_of)
+    src, dst = prefix_of[moving], suffix_of[moving]
+    levels = _marginal_levels(moving, src, dst, len(kblocks))
 
     floor = 1e-300
 
-    def project(q, cycles=5000, tol=1e-12):
-        for _ in range(cycles):
-            for left, right in marginals:
-                a = q[left].sum() if len(left) else 0.0
-                b = q[right].sum() if len(right) else 0.0
-                if a > 0 and b > 0:
-                    factor = sqrt(b / a)
-                    q[left] *= factor
-                    q[right] /= factor
-            for idx, target in cells:
-                total = q[idx].sum()
-                if total <= 0:
-                    raise AssertionError("projection emptied an image cell")
-                q[idx] *= target / total
-            np.clip(q, floor, None, out=q)
-            if _residuals(q)["max"] < tol:
-                break
-        return q
+    def residuals_of(q):
+        image = np.abs(np.bincount(cell_of, weights=q,
+                                   minlength=len(words)) - targets)
+        flow = q[moving]
+        marginal = np.abs(
+            np.bincount(src, weights=flow, minlength=len(kblocks))
+            - np.bincount(dst, weights=flow, minlength=len(kblocks)))
+        return {"image": float(image.max()),
+                "marginal": float(marginal.max())}
 
-    def _residuals(q):
-        image_r = 0.0
-        for idx, target in cells:
-            image_r = max(image_r, abs(float(q[idx].sum()) - target))
-        marginal_r = 0.0
-        for left, right in marginals:
-            a = q[left].sum() if len(left) else 0.0
-            b = q[right].sum() if len(right) else 0.0
-            marginal_r = max(marginal_r, abs(float(a - b)))
-        return {"image": image_r, "marginal": marginal_r,
-                "max": max(image_r, marginal_r)}
+    def project(q):
+        for _ in range(PROJECTION_CYCLES):
+            for left, lseg, right, rseg, ones in levels:
+                a = np.bincount(lseg, weights=q[left], minlength=len(ones))
+                b = np.bincount(rseg, weights=q[right], minlength=len(ones))
+                # the exponentiated step can underflow a side to 0
+                factor = np.sqrt(np.divide(b, a, out=ones.copy(),
+                                           where=(a > 0) & (b > 0)))
+                q[left] *= factor[lseg]
+                q[right] /= factor[rseg]
+            totals = np.bincount(cell_of, weights=q, minlength=len(words))
+            if (totals <= 0).any():
+                raise AssertionError("projection emptied an image cell")
+            q *= (targets / totals)[cell_of]
+            np.clip(q, floor, None, out=q)
+            if max(residuals_of(q).values()) < PROJECTION_TOLERANCE:
+                return q, True
+        return q, False
+
+    def prefix_mass(q):
+        return np.bincount(prefix_of, weights=q,
+                           minlength=len(kblocks))[prefix_of]
 
     def value_of(q):
-        m = np.zeros(len(kblocks))
-        np.add.at(m, prefix_of, q)
-        ratio = m[prefix_of] / q
-        return float(np.sum(q * np.log(ratio)))
+        return float(np.sum(q * np.log(prefix_mass(q) / q)))
 
-    def gradient_of(q):
-        m = np.zeros(len(kblocks))
-        np.add.at(m, prefix_of, q)
-        return np.log(m[prefix_of] / q)
-
-    q = np.full(len(blocks), 1.0 / len(blocks))
-    q = project(q)
+    q, converged = project(np.full(len(blocks), 1.0 / len(blocks)))
     value = value_of(q)
     eta = 1.0
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        grad = gradient_of(q)
+        grad = np.log(prefix_mass(q) / q)
         grad -= grad.max()
         accepted = False
         new_value = value
         while eta >= 1e-12:
-            trial = project(q * np.exp(eta * grad))
+            trial, trial_converged = project(q * np.exp(eta * grad))
             new_value = value_of(trial)
             if new_value >= value - 1e-15:
                 accepted = True
@@ -552,18 +598,18 @@ def relative_entropy_upper_bound(t, measure, k, max_iterations=100000):
         if not accepted:
             break
         improvement = new_value - value
-        q, value = trial, new_value
+        q, value, converged = trial, new_value, trial_converged
         if improvement < 1e-13:
             break
         eta = min(eta * 1.3, 8.0)
+    else:
+        converged = False
 
-    residuals = _residuals(q)
-    optimizer = {U: float(q[position[U]]) for U in blocks}
+    optimizer = {U: float(q[i]) for i, U in enumerate(blocks)}
     return RelativeEntropyBound(
-        k=k, value=value, optimizer=optimizer,
-        residuals={"image": residuals["image"],
-                   "marginal": residuals["marginal"]},
-        iterations=iterations)
+        k=k, value=value, optimizer=optimizer, residuals=residuals_of(q),
+        iterations=iterations, converged=converged,
+        tolerance=PROJECTION_TOLERANCE)
 
 
 def uniform_conditional_diagnostic(t, bound):
@@ -615,9 +661,8 @@ def uniform_conditional_diagnostic(t, bound):
 
     worst = 0.0
     for (left, right, y0), dist in sorted(groups.items()):
-        admissible = [a for a in t.x.symbols
-                      if t.x.allows(left[-1], a) and t.x.allows(a, right[0])
-                      and t.label[a] == y0]
+        admissible = [a for a in t.successors_by_label[left[-1]].get(y0, ())
+                      if (a, right[0]) in t.x.transitions]
         total = sum(dist[a] for a in sorted(dist, key=lambda s: xorder[s]))
         if total <= 1e-15 or not admissible:
             continue

@@ -9,7 +9,10 @@ length at most eight or so); the tests keep within that envelope.
 
 import itertools
 import string
-from math import lcm
+from math import lcm, sqrt
+from types import SimpleNamespace
+
+import numpy as np
 
 from factorcode import (
     PeriodicPoint,
@@ -22,7 +25,9 @@ from factorcode import (
     primitive_root,
     sofic_image,
 )
-from factorcode.core import FactorTriple
+from factorcode.core import FactorTriple, enumerate_blocks
+from factorcode.measures import (_positive_word_measures, _prune_support,
+                                 _require_presentation_measure)
 
 
 FIXTURE_NAMES = ("fix_a", "fix_b", "fix_c", "fix_d", "fix_e", "fix_g")
@@ -445,3 +450,133 @@ def random_code(rng, n, reducible):
     for s, c in zip(rng.sample(syms, len(y_syms)), y_syms):
         label[s] = c
     return FactorTriple(make_sft(syms, edges), label, y_syms)
+
+
+def ref_relative_entropy_upper_bound(t, measure, k,
+                                     max_iterations=100000):
+    """The relative entropy relaxation with the sequential solver: one
+    Python-level sum per constraint, marginal by marginal in k-block
+    order (Gauss-Seidel), then cell by cell. The library's level-scheduled
+    sweep must reproduce its iterates up to summation order."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    pres = sofic_image(t).triple
+    _require_presentation_measure(measure, pres)
+
+    nu = _positive_word_measures(pres, measure, k + 1)
+    xorder = {s: i for i, s in enumerate(t.x.symbols)}
+
+    def block_key(block):
+        return tuple(xorder[s] for s in block)
+
+    support = _prune_support(
+        U for U in enumerate_blocks(t.x, k + 1) if t.label_word(U) in nu)
+    blocks = sorted(support, key=block_key)
+    if not blocks:
+        raise AssertionError("image measure admits no preimage blocks")
+    position = {U: i for i, U in enumerate(blocks)}
+
+    cell_groups = {}
+    for U in blocks:
+        cell_groups.setdefault(t.label_word(U), []).append(position[U])
+    for word in nu:
+        if word not in cell_groups:
+            raise AssertionError("image block lost all preimage blocks "
+                                 "in pruning")
+    cells = [(np.array(cell_groups[word], dtype=int), nu[word])
+             for word in sorted(cell_groups, key=lambda w: tuple(w))]
+
+    prefix_groups = {}
+    suffix_groups = {}
+    for U in blocks:
+        prefix_groups.setdefault(U[:k], []).append(position[U])
+        suffix_groups.setdefault(U[1:], []).append(position[U])
+    kblocks = sorted(set(prefix_groups) | set(suffix_groups), key=block_key)
+    marginals = []
+    for W in kblocks:
+        pre = set(prefix_groups.get(W, ()))
+        suf = set(suffix_groups.get(W, ()))
+        left = np.array(sorted(pre - suf), dtype=int)
+        right = np.array(sorted(suf - pre), dtype=int)
+        marginals.append((left, right))
+    prefix_of = np.zeros(len(blocks), dtype=int)
+    kindex = {W: i for i, W in enumerate(kblocks)}
+    for U in blocks:
+        prefix_of[position[U]] = kindex[U[:k]]
+
+    floor = 1e-300
+
+    def project(q, cycles=5000, tol=1e-12):
+        for _ in range(cycles):
+            for left, right in marginals:
+                a = q[left].sum() if len(left) else 0.0
+                b = q[right].sum() if len(right) else 0.0
+                if a > 0 and b > 0:
+                    factor = sqrt(b / a)
+                    q[left] *= factor
+                    q[right] /= factor
+            for idx, target in cells:
+                total = q[idx].sum()
+                if total <= 0:
+                    raise AssertionError("projection emptied an image cell")
+                q[idx] *= target / total
+            np.clip(q, floor, None, out=q)
+            if _residuals(q)["max"] < tol:
+                break
+        return q
+
+    def _residuals(q):
+        image_r = 0.0
+        for idx, target in cells:
+            image_r = max(image_r, abs(float(q[idx].sum()) - target))
+        marginal_r = 0.0
+        for left, right in marginals:
+            a = q[left].sum() if len(left) else 0.0
+            b = q[right].sum() if len(right) else 0.0
+            marginal_r = max(marginal_r, abs(float(a - b)))
+        return {"image": image_r, "marginal": marginal_r,
+                "max": max(image_r, marginal_r)}
+
+    def value_of(q):
+        m = np.zeros(len(kblocks))
+        np.add.at(m, prefix_of, q)
+        ratio = m[prefix_of] / q
+        return float(np.sum(q * np.log(ratio)))
+
+    def gradient_of(q):
+        m = np.zeros(len(kblocks))
+        np.add.at(m, prefix_of, q)
+        return np.log(m[prefix_of] / q)
+
+    q = np.full(len(blocks), 1.0 / len(blocks))
+    q = project(q)
+    value = value_of(q)
+    eta = 1.0
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        grad = gradient_of(q)
+        grad -= grad.max()
+        accepted = False
+        new_value = value
+        while eta >= 1e-12:
+            trial = project(q * np.exp(eta * grad))
+            new_value = value_of(trial)
+            if new_value >= value - 1e-15:
+                accepted = True
+                break
+            eta /= 2
+        if not accepted:
+            break
+        improvement = new_value - value
+        q, value = trial, new_value
+        if improvement < 1e-13:
+            break
+        eta = min(eta * 1.3, 8.0)
+
+    residuals = _residuals(q)
+    optimizer = {U: float(q[position[U]]) for U in blocks}
+    return SimpleNamespace(
+        k=k, value=value, optimizer=optimizer,
+        residuals={"image": residuals["image"],
+                   "marginal": residuals["marginal"]},
+        iterations=iterations)

@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import factorcode
-from conftest import random_code
-from factorcode import cli, codes, fiber, triple_to_text
+from conftest import image_measure, random_code
+from factorcode import cli, codes, fiber, fixtures, measures, triple_to_text
 
 FIXDIR = Path(factorcode.__file__).parent / "fixtures"
 GOLDEN = (1 + sqrt(5)) / 2
@@ -225,6 +225,8 @@ def test_bound_command_reports_value_pqs_and_diagnostic():
     assert result["residuals"]["marginal"] < 1e-10
     assert result["diagnostic"] <= 1e-8
     assert result["iterations"] >= 1
+    assert result["converged"] is True
+    assert result["tolerance"] == 1e-12
     bits = run_json(
         "bound", fixture_path("fix_c"),
         "--measure", fixture_path("fix_c_point", ".measure"),
@@ -329,6 +331,79 @@ def test_internal_errors_exit_4_on_one_line(error, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: %s\n" % (error,)
+
+
+def test_bound_short_of_its_tolerance_exits_5_with_the_report(
+        monkeypatch, tmp_path, capsys):
+    pres, parry = image_measure(fixtures.load("fix_e"), "parry")
+    states = pres.x.symbols
+    measure = tmp_path / "fix_e_parry.measure"
+    measure.write_text("states: %s\n" % " ".join(states) + "".join(
+        "row %s: %s\n" % (s, " ".join(repr(parry.kernel.get((s, u), 0.0))
+                                       for u in states))
+        for s in states))
+    argv = ["bound", fixture_path("fix_e"), "--measure", str(measure),
+            "--k", "1"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["converged"] is True
+    monkeypatch.setattr(measures, "PROJECTION_CYCLES", 1)
+    assert cli.main(argv) == 5
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["converged"] is False
+    assert result["tolerance"] == 1e-12
+    assert result["residuals"]["marginal"] >= 1e-12
+
+
+def test_main_called_repeatedly_prints_what_fresh_processes_print():
+    calls = [
+        ["check", fixture_path("fix_e")],
+        ["bound", fixture_path("fix_c"),
+         "--measure", fixture_path("fix_c_point", ".measure"), "--k", "2"],
+        ["classdegree", fixture_path("fix_e"), "--horizon", "many"],
+        ["fiber", fixture_path("fix_e"), "--y", "0", "1"],
+        ["sync", fixture_path("fix_e"), "--y", "0", "1"],
+        ["degree", fixture_path("fix_b"), "--plain"],
+        ["classdegree", fixture_path("fix_d")],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from factorcode import cli\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), \\\n"
+        "            contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            status = cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            status = exc.code\n"
+        "    runs.append([status, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(runs))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(calls)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert [status for status, _, _ in runs] == [0, 0, 1, 0, 1, 0, 0]
+    for argv, run in zip(calls, runs):
+        fresh = run_cli(*argv)
+        assert run == [fresh.returncode, fresh.stdout, fresh.stderr]
+
+
+def test_numpy_is_imported_only_by_commands_that_need_it():
+    code = (
+        "import sys\n"
+        "from factorcode import cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "for argv in sys.argv[1:3]:\n"
+        "    assert cli.main([argv, %r]) == 0\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+        "assert cli.main([sys.argv[3], %r]) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        % (fixture_path("fix_e"), fixture_path("fix_e")))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "check", "classdegree", "entropy"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv, words", [

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import random
 from math import log, sqrt
 from pathlib import Path
 
@@ -12,10 +13,14 @@ import pytest
 from conftest import (
     FIXTURE_NAMES,
     MEASURE_PAIRS,
+    all_cycle_words,
     all_words,
     image_measure,
+    random_code,
+    ref_relative_entropy_upper_bound,
 )
 import factorcode
+from factorcode import measures
 from factorcode import (
     MeasureParseError,
     PeriodicPoint,
@@ -439,6 +444,92 @@ def test_bound_optimizer_is_locally_optimal():
                     trial = value_of_block_measure(
                         list(zip(support, moved)), k)
                     assert trial <= base_value + 1e-9
+
+
+def assert_matches_sequential_solver(t, measure, k):
+    got = relative_entropy_upper_bound(t, measure, k)
+    ref = ref_relative_entropy_upper_bound(t, measure, k)
+    assert got.iterations == ref.iterations
+    assert abs(got.value - ref.value) <= 1e-12
+    assert set(got.optimizer) == set(ref.optimizer)
+    for U, weight in ref.optimizer.items():
+        assert abs(got.optimizer[U] - weight) <= 1e-12
+    assert max(got.residuals.values()) < 1e-12
+    assert got.converged is True
+    assert got.tolerance == 1e-12
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_level_scheduled_solver_matches_sequential_one_on_fixtures(k):
+    for name, kind in MEASURE_PAIRS:
+        t = fixtures.load(name)
+        _, measure = image_measure(t, kind)
+        assert_matches_sequential_solver(t, measure, k)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_level_scheduled_solver_matches_sequential_one_on_random_codes(seed):
+    rng = random.Random(seed)
+    t = random_code(rng, rng.randint(4, 7), reducible=False)
+    pres = sofic_image(t).triple
+    cycle = next(w for n in (2, 3, 1) for w in all_cycle_words(pres.x, n))
+    for measure in (parry_measure(pres.x),
+                    orbit_measure(pres.x, PeriodicPoint(cycle))):
+        for k in (1, 2):
+            assert_matches_sequential_solver(t, measure, k)
+
+
+def test_marginal_levels_touch_each_block_once_and_keep_the_sweep_order(
+        monkeypatch):
+    schedules = []
+
+    def recording(moving, src, dst, count):
+        levels = real(moving, src, dst, count)
+        schedules.append((moving.tolist(), src.tolist(), dst.tolist(),
+                          count, levels))
+        return levels
+
+    real = measures._marginal_levels
+    monkeypatch.setattr(measures, "_marginal_levels", recording)
+    for name, kind in MEASURE_PAIRS:
+        t = fixtures.load(name)
+        _, measure = image_measure(t, kind)
+        for k in (1, 2, 3):
+            relative_entropy_upper_bound(t, measure, k)
+    assert len(schedules) == 3 * len(MEASURE_PAIRS)
+    assert any(len(levels) > 1 for *_, levels in schedules)
+
+    for moving, src, dst, count, levels in schedules:
+        where = {b: i for i, b in enumerate(moving)}
+        level_of = {}
+        for number, (left, lseg, right, rseg, ones) in enumerate(levels):
+            touched = left.tolist() + right.tolist()
+            assert len(touched) == len(set(touched))
+            local = {}
+            for blocks, segs, ends in ((left, lseg, src), (right, rseg, dst)):
+                for b, j in zip(blocks.tolist(), segs.tolist()):
+                    marginal = ends[where[b]]
+                    assert local.setdefault(j, marginal) == marginal
+                    assert level_of.setdefault(marginal, number) == number
+            assert sorted(local) == list(range(len(ones)))
+        # every marginal with two nonempty sides is rescaled, in a level
+        # after each earlier marginal it shares a block with
+        assert set(level_of) == set(src) & set(dst)
+        for a, b in zip(src, dst):
+            if a in level_of and b in level_of:
+                assert (a < b) == (level_of[a] < level_of[b])
+
+
+def test_bound_stopped_by_a_cap_reports_no_convergence(monkeypatch):
+    t = fixtures.load("fix_e")
+    _, measure = image_measure(t, "parry")
+    capped = relative_entropy_upper_bound(t, measure, 1, max_iterations=1)
+    assert max(capped.residuals.values()) < capped.tolerance
+    assert capped.converged is False
+    monkeypatch.setattr(measures, "PROJECTION_CYCLES", 1)
+    short = relative_entropy_upper_bound(t, measure, 1)
+    assert max(short.residuals.values()) >= short.tolerance
+    assert short.converged is False
 
 
 def test_bound_rejects_bad_arguments():
