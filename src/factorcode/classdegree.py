@@ -11,18 +11,26 @@ what the certification step checks.
 Route sets are computed per endpoint pair: the reroutes of a preimage U at
 index n depend only on (U_0, U_end), namely the exact-length forward set
 from U_0 intersected with the exact-length backward set from U_end.
+
+The least depth at one index is a minimum hitting set of its route sets.
+They are kept as int masks, bit i standing for the i-th domain symbol, and
+searched exactly by branch and bound: sizes are deepened from 1, and at
+each size a depth-first search picks bits in increasing order, cutting a
+branch when an uncovered route set has no bit left to pick or when a
+greedy packing of disjoint uncovered route sets needs more picks than
+remain. Ties therefore go to the first set in lexicographic domain symbol
+order, as a size-by-size walk through all combinations would find.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import graphs
 from .core import PeriodicPoint, PreconditionError, sub_triple
-from .codes import (_sweep, d_star, exact_backward_sweep, exact_forward_sweep,
-                    forward_sets, image_blocks, image_irreducible,
-                    sofic_image)
+from .codes import (_bit_indices, _sweep, d_star, exact_backward_sweep,
+                    exact_forward_sweep, forward_sets, image_blocks,
+                    image_irreducible, sofic_image)
 
 
 @dataclass(frozen=True)
@@ -106,16 +114,64 @@ def transition_block(t, word, index, symbols):
     return TransitionBlock(word, index, symbols)
 
 
-def _min_hitting_set(route_sets, pool, below):
-    """Smallest subset of ``pool`` meeting every route set, among those of
-    fewer than ``below`` symbols (None if there is none); the first
-    combination in lexicographic pool order wins ties."""
-    for size in range(1, below):
-        for combo in combinations(pool, size):
-            chosen = set(combo)
-            if all(chosen & rs for rs in route_sets):
-                return combo
+def _first_hitting_set(uncovered, pool, left, chosen):
+    """First combination of ``left`` more bits of ``pool``, lowest bits
+    first, whose union with ``chosen`` meets every mask in ``uncovered``
+    (None if there is none)."""
+    if not uncovered:
+        return chosen
+    if not left:
+        return None
+    # pairwise disjoint masks each need a pick of their own
+    packed = need = 0
+    for m in uncovered:
+        if not m & pool & packed:
+            packed |= m & pool
+            need += 1
+    if need > left:
+        return None
+    # picks only climb: past the top bit of a mask, nothing can meet it
+    top = min((m & pool).bit_length() for m in uncovered)
+    for i in _bit_indices(pool & ((1 << top) - 1)):
+        bit = 1 << i
+        found = _first_hitting_set([m for m in uncovered if not m & bit],
+                                   pool & -(bit << 1), left - 1,
+                                   chosen | bit)
+        if found is not None:
+            return found
     return None
+
+
+def _min_hitting_set(route_masks, below):
+    """Smallest set of bits meeting every route mask, among those of fewer
+    than ``below`` bits, as a mask (None if there is none); the first
+    combination in ascending bit order wins ties.
+
+    Exact branch and bound: duplicate masks and masks containing another
+    are dropped (a set meets every mask iff it meets every minimal one),
+    then sizes are deepened from 1, each by a depth-first search over
+    increasing bit positions. The search cuts a branch when an uncovered
+    mask has no bit left at or above its next position, or when a greedy
+    packing of disjoint uncovered masks needs more picks than remain. Its
+    first hit is therefore the one ``itertools.combinations`` over the
+    bits in ascending order would reach first at the least size.
+    """
+    minimal = []
+    for m in sorted(set(route_masks), key=int.bit_count):
+        if not any(k & m == k for k in minimal):
+            minimal.append(m)
+    pool = 0
+    for m in minimal:
+        pool |= m
+    for size in range(1, below):
+        found = _first_hitting_set(minimal, pool, size, 0)
+        if found is not None:
+            return found
+    return None
+
+
+def _masks(bit, sweep):
+    return [sum(bit[s] for s in symbols) for symbols in sweep]
 
 
 def minimal_depth_at(t, word):
@@ -131,17 +187,19 @@ def minimal_depth_at(t, word):
     pairs, fsweeps, bsweeps = _route_table(t, word)
     if not pairs:
         raise ValueError("word is not an image block")
-    xorder = {s: i for i, s in enumerate(t.x.symbols)}
+    # bit i stands for t.x.symbols[i], so ascending bits are symbol order
+    bit = {s: 1 << i for i, s in enumerate(t.x.symbols)}
+    fmask = {s: _masks(bit, sweep) for s, sweep in fsweeps.items()}
+    bmask = {e: _masks(bit, sweep) for e, sweep in bsweeps.items()}
     best = None
+    below = len(t.x.symbols) + 1
     for n in range(1, len(word) - 1):
-        route_sets = [fsweeps[s][n] & bsweeps[e][n] for s, e in pairs]
-        pool = sorted(set().union(*route_sets), key=xorder.get)
-        # only a strictly smaller depth can improve on an earlier index
-        below = len(pool) + 1 if best is None else len(best[1])
-        found = _min_hitting_set(route_sets, pool, below)
+        found = _min_hitting_set([fmask[s][n] & bmask[e][n]
+                                  for s, e in pairs], below)
         if found:
-            best = (n, found)
-    return best[0], frozenset(best[1])
+            # only a strictly smaller depth can improve on an earlier index
+            best, below = (n, found), found.bit_count()
+    return best[0], frozenset(t.x.symbols[i] for i in _bit_indices(best[1]))
 
 
 @dataclass
@@ -207,13 +265,6 @@ def _count_classes_over(t, y):
     return transition_classes(build_fiber_graph(t, y)).class_count
 
 
-def _candidate_key(t, word, index, symbols):
-    yorder = {c: i for i, c in enumerate(t.y_alphabet)}
-    xorder = {s: i for i, s in enumerate(t.x.symbols)}
-    return (len(symbols), len(word), tuple(yorder[c] for c in word), index,
-            tuple(sorted(xorder[s] for s in symbols)))
-
-
 def _pad_to_interior(t, word, index):
     """Extend an image word minimally so the marked index is interior."""
     word = list(word)
@@ -243,11 +294,14 @@ def _depth_search(t, horizon, words_of_length, seed_word, pres):
     best = None
     failed = set()
     top_length = 0
+    yorder = {c: i for i, c in enumerate(t.y_alphabet)}
+    xorder = {s: i for i, s in enumerate(t.x.symbols)}
 
     def consider(word):
         nonlocal best
         n, m = minimal_depth_at(t, word)
-        key = _candidate_key(t, word, n, m)
+        key = (len(m), len(word), tuple(yorder[c] for c in word), n,
+               tuple(sorted(xorder[s] for s in m)))
         if best is None or key < best[0]:
             best = (key, word, n, m)
             return True

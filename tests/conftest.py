@@ -25,6 +25,7 @@ from factorcode import (
     primitive_root,
     sofic_image,
 )
+from factorcode.classdegree import _route_table
 from factorcode.core import FactorTriple, enumerate_blocks
 from factorcode.measures import (_positive_word_measures, _prune_support,
                                  _require_presentation_measure)
@@ -415,6 +416,35 @@ def ref_d_star(t):
                 if best is None or key < best[0]:
                     best = (key, (word, len(fword) - 1, len(meet)))
     return best[1]
+
+
+def ref_min_hitting_set(route_sets, pool, below):
+    """Smallest subset of ``pool`` meeting every route set, among those of
+    fewer than ``below`` symbols (None if there is none); the first
+    combination in lexicographic pool order wins ties."""
+    for size in range(1, below):
+        for combo in itertools.combinations(pool, size):
+            chosen = set(combo)
+            if all(chosen & rs for rs in route_sets):
+                return combo
+    return None
+
+
+def ref_minimal_depth_at(t, word):
+    """``minimal_depth_at`` with exhaustive hitting sets over the route
+    pool of each index, sorted in domain symbol order."""
+    word = tuple(word)
+    pairs, fsweeps, bsweeps = _route_table(t, word)
+    xorder = {s: i for i, s in enumerate(t.x.symbols)}
+    best = None
+    for n in range(1, len(word) - 1):
+        route_sets = [fsweeps[s][n] & bsweeps[e][n] for s, e in pairs]
+        pool = sorted(set().union(*route_sets), key=xorder.get)
+        below = len(pool) + 1 if best is None else len(best[1])
+        found = ref_min_hitting_set(route_sets, pool, below)
+        if found:
+            best = (n, found)
+    return best[0], frozenset(best[1])
 
 
 def random_code(rng, n, reducible):

@@ -13,7 +13,10 @@ from conftest import (
     brute_preimage_blocks,
     brute_routable,
     image_measure,
+    random_code,
     random_triple,
+    ref_min_hitting_set,
+    ref_minimal_depth_at,
 )
 from factorcode import (
     PreconditionError,
@@ -29,6 +32,8 @@ from factorcode import (
     transition_block,
     transition_classes,
 )
+from factorcode.classdegree import _min_hitting_set
+from factorcode.codes import image_blocks
 from factorcode.core import FactorTriple
 
 
@@ -99,6 +104,71 @@ def test_minimal_depth_matches_brute_and_is_valid():
                 index, symbols = minimal_depth_at(t, word)
                 assert len(symbols) == brute_min_depth(t, word)
                 assert brute_is_transition_block(t, word, index, symbols)
+
+
+def _random_route_sets(rng, size):
+    """Route sets over symbols 0..size-1, with duplicates and sets nested
+    in or around earlier ones mixed in."""
+    sets = []
+    for _ in range(rng.randint(1, 8)):
+        roll = rng.random()
+        if sets and roll < 0.2:
+            sets.append(rng.choice(sets))
+        elif sets and roll < 0.4:
+            base = sorted(rng.choice(sets))
+            sets.append(frozenset(rng.sample(base, rng.randint(1, len(base)))))
+        elif sets and roll < 0.5:
+            sets.append(rng.choice(sets) | {rng.randrange(size)})
+        else:
+            sets.append(frozenset(rng.sample(range(size),
+                                             rng.randint(1, size))))
+    return sets
+
+
+def _as_mask(symbols):
+    return sum(1 << s for s in symbols)
+
+
+def test_min_hitting_set_matches_exhaustive_oracle():
+    rng = random.Random(59)
+    for _ in range(3000):
+        sets = _random_route_sets(rng, rng.randint(1, 9))
+        pool = sorted(set().union(*sets))
+        for below in range(1, len(pool) + 2):
+            found = _min_hitting_set([_as_mask(rs) for rs in sets], below)
+            got = None if found is None else tuple(
+                i for i in pool if found >> i & 1)
+            assert got == ref_min_hitting_set(sets, pool, below)
+
+
+def test_min_hitting_set_without_solution_gives_none():
+    # an empty route set cannot be met
+    sets = [frozenset({0, 1}), frozenset(), frozenset({2})]
+    assert ref_min_hitting_set(sets, [0, 1, 2], 4) is None
+    assert _min_hitting_set([_as_mask(rs) for rs in sets], 4) is None
+    # three disjoint route sets need three symbols
+    sets = [frozenset({0, 1}), frozenset({2}), frozenset({3, 4})]
+    assert ref_min_hitting_set(sets, [0, 1, 2, 3, 4], 3) is None
+    assert _min_hitting_set([_as_mask(rs) for rs in sets], 3) is None
+    assert _min_hitting_set([_as_mask(rs) for rs in sets], 4) == 0b1101
+
+
+def test_minimal_depth_keeps_tie_order():
+    # random_code names s0 ... s15 sort differently as strings than in
+    # symbol order (s10 < s2), so a mask in name order would show here
+    rng = random.Random(67)
+    triples = [fixtures.load(name) for name in FIXTURE_NAMES]
+    triples += [random_triple(rng) for _ in range(10)]
+    triples += [random_code(rng, rng.randint(11, 16), reducible=False)
+                for _ in range(6)]
+    deepest = 0
+    for t in triples:
+        for n in (3, 4, 5):
+            for word in image_blocks(t, n):
+                index, symbols = minimal_depth_at(t, word)
+                assert (index, symbols) == ref_minimal_depth_at(t, word)
+                deepest = max(deepest, len(symbols))
+    assert deepest >= 3
 
 
 def test_minimal_depth_rejects_bad_words():
