@@ -12,11 +12,17 @@ components after unrolling the phase graph to the least common multiple P
 of the component cyclicities; at that period every component has settled
 into its terminal splitting and the count is stable under any further
 unrolling, which the doubling certificate re-checks explicitly.
+
+Window questions read the same graph. The synchronizing radius of a
+window comes from one sweep across it that carries the backward walk
+depths of its start vertices forward, so it lists no path. The true
+blocks of a window are exactly the paths across it in the pruned graph,
+and only they are listed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf, lcm
 
 from . import graphs
@@ -31,6 +37,9 @@ class FiberGraph:
     ``vertices`` lists every label-compatible (symbol, phase) pair;
     ``pruned`` is the subset lying on bi-infinite walks. ``adjacency``
     covers the full vertex set; restrict to ``pruned`` for fiber content.
+    ``cyclic`` holds the nontrivial strongly connected components found
+    while pruning; they all lie in ``pruned`` and are exactly the
+    nontrivial components of the pruned graph.
     """
 
     triple: object
@@ -39,10 +48,18 @@ class FiberGraph:
     vertices: tuple
     adjacency: dict
     pruned: frozenset
+    cyclic: tuple
+    _pruned_adjacency: dict = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def pruned_adjacency(self):
-        return {v: [w for w in self.adjacency[v] if w in self.pruned]
+        """``adjacency`` restricted to ``pruned``, built on first use and
+        kept; callers must not modify it."""
+        if self._pruned_adjacency is None:
+            self._pruned_adjacency = {
+                v: [w for w in self.adjacency[v] if w in self.pruned]
                 for v in self.vertices if v in self.pruned}
+        return self._pruned_adjacency
 
 
 def build_fiber_graph(t, y):
@@ -70,8 +87,9 @@ def _phase_graph(t, word):
         nxt = (k + 1) % p
         adjacency[(s, k)] = [(u, nxt) for u in
                              t.successors_by_label[s].get(word[nxt], ())]
-    pruned = frozenset(graphs.bi_essential_nodes(adjacency))
-    return FiberGraph(t, word, p, vertices, adjacency, pruned)
+    cyclic = tuple(graphs.nontrivial_components(adjacency))
+    pruned = frozenset(graphs.cycle_hull(adjacency, cyclic))
+    return FiberGraph(t, word, p, vertices, adjacency, pruned, cyclic)
 
 
 def _unrolled(g, period):
@@ -123,9 +141,8 @@ def transition_classes(g):
     """Transition classes over the point presented by fiber graph ``g``."""
     t = g.triple
     p = g.period
-    adj = g.pruned_adjacency()
-    cyclicities = [graphs.component_cyclicity(adj, comp)
-                   for comp in graphs.nontrivial_components(adj)]
+    cyclicities = [graphs.component_cyclicity(g.adjacency, comp)
+                   for comp in g.cyclic]
     big_p = lcm(*cyclicities) if cyclicities else p
     adj_p = _unrolled(g, big_p).pruned_adjacency()
 
@@ -186,9 +203,7 @@ def transition_classes(g):
         classes.append(TransitionClass(name, frozenset(comp),
                                        PeriodicPoint(rep_word)))
 
-    doubled = _unrolled(g, 2 * big_p)
-    stable = (len(graphs.nontrivial_components(doubled.pruned_adjacency()))
-              == len(comps))
+    stable = len(_unrolled(g, 2 * big_p).cyclic) == len(comps)
 
     return TransitionClassReport(
         word=tuple(g.word), period=p, unrolled_period=big_p,
@@ -264,27 +279,34 @@ class SynchronizingExtension:
     per_coordinate: tuple
 
 
-def _window_radii(t, y, interval):
-    """Every preimage block of the window with its radius.
-
-    The blocks are the symbol sequences of paths across the window in the
-    label-compatible phase graph; a block fixes its path. Its radius r is
-    the lesser of the longest backward walk into the path's start and the
-    longest forward walk out of its end, infinite where that walk is
-    unbounded. The block survives the l-extended local condition iff
-    r >= l, and it is a true block iff r is infinite. One iterative depth
-    first walk; blocks come in symbol order."""
+def _window_graph(t, y, interval):
+    """Phase graph of y, once the window is known to be nonempty."""
     m, n = interval
     if m > n:
         raise ValueError("empty interval")
-    g = build_fiber_graph(t, y)
-    adjacency = g.adjacency
-    fwd = graphs.walk_depths(adjacency)
-    back = graphs.walk_depths(graphs.invert(adjacency))
+    return build_fiber_graph(t, y)
+
+
+def _walk_depths(g):
+    """Longest forward walk out of and longest backward walk into each
+    vertex of g's label-compatible phase graph, ``inf`` where unbounded."""
+    fwd = graphs.walk_depths(g.adjacency)
+    back = graphs.walk_depths(graphs.invert(g.adjacency))
+    return ({v: inf if d is None else d for v, d in fwd.items()},
+            {v: inf if d is None else d for v, d in back.items()})
+
+
+def _window_paths(g, adjacency, interval, keep_start=None, keep_end=None):
+    """Symbol blocks of the paths across the window in ``adjacency`` whose
+    start passes ``keep_start`` and whose end passes ``keep_end`` (None
+    keeps every vertex), in symbol order; a block fixes its path. One
+    iterative depth first walk, so it costs the paths it tries."""
+    m, n = interval
     width = n - m + 1
-    radii = {}
-    for v in (v for v in adjacency if v[1] == m % g.period):
-        start = inf if back[v] is None else back[v]
+    blocks = []
+    for v in adjacency:
+        if v[1] != m % g.period or not (keep_start is None or keep_start(v)):
+            continue
         path, todo = [v], [iter(adjacency[v])]
         while path:
             if len(path) < width:
@@ -293,41 +315,93 @@ def _window_radii(t, y, interval):
                     path.append(u)
                     todo.append(iter(adjacency[u]))
                     continue
-            else:
-                end = fwd[path[-1]]
-                radii[tuple(u[0] for u in path)] = (
-                    start if end is None else min(start, end))
+            elif keep_end is None or keep_end(path[-1]):
+                blocks.append(tuple(u[0] for u in path))
             path.pop()
             todo.pop()
-    xorder = {s: i for i, s in enumerate(t.x.symbols)}
-    return {w: radii[w] for w in
-            sorted(radii, key=lambda w: tuple(xorder[s] for s in w))}
+    xorder = {s: i for i, s in enumerate(g.triple.x.symbols)}
+    return sorted(blocks, key=lambda w: tuple(xorder[s] for s in w))
+
+
+def _synchronizing_radius(g, interval):
+    """One more than the largest finite block radius of the window, or 0
+    when there is none.
+
+    A block of the window is the symbol sequence of a path across it in
+    the label-compatible phase graph. Its radius r is the lesser of the
+    longest backward walk into the path's start and the longest forward
+    walk out of its end, infinite where that walk is unbounded. The block
+    survives the l-extended local condition iff r >= l, and it is a true
+    block iff r is infinite.
+
+    One forward sweep across the window finds the largest finite r and
+    lists no path. Each vertex carries the largest backward depth of the
+    starts that reach it, and the largest finite one (-1 for none). At an
+    end vertex of finite forward depth d the best r is the lesser of d and
+    the first; where d is unbounded it is the second. The sweep costs the
+    window width times the edges of the graph."""
+    m, n = interval
+    adjacency = g.adjacency
+    fwd, back = _walk_depths(g)
+    best, finite = {}, {}
+    for v in adjacency:
+        if v[1] == m % g.period:
+            best[v] = back[v]
+            finite[v] = back[v] if back[v] < inf else -1
+    for _ in range(n - m):
+        next_best, next_finite = {}, {}
+        for v, b in best.items():
+            f = finite[v]
+            for w in adjacency[v]:
+                if w not in next_best:
+                    next_best[w] = b
+                    next_finite[w] = f
+                else:
+                    if b > next_best[w]:
+                        next_best[w] = b
+                    if f > next_finite[w]:
+                        next_finite[w] = f
+        best, finite = next_best, next_finite
+    # a bi-infinite preimage crosses the window, so some end is reached
+    return 1 + max(finite[v] if fwd[v] == inf else min(b, fwd[v])
+                   for v, b in best.items())
 
 
 def window_blocks(t, y, interval, radius=None):
     """Preimage symbol blocks of a periodic point over a coordinate window.
 
     With ``radius=None``: the true blocks, i.e. restrictions of bi-infinite
-    preimages of y to the window. With an integer radius l: the blocks of
+    preimages of y to the window, listed as the paths across the window
+    in the pruned phase graph. With an integer radius l: the blocks of
     the l-extended local condition, paths in the label-compatible phase
     graph whose endpoints extend at least l more steps backward and
-    forward. The latter decrease with l and reach the true blocks at a
-    finite radius (the synchronizing radius).
+    forward, listed by one walk from the starts with backward depth at
+    least l. The latter decrease with l and reach the true blocks at a
+    finite radius (the synchronizing radius). Blocks come in symbol order.
     """
-    radii = _window_radii(t, y, interval)
+    g = _window_graph(t, y, interval)
     if radius is None:
-        radius = inf
-    elif radius < 0:
+        return _window_paths(g, g.pruned_adjacency(), interval)
+    if radius < 0:
         raise ValueError("radius must be >= 0")
-    return [w for w, r in radii.items() if r >= radius]
+    fwd, back = _walk_depths(g)
+    return _window_paths(g, g.adjacency, interval,
+                         lambda v: back[v] >= radius,
+                         lambda v: fwd[v] >= radius)
 
 
 def synchronizing_extension(t, y, interval):
-    """True blocks of the window and its synchronizing radius: one more
-    than the largest finite block radius, or 0 when there is none."""
-    radii = _window_radii(t, y, interval)
-    true_blocks = tuple(w for w, r in radii.items() if r == inf)
-    radius = 1 + max((r for r in radii.values() if r != inf), default=-1)
+    """True blocks of the window and its synchronizing radius.
+
+    The radius is one more than the largest finite block radius, or 0 when
+    there is none, and comes from one sweep across the window in the
+    label-compatible phase graph. The true blocks are listed as the paths
+    across the window in the pruned phase graph: every such path is a
+    true block, and every true block is one. So the cost is the radius
+    sweep plus the size of the output."""
+    g = _window_graph(t, y, interval)
+    radius = _synchronizing_radius(g, interval)
+    true_blocks = tuple(_window_paths(g, g.pruned_adjacency(), interval))
     m, n = interval
     per_coordinate = tuple(frozenset(w[i] for w in true_blocks)
                            for i in range(n - m + 1))
@@ -464,8 +538,7 @@ def extract_transition_block(t, y):
         raise RuntimeError("transition block extraction exhausted its caps")
 
     n3, n4, targets = chosen
-    sync = synchronizing_extension(t, y, (0, n4))
-    radius = sync.radius
+    radius = _synchronizing_radius(g, (0, n4))
     window = tuple(PeriodicPoint(report.word).window(-radius, n4 + radius))
     index = n3 + radius
     symbols = frozenset(targets[name][0] for name in names)

@@ -174,11 +174,16 @@ def bi_essential_nodes(adj):
     A node qualifies iff it is reachable from a cycle and reaches a cycle,
     which is exactly membership in the closed hull of the nontrivial SCCs.
     """
-    cyc = set()
-    for comp in nontrivial_components(adj):
-        cyc.update(comp)
-    fwd = reachable_from(adj, [u for u in adj if u in cyc])
-    bwd = reachable_from(invert(adj), [u for u in adj if u in cyc])
+    return cycle_hull(adj, nontrivial_components(adj))
+
+
+def cycle_hull(adj, cyclic):
+    """Nodes reachable from and reaching the components ``cyclic``; given
+    the nontrivial SCCs of ``adj``, the nodes on bi-infinite walks."""
+    cyc = set().union(*cyclic)
+    starts = [u for u in adj if u in cyc]
+    fwd = reachable_from(adj, starts)
+    bwd = reachable_from(invert(adj), starts)
     return {u for u in adj if u in fwd and u in bwd}
 
 

@@ -9,13 +9,14 @@ length at most eight or so); the tests keep within that envelope.
 
 import itertools
 import string
-from math import lcm, sqrt
+from math import inf, lcm, sqrt
 from types import SimpleNamespace
 
 import numpy as np
 
 from factorcode import (
     PeriodicPoint,
+    build_fiber_graph,
     canonical_orbit_word,
     fixtures,
     make_sft,
@@ -25,6 +26,7 @@ from factorcode import (
     primitive_root,
     sofic_image,
 )
+from factorcode import graphs
 from factorcode.classdegree import _route_table
 from factorcode.core import FactorTriple, enumerate_blocks
 from factorcode.measures import (_positive_word_measures, _prune_support,
@@ -445,6 +447,46 @@ def ref_minimal_depth_at(t, word):
         if found:
             best = (n, found)
     return best[0], frozenset(best[1])
+
+
+def ref_window_radii(t, y, interval):
+    """Every preimage block of the window with its radius.
+
+    The blocks are the symbol sequences of paths across the window in the
+    label-compatible phase graph; a block fixes its path. Its radius r is
+    the lesser of the longest backward walk into the path's start and the
+    longest forward walk out of its end, infinite where that walk is
+    unbounded. The block survives the l-extended local condition iff
+    r >= l, and it is a true block iff r is infinite. One iterative depth
+    first walk; blocks come in symbol order."""
+    m, n = interval
+    if m > n:
+        raise ValueError("empty interval")
+    g = build_fiber_graph(t, y)
+    adjacency = g.adjacency
+    fwd = graphs.walk_depths(adjacency)
+    back = graphs.walk_depths(graphs.invert(adjacency))
+    width = n - m + 1
+    radii = {}
+    for v in (v for v in adjacency if v[1] == m % g.period):
+        start = inf if back[v] is None else back[v]
+        path, todo = [v], [iter(adjacency[v])]
+        while path:
+            if len(path) < width:
+                u = next(todo[-1], None)
+                if u is not None:
+                    path.append(u)
+                    todo.append(iter(adjacency[u]))
+                    continue
+            else:
+                end = fwd[path[-1]]
+                radii[tuple(u[0] for u in path)] = (
+                    start if end is None else min(start, end))
+            path.pop()
+            todo.pop()
+    xorder = {s: i for i, s in enumerate(t.x.symbols)}
+    return {w: radii[w] for w in
+            sorted(radii, key=lambda w: tuple(xorder[s] for s in w))}
 
 
 def random_code(rng, n, reducible):

@@ -14,7 +14,8 @@ import pytest
 
 import factorcode
 from conftest import image_measure, random_code
-from factorcode import cli, codes, fiber, fixtures, measures, triple_to_text
+from factorcode import (cli, codes, fiber, fixtures, graphs, measures,
+                        triple_to_text)
 
 FIXDIR = Path(factorcode.__file__).parent / "fixtures"
 GOLDEN = (1 + sqrt(5)) / 2
@@ -430,3 +431,42 @@ def test_one_phase_graph_per_point_per_command(argv, words, monkeypatch,
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert built == words
+
+
+@pytest.mark.parametrize("argv, passes", [
+    (["fiber", fixture_path("fix_e"), "--y", "0", "1"], 4),
+    (["sync", fixture_path("fix_e"), "--y", "0", "1",
+      "--interval", "0", "3"], 4),
+    (["extract", fixture_path("fix_e"), "--y", "0", "1"], 7),
+])
+def test_tarjan_passes_per_command(argv, passes, monkeypatch, capsys):
+    """The nontrivial components found while pruning each phase graph
+    are kept on it: neither the class periods nor the doubling
+    certificate search the pruned graphs for them again."""
+    calls = []
+
+    def count(adj):
+        calls.append(len(adj))
+        return real(adj)
+
+    real = graphs.strongly_connected_components
+    monkeypatch.setattr(graphs, "strongly_connected_components", count)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == passes
+
+
+def test_extract_lists_no_window_path(monkeypatch, capsys):
+    """extract reads only the synchronizing radius, which one sweep
+    across the window gives without listing a block."""
+    argv = ["extract", fixture_path("fix_e"), "--y", "1"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    assert json.loads(expected)["result"]["radius"] == 1
+
+    def refuse(*args):
+        raise AssertionError("window path listed")
+
+    monkeypatch.setattr(fiber, "_window_paths", refuse)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected

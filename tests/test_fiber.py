@@ -1,6 +1,7 @@
 """Tests for fiber graphs, transition classes, windows, and extraction."""
 
 import random
+from math import inf
 
 import pytest
 
@@ -12,6 +13,7 @@ from conftest import (
     brute_window_blocks_at_radius,
     random_code,
     random_triple,
+    ref_window_radii,
 )
 from factorcode import (
     PeriodicPoint,
@@ -27,11 +29,27 @@ from factorcode import (
     transition_classes,
     window_blocks,
 )
+from factorcode import graphs, make_sft
+from factorcode.core import FactorTriple
+from factorcode.fiber import _unrolled
 
 
 def fixture_points(name, max_period=4):
     t = fixtures.load(name)
     return t, periodic_image_points(t, max_period)
+
+
+def transient_chain_triple():
+    """Over the fixed point 0 the phase graph is a self-loop at a and the
+    dead chain p0 p1 s2 w q1 q2, which s1 also enters at w: the block
+    radii peak inside the chain, and only at s2 w among the windows of
+    width 2."""
+    syms = ("a", "p0", "p1", "s2", "s1", "w", "q1", "q2", "z")
+    edges = [("a", "a"), ("a", "z"), ("z", "a"), ("z", "p0"), ("z", "s1"),
+             ("p0", "p1"), ("p1", "s2"), ("s2", "w"), ("s1", "w"),
+             ("w", "q1"), ("q1", "q2"), ("q2", "z")]
+    label = {s: "1" if s == "z" else "0" for s in syms}
+    return FactorTriple(make_sft(syms, edges), label, ("0", "1"))
 
 
 def test_build_fiber_graph_validates_input():
@@ -114,6 +132,20 @@ def test_two_class_reports_on_other_orbits():
         build_fiber_graph(tg, PeriodicPoint(("0", "0", "1"))))
     assert repg.class_count == 1
     assert repg.classes[0].representative.word == ("p", "q", "t")
+
+
+def test_cyclic_components_are_those_of_the_pruned_graph():
+    # kept from the pruning pass; the doubling certificate counts them
+    for name in FIXTURE_NAMES:
+        t, points = fixture_points(name)
+        for y in points:
+            g = build_fiber_graph(t, y)
+            big_p = transition_classes(g).unrolled_period
+            for h in (g, _unrolled(g, big_p), _unrolled(g, 2 * big_p)):
+                assert h.cyclic
+                assert ({frozenset(c) for c in h.cyclic} == {
+                    frozenset(c) for c in
+                    graphs.nontrivial_components(h.pruned_adjacency())})
 
 
 def test_report_invariants_on_all_fixture_points():
@@ -282,6 +314,11 @@ def test_synchronizing_extension_frozen_cases():
         tg, PeriodicPoint(("0", "0", "1")), (0, 2))
     assert ext2.radius == 0
     assert ext2.blocks == (("p", "q", "t"),)
+    tc = transient_chain_triple()
+    for interval in ((0, 0), (0, 1)):
+        ext = synchronizing_extension(tc, PeriodicPoint(("0",)), interval)
+        assert ext.radius == 3
+        assert ext.blocks == (("a",) * len(ext.per_coordinate),)
     te = fixtures.load("fix_e")
     ext3 = synchronizing_extension(te, PeriodicPoint(("0", "1")), (0, 3))
     assert ext3.radius == 0
@@ -313,6 +350,44 @@ def test_synchronizing_radius_is_minimal_and_stable():
                     assert before != true_blocks
                 for i, column in enumerate(ext.per_coordinate):
                     assert column == {b[i] for b in ext.blocks}
+
+
+def test_radius_sweep_matches_window_walk_oracle():
+    rng = random.Random(61)
+    cases = []
+    for name in FIXTURE_NAMES:
+        t, points = fixture_points(name, max_period=3)
+        cases.extend((t, y) for y in points)
+    for i in range(32):
+        t = (random_triple(rng) if i % 2 else
+             random_code(rng, rng.randint(3, 6), reducible=True))
+        cases.extend((t, y) for y in periodic_image_points(t, 3)[:2])
+    cases.append((transient_chain_triple(), PeriodicPoint(("0",))))
+    radii_seen, extract_radii = set(), set()
+    for t, y in cases:
+        for width in range(1, 10):
+            for m in (-2, 0, 3):
+                interval = (m, m + width - 1)
+                radii = ref_window_radii(t, y, interval)
+                radius = 1 + max((r for r in radii.values() if r != inf),
+                                 default=-1)
+                true_blocks = [w for w, r in radii.items() if r == inf]
+                ext = synchronizing_extension(t, y, interval)
+                assert ext.radius == radius, (t, y, interval)
+                assert ext.blocks == tuple(true_blocks)
+                assert window_blocks(t, y, interval) == true_blocks
+                for level in (0, 1, radius):
+                    assert window_blocks(t, y, interval, level) == [
+                        w for w, r in radii.items() if r >= level]
+                radii_seen.add(radius)
+        res = extract_transition_block(t, y)
+        radii = ref_window_radii(t, y, (0, res.n4))
+        assert res.radius == 1 + max(
+            (r for r in radii.values() if r != inf), default=-1)
+        extract_radii.add(res.radius)
+    # windows that settle only after several radii, in both callers
+    assert {0, 1, 2, 3} <= radii_seen
+    assert extract_radii - {0}
 
 
 EXTRACT_EXPECTED = {
