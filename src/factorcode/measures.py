@@ -456,10 +456,16 @@ def _marginal_levels(moving, src, dst, count):
     level by level applies the same updates in the same order as
     rescaling them one by one in k-block order.
 
-    Returns one (left blocks, their marginals, right blocks, their
-    marginals, ones) per level, marginals numbered from 0 within their
-    level, blocks in ascending order and one 1.0 per marginal of the
-    level (the factor of a marginal that a step leaves alone)."""
+    Returns one (blocks, segments, left segments, right segments) per
+    level. ``blocks`` lists the level's left blocks, then its right
+    blocks, each side in ascending order. Marginals are numbered from 0
+    within their level; ``left segments`` and ``right segments`` give
+    the marginal of each left and each right block, and ``segments`` is
+    the two joined, with the right side offset by the level's marginal
+    count m. So one ``bincount`` of the gathered weights over
+    ``segments`` yields the m left sums, then the m right sums, each
+    added in ascending block order as a marginal-by-marginal sweep adds
+    them."""
     import numpy as np
 
     active = ((np.bincount(src, minlength=count) > 0)
@@ -477,10 +483,36 @@ def _marginal_levels(moving, src, dst, count):
         members = level == lev
         local = np.cumsum(members) - 1
         left, right = members[src], members[dst]
-        schedule.append((moving[left], local[src[left]],
-                         moving[right], local[dst[right]],
-                         np.ones(int(members.sum()))))
+        lseg, rseg = local[src[left]], local[dst[right]]
+        schedule.append((np.concatenate((moving[left], moving[right])),
+                         np.concatenate((lseg, rseg + int(members.sum()))),
+                         lseg, rseg))
     return schedule
+
+
+def _sweep_marginals(q, levels):
+    """One Gauss-Seidel sweep over the marginals, level by level, in place.
+
+    Each marginal is rescaled so that its two sides meet at the geometric
+    mean of their sums: the left side by sqrt(b / a), the right side by
+    its inverse. A marginal with a side summing to 0 (the exponentiated
+    step can underflow a side) keeps factor 1."""
+    import numpy as np
+
+    for blocks, segments, lseg, rseg in levels:
+        weights = q[blocks]
+        sums = np.bincount(segments, weights=weights)
+        m = len(sums) // 2
+        if np.count_nonzero(sums) == len(sums):
+            factor = np.sqrt(sums[m:] / sums[:m])
+        else:
+            a, b = sums[:m], sums[m:]
+            factor = np.sqrt(np.divide(b, a, out=np.ones(m),
+                                       where=(a > 0) & (b > 0)))
+        cut = len(lseg)
+        weights[:cut] *= factor[lseg]
+        weights[cut:] /= factor[rseg]
+        q[blocks] = weights
 
 
 def relative_entropy_upper_bound(t, measure, k, max_iterations=100000):
@@ -498,7 +530,8 @@ def relative_entropy_upper_bound(t, measure, k, max_iterations=100000):
 
     Each projection cycle rescales the marginals in the Gauss-Seidel
     order of their k-blocks, one vectorized step per level of
-    ``_marginal_levels``, then every image cell at once; it stops once
+    ``_marginal_levels`` (see ``_sweep_marginals``), then every image
+    cell at once; it stops once
     both constraint families hold within ``PROJECTION_TOLERANCE`` or
     after ``PROJECTION_CYCLES`` cycles. ``converged`` on the result says
     whether the final projection met the tolerance and the ascent stopped
@@ -543,32 +576,29 @@ def relative_entropy_upper_bound(t, measure, k, max_iterations=100000):
 
     floor = 1e-300
 
-    def residuals_of(q):
-        image = np.abs(np.bincount(cell_of, weights=q,
-                                   minlength=len(words)) - targets)
+    def image_residual(q):
+        return float(np.abs(np.bincount(cell_of, weights=q,
+                                        minlength=len(words))
+                            - targets).max())
+
+    def marginal_residual(q):
         flow = q[moving]
-        marginal = np.abs(
+        return float(np.abs(
             np.bincount(src, weights=flow, minlength=len(kblocks))
-            - np.bincount(dst, weights=flow, minlength=len(kblocks)))
-        return {"image": float(image.max()),
-                "marginal": float(marginal.max())}
+            - np.bincount(dst, weights=flow, minlength=len(kblocks))).max())
 
     def project(q):
         for _ in range(PROJECTION_CYCLES):
-            for left, lseg, right, rseg, ones in levels:
-                a = np.bincount(lseg, weights=q[left], minlength=len(ones))
-                b = np.bincount(rseg, weights=q[right], minlength=len(ones))
-                # the exponentiated step can underflow a side to 0
-                factor = np.sqrt(np.divide(b, a, out=ones.copy(),
-                                           where=(a > 0) & (b > 0)))
-                q[left] *= factor[lseg]
-                q[right] /= factor[rseg]
+            _sweep_marginals(q, levels)
             totals = np.bincount(cell_of, weights=q, minlength=len(words))
             if (totals <= 0).any():
                 raise AssertionError("projection emptied an image cell")
             q *= (targets / totals)[cell_of]
-            np.clip(q, floor, None, out=q)
-            if max(residuals_of(q).values()) < PROJECTION_TOLERANCE:
+            np.maximum(q, floor, out=q)
+            # both families within the tolerance; the image residual is
+            # only worth taking once the marginal one passes
+            if (marginal_residual(q) < PROJECTION_TOLERANCE
+                    and image_residual(q) < PROJECTION_TOLERANCE):
                 return q, True
         return q, False
 
@@ -607,7 +637,9 @@ def relative_entropy_upper_bound(t, measure, k, max_iterations=100000):
 
     optimizer = {U: float(q[i]) for i, U in enumerate(blocks)}
     return RelativeEntropyBound(
-        k=k, value=value, optimizer=optimizer, residuals=residuals_of(q),
+        k=k, value=value, optimizer=optimizer,
+        residuals={"image": image_residual(q),
+                   "marginal": marginal_residual(q)},
         iterations=iterations, converged=converged,
         tolerance=PROJECTION_TOLERANCE)
 
@@ -622,52 +654,104 @@ def uniform_conditional_diagnostic(t, bound):
     center image symbol, the conditional law of the center is compared
     with the uniform law on {a : previous -> a -> next allowed, label(a) =
     center image symbol}. Values near zero are the signature of a relative
-    maximal entropy measure at window scale."""
+    maximal entropy measure at window scale.
+
+    The windows are built as arrays, all at once, in lexicographic domain
+    symbol order: a window of weight w whose last block ends in the
+    k-block W extends by each block U with prefix W, to weight
+    (w * q(U)) / m(W). Each window is the only one with its (left
+    context, center, right context), so a context's total is the sum of
+    its windows' weights in center order, and its gap half the sum of
+    |weight / total - share| over its admissible symbols in symbol order;
+    both sums are taken with ``bincount`` in those orders."""
+    import numpy as np
+
     k = bound.k
     q = bound.optimizer
-    xorder = {s: i for i, s in enumerate(t.x.symbols)}
+    symbols = t.x.symbols
+    xorder = {s: i for i, s in enumerate(symbols)}
 
     def word_key(word):
         return tuple(xorder[s] for s in word)
 
     blocks = sorted((U for U, p in q.items() if p > 0), key=word_key)
-    marginal = {}
-    for U in blocks:
-        marginal[U[:k]] = marginal.get(U[:k], 0.0) + q[U]
-    by_prefix = {}
-    for U in blocks:
-        by_prefix.setdefault(U[:k], []).append(U)
+    if not blocks:
+        return 0.0
+    codes = np.array([word_key(U) for U in blocks], dtype=np.intp)
+    weight = np.array([q[U] for U in blocks])
+    kindex = {}
+    prefix = np.array([kindex.setdefault(U[:k], len(kindex))
+                       for U in blocks], dtype=np.intp)
+    suffix = np.array([kindex.setdefault(U[1:], len(kindex))
+                       for U in blocks], dtype=np.intp)
+    marginal = np.bincount(prefix, weights=weight, minlength=len(kindex))
+    # blocks sharing a prefix are consecutive in lexicographic order, and
+    # prefixes are numbered in that order, so they run in ascending runs
+    fanout = np.bincount(prefix, minlength=len(kindex))
+    first = np.cumsum(fanout) - fanout
 
-    windows = {}
+    def ranges(starts, counts):
+        """The ranges [starts[i], starts[i] + counts[i]) laid end to end,
+        and the i each entry came from."""
+        owner = np.repeat(np.arange(len(counts)), counts)
+        offset = np.cumsum(counts) - counts
+        return owner, starts[owner] + np.arange(len(owner)) - offset[owner]
 
-    def extend(window, weight, steps):
-        if steps == k:
-            windows[tuple(window)] = windows.get(tuple(window), 0.0) + weight
-            return
-        tail = tuple(window[-k:])
-        for U in by_prefix.get(tail, ()):
-            extend(window + [U[-1]], weight * q[U] / marginal[tail],
-                   steps + 1)
+    head = last = np.arange(len(blocks))
+    w = weight
+    for _ in range(k):
+        tail = suffix[last]
+        rep, child = ranges(first[tail], fanout[tail])
+        w = (w[rep] * weight[child]) / marginal[tail[rep]]
+        head, last = head[rep], child
 
-    for U in blocks:
-        extend(list(U), q[U], 0)
+    center = codes[head, k]
+    ylabel = {c: i for i, c in enumerate(t.y_alphabet)}
+    label_of = np.array([ylabel[t.label[s]] for s in symbols],
+                        dtype=np.intp)
+    ny = len(t.y_alphabet)
+    context = ((prefix[head] * len(kindex) + suffix[last]) * ny
+               + label_of[center])
+    _, where, group = np.unique(context, return_index=True,
+                                return_inverse=True)
+    totals = np.bincount(group, weights=w)
 
-    groups = {}
-    for window, weight in windows.items():
-        center = window[k]
-        key = (window[:k], window[k + 1:], t.label[center])
-        groups.setdefault(key, {})
-        groups[key][center] = groups[key].get(center, 0.0) + weight
+    # admissible symbols per (previous symbol, center label, next symbol)
+    n = len(symbols)
+    triple = ((codes[head[where], k - 1] * ny + label_of[center[where]]) * n
+              + codes[last[where], 1])
+    triples, kind = np.unique(triple, return_inverse=True)
+    transitions = t.x.transitions
+    admissible = []
+    for code in triples.tolist():
+        rest, nxt = divmod(code, n)
+        prev, y0 = divmod(rest, ny)
+        admissible.append(
+            [xorder[a] for a in
+             t.successors_by_label[symbols[prev]].get(t.y_alphabet[y0], ())
+             if (a, symbols[nxt]) in transitions])
+    size = np.array([len(a) for a in admissible], dtype=np.intp)
+    flat = np.array([a for adm in admissible for a in adm], dtype=np.intp)
 
-    worst = 0.0
-    for (left, right, y0), dist in sorted(groups.items()):
-        admissible = [a for a in t.successors_by_label[left[-1]].get(y0, ())
-                      if (a, right[0]) in t.x.transitions]
-        total = sum(dist[a] for a in sorted(dist, key=lambda s: xorder[s]))
-        if total <= 1e-15 or not admissible:
-            continue
-        share = 1.0 / len(admissible)
-        gap = 0.5 * sum(abs(dist.get(a, 0.0) / total - share)
-                        for a in admissible)
-        worst = max(worst, gap)
-    return worst
+    # one entry per (context, admissible symbol), in ascending (context,
+    # symbol) order, holding the weight of the window with that context
+    # and center, else 0
+    count = size[kind]
+    entry_group, at = ranges((np.cumsum(size) - size)[kind], count)
+    entry_key = entry_group * n + flat[at]
+    window_key = group * n + center
+    pos = np.minimum(np.searchsorted(entry_key, window_key),
+                     len(entry_key) - 1)
+    hit = entry_key[pos] == window_key
+    dist = np.zeros(len(entry_key))
+    dist[pos[hit]] = w[hit]
+
+    # contexts of negligible mass are skipped
+    valid = totals > 1e-15
+    totals = np.where(valid, totals, 1.0)
+    gaps = 0.5 * np.bincount(
+        entry_group,
+        weights=np.abs(dist / totals[entry_group]
+                       - 1.0 / count[entry_group]),
+        minlength=len(count))
+    return float(gaps[valid].max(initial=0.0))

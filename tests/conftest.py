@@ -652,3 +652,67 @@ def ref_relative_entropy_upper_bound(t, measure, k,
         residuals={"image": residuals["image"],
                    "marginal": residuals["marginal"]},
         iterations=iterations)
+
+
+def _add_in_order(values):
+    """Left-to-right float sum. ``sum`` adds floats this way up to Python
+    3.11 and compensates from 3.12 on; the diagnostic fixes the order."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def ref_uniform_conditional_diagnostic(t, bound):
+    """The uniform-conditional diagnostic by a recursive walk over the
+    (2k+1)-windows, one dict entry per window and per context. The
+    library's array build must give the same float, bit for bit."""
+    k = bound.k
+    q = bound.optimizer
+    xorder = {s: i for i, s in enumerate(t.x.symbols)}
+
+    def word_key(word):
+        return tuple(xorder[s] for s in word)
+
+    blocks = sorted((U for U, p in q.items() if p > 0), key=word_key)
+    marginal = {}
+    for U in blocks:
+        marginal[U[:k]] = marginal.get(U[:k], 0.0) + q[U]
+    by_prefix = {}
+    for U in blocks:
+        by_prefix.setdefault(U[:k], []).append(U)
+
+    windows = {}
+
+    def extend(window, weight, steps):
+        if steps == k:
+            windows[tuple(window)] = windows.get(tuple(window), 0.0) + weight
+            return
+        tail = tuple(window[-k:])
+        for U in by_prefix.get(tail, ()):
+            extend(window + [U[-1]], weight * q[U] / marginal[tail],
+                   steps + 1)
+
+    for U in blocks:
+        extend(list(U), q[U], 0)
+
+    groups = {}
+    for window, weight in windows.items():
+        center = window[k]
+        key = (window[:k], window[k + 1:], t.label[center])
+        groups.setdefault(key, {})
+        groups[key][center] = groups[key].get(center, 0.0) + weight
+
+    worst = 0.0
+    for (left, right, y0), dist in sorted(groups.items()):
+        admissible = [a for a in t.successors_by_label[left[-1]].get(y0, ())
+                      if (a, right[0]) in t.x.transitions]
+        total = _add_in_order(
+            dist[a] for a in sorted(dist, key=lambda s: xorder[s]))
+        if total <= 1e-15 or not admissible:
+            continue
+        share = 1.0 / len(admissible)
+        gap = 0.5 * _add_in_order(abs(dist.get(a, 0.0) / total - share)
+                                  for a in admissible)
+        worst = max(worst, gap)
+    return worst

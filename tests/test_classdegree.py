@@ -267,3 +267,26 @@ def test_class_count_for_measure_rejects_foreign_measure():
 def assert_measure_pairs_cover_all_kinds():
     kinds = {kind for _, kind in MEASURE_PAIRS}
     assert kinds == {"parry", "point", "orbit01"}
+
+
+def test_parry_class_count_equals_the_class_degree():
+    # the bound on the number of relative maximal entropy measures over an
+    # ergodic, fully supported image measure equals the class degree; the
+    # Parry measure of the image presentation is one such measure
+    rng = random.Random(8)
+    triples = [fixtures.load(name) for name in FIXTURE_NAMES]
+    triples += [random_code(rng, rng.randint(5, 8), reducible=False)
+                for _ in range(30)]
+    agreed = 0
+    for t in triples:
+        try:
+            _, measure = image_measure(t, "parry")
+        except PreconditionError:
+            # a reducible presentation has no Parry measure
+            continue
+        plain = find_minimal_transition_block(t)
+        restricted = class_count_for_measure(t, measure)
+        if plain.certified and restricted.certified:
+            assert restricted.value == plain.value
+            agreed += 1
+    assert agreed >= 30

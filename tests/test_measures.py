@@ -6,6 +6,7 @@ import sys
 import random
 from math import log, sqrt
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from conftest import (
     image_measure,
     random_code,
     ref_relative_entropy_upper_bound,
+    ref_uniform_conditional_diagnostic,
 )
 import factorcode
 from factorcode import measures
@@ -479,9 +481,11 @@ def test_level_scheduled_solver_matches_sequential_one_on_random_codes(seed):
             assert_matches_sequential_solver(t, measure, k)
 
 
-def test_marginal_levels_touch_each_block_once_and_keep_the_sweep_order(
-        monkeypatch):
+def record_marginal_levels(monkeypatch):
+    """Make ``_marginal_levels`` append (moving, src, dst, count, levels)
+    of every call to the returned list."""
     schedules = []
+    real = measures._marginal_levels
 
     def recording(moving, src, dst, count):
         levels = real(moving, src, dst, count)
@@ -489,8 +493,13 @@ def test_marginal_levels_touch_each_block_once_and_keep_the_sweep_order(
                           count, levels))
         return levels
 
-    real = measures._marginal_levels
     monkeypatch.setattr(measures, "_marginal_levels", recording)
+    return schedules
+
+
+def test_marginal_levels_touch_each_block_once_and_keep_the_sweep_order(
+        monkeypatch):
+    schedules = record_marginal_levels(monkeypatch)
     for name, kind in MEASURE_PAIRS:
         t = fixtures.load(name)
         _, measure = image_measure(t, kind)
@@ -502,22 +511,77 @@ def test_marginal_levels_touch_each_block_once_and_keep_the_sweep_order(
     for moving, src, dst, count, levels in schedules:
         where = {b: i for i, b in enumerate(moving)}
         level_of = {}
-        for number, (left, lseg, right, rseg, ones) in enumerate(levels):
-            touched = left.tolist() + right.tolist()
+        for number, (blocks, segs, lseg, rseg) in enumerate(levels):
+            touched = blocks.tolist()
             assert len(touched) == len(set(touched))
+            left, right = blocks[:len(lseg)], blocks[len(lseg):]
+            # one bincount over segs gives the m left sums, then the m
+            # right sums, each side added in ascending block order
+            width = len(np.bincount(segs)) // 2
+            assert segs.tolist() == lseg.tolist() + (rseg + width).tolist()
+            for side in (left, right):
+                assert side.tolist() == sorted(side.tolist())
             local = {}
-            for blocks, segs, ends in ((left, lseg, src), (right, rseg, dst)):
-                for b, j in zip(blocks.tolist(), segs.tolist()):
+            for side_blocks, side_segs, ends in ((left, lseg, src),
+                                                 (right, rseg, dst)):
+                assert set(side_segs.tolist()) == set(range(width))
+                for b, j in zip(side_blocks.tolist(), side_segs.tolist()):
                     marginal = ends[where[b]]
                     assert local.setdefault(j, marginal) == marginal
                     assert level_of.setdefault(marginal, number) == number
-            assert sorted(local) == list(range(len(ones)))
+            assert sorted(local) == list(range(width))
         # every marginal with two nonempty sides is rescaled, in a level
         # after each earlier marginal it shares a block with
         assert set(level_of) == set(src) & set(dst)
         for a, b in zip(src, dst):
             if a in level_of and b in level_of:
                 assert (a < b) == (level_of[a] < level_of[b])
+
+
+def sequential_sweep(q, moving, src, dst, count):
+    """The marginal sweep of ``ref_relative_entropy_upper_bound``, one
+    marginal at a time in k-block order, sides summed left to right."""
+    for j in range(count):
+        left = [b for b, a in zip(moving, src) if a == j]
+        right = [b for b, c in zip(moving, dst) if c == j]
+        a = b = 0.0
+        for i in left:
+            a += q[i]
+        for i in right:
+            b += q[i]
+        if a > 0 and b > 0:
+            factor = sqrt(b / a)
+            for i in left:
+                q[i] *= factor
+            for i in right:
+                q[i] /= factor
+    return q
+
+
+def test_sweep_leaves_a_marginal_with_an_empty_side_alone(monkeypatch):
+    schedules = record_marginal_levels(monkeypatch)
+    t = fixtures.load("fix_e")
+    _, measure = image_measure(t, "parry")
+    relative_entropy_upper_bound(t, measure, 2)
+    moving, src, dst, count, levels = schedules[0]
+    rng = random.Random(5)
+    size = max(moving) + 1
+    q = np.array([rng.uniform(0.5, 1.5) for _ in range(size)])
+    # the exponentiated step can underflow a side to 0: empty one side in
+    # every level, the left side of its first marginal on even levels and
+    # the right side of its last marginal on odd ones
+    for number, (blocks, segs, lseg, rseg) in enumerate(levels):
+        width = len(np.bincount(segs)) // 2
+        if number % 2 == 0:
+            q[blocks[:len(lseg)][lseg == 0]] = 0.0
+        else:
+            q[blocks[len(lseg):][rseg == width - 1]] = 0.0
+    assert len(levels) > 1
+    want = sequential_sweep(q.tolist(), moving, src, dst, count)
+    got = q.copy()
+    measures._sweep_marginals(got, levels)
+    assert np.isfinite(got).all()
+    assert got.tolist() == want
 
 
 def test_bound_stopped_by_a_cap_reports_no_convergence(monkeypatch):
@@ -556,3 +620,35 @@ def test_uniform_conditional_diagnostic_is_a_total_variation():
         b = bound_for(name, kind, 1)
         gap = uniform_conditional_diagnostic(t, b)
         assert 0.0 <= gap <= 1.0
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_uniform_conditional_diagnostic_matches_recursive_walk(k):
+    for name, kind in MEASURE_PAIRS:
+        t = fixtures.load(name)
+        b = bound_for(name, kind, k)
+        assert uniform_conditional_diagnostic(t, b) \
+            == ref_uniform_conditional_diagnostic(t, b)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_uniform_conditional_diagnostic_matches_recursive_walk_on_random_codes(
+        seed):
+    rng = random.Random(seed)
+    t = random_code(rng, rng.randint(4, 7), reducible=False)
+    pres = sofic_image(t).triple
+    cycle = next(w for n in (2, 3, 1) for w in all_cycle_words(pres.x, n))
+    for measure in (parry_measure(pres.x),
+                    orbit_measure(pres.x, PeriodicPoint(cycle))):
+        for k in (1, 2, 3):
+            b = relative_entropy_upper_bound(t, measure, k)
+            assert uniform_conditional_diagnostic(t, b) \
+                == ref_uniform_conditional_diagnostic(t, b)
+            # weights far from any optimizer, some of them zero: contexts
+            # miss admissible centers and the gaps are large
+            weights = {U: rng.choice((0.0, rng.random()))
+                       for U in b.optimizer}
+            off = SimpleNamespace(k=k, optimizer=weights)
+            gap = uniform_conditional_diagnostic(t, off)
+            assert gap == ref_uniform_conditional_diagnostic(t, off)
+            assert 0.0 <= gap <= 1.0
