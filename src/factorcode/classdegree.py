@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graphs
-from .core import PeriodicPoint, PreconditionError, per_triple, sub_triple
+from .core import PeriodicPoint, PreconditionError, sub_triple
 from .codes import (_bit_indices, _sweep, d_star, exact_backward_sweep,
                     exact_forward_sweep, forward_sets, image_blocks,
                     image_irreducible, sofic_image)
@@ -233,21 +233,6 @@ def _present_word(pres, word):
     return None
 
 
-@per_triple
-def _cyclic_pieces(pres):
-    """The adjacency of a presentation and its cyclic components, in the
-    order of ``graphs.nontrivial_components``, each as (members, the part
-    of ``pres`` on them); built once per presentation."""
-    adj = pres.x.adjacency()
-    pieces = []
-    for comp in graphs.nontrivial_components(adj):
-        members = set(comp)
-        pieces.append((members, sub_triple(
-            pres, members,
-            ((a, b) for a in comp for b in adj[a] if b in members))))
-    return adj, pieces
-
-
 def _close_word(pres, word):
     """Extend an image word into a periodic image point containing it.
 
@@ -259,8 +244,11 @@ def _close_word(pres, word):
     present the word inside it, then return from the final state to the
     initial one along a shortest state walk. The labels along the closed
     walk give the periodic point, whose window [0, L) equals the word."""
-    adj, pieces = _cyclic_pieces(pres)
-    for members, piece in pieces:
+    adj = pres.x.adjacency()
+    for comp in graphs.nontrivial_components(adj):
+        members = set(comp)
+        piece = sub_triple(pres, members, ((a, b) for a in comp
+                                           for b in adj[a] if b in members))
         path = _present_word(piece, word)
         if path is None:
             continue

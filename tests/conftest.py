@@ -665,8 +665,11 @@ def _add_in_order(values):
 
 def ref_uniform_conditional_diagnostic(t, bound):
     """The uniform-conditional diagnostic by a recursive walk over the
-    (2k+1)-windows, one dict entry per window and per context. The
-    library's array build must give the same float, bit for bit."""
+    (2k+1)-windows, one dict entry per window and per context: the walk
+    the library used before its array build, with its two sums taken
+    left to right by ``_add_in_order`` where it called ``sum``. The two
+    agree bit for bit up to Python 3.11. The library's array build must
+    give the same float as this walk, bit for bit."""
     k = bound.k
     q = bound.optimizer
     xorder = {s: i for i, s in enumerate(t.x.symbols)}
