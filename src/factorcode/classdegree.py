@@ -10,10 +10,12 @@ what the certification step checks.
 
 Route sets are computed per endpoint pair: the reroutes of a preimage U at
 index n depend only on (U_0, U_end), namely the exact-length forward set
-from U_0 intersected with the exact-length backward set from U_end.
+from U_0 intersected with the exact-length backward set from U_end. Both
+sweeps run the labelled step ``codes.step`` on int masks, bit i standing
+for the i-th domain symbol, so route sets are masks from the start;
+frozensets are built only for the symbol sets this module returns.
 
-The least depth at one index is a minimum hitting set of its route sets.
-They are kept as int masks, bit i standing for the i-th domain symbol, and
+The least depth at one index is a minimum hitting set of its route sets,
 searched exactly by branch and bound: sizes are deepened from 1, and at
 each size a depth-first search picks bits in increasing order, cutting a
 branch when an uncovered route set has no bit left to pick or when a
@@ -28,9 +30,8 @@ from dataclasses import dataclass
 
 from . import graphs
 from .core import PeriodicPoint, PreconditionError, sub_triple
-from .codes import (_bit_indices, _sweep, d_star, exact_backward_sweep,
-                    exact_forward_sweep, forward_sets, image_blocks,
-                    image_irreducible, sofic_image)
+from .codes import (_bit_indices, _bits, _sweep, _symbols, _word_sweep,
+                    d_star, image_blocks, image_irreducible, sofic_image)
 
 
 @dataclass(frozen=True)
@@ -47,25 +48,26 @@ class TransitionBlock:
 
 
 def _route_table(t, word):
-    """Route sets of an image word, keyed by realizable endpoint pairs.
+    """Route masks of an image word, keyed by realizable endpoint pairs.
 
     Returns (pairs, fsweeps, bsweeps) where ``pairs`` lists the (start,
-    end) symbol pairs realized by some preimage path and the sweeps give
-    R(start, end, n) = fsweeps[start][n] & bsweeps[end][n].
+    end) symbol pairs realized by some preimage path and the mask sweeps
+    give R(start, end, n) = fsweeps[start][n] & bsweeps[end][n].
     """
     word = tuple(word)
+    bit = _bits(t)[0]
     fsweeps = {}
     for s in t.preimages(word[0]):
-        sweep = exact_forward_sweep(t, s, word)
+        sweep = _sweep(t, bit[s], word, True)
         if sweep[-1]:
             fsweeps[s] = sweep
     bsweeps = {}
     for e in t.preimages(word[-1]):
-        sweep = exact_backward_sweep(t, e, word)
+        sweep = _sweep(t, bit[e], word, False)
         if sweep[0]:
             bsweeps[e] = sweep
     pairs = [(s, e) for s in fsweeps for e in bsweeps
-             if e in fsweeps[s][-1]]
+             if bit[e] & fsweeps[s][-1]]
     return pairs, fsweeps, bsweeps
 
 
@@ -83,9 +85,10 @@ def routable_symbols(t, word, index, preimage):
     if len(path) != len(word) or not t.x.admits_word(path) \
             or t.label_word(path) != word:
         raise ValueError("block is not a preimage of the word")
-    fsweep = exact_forward_sweep(t, path[0], word)
-    bsweep = exact_backward_sweep(t, path[-1], word)
-    return frozenset(fsweep[index] & bsweep[index])
+    bit = _bits(t)[0]
+    fsweep = _sweep(t, bit[path[0]], word, True)
+    bsweep = _sweep(t, bit[path[-1]], word, False)
+    return _symbols(t, fsweep[index] & bsweep[index])
 
 
 def is_transition_block(t, word, index, symbols):
@@ -96,17 +99,16 @@ def is_transition_block(t, word, index, symbols):
     if not symbols or not symbols <= set(t.preimages(word[index])):
         return False
     pairs, fsweeps, bsweeps = _route_table(t, word)
-    if not pairs:
-        return False
-    return all(fsweeps[s][index] & bsweeps[e][index] & symbols
-               for s, e in pairs)
+    mask = sum(map(_bits(t)[0].__getitem__, symbols))
+    return bool(pairs) and all(fsweeps[s][index] & bsweeps[e][index] & mask
+                               for s, e in pairs)
 
 
 def transition_block(t, word, index, symbols):
     """Constructor that machine-checks the routing property."""
     word = tuple(word)
     _interior_or_raise(word, index)
-    if not forward_sets(t, word)[-1]:
+    if not _word_sweep(t, word, True)[-1]:
         raise ValueError("word is not an image block")
     symbols = frozenset(symbols)
     if not is_transition_block(t, word, index, symbols):
@@ -170,10 +172,6 @@ def _min_hitting_set(route_masks, below):
     return None
 
 
-def _masks(bit, sweep):
-    return [sum(bit[s] for s in symbols) for symbols in sweep]
-
-
 def minimal_depth_at(t, word):
     """Minimal transition block depth of one image word.
 
@@ -188,18 +186,15 @@ def minimal_depth_at(t, word):
     if not pairs:
         raise ValueError("word is not an image block")
     # bit i stands for t.x.symbols[i], so ascending bits are symbol order
-    bit = {s: 1 << i for i, s in enumerate(t.x.symbols)}
-    fmask = {s: _masks(bit, sweep) for s, sweep in fsweeps.items()}
-    bmask = {e: _masks(bit, sweep) for e, sweep in bsweeps.items()}
     best = None
     below = len(t.x.symbols) + 1
     for n in range(1, len(word) - 1):
-        found = _min_hitting_set([fmask[s][n] & bmask[e][n]
+        found = _min_hitting_set([fsweeps[s][n] & bsweeps[e][n]
                                   for s, e in pairs], below)
         if found:
             # only a strictly smaller depth can improve on an earlier index
             best, below = (n, found), found.bit_count()
-    return best[0], frozenset(t.x.symbols[i] for i in _bit_indices(best[1]))
+    return best[0], _symbols(t, best[1])
 
 
 @dataclass
@@ -220,17 +215,17 @@ class DepthSearchResult:
     certificate: PeriodicPoint | None
 
 
-def _present_word(pres, word):
-    """Run a word through a right-resolving presentation.
-
-    Returns the state path (one state per coordinate) from the first
-    start state that carries the word, or None."""
-    for start in pres.preimage_map.get(word[0], ()):
-        path = _sweep(pres, [start], word, True)
-        if path[-1]:
-            # right-resolving: every set holds exactly one state
-            return [next(iter(states)) for states in path]
-    return None
+def _walk(pres, start, word):
+    """The state path that presents ``word`` from ``start`` in the
+    right-resolving presentation ``pres``, or None."""
+    path = [start]
+    for c in word[1:]:
+        # right-resolving: at most one successor carries c
+        nxt = pres.successors_by_label[path[-1]].get(c)
+        if nxt is None:
+            return None
+        path.append(nxt[0])
+    return path
 
 
 def _close_word(pres, word):
@@ -244,16 +239,17 @@ def _close_word(pres, word):
     present the word inside it, then return from the final state to the
     initial one along a shortest state walk. The labels along the closed
     walk give the periodic point, whose window [0, L) equals the word."""
-    adj = pres.x.adjacency()
-    for comp in graphs.nontrivial_components(adj):
+    succ = pres.x.successor_map
+    for comp in graphs.nontrivial_components(succ):
         members = set(comp)
-        piece = sub_triple(pres, members, ((a, b) for a in comp
-                                           for b in adj[a] if b in members))
-        path = _present_word(piece, word)
-        if path is None:
+        for start in pres.preimage_map.get(word[0], ()):
+            path = _walk(pres, start, word)
+            if path and members.issuperset(path):
+                break
+        else:
             continue
         # strong connectivity guarantees a walk back to the start
-        back = graphs.shortest_walk(adj, path[-1], path[0], members)
+        back = graphs.shortest_walk(succ, path[-1], path[0], members)
         if back is None:
             raise AssertionError("cyclic component failed to close a word")
         return PeriodicPoint(tuple(pres.label[s] for s in path + back[:-1]))
@@ -269,21 +265,15 @@ def _pad_to_interior(t, word, index):
     """Extend an image word minimally so the marked index is interior."""
     word = list(word)
     while len(word) < 3 or index == 0 or index == len(word) - 1:
-        if index == 0:
-            for c in t.y_alphabet:
-                if forward_sets(t, tuple([c] + word))[-1]:
-                    word.insert(0, c)
-                    index += 1
-                    break
-            else:
-                raise PreconditionError("image word admits no left extension")
+        left = index == 0
+        for c in t.y_alphabet:
+            longer = [c] + word if left else word + [c]
+            if _word_sweep(t, longer, True)[-1]:
+                word, index = longer, index + left
+                break
         else:
-            for c in t.y_alphabet:
-                if forward_sets(t, tuple(word + [c]))[-1]:
-                    word.append(c)
-                    break
-            else:
-                raise PreconditionError("image word admits no right extension")
+            raise PreconditionError("image word admits no %s extension"
+                                    % ("left" if left else "right"))
     return tuple(word), index
 
 

@@ -7,6 +7,12 @@ show at coordinate i; its size is the classical d(w, i). The infimum d* of
 d(w, i) over all words and indices is attained on so-called magic words,
 and for finite-to-one codes over an irreducible image it equals the degree
 of the code (the minimal number of preimages of a point).
+
+Sets of domain symbols are int bitmasks inside this package, bit i
+standing for ``t.x.symbols[i]``. The labelled step ``step`` maps a mask to
+a mask through one table per triple and direction (``_label_masks``),
+which the sweeps, the subset automata and ``image_blocks`` all read.
+Frozensets are built only by the public functions that return them.
 """
 
 from __future__ import annotations
@@ -42,37 +48,83 @@ def _check_image_word(t, word):
     return word
 
 
-def step(t, symbols, c, forward=True):
-    """The labelled step: the successors (forward) or predecessors of
-    ``symbols`` that carry the image symbol ``c``, read off the triple's
-    ``successors_by_label``/``predecessors_by_label`` tables."""
-    table = t.successors_by_label if forward else t.predecessors_by_label
-    out = set()
-    for s in symbols:
-        out.update(table[s].get(c, ()))
-    return frozenset(out)
+def _bit_indices(mask):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@per_triple
+def _bits(t):
+    """``({domain symbol: its bit}, {image symbol: mask of its
+    preimages})``, bit i standing for ``t.x.symbols[i]``."""
+    bit = {s: 1 << i for i, s in enumerate(t.x.symbols)}
+    return bit, {c: sum(map(bit.__getitem__, us))
+                 for c, us in t.preimage_map.items()}
+
+
+@per_triple
+def _label_masks(t, forward):
+    """The labelled neighbour table as bitmasks, built in one pass: entry
+    i maps every image symbol to the mask of the successors (forward) or
+    predecessors of ``t.x.symbols[i]`` carrying it. Kept on the triple."""
+    bit = _bits(t)[0]
+    neighbours = t.x.successor_map if forward else t.x.predecessor_map
+    table = []
+    for s in t.x.symbols:
+        row = {}
+        for u in neighbours[s]:
+            row[t.label[u]] = row.get(t.label[u], 0) | bit[u]
+        table.append(row)
+    return table
+
+
+def _symbols(t, mask):
+    """The frozenset of the domain symbols in ``mask``."""
+    return frozenset(map(t.x.symbols.__getitem__, _bit_indices(mask)))
+
+
+def step(table, mask, c):
+    """The labelled step on masks of domain symbols (bit i is
+    ``t.x.symbols[i]``): the mask of the successors (forward) or
+    predecessors of the symbols in ``mask`` that carry the image symbol
+    ``c``, read off ``table = _label_masks(t, forward)``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1].get(c, 0)
+        mask ^= low
+    return out
 
 
 def _sweep(t, start, word, forward):
-    """``step`` along ``word`` from the set ``start`` at its first
-    (forward) or last coordinate: one set per coordinate, in coordinate
+    """``step`` along ``word`` from the mask ``start`` at its first
+    (forward) or last coordinate: one mask per coordinate, in coordinate
     order."""
-    sets = [frozenset(start)]
+    table = _label_masks(t, forward)
+    masks = [start]
     for c in (word[1:] if forward else word[-2::-1]):
-        sets.append(step(t, sets[-1], c, forward))
-    return sets if forward else sets[::-1]
+        masks.append(step(table, masks[-1], c))
+    return masks if forward else masks[::-1]
+
+
+def _word_sweep(t, word, forward):
+    """Masks of ``forward_sets`` (forward) or ``backward_sets``."""
+    word = _check_image_word(t, word)
+    return _sweep(t, _bits(t)[1][word[0] if forward else word[-1]], word,
+                  forward)
 
 
 def forward_sets(t, word):
     """F_i sweep: F_0 = preimages(w_0), F_{i+1} = succ(F_i) & preimages."""
-    word = _check_image_word(t, word)
-    return _sweep(t, t.preimages(word[0]), word, True)
+    return [_symbols(t, m) for m in _word_sweep(t, word, True)]
 
 
 def backward_sets(t, word):
     """B_i sweep from the right end, mirror image of forward_sets."""
-    word = _check_image_word(t, word)
-    return _sweep(t, t.preimages(word[-1]), word, False)
+    return [_symbols(t, m) for m in _word_sweep(t, word, False)]
 
 
 @dataclass(frozen=True)
@@ -92,9 +144,9 @@ def preimage_profiles(t, word):
     """Profiles at every coordinate of ``word`` (empty sets iff w not in
     the image language)."""
     word = _check_image_word(t, word)
-    fwd = forward_sets(t, word)
-    bwd = backward_sets(t, word)
-    return [PreimageProfile(word, i, fwd[i] & bwd[i])
+    fwd = _word_sweep(t, word, True)
+    bwd = _word_sweep(t, word, False)
+    return [PreimageProfile(word, i, _symbols(t, fwd[i] & bwd[i]))
             for i in range(len(word))]
 
 
@@ -109,36 +161,29 @@ def exact_forward_sweep(t, start, word):
     """Symbols reachable from ``start`` along paths labeled by the
     prefixes of ``word`` (start must carry word[0]), one set per
     coordinate."""
-    return _sweep(t, [start] if t.label[start] == word[0] else (), word,
-                  True)
+    start = _bits(t)[0][start] if t.label[start] == word[0] else 0
+    return [_symbols(t, m) for m in _sweep(t, start, word, True)]
 
 
 def exact_backward_sweep(t, end, word):
     """Mirror image of exact_forward_sweep, from ``end`` at the last
     coordinate."""
-    return _sweep(t, [end] if t.label[end] == word[-1] else (), word, False)
+    end = _bits(t)[0][end] if t.label[end] == word[-1] else 0
+    return [_symbols(t, m) for m in _sweep(t, end, word, False)]
 
 
 def preimage_blocks(t, word):
     """All X-paths labeled by ``word``, lexicographic in symbol order."""
     word = _check_image_word(t, word)
-    bwd = backward_sets(t, word)
-    out = []
-
-    def extend(path, i):
-        if i == len(word):
-            out.append(tuple(path))
-            return
-        for u in t.successors_by_label[path[-1]].get(word[i], ()):
-            if u in bwd[i]:
-                path.append(u)
-                extend(path, i + 1)
-                path.pop()
-
-    for s in t.preimages(word[0]):
-        if s in bwd[0]:
-            extend([s], 1)
-    return out
+    bwd = _word_sweep(t, word, False)
+    bit = _bits(t)[0]
+    # every kept prefix ends in bwd, so it extends to a whole path
+    paths = [(s,) for s in t.preimages(word[0]) if bit[s] & bwd[0]]
+    for i in range(1, len(word)):
+        paths = [path + (u,) for path in paths
+                 for u in t.successors_by_label[path[-1]].get(word[i], ())
+                 if bit[u] & bwd[i]]
+    return paths
 
 
 @dataclass(frozen=True)
@@ -179,14 +224,6 @@ class _SubsetAutomaton:
         return out
 
 
-def _bit_indices(mask):
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @per_triple
 def _subset_automaton(t, forward):
     """Breadth-first subset construction from the one-symbol preimage
@@ -194,14 +231,10 @@ def _subset_automaton(t, forward):
 
     Discovery order follows the image alphabet at every state, so state
     numbers and witness words are deterministic. Each state's step folds
-    the per-symbol labelled neighbour masks of its members (the triple's
-    labelled tables as bitmasks) into one mask per image symbol. Built
-    once per triple and direction, and kept on the triple."""
-    index = {s: i for i, s in enumerate(t.x.symbols)}
-    table = t.successors_by_label if forward else t.predecessors_by_label
-    masks = [[(c, sum(1 << index[u] for u in us))
-              for c, us in by_label.items()]
-             for by_label in table.values()]
+    the ``_label_masks`` entries of its members into one mask per image
+    symbol. Built once per triple and direction, and kept on the
+    triple."""
+    table = _label_masks(t, forward)
     yorder = {c: k for k, c in enumerate(t.y_alphabet)}
     auto = _SubsetAutomaton([], [], [], [], [])
     found = {}
@@ -217,13 +250,13 @@ def _subset_automaton(t, forward):
             auto.succ.append([])
         return i
 
-    for c in t.y_alphabet:
-        visit(sum(1 << index[s] for s in t.preimages(c)), c, None)
+    for c, mask in _bits(t)[1].items():
+        visit(mask, c, None)
     head = 0
     while head < len(auto.masks):
         acc = {}
         for j in _bit_indices(auto.masks[head]):
-            for c, bits in masks[j]:
+            for c, bits in table[j].items():
                 acc[c] = acc.get(c, 0) | bits
         for c in sorted(acc, key=yorder.get):
             auto.succ[head].append(visit(acc[c], c, head))
@@ -405,22 +438,13 @@ def image_blocks(t, n):
     alphabet order; enumerated directly on X via nonempty forward sets."""
     if n < 1:
         raise ValueError("block length must be >= 1")
-    out = []
-
-    def extend(word, fset):
-        if len(word) == n:
-            out.append(tuple(word))
-            return
-        for c in t.y_alphabet:
-            nxt = step(t, fset, c)
-            if nxt:
-                word.append(c)
-                extend(word, nxt)
-                word.pop()
-
-    for c in t.y_alphabet:
-        extend([c], frozenset(t.preimages(c)))
-    return out
+    table = _label_masks(t, True)
+    # (word, its last forward set), level by level in lexicographic order
+    blocks = [((c,), mask) for c, mask in _bits(t)[1].items()]
+    for _ in range(n - 1):
+        blocks = [(word + (c,), nxt) for word, mask in blocks
+                  for c in t.y_alphabet if (nxt := step(table, mask, c))]
+    return [word for word, _ in blocks]
 
 
 def degree_witness(t, strict=False):

@@ -225,26 +225,17 @@ class FactorTriple:
     def label_word(self, word):
         return tuple(self.label[s] for s in word)
 
-    def _by_label(self, neighbours):
-        out = {}
-        for s in self.x.symbols:
-            by_label = out[s] = {}
-            for u in neighbours[s]:
-                by_label.setdefault(self.label[u], []).append(u)
-        return out
-
     @cached_property
     def successors_by_label(self):
         """``{symbol: {image symbol: successors carrying it}}``, every list
-        in symbol order; built in one pass over the successor map. This
-        table is the labelled step: see ``codes.step``."""
-        return self._by_label(self.x.successor_map)
-
-    @cached_property
-    def predecessors_by_label(self):
-        """``{symbol: {image symbol: predecessors carrying it}}``, every
-        list in symbol order."""
-        return self._by_label(self.x.predecessor_map)
+        in symbol order; built in one pass over the successor map. The
+        labelled step ``codes.step`` keeps the same table as bitmasks."""
+        out = {}
+        for s in self.x.symbols:
+            by_label = out[s] = {}
+            for u in self.x.successor_map[s]:
+                by_label.setdefault(self.label[u], []).append(u)
+        return out
 
 
 def per_triple(build):
@@ -319,6 +310,8 @@ def parse_triple(text):
     edge_entries = []
     seen_x = set()
     seen_y = set()
+    alphabets = {"xsymbols": ("x", xsymbols, seen_x),
+                 "ysymbols": ("y", ysymbols, seen_y)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -328,28 +321,18 @@ def parse_triple(text):
             raise TripleParseError("line %d: expected 'key: tokens'" % lineno)
         key = key.strip()
         tokens = rest.split()
-        if key == "xsymbols":
+        if key in alphabets:
+            side, symbols, seen = alphabets[key]
             for tok in tokens:
                 if ">" in tok:
                     raise TripleParseError(
                         "line %d: symbol %r may not contain '>'"
                         % (lineno, tok))
-                if tok in seen_x:
-                    raise TripleParseError(
-                        "line %d: duplicate x symbol %r" % (lineno, tok))
-                seen_x.add(tok)
-                xsymbols.append(tok)
-        elif key == "ysymbols":
-            for tok in tokens:
-                if ">" in tok:
-                    raise TripleParseError(
-                        "line %d: symbol %r may not contain '>'"
-                        % (lineno, tok))
-                if tok in seen_y:
-                    raise TripleParseError(
-                        "line %d: duplicate y symbol %r" % (lineno, tok))
-                seen_y.add(tok)
-                ysymbols.append(tok)
+                if tok in seen:
+                    raise TripleParseError("line %d: duplicate %s symbol %r"
+                                           % (lineno, side, tok))
+                seen.add(tok)
+                symbols.append(tok)
         elif key == "map":
             for tok in tokens:
                 label_entries.append((lineno, _parse_pair(tok, lineno, "map")))

@@ -18,6 +18,8 @@ from factorcode import (
     PeriodicPoint,
     build_fiber_graph,
     canonical_orbit_word,
+    exact_backward_sweep,
+    exact_forward_sweep,
     fixtures,
     make_sft,
     orbit_measure,
@@ -27,8 +29,7 @@ from factorcode import (
     sofic_image,
 )
 from factorcode import graphs
-from factorcode.classdegree import _route_table
-from factorcode.core import FactorTriple, enumerate_blocks
+from factorcode.core import FactorTriple, enumerate_blocks, sub_triple
 from factorcode.measures import (_positive_word_measures, _prune_support,
                                  _require_presentation_measure)
 
@@ -434,9 +435,15 @@ def ref_min_hitting_set(route_sets, pool, below):
 
 def ref_minimal_depth_at(t, word):
     """``minimal_depth_at`` with exhaustive hitting sets over the route
-    pool of each index, sorted in domain symbol order."""
+    pool of each index, sorted in domain symbol order; the route sets come
+    from the public frozenset sweeps."""
     word = tuple(word)
-    pairs, fsweeps, bsweeps = _route_table(t, word)
+    fsweeps = {s: exact_forward_sweep(t, s, word)
+               for s in t.preimages(word[0])}
+    bsweeps = {e: exact_backward_sweep(t, e, word)
+               for e in t.preimages(word[-1])}
+    pairs = [(s, e) for s in fsweeps for e in bsweeps
+             if e in fsweeps[s][-1]]
     xorder = {s: i for i, s in enumerate(t.x.symbols)}
     best = None
     for n in range(1, len(word) - 1):
@@ -447,6 +454,30 @@ def ref_minimal_depth_at(t, word):
         if found:
             best = (n, found)
     return best[0], frozenset(best[1])
+
+
+def ref_close_word(pres, word):
+    """``classdegree._close_word`` as a frozenset sweep through the part
+    (``sub_triple``) of the presentation on each cyclic component in
+    turn, from the first start state that carries the word there."""
+    adj = pres.x.adjacency()
+    for comp in graphs.nontrivial_components(adj):
+        members = set(comp)
+        piece = sub_triple(pres, members, ((a, b) for a in comp
+                                           for b in adj[a] if b in members))
+        for start in piece.preimage_map.get(word[0], ()):
+            path = [frozenset([start])]
+            for c in word[1:]:
+                path.append(_ref_step(piece, path[-1], c, True))
+            if path[-1]:
+                break
+        else:
+            continue
+        # right-resolving: every set holds exactly one state
+        path = [next(iter(states)) for states in path]
+        back = graphs.shortest_walk(adj, path[-1], path[0], members)
+        return PeriodicPoint(tuple(pres.label[s] for s in path + back[:-1]))
+    return None
 
 
 def ref_window_radii(t, y, interval):

@@ -15,10 +15,12 @@ from conftest import (
     image_measure,
     random_code,
     random_triple,
+    ref_close_word,
     ref_min_hitting_set,
     ref_minimal_depth_at,
 )
 from factorcode import (
+    EmptyShiftError,
     PreconditionError,
     build_fiber_graph,
     class_count_for_measure,
@@ -29,12 +31,14 @@ from factorcode import (
     minimal_depth_at,
     parse_triple,
     routable_symbols,
+    sofic_image,
     transition_block,
     transition_classes,
 )
-from factorcode.classdegree import _min_hitting_set
+from factorcode import graphs
+from factorcode.classdegree import _close_word, _min_hitting_set
 from factorcode.codes import image_blocks
-from factorcode.core import FactorTriple
+from factorcode.core import FactorTriple, sub_triple
 
 
 SEARCH_EXPECTED = {
@@ -245,6 +249,55 @@ def test_transient_state_in_presentation_still_certifies():
     res = find_minimal_transition_block(t)
     assert (res.value, res.certified) == (1, True)
     assert res.certificate.window(0, 2) == res.witness.word
+
+
+def test_close_word_matches_the_sub_triple_oracle():
+    """``_close_word`` walks the presentation itself inside each cyclic
+    component; the oracle sweeps a ``sub_triple`` copy of each component.
+    Both must give the same point, or None, for every image word of
+    length 3-5 of the fixtures' presentations, their measure supports and
+    reducible random codes."""
+    presentations = [sofic_image(fixtures.load(name)).triple
+                     for name in FIXTURE_NAMES]
+    for name, kind in MEASURE_PAIRS:
+        pres, measure = image_measure(fixtures.load(name), kind)
+        keep = set(measure.support_states())
+        presentations.append(sub_triple(
+            pres, keep, (e for e in measure.kernel
+                         if e[0] in keep and e[1] in keep)))
+    rng = random.Random(307)
+    for _ in range(16):
+        try:
+            presentations.append(sofic_image(
+                random_code(rng, rng.randint(4, 10), reducible=True)).triple)
+        except EmptyShiftError:
+            pass
+    results = []
+    starts_outside = 0
+    for pres in presentations:
+        cyclic = set().union(
+            *graphs.nontrivial_components(pres.x.adjacency()))
+        for n in (3, 4, 5):
+            for word in image_blocks(pres, n):
+                got = _close_word(pres, word)
+                assert got == ref_close_word(pres, word)
+                results.append(got)
+                first = next(s for s in pres.preimage_map[word[0]]
+                             if presents(pres, s, word))
+                starts_outside += first not in cyclic
+    assert None in results
+    assert starts_outside
+
+
+def presents(pres, start, word):
+    """Whether the walk of ``word`` from ``start`` exists in ``pres``."""
+    state = start
+    for c in word[1:]:
+        nxt = pres.successors_by_label[state].get(c)
+        if not nxt:
+            return False
+        state = nxt[0]
+    return True
 
 
 def test_class_count_for_measure_frozen_values():

@@ -285,8 +285,11 @@ def test_timing_flag_adds_elapsed_ms():
 def test_one_image_and_one_automaton_per_direction_per_command(
         argv, automata, monkeypatch, tmp_path, capsys):
     """Derived objects are built once per triple: one sofic image per
-    command, and one subset automaton per direction the command needs
-    (forward for the image; d* in classdegree adds the backward one)."""
+    command, one subset automaton per direction the command needs
+    (forward for the image; d* in classdegree adds the backward one), and
+    at most one mask table per triple and direction. ``classdegree
+    --measure`` steps the measure's support as well as the triple, so the
+    tables are counted per triple."""
     if "RANDOM" in argv:
         path = tmp_path / "random.triple"
         path.write_text(triple_to_text(
@@ -304,9 +307,20 @@ def test_one_image_and_one_automaton_per_direction_per_command(
                         counting("image", codes.SoficImage))
     monkeypatch.setattr(codes, "_SubsetAutomaton",
                         counting("automaton", codes._SubsetAutomaton))
+    tables = {}
+    mask_table = codes._label_masks
+
+    def watched(t, forward):
+        table = mask_table(t, forward)
+        # holding t and the table keeps their ids unique meanwhile
+        tables.setdefault((id(t), forward), {})[id(table)] = (t, table)
+        return table
+
+    monkeypatch.setattr(codes, "_label_masks", watched)
     assert cli.main(argv) in (0, 3)
     capsys.readouterr()
     assert built == {"image": 1, "automaton": automata}
+    assert tables and all(len(ids) == 1 for ids in tables.values())
 
 
 def test_sync_walks_a_wide_window(capsys):

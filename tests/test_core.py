@@ -160,6 +160,7 @@ def test_parse_errors_carry_line_numbers():
         ("xsymbols: a\nysymbols: 0\nedges: a>a\n", "unlabeled x symbols: a"),
         ("xsymbols: a\nysymbols: 0\nmap: a>0\n", "no edges"),
         ("xsymbols: a>b\n", "may not contain"),
+        ("ysymbols: 0>1\n", "may not contain"),
     ]
     for text, needle in cases:
         with pytest.raises(TripleParseError, match=needle):

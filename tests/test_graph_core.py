@@ -32,7 +32,7 @@ from factorcode import (
     pair_graph,
     sofic_image,
 )
-from factorcode.codes import step
+from factorcode.codes import _label_masks, step
 from factorcode.graphs import shortest_walk, walk_depths
 
 
@@ -114,17 +114,27 @@ def test_d_star_matches_frozenset_scan():
 def test_labelled_tables_and_step_match_definition():
     rng = random.Random(71)
     for t in population(73):
-        for forward, table, nbrs in (
-                (True, t.successors_by_label, ref_successor_map(t.x)),
-                (False, t.predecessors_by_label, ref_predecessor_map(t.x))):
-            for s in t.x.symbols:
-                assert table[s] == {
-                    c: [u for u in nbrs[s] if t.label[u] == c]
+
+        def mask(symbols):
+            return sum(1 << i for i, u in enumerate(t.x.symbols)
+                       if u in symbols)
+
+        succ = ref_successor_map(t.x)
+        for s in t.x.symbols:
+            assert t.successors_by_label[s] == {
+                c: [u for u in succ[s] if t.label[u] == c]
+                for c in {t.label[u] for u in succ[s]}}
+        for forward, nbrs in ((True, succ),
+                              (False, ref_predecessor_map(t.x))):
+            masks = _label_masks(t, forward)
+            for i, s in enumerate(t.x.symbols):
+                assert masks[i] == {
+                    c: mask({u for u in nbrs[s] if t.label[u] == c})
                     for c in {t.label[u] for u in nbrs[s]}}
             subset = [s for s in t.x.symbols if rng.random() < 0.5]
             for c in t.y_alphabet:
-                assert step(t, subset, c, forward) == frozenset(
-                    u for s in subset for u in nbrs[s] if t.label[u] == c)
+                assert step(masks, mask(subset), c) == mask(
+                    {u for s in subset for u in nbrs[s] if t.label[u] == c})
 
 
 def test_shortest_walk_is_a_shortest_walk_inside_members():
