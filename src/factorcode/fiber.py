@@ -4,14 +4,19 @@ The fiber of a periodic point y of period p is carried by the phase graph:
 vertices are pairs (symbol, phase) whose label matches y at that phase,
 edges act by the transition relation while advancing the phase. Preimages
 of y are exactly the bi-infinite walks, so the graph is pruned to vertices
-lying on such walks.
+lying on such walks. One Tarjan pass gives the cyclic components, the
+forward and backward walk depths and so the pruned part.
 
 Transition classes (mutual-reachability classes of preimages under
 coordinate splicing) are read off as the nontrivial strongly connected
 components after unrolling the phase graph to the least common multiple P
 of the component cyclicities; at that period every component has settled
 into its terminal splitting and the count is stable under any further
-unrolling, which the doubling certificate re-checks explicitly.
+unrolling, which the doubling certificate re-checks explicitly with a
+real Tarjan pass over the reading at 2P. Reading y with a multiple of
+its period gives a cyclic cover of the phase graph, and a walk lifts
+uniquely once its starting phase is fixed, so the unrolled readings are
+lifted from the pruned graph rather than rebuilt from the triple.
 
 Window questions read the same graph. The synchronizing radius of a
 window comes from one sweep across it that carries the backward walk
@@ -34,12 +39,16 @@ from .classdegree import TransitionBlock, transition_block
 class FiberGraph:
     """Phase graph of a periodic image point.
 
-    ``vertices`` lists every label-compatible (symbol, phase) pair;
-    ``pruned`` is the subset lying on bi-infinite walks. ``adjacency``
-    covers the full vertex set; restrict to ``pruned`` for fiber content.
-    ``cyclic`` holds the nontrivial strongly connected components found
-    while pruning; they all lie in ``pruned`` and are exactly the
-    nontrivial components of the pruned graph.
+    ``vertices`` lists every label-compatible (symbol, phase) pair and
+    ``adjacency`` covers them all; restrict to ``pruned`` for fiber
+    content. One Tarjan pass over ``adjacency`` gives the rest:
+    ``cyclic``, its nontrivial strongly connected components; ``depths``,
+    the longest forward walk out of and the longest backward walk into
+    each vertex (``inf`` where unbounded), read along the emission order
+    and, on the inverted graph, along its reverse; and ``pruned``, the
+    vertices where both are unbounded, which are those on bi-infinite
+    walks. The cyclic components all lie in ``pruned`` and are exactly
+    the nontrivial components of the pruned graph.
     """
 
     triple: object
@@ -49,6 +58,7 @@ class FiberGraph:
     adjacency: dict
     pruned: frozenset
     cyclic: tuple
+    depths: tuple
     _pruned_adjacency: dict = field(default=None, init=False, repr=False,
                                     compare=False)
 
@@ -87,14 +97,57 @@ def _phase_graph(t, word):
         nxt = (k + 1) % p
         adjacency[(s, k)] = [(u, nxt) for u in
                              t.successors_by_label[s].get(word[nxt], ())]
-    cyclic = tuple(graphs.nontrivial_components(adjacency))
-    pruned = frozenset(graphs.cycle_hull(adjacency, cyclic))
-    return FiberGraph(t, word, p, vertices, adjacency, pruned, cyclic)
+    order = graphs.strongly_connected_components(adjacency)
+    cyclic = tuple(c for c in order if graphs.is_cyclic(adjacency, c))
+    fwd = graphs.walk_depths(adjacency, order)
+    back = graphs.walk_depths(graphs.invert(adjacency), order[::-1])
+    pruned = frozenset(v for v in vertices
+                       if fwd[v] is None and back[v] is None)
+    depths = tuple({v: inf if d is None else d for v, d in side.items()}
+                   for side in (fwd, back))
+    return FiberGraph(t, word, p, vertices, adjacency, pruned, cyclic,
+                      depths)
 
 
-def _unrolled(g, period):
-    """Phase graph of g's point read with the given multiple of its period."""
-    return _phase_graph(g.triple, g.word * (period // g.period))
+# Most vertices a fiber report may lift into the cover of its doubling
+# certificate, which has 2 * (P / p) * |pruned| of them; the bundled
+# fixtures and the benchmark pools need a few hundred at most.
+COVER_VERTEX_BUDGET = 250_000
+
+
+@dataclass
+class PhaseCover:
+    """The pruned phase graph of a point read with a multiple P = m * p
+    of its period p: its m-fold cyclic cover.
+
+    Vertex (s, k) lifts to (s, k + j * p) for j < m, and each edge
+    advances the lifted phase modulo P. ``adjacency`` lists the lift in
+    the vertex and neighbour order of the pruned phase graph built
+    directly from the P-periodic word; ``components`` are its strongly
+    connected components in Tarjan emission order (each after every
+    component it reaches) and ``cyclic`` the nontrivial ones among them.
+    """
+
+    period: int
+    adjacency: dict
+    components: list
+    cyclic: tuple
+
+
+@per_triple
+def _unrolled(t, word, period):
+    """Cover of the pruned phase graph of ``word`` at the given multiple
+    of its period, lifted from that graph and searched by one Tarjan
+    pass."""
+    base = _phase_graph(t, word).pruned_adjacency()
+    adjacency = {}
+    for shift in range(0, period, len(word)):
+        for (s, k), nbrs in base.items():
+            nxt = (k + shift + 1) % period
+            adjacency[(s, k + shift)] = [(u, nxt) for u, _ in nbrs]
+    components = graphs.strongly_connected_components(adjacency)
+    cyclic = tuple(c for c in components if graphs.is_cyclic(adjacency, c))
+    return PhaseCover(period, adjacency, components, cyclic)
 
 
 @dataclass
@@ -144,16 +197,21 @@ def transition_classes(g):
     cyclicities = [graphs.component_cyclicity(g.adjacency, comp)
                    for comp in g.cyclic]
     big_p = lcm(*cyclicities) if cyclicities else p
-    adj_p = _unrolled(g, big_p).pruned_adjacency()
+    size = 2 * (big_p // p) * len(g.pruned)
+    if size > COVER_VERTEX_BUDGET:
+        raise PreconditionError(
+            "unrolling the fiber to period %d needs %d vertices, over the "
+            "limit of %d" % (big_p, size, COVER_VERTEX_BUDGET))
+    cover = _unrolled(t, g.word, big_p)
+    adj_p = cover.adjacency
 
     xorder = {s: i for i, s in enumerate(t.x.symbols)}
 
     def vkey(v):
         return (v[1], xorder[v[0]])
 
-    order = graphs.strongly_connected_components(adj_p)
-    comps = sorted((comp for comp in order if graphs.is_cyclic(adj_p, comp)),
-                   key=lambda comp: min(vkey(v) for v in comp))
+    order = cover.components
+    comps = sorted(cover.cyclic, key=lambda comp: min(vkey(v) for v in comp))
     names = ["C%d" % (i + 1) for i in range(len(comps))]
     class_of_vertex = {}
     for name, comp in zip(names, comps):
@@ -203,7 +261,7 @@ def transition_classes(g):
         classes.append(TransitionClass(name, frozenset(comp),
                                        PeriodicPoint(rep_word)))
 
-    stable = len(_unrolled(g, 2 * big_p).cyclic) == len(comps)
+    stable = len(_unrolled(t, g.word, 2 * big_p).cyclic) == len(comps)
 
     return TransitionClassReport(
         word=tuple(g.word), period=p, unrolled_period=big_p,
@@ -287,15 +345,6 @@ def _window_graph(t, y, interval):
     return build_fiber_graph(t, y)
 
 
-def _walk_depths(g):
-    """Longest forward walk out of and longest backward walk into each
-    vertex of g's label-compatible phase graph, ``inf`` where unbounded."""
-    fwd = graphs.walk_depths(g.adjacency)
-    back = graphs.walk_depths(graphs.invert(g.adjacency))
-    return ({v: inf if d is None else d for v, d in fwd.items()},
-            {v: inf if d is None else d for v, d in back.items()})
-
-
 def _window_paths(g, adjacency, interval, keep_start=None, keep_end=None):
     """Symbol blocks of the paths across the window in ``adjacency`` whose
     start passes ``keep_start`` and whose end passes ``keep_end`` (None
@@ -342,7 +391,7 @@ def _synchronizing_radius(g, interval):
     window width times the edges of the graph."""
     m, n = interval
     adjacency = g.adjacency
-    fwd, back = _walk_depths(g)
+    fwd, back = g.depths
     best, finite = {}, {}
     for v in adjacency:
         if v[1] == m % g.period:
@@ -384,7 +433,7 @@ def window_blocks(t, y, interval, radius=None):
         return _window_paths(g, g.pruned_adjacency(), interval)
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    fwd, back = _walk_depths(g)
+    fwd, back = g.depths
     return _window_paths(g, g.adjacency, interval,
                          lambda v: back[v] >= radius,
                          lambda v: fwd[v] >= radius)
@@ -436,7 +485,7 @@ def extract_transition_block(t, y):
     g = build_fiber_graph(t, y)
     report = transition_classes(g)
     big_p = report.unrolled_period
-    adj = _unrolled(g, big_p).pruned_adjacency()
+    adj = _unrolled(t, g.word, big_p).adjacency
     xorder = {s: i for i, s in enumerate(t.x.symbols)}
     class_match = report.class_match
 

@@ -174,28 +174,26 @@ def bi_essential_nodes(adj):
     A node qualifies iff it is reachable from a cycle and reaches a cycle,
     which is exactly membership in the closed hull of the nontrivial SCCs.
     """
-    return cycle_hull(adj, nontrivial_components(adj))
-
-
-def cycle_hull(adj, cyclic):
-    """Nodes reachable from and reaching the components ``cyclic``; given
-    the nontrivial SCCs of ``adj``, the nodes on bi-infinite walks."""
-    cyc = set().union(*cyclic)
+    cyc = set().union(*nontrivial_components(adj))
     starts = [u for u in adj if u in cyc]
     fwd = reachable_from(adj, starts)
     bwd = reachable_from(invert(adj), starts)
     return {u for u in adj if u in fwd and u in bwd}
 
 
-def walk_depths(adj):
+def walk_depths(adj, order=None):
     """Length of the longest walk starting at each node, or None where
     walks are unbounded because the node reaches a cycle.
 
     One pass: Tarjan's algorithm emits each component after every
     component it reaches, so each acyclic node is settled from settled
-    successors."""
+    successors. ``order`` may give the components of ``adj`` in any such
+    order, which saves that Tarjan pass; reversed, the emission order of
+    a graph is one for its inverse."""
     depth = {}
-    for comp in strongly_connected_components(adj):
+    if order is None:
+        order = strongly_connected_components(adj)
+    for comp in order:
         if is_cyclic(adj, comp):
             for u in comp:
                 depth[u] = None

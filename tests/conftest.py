@@ -210,6 +210,24 @@ def brute_pruned_phase_vertices(t, word):
         vertices -= dead
 
 
+def ref_unrolled(t, word, m):
+    """The pruned phase graph of ``word`` read with m times its period,
+    built directly from the triple for the m-fold word, and its strongly
+    connected components in Tarjan emission order; the cover
+    ``fiber._unrolled`` lifts from the base graph must equal both, down
+    to every order."""
+    word = tuple(word) * m
+    n = len(word)
+    vertices = [(s, k) for k in range(n) for s in t.preimages(word[k])]
+    adj = {(s, k): [(u, (k + 1) % n) for u in
+                    t.successors_by_label[s].get(word[(k + 1) % n], ())]
+           for s, k in vertices}
+    pruned = graphs.bi_essential_nodes(adj)
+    pruned_adj = {v: [w for w in adj[v] if w in pruned]
+                  for v in vertices if v in pruned}
+    return pruned_adj, graphs.strongly_connected_components(pruned_adj)
+
+
 def brute_window_blocks(t, y, interval):
     """True preimage blocks over the window, via the trimmed phase graph."""
     m, n = interval

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from math import log, sqrt
 from pathlib import Path
@@ -424,39 +425,45 @@ def test_numpy_is_imported_only_by_commands_that_need_it():
 @pytest.mark.parametrize("argv, words", [
     (["sync", fixture_path("fix_e"), "--y", "0", "1",
       "--interval", "0", "3"], [("0", "1")]),
-    (["extract", fixture_path("fix_e"), "--y", "0", "1"],
-     [("0", "1"), ("0", "1", "0", "1")]),
-    (["fiber", fixture_path("fix_e"), "--y", "0", "1"],
-     [("0", "1"), ("0", "1", "0", "1")]),
+    (["extract", fixture_path("fix_e"), "--y", "0", "1"], [("0", "1")]),
+    (["fiber", fixture_path("fix_e"), "--y", "0", "1"], [("0", "1")]),
 ])
 def test_one_phase_graph_per_point_per_command(argv, words, monkeypatch,
                                                capsys):
-    """Each phase graph is built once per triple and word: sync builds
-    the point's graph, extract and fiber add its reading unrolled to the
-    class period (here the doubled reading of the doubling check)."""
-    built = []
+    """Each command builds the point's phase graph once. extract and
+    fiber add its covers at the class period P (here the period itself)
+    and at 2P for the doubling check, each lifted once; sync needs
+    none."""
+    built, covers = [], []
 
     def build(t, word, *args):
         built.append(word)
-        return real(t, word, *args)
+        return real_graph(t, word, *args)
 
-    real = fiber.FiberGraph
+    def lift(period, *args):
+        covers.append(period)
+        return real_cover(period, *args)
+
+    real_graph, real_cover = fiber.FiberGraph, fiber.PhaseCover
     monkeypatch.setattr(fiber, "FiberGraph", build)
+    monkeypatch.setattr(fiber, "PhaseCover", lift)
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert built == words
+    assert covers == ([] if argv[0] == "sync" else [2, 4])
 
 
 @pytest.mark.parametrize("argv, passes", [
     (["fiber", fixture_path("fix_e"), "--y", "0", "1"], 4),
     (["sync", fixture_path("fix_e"), "--y", "0", "1",
-      "--interval", "0", "3"], 4),
-    (["extract", fixture_path("fix_e"), "--y", "0", "1"], 7),
+      "--interval", "0", "3"], 2),
+    (["extract", fixture_path("fix_e"), "--y", "0", "1"], 5),
 ])
 def test_tarjan_passes_per_command(argv, passes, monkeypatch, capsys):
-    """The nontrivial components found while pruning each phase graph
-    are kept on it: neither the class periods nor the doubling
-    certificate search the pruned graphs for them again."""
+    """One pass essentializes the triple and one per phase graph gives
+    its cyclic components, walk depths and pruned part. fiber and
+    extract add one per cover (class period and doubling check), and
+    extract one for the depths of its transient vertices."""
     calls = []
 
     def count(adj):
@@ -468,6 +475,38 @@ def test_tarjan_passes_per_command(argv, passes, monkeypatch, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert len(calls) == passes
+
+
+def cycles_triple(lengths):
+    """Disjoint cycles of the given lengths, every symbol labelled a: the
+    fiber over the fixed point a unrolls to the lcm of the lengths."""
+    syms = ["c%d_%d" % (n, i) for n in lengths for i in range(n)]
+    edges = ["c%d_%d>c%d_%d" % (n, i, n, (i + 1) % n)
+             for n in lengths for i in range(n)]
+    return ("xsymbols: %s\nysymbols: a\nmap: %s\nedges: %s\n"
+            % (" ".join(syms), " ".join(s + ">a" for s in syms),
+               " ".join(edges)))
+
+
+def test_fiber_cover_within_budget_is_unrolled(tmp_path):
+    path = tmp_path / "cycles.triple"
+    path.write_text(cycles_triple((7, 11, 13)))
+    result = run_json("fiber", str(path), "--y", "a")["result"]
+    assert result["unrolled_period"] == 1001
+    assert result["class_count"] == 31
+    assert result["stable_under_doubling"] is True
+
+
+def test_fiber_cover_over_budget_exits_2_at_once(tmp_path, capsys):
+    # 2 * 17017 * 48 vertices: refused before any cover is built
+    path = tmp_path / "cycles.triple"
+    path.write_text(cycles_triple((7, 11, 13, 17)))
+    start = time.perf_counter()
+    assert cli.main(["fiber", str(path), "--y", "a"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "1633632 vertices" in err
+    assert "limit of %d" % fiber.COVER_VERTEX_BUDGET in err
 
 
 def test_extract_lists_no_window_path(monkeypatch, capsys):

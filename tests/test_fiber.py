@@ -1,7 +1,7 @@
 """Tests for fiber graphs, transition classes, windows, and extraction."""
 
 import random
-from math import inf
+from math import gcd, inf
 
 import pytest
 
@@ -9,10 +9,12 @@ from conftest import (
     FIXTURE_NAMES,
     brute_is_transition_block,
     brute_periodic_preimages,
+    brute_pruned_phase_vertices,
     brute_window_blocks,
     brute_window_blocks_at_radius,
     random_code,
     random_triple,
+    ref_unrolled,
     ref_window_radii,
 )
 from factorcode import (
@@ -134,18 +136,79 @@ def test_two_class_reports_on_other_orbits():
     assert repg.classes[0].representative.word == ("p", "q", "t")
 
 
+def oracle_cases():
+    """Every fixture point of period at most 4, and up to three points of
+    period at most 3 of each of 20 seeded random codes."""
+    cases = []
+    for name in FIXTURE_NAMES:
+        t, points = fixture_points(name)
+        cases.extend((t, y) for y in points)
+    rng = random.Random(67)
+    for i in range(20):
+        t = (random_triple(rng) if i % 2 else
+             random_code(rng, rng.randint(3, 8), reducible=i % 4 == 0))
+        cases.extend((t, y) for y in periodic_image_points(t, 3)[:3])
+    return cases
+
+
+def test_one_pass_depths_and_pruning_match_their_definitions():
+    for t, y in oracle_cases():
+        g = build_fiber_graph(t, y)
+        adj = g.adjacency
+        assert list(g.cyclic) == graphs.nontrivial_components(adj)
+        wants = (graphs.walk_depths(adj),
+                 graphs.walk_depths(graphs.invert(adj)))
+        for got, want in zip(g.depths, wants):
+            assert got == {v: inf if d is None else d for v, d in want.items()}
+        assert g.pruned == graphs.bi_essential_nodes(adj)
+        assert g.pruned == brute_pruned_phase_vertices(t, g.word)
+
+
+def test_covers_match_the_direct_unrolled_build():
+    # the lift keeps the direct build's vertex, neighbour and component
+    # orders, which fix the class names and representatives
+    for t, y in oracle_cases():
+        g = build_fiber_graph(t, y)
+        m = transition_classes(g).unrolled_period // g.period
+        for fold in sorted({1, 2, m, 2 * m}):
+            cover = _unrolled(t, g.word, fold * g.period)
+            adj, order = ref_unrolled(t, g.word, fold)
+            assert list(cover.adjacency.items()) == list(adj.items())
+            assert cover.components == order
+            assert list(cover.cyclic) == [
+                c for c in order if graphs.is_cyclic(adj, c)]
+
+
 def test_cyclic_components_are_those_of_the_pruned_graph():
-    # kept from the pruning pass; the doubling certificate counts them
+    # the phase graph keeps those of its one Tarjan pass; the class order
+    # and the doubling certificate read one pass per cover. Over a base
+    # component of cyclicity c the m-fold cover has gcd(c / p, m) cyclic
+    # components, each lying over all of it
     for name in FIXTURE_NAMES:
         t, points = fixture_points(name)
         for y in points:
             g = build_fiber_graph(t, y)
+            assert {frozenset(c) for c in g.cyclic} == {
+                frozenset(c) for c in
+                graphs.nontrivial_components(g.pruned_adjacency())}
+            p = g.period
             big_p = transition_classes(g).unrolled_period
-            for h in (g, _unrolled(g, big_p), _unrolled(g, 2 * big_p)):
-                assert h.cyclic
-                assert ({frozenset(c) for c in h.cyclic} == {
-                    frozenset(c) for c in
-                    graphs.nontrivial_components(h.pruned_adjacency())})
+            base = {v: i for i, comp in enumerate(g.cyclic) for v in comp}
+            for period in (big_p, 2 * big_p):
+                h = _unrolled(t, g.word, period)
+                assert h.components == \
+                    graphs.strongly_connected_components(h.adjacency)
+                assert list(h.cyclic) == \
+                    graphs.nontrivial_components(h.adjacency)
+                over = [0] * len(g.cyclic)
+                for comp in h.cyclic:
+                    shadow = {(s, k % p) for s, k in comp}
+                    i = base[next(iter(shadow))]
+                    assert shadow == set(g.cyclic[i])
+                    over[i] += 1
+                assert over == [
+                    gcd(graphs.component_cyclicity(g.adjacency, c) // p,
+                        period // p) for c in g.cyclic]
 
 
 def test_report_invariants_on_all_fixture_points():

@@ -33,7 +33,8 @@ from factorcode import (
     sofic_image,
 )
 from factorcode.codes import _label_masks, step
-from factorcode.graphs import shortest_walk, walk_depths
+from factorcode.graphs import (invert, shortest_walk,
+                               strongly_connected_components, walk_depths)
 
 
 def population(seed):
@@ -170,8 +171,12 @@ def test_walk_depths_match_bounded_enumeration():
         adj = {v: sorted(u for u in rng.sample(range(n), rng.randint(0, n))
                          if not acyclic or u > v)
                for v in range(n)}
-        got = walk_depths(adj)
-        assert got == brute_walk_depths(adj)
+        order = strongly_connected_components(adj)
+        got = walk_depths(adj, order)
+        assert got == walk_depths(adj) == brute_walk_depths(adj)
+        # reversed, Tarjan's emission order serves the inverted graph
+        inverse = invert(adj)
+        assert walk_depths(inverse, order[::-1]) == brute_walk_depths(inverse)
         unbounded += sum(d is None for d in got.values())
         finite += sum(d is not None and d > 1 for d in got.values())
     assert unbounded and finite
