@@ -4,7 +4,8 @@ Every subcommand reads a triple file and prints a JSON report (recode
 prints a triple file instead). Exit status: 0 success, 1 bad input or
 usage, 2 failed precondition, 3 uncertified class degree bound, 4 internal
 error (a broken invariant or an exhausted internal cap), 5 relative entropy
-bound not converged (the report is still printed).
+bound not converged (the report is still printed, and its value is still
+an upper bound, only a looser one).
 """
 
 import argparse

@@ -485,14 +485,19 @@ def extract_transition_block(t, y):
     g = build_fiber_graph(t, y)
     report = transition_classes(g)
     big_p = report.unrolled_period
-    adj = _unrolled(t, g.word, big_p).adjacency
+    cover = _unrolled(t, g.word, big_p)
+    adj = cover.adjacency
     xorder = {s: i for i, s in enumerate(t.x.symbols)}
     class_match = report.class_match
 
-    # n2: vertices on the longest walk through transient vertices
+    # n2: vertices on the longest walk through transient vertices. These
+    # are acyclic singletons of the cover, and the cover's emission order
+    # lists each after every vertex it reaches.
     transient_sub = {v: [w for w in adj[v] if w not in class_match]
                      for v in adj if v not in class_match}
-    depths = graphs.walk_depths(transient_sub)
+    depths = graphs.walk_depths(
+        transient_sub,
+        [c for c in cover.components if c[0] in transient_sub])
     if None in depths.values():
         raise AssertionError("transient vertex reaches a cycle")
     n2 = 1 + max(depths.values(), default=-1)

@@ -24,10 +24,10 @@ from .core import (MeasureParseError, PeriodicPoint, PreconditionError,
 from .codes import sofic_image
 
 ROW_SUM_TOLERANCE = 1e-9
-# The KL projection of the relative entropy bound stops once both
-# constraint families hold within the tolerance, or after the cycle cap.
-PROJECTION_TOLERANCE = 1e-12
-PROJECTION_CYCLES = 5000
+# The Newton solve of the relative entropy bound stops on each piece
+# once the gradient of the dual is within the tolerance, or at the cap.
+DUAL_TOLERANCE = 1e-12
+NEWTON_STEPS = 100
 _ROW_INVARIANT = 1e-12
 _FLOW_INVARIANT = 1e-10
 
@@ -408,12 +408,15 @@ def _positive_word_measures(pres, measure, n):
 class RelativeEntropyBound:
     """Result of the k-block relative entropy relaxation.
 
-    ``value`` is in nats; ``optimizer`` maps admissible (k+1)-blocks of
-    the domain to their optimal weights; ``residuals`` reports the largest
-    violation of the image and marginal constraint families at the
-    optimizer; ``iterations`` counts ascent steps taken. ``converged`` is
-    true when the final projection met ``tolerance`` on both families and
-    the ascent stopped before its iteration cap."""
+    ``value`` is in nats: the dual value D at the last Newton iterate of
+    the piece where it is largest, an upper bound for the relaxation
+    whether or not the solve converged. ``optimizer`` maps the admissible
+    (k+1)-blocks of the domain kept by pruning to the weights of that
+    iterate's Gibbs chain, 0 off its piece; ``residuals`` reports the
+    largest violation of the image and marginal constraint families by
+    the optimizer (the image one is |grad D|). ``iterations`` counts
+    Newton steps over all pieces. ``converged`` is true when every piece
+    that can carry the image measure reached |grad D| <= ``tolerance``."""
 
     k: int
     value: float
@@ -425,7 +428,8 @@ class RelativeEntropyBound:
 
 
 def _prune_support(blocks):
-    """The blocks that can carry weight under marginal consistency.
+    """The blocks that can carry weight under marginal consistency, each
+    mapped to the number of the strongly connected piece it lies in.
 
     Read each (k+1)-block as an edge from its prefix k-block to its suffix
     k-block. Marginally consistent weights are circulations on that graph,
@@ -440,102 +444,133 @@ def _prune_support(blocks):
     for i, comp in enumerate(graphs.strongly_connected_components(adj)):
         for W in comp:
             component[W] = i
-    return {U for U in blocks if component[U[:-1]] == component[U[1:]]}
+    return {U: component[U[:-1]] for U in blocks
+            if component[U[:-1]] == component[U[1:]]}
 
 
-def _marginal_levels(moving, src, dst, count):
-    """Level schedule of the Gauss-Seidel marginal sweep.
+def _dual_piece(cell, src, dst, n, nu):
+    """Newton's method on the dual D of one strongly connected piece.
 
-    Block ``moving[i]`` sits on the left side of marginal ``src[i]`` (its
-    prefix k-block) and on the right side of marginal ``dst[i]`` (its
-    suffix k-block); blocks whose prefix equals their suffix are on no
-    side and are left out by the caller. Marginals with an empty side are
-    never rescaled and get no level. Every other marginal gets level 1 +
-    the highest level of the earlier marginals it shares a block with, so
-    the marginals of one level touch disjoint blocks, and rescaling them
-    level by level applies the same updates in the same order as
-    rescaling them one by one in k-block order.
+    Block i runs from k-block ``src[i]`` to k-block ``dst[i]`` (numbered
+    0..n-1 within the piece) and carries image word ``cell[i]``. For lam
+    over the image words, A holds e^lam[cell[i]] at (src[i], dst[i]) and
+    D(lam) = log rho(A) - lam . nu. The Perron vectors l and r of A (from
+    ``eig``) give its Gibbs chain, in which block i has mass
+    l[src[i]] A[src[i], dst[i]] r[dst[i]] / (l A r). grad D is the chain's
+    mass of each image word minus nu, and the Hessian their asymptotic
+    covariance, through the group inverse (I - P + 1 pi)^-1 - 1 pi of
+    I - P, with P the chain's transition matrix and pi its stationary
+    law. That is rho times the group inverse of rho I - A up to a
+    diagonal similarity, and unlike it stays well conditioned when lam
+    spreads the entries of A over many orders of magnitude.
 
-    Returns one (blocks, segments, left segments, right segments) per
-    level. ``blocks`` lists the level's left blocks, then its right
-    blocks, each side in ascending order. Marginals are numbered from 0
-    within their level; ``left segments`` and ``right segments`` give
-    the marginal of each left and each right block, and ``segments`` is
-    the two joined, with the right side offset by the level's marginal
-    count m. So one ``bincount`` of the gathered weights over
-    ``segments`` yields the m left sums, then the m right sums, each
-    added in ascending block order as a marginal-by-marginal sweep adds
-    them."""
+    D is affine along the directions v with v[cell] = phi[dst] - phi[src]
+    + c on every block (A moves by a diagonal similarity and the factor
+    e^c): lam -> lam + c, and the direction of any image word the piece
+    lacks, among others. A gradient along them means the piece cannot
+    carry nu, and D is returned as -inf. Newton steps solve the system
+    on the other directions by least squares. Each is halved until D
+    falls; near the optimum D moves by less than its rounding, and a
+    step that lowers |grad D| is taken instead. The solve stops once
+    |grad D| <= DUAL_TOLERANCE, once D < -DUAL_TOLERANCE, when no step
+    is taken or after NEWTON_STEPS steps, and returns D, grad D, the
+    block masses and the number of steps."""
     import numpy as np
 
-    active = ((np.bincount(src, minlength=count) > 0)
-              & (np.bincount(dst, minlength=count) > 0)).tolist()
-    earlier = [[] for _ in range(count)]
-    for a, b in zip(src.tolist(), dst.tolist()):
-        if active[a] and active[b]:
-            earlier[max(a, b)].append(min(a, b))
-    level = [-1] * count
-    for i in np.flatnonzero(active).tolist():
-        level[i] = 1 + max((level[j] for j in earlier[i]), default=-1)
-    level = np.array(level, dtype=np.intp)
-    schedule = []
-    for lev in range(int(level.max()) + 1):
-        members = level == lev
-        local = np.cumsum(members) - 1
-        left, right = members[src], members[dst]
-        lseg, rseg = local[src[left]], local[dst[right]]
-        schedule.append((np.concatenate((moving[left], moving[right])),
-                         np.concatenate((lseg, rseg + int(members.sum()))),
-                         lseg, rseg))
-    return schedule
+    m = len(nu)
 
+    def perron(a):
+        values, vectors = np.linalg.eig(a)
+        top = np.argmax(values.real)
+        return values[top].real, np.abs(vectors[:, top].real)
 
-def _sweep_marginals(q, levels):
-    """One Gauss-Seidel sweep over the marginals, level by level, in place.
+    def evaluate(lam):
+        # D ignores a shift of lam; this one keeps every weight <= 1
+        shift = lam.max()
+        weight = np.exp(lam[cell] - shift)
+        a = np.zeros((n, n))
+        a[src, dst] = weight
+        rho, right = perron(a)
+        q = perron(a.T)[1][src] * weight * right[dst]
+        q /= q.sum()
+        grad = np.bincount(cell, weights=q, minlength=m) - nu
+        return log(rho) + shift - lam @ nu, grad, q
 
-    Each marginal is rescaled so that its two sides meet at the geometric
-    mean of their sums: the left side by sqrt(b / a), the right side by
-    its inverse. A marginal with a side summing to 0 (the exponentiated
-    step can underflow a side) keeps factor 1."""
-    import numpy as np
+    def hessian(grad, q):
+        pi = np.bincount(src, weights=q, minlength=n)
+        prob = q / pi[src]
+        chain = np.zeros((n, n))
+        chain[src, dst] = prob
+        group = np.linalg.inv(np.eye(n) - chain + pi) - pi
+        # each image word's mass by suffix, and probability by prefix
+        ends = np.bincount(cell * n + dst, weights=q,
+                           minlength=m * n).reshape(m, n)
+        starts = np.bincount(cell * n + src, weights=prob,
+                             minlength=m * n).reshape(m, n)
+        cross = ends @ group @ starts.T
+        mass = grad + nu
+        return np.diag(mass) - np.outer(mass, mass) + cross + cross.T
 
-    for blocks, segments, lseg, rseg in levels:
-        weights = q[blocks]
-        sums = np.bincount(segments, weights=weights)
-        m = len(sums) // 2
-        if np.count_nonzero(sums) == len(sums):
-            factor = np.sqrt(sums[m:] / sums[:m])
+    # the directions where D is affine: the kernel of ``system`` over
+    # (v, phi, c), restricted to v
+    rows = np.arange(len(cell))
+    system = np.zeros((len(cell), m + n + 1))
+    system[rows, cell] = 1.0
+    np.add.at(system, (rows, m + src), 1.0)
+    np.add.at(system, (rows, m + dst), -1.0)
+    system[:, -1] = -1.0
+    sing, basis = np.linalg.svd(system)[1:]
+    kernel = basis[np.count_nonzero(sing > 1e-9 * sing[0]):, :m]
+    sing, basis = np.linalg.svd(kernel)[1:]
+    flat = basis[:np.count_nonzero(sing > 1e-9)]
+    curved = basis[len(flat):]
+
+    lam = np.zeros(m)
+    value, grad, q = evaluate(lam)
+    if np.abs(flat.T @ (flat @ grad)).max() > DUAL_TOLERANCE:
+        return -np.inf, grad, q, 0
+    steps = 0
+    while steps < NEWTON_STEPS:
+        gap = np.abs(grad).max()
+        if gap <= DUAL_TOLERANCE or value < -DUAL_TOLERANCE:
+            break
+        step = curved.T @ np.linalg.lstsq(
+            curved @ hessian(grad, q) @ curved.T, curved @ grad,
+            rcond=None)[0]
+        rounding = 1e-15 * (1.0 + np.abs(lam).max())
+        for halving in range(40):
+            trial = lam - step / 2 ** halving
+            point = evaluate(trial)
+            if point[0] < value or (point[0] <= value + rounding
+                                    and np.abs(point[1]).max() < gap):
+                break
         else:
-            a, b = sums[:m], sums[m:]
-            factor = np.sqrt(np.divide(b, a, out=np.ones(m),
-                                       where=(a > 0) & (b > 0)))
-        cut = len(lseg)
-        weights[:cut] *= factor[lseg]
-        weights[cut:] /= factor[rseg]
-        q[blocks] = weights
+            break
+        lam = trial
+        value, grad, q = point
+        steps += 1
+    return value, grad, q, steps
 
 
-def relative_entropy_upper_bound(t, measure, k, max_iterations=100000):
+def relative_entropy_upper_bound(t, measure, k):
     """Upper bound for the maximal entropy among measures on the domain
     pushing forward to the given Markov measure on the image presentation.
 
     Any such measure induces a weight vector q on admissible (k+1)-blocks
     of the domain that is prefix/suffix consistent and projects to the
-    image (k+1)-word measures, and its entropy is at most the conditional
-    block entropy H(x_k | x_0..x_{k-1}) of q. That functional is concave
-    (a minimum of linear functionals of q), so exponentiated-gradient
-    ascent with cyclic KL projections onto the two affine constraint
-    families converges to the relaxation's maximum, which bounds the
-    relative maximal entropy from above. Gradient: log(m(prefix)/q).
+    image (k+1)-word measures nu, and its entropy is at most the
+    conditional block entropy H(x_k | x_0..x_{k-1}) of q; the relaxation
+    maximizes that over q. By the Gibbs variational principle, weighting
+    each block by e^lam[its image word] for any lam gives the upper bound
+    D(lam) = log rho(A) - lam . nu, where A is the weighted matrix from
+    prefix to suffix k-blocks, and D is convex.
 
-    Each projection cycle rescales the marginals in the Gauss-Seidel
-    order of their k-blocks, one vectorized step per level of
-    ``_marginal_levels`` (see ``_sweep_marginals``), then every image
-    cell at once; it stops once
-    both constraint families hold within ``PROJECTION_TOLERANCE`` or
-    after ``PROJECTION_CYCLES`` cycles. ``converged`` on the result says
-    whether the final projection met the tolerance and the ascent stopped
-    before ``max_iterations``.
+    nu is ergodic, so the relaxation's supremum is attained by an ergodic
+    lift, whose blocks lie in one strongly connected piece of the pruned
+    block graph. Each piece is solved on its own (``_dual_piece``) and
+    the largest D reported. A piece whose D falls below -tolerance is
+    dropped: by weak duality one that can carry nu has D >= 0 at every
+    lam.
     """
     import numpy as np
 
@@ -550,98 +585,51 @@ def relative_entropy_upper_bound(t, measure, k, max_iterations=100000):
     def block_key(block):
         return tuple(xorder[s] for s in block)
 
-    support = _prune_support(
+    piece_of = _prune_support(
         U for U in enumerate_blocks(t.x, k + 1) if t.label_word(U) in nu)
-    blocks = sorted(support, key=block_key)
-    if not blocks:
-        raise AssertionError("image measure admits no preimage blocks")
-
-    words = sorted({t.label_word(U) for U in blocks})
-    if len(words) != len(nu):
-        raise AssertionError("image block lost all preimage blocks "
-                             "in pruning")
+    blocks = sorted(piece_of, key=block_key)
+    words = sorted(nu)
     cell_index = {w: i for i, w in enumerate(words)}
-    cell_of = np.array([cell_index[t.label_word(U)] for U in blocks],
-                       dtype=np.intp)
     targets = np.array([nu[w] for w in words])
 
-    kblocks = sorted({U[:k] for U in blocks} | {U[1:] for U in blocks},
-                     key=block_key)
-    kindex = {W: i for i, W in enumerate(kblocks)}
-    prefix_of = np.array([kindex[U[:k]] for U in blocks], dtype=np.intp)
-    suffix_of = np.array([kindex[U[1:]] for U in blocks], dtype=np.intp)
-    moving = np.flatnonzero(prefix_of != suffix_of)
-    src, dst = prefix_of[moving], suffix_of[moving]
-    levels = _marginal_levels(moving, src, dst, len(kblocks))
-
-    floor = 1e-300
-
-    def image_residual(q):
-        return float(np.abs(np.bincount(cell_of, weights=q,
-                                        minlength=len(words))
-                            - targets).max())
-
-    def marginal_residual(q):
-        flow = q[moving]
-        return float(np.abs(
-            np.bincount(src, weights=flow, minlength=len(kblocks))
-            - np.bincount(dst, weights=flow, minlength=len(kblocks))).max())
-
-    def project(q):
-        for _ in range(PROJECTION_CYCLES):
-            _sweep_marginals(q, levels)
-            totals = np.bincount(cell_of, weights=q, minlength=len(words))
-            if (totals <= 0).any():
-                raise AssertionError("projection emptied an image cell")
-            q *= (targets / totals)[cell_of]
-            np.maximum(q, floor, out=q)
-            # both families within the tolerance; the image residual is
-            # only worth taking once the marginal one passes
-            if (marginal_residual(q) < PROJECTION_TOLERANCE
-                    and image_residual(q) < PROJECTION_TOLERANCE):
-                return q, True
-        return q, False
-
-    def prefix_mass(q):
-        return np.bincount(prefix_of, weights=q,
-                           minlength=len(kblocks))[prefix_of]
-
-    def value_of(q):
-        return float(np.sum(q * np.log(prefix_mass(q) / q)))
-
-    q, converged = project(np.full(len(blocks), 1.0 / len(blocks)))
-    value = value_of(q)
-    eta = 1.0
+    pieces = {}
+    for i, U in enumerate(blocks):
+        pieces.setdefault(piece_of[U], []).append(i)
+    best = None
+    converged = True
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        grad = np.log(prefix_mass(q) / q)
-        grad -= grad.max()
-        accepted = False
-        new_value = value
-        while eta >= 1e-12:
-            trial, trial_converged = project(q * np.exp(eta * grad))
-            new_value = value_of(trial)
-            if new_value >= value - 1e-15:
-                accepted = True
-                break
-            eta /= 2
-        if not accepted:
-            break
-        improvement = new_value - value
-        q, value, converged = trial, new_value, trial_converged
-        if improvement < 1e-13:
-            break
-        eta = min(eta * 1.3, 8.0)
-    else:
-        converged = False
+    for piece in pieces.values():
+        cell = np.array([cell_index[t.label_word(blocks[i])] for i in piece],
+                        dtype=np.intp)
+        kindex = {}
+        src = np.array([kindex.setdefault(blocks[i][:k], len(kindex))
+                        for i in piece], dtype=np.intp)
+        dst = np.array([kindex.setdefault(blocks[i][1:], len(kindex))
+                        for i in piece], dtype=np.intp)
+        value, grad, q, steps = _dual_piece(cell, src, dst, len(kindex),
+                                            targets)
+        iterations += steps
+        if value < -DUAL_TOLERANCE:
+            continue
+        converged = converged and np.abs(grad).max() <= DUAL_TOLERANCE
+        if best is None or value > best[0]:
+            best = (value, grad, q, piece, src, dst, len(kindex))
+    if best is None:
+        raise AssertionError("no piece of the block graph carries the "
+                             "image measure")
 
-    optimizer = {U: float(q[i]) for i, U in enumerate(blocks)}
+    value, grad, q, piece, src, dst, n = best
+    weights = np.zeros(len(blocks))
+    weights[piece] = q
+    marginal = np.abs(np.bincount(src, weights=q, minlength=n)
+                      - np.bincount(dst, weights=q, minlength=n)).max()
     return RelativeEntropyBound(
-        k=k, value=value, optimizer=optimizer,
-        residuals={"image": image_residual(q),
-                   "marginal": marginal_residual(q)},
-        iterations=iterations, converged=converged,
-        tolerance=PROJECTION_TOLERANCE)
+        k=k, value=float(value),
+        optimizer=dict(zip(blocks, weights.tolist())),
+        residuals={"image": float(np.abs(grad).max()),
+                   "marginal": float(marginal)},
+        iterations=iterations, converged=bool(converged),
+        tolerance=DUAL_TOLERANCE)
 
 
 def uniform_conditional_diagnostic(t, bound):

@@ -22,6 +22,7 @@ from factorcode import (
     exact_forward_sweep,
     fixtures,
     make_sft,
+    markov_measure,
     orbit_measure,
     parry_measure,
     parse_measure,
@@ -62,6 +63,33 @@ def image_measure(t, kind):
         text = fixtures.load_text("fix_e_orbit01.measure")
         return pres, parse_measure(text, pres.x)
     raise ValueError(kind)
+
+
+def closed_class_measure(x, rows):
+    """The Markov measure on the SFT ``x`` with the kernel entries
+    ``rows`` ({(s, t): p}) on a closed class; every other state steps
+    along a shortest path into the class (to its first successor in
+    breadth-first order from the class), so the class is the only closed
+    one. perfbench/pool.py builds its orbit measures the same way."""
+    kernel = dict(rows)
+    frontier = list(dict.fromkeys(s for s, _ in rows))
+    seen = set(frontier)
+    for v in frontier:
+        for u in x.symbols:
+            if u not in seen and x.allows(u, v):
+                seen.add(u)
+                kernel[(u, v)] = 1.0
+                frontier.append(u)
+    return markov_measure(x, kernel)
+
+
+def measure_text(measure):
+    """The text of a measure file for a Markov measure."""
+    states = measure.base.symbols
+    return "states: %s\n" % " ".join(states) + "".join(
+        "row %s: %s\n" % (s, " ".join(repr(measure.kernel.get((s, u), 0.0))
+                                       for u in states))
+        for s in states)
 
 
 def all_words(x, n):
@@ -575,10 +603,11 @@ def random_code(rng, n, reducible):
 
 def ref_relative_entropy_upper_bound(t, measure, k,
                                      max_iterations=100000):
-    """The relative entropy relaxation with the sequential solver: one
+    """The relative entropy relaxation solved in the primal, by
+    exponentiated-gradient ascent with cyclic KL projections: one
     Python-level sum per constraint, marginal by marginal in k-block
-    order (Gauss-Seidel), then cell by cell. The library's level-scheduled
-    sweep must reproduce its iterates up to summation order."""
+    order (Gauss-Seidel), then cell by cell. Where its residuals are
+    small, the library's dual solve must reach the same value."""
     if k < 1:
         raise ValueError("k must be >= 1")
     pres = sofic_image(t).triple

@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import factorcode
-from conftest import image_measure, random_code
+from conftest import (closed_class_measure, image_measure, measure_text,
+                      random_code)
 from factorcode import (cli, codes, fiber, fixtures, graphs, measures,
-                        triple_to_text)
+                        sofic_image, triple_to_text)
 
 FIXDIR = Path(factorcode.__file__).parent / "fixtures"
 GOLDEN = (1 + sqrt(5)) / 2
@@ -59,7 +60,10 @@ def test_json_envelope_and_check_summary():
     assert result["presentation_states"] == 2
 
 
-def test_output_is_byte_identical_across_interpreter_hash_seeds():
+def test_output_is_byte_identical_across_interpreter_hash_seeds(tmp_path):
+    parry = tmp_path / "fix_e_parry.measure"
+    parry.write_text(measure_text(image_measure(fixtures.load("fix_e"),
+                                                "parry")[1]))
     calls = [
         ("check", fixture_path("fix_e")),
         ("classdegree", fixture_path("fix_e")),
@@ -69,6 +73,8 @@ def test_output_is_byte_identical_across_interpreter_hash_seeds():
          "--interval", "0", "3"),
         ("bound", fixture_path("fix_c"),
          "--measure", fixture_path("fix_c_point", ".measure"), "--k", "2"),
+        # takes Newton steps, where fix_c takes none
+        ("bound", fixture_path("fix_e"), "--measure", str(parry), "--k", "2"),
         ("recode", fixture_path("fix_b"), "--n", "2"),
     ]
     for argv in calls:
@@ -226,7 +232,8 @@ def test_bound_command_reports_value_pqs_and_diagnostic():
     assert result["residuals"]["image"] < 1e-10
     assert result["residuals"]["marginal"] < 1e-10
     assert result["diagnostic"] <= 1e-8
-    assert result["iterations"] >= 1
+    # lam = 0 is already optimal: the fiber is the full 2-shift
+    assert result["iterations"] == 0
     assert result["converged"] is True
     assert result["tolerance"] == 1e-12
     bits = run_json(
@@ -351,23 +358,43 @@ def test_internal_errors_exit_4_on_one_line(error, monkeypatch, capsys):
 
 def test_bound_short_of_its_tolerance_exits_5_with_the_report(
         monkeypatch, tmp_path, capsys):
-    pres, parry = image_measure(fixtures.load("fix_e"), "parry")
-    states = pres.x.symbols
     measure = tmp_path / "fix_e_parry.measure"
-    measure.write_text("states: %s\n" % " ".join(states) + "".join(
-        "row %s: %s\n" % (s, " ".join(repr(parry.kernel.get((s, u), 0.0))
-                                       for u in states))
-        for s in states))
+    measure.write_text(measure_text(image_measure(fixtures.load("fix_e"),
+                                                  "parry")[1]))
     argv = ["bound", fixture_path("fix_e"), "--measure", str(measure),
             "--k", "1"]
     assert cli.main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["result"]["converged"] is True
-    monkeypatch.setattr(measures, "PROJECTION_CYCLES", 1)
+    converged = json.loads(capsys.readouterr().out)["result"]
+    assert converged["converged"] is True
+    monkeypatch.setattr(measures, "NEWTON_STEPS", 1)
     assert cli.main(argv) == 5
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["converged"] is False
     assert result["tolerance"] == 1e-12
-    assert result["residuals"]["marginal"] >= 1e-12
+    assert result["residuals"]["image"] >= 1e-12
+    # still an upper bound, only a looser one
+    assert result["value"] >= converged["value"]
+
+
+@pytest.mark.parametrize("name, cycle", [
+    ("fix_d", ("a", "c", "d")),
+    ("fix_g", ("p", "p+q", "t")),
+])
+def test_bound_over_a_degenerate_orbit_measure_converges_to_zero(
+        name, cycle, tmp_path, capsys):
+    """The fiber over these presentation cycles carries no entropy, and
+    the dual reaches its infimum 0 only as lam diverges."""
+    pres = sofic_image(fixtures.load(name)).triple
+    rows = {(s, cycle[(i + 1) % len(cycle)]): 1.0
+            for i, s in enumerate(cycle)}
+    measure = tmp_path / "orbit.measure"
+    measure.write_text(measure_text(closed_class_measure(pres.x, rows)))
+    for k in (1, 2, 3):
+        argv = ["bound", fixture_path(name), "--measure", str(measure),
+                "--k", str(k)]
+        assert cli.main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert -1e-12 <= result["value"] <= 1e-11
 
 
 def test_main_called_repeatedly_prints_what_fresh_processes_print():
@@ -457,13 +484,14 @@ def test_one_phase_graph_per_point_per_command(argv, words, monkeypatch,
     (["fiber", fixture_path("fix_e"), "--y", "0", "1"], 4),
     (["sync", fixture_path("fix_e"), "--y", "0", "1",
       "--interval", "0", "3"], 2),
-    (["extract", fixture_path("fix_e"), "--y", "0", "1"], 5),
+    (["extract", fixture_path("fix_e"), "--y", "0", "1"], 4),
 ])
 def test_tarjan_passes_per_command(argv, passes, monkeypatch, capsys):
     """One pass essentializes the triple and one per phase graph gives
     its cyclic components, walk depths and pruned part. fiber and
-    extract add one per cover (class period and doubling check), and
-    extract one for the depths of its transient vertices."""
+    extract add one per cover (class period and doubling check); extract
+    takes the depths of its transient vertices from the order of the
+    cover's pass."""
     calls = []
 
     def count(adj):
