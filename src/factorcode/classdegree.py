@@ -228,19 +228,21 @@ def _walk(pres, start, word):
     return path
 
 
-def _close_word(pres, word):
+def _close_word(pres, cyclic, word):
     """Extend an image word into a periodic image point containing it.
 
     ``pres`` is the image presentation, or its part on the support of a
-    measure. A word embeds in a periodic point iff it can be presented
-    inside a single strongly connected piece of that graph; the subset
-    construction may also present it along transient states, from which
-    no closed walk returns. So each cyclic component is tried in turn:
-    present the word inside it, then return from the final state to the
-    initial one along a shortest state walk. The labels along the closed
-    walk give the periodic point, whose window [0, L) equals the word."""
+    measure, and ``cyclic`` its nontrivial strongly connected components
+    in Tarjan emission order. A word embeds in a periodic point iff it
+    can be presented inside a single strongly connected piece of that
+    graph; the subset construction may also present it along transient
+    states, from which no closed walk returns. So each cyclic component
+    is tried in turn: present the word inside it, then return from the
+    final state to the initial one along a shortest state walk. The
+    labels along the closed walk give the periodic point, whose window
+    [0, L) equals the word."""
     succ = pres.x.successor_map
-    for comp in graphs.nontrivial_components(succ):
+    for comp in cyclic:
         members = set(comp)
         for start in pres.preimage_map.get(word[0], ()):
             path = _walk(pres, start, word)
@@ -257,8 +259,9 @@ def _close_word(pres, word):
 
 
 def _count_classes_over(t, y):
-    from .fiber import build_fiber_graph, transition_classes
-    return transition_classes(build_fiber_graph(t, y)).class_count
+    """Transition classes over y, counted on its class cover alone."""
+    from .fiber import build_fiber_graph, class_cover
+    return len(class_cover(build_fiber_graph(t, y)).cyclic)
 
 
 def _pad_to_interior(t, word, index):
@@ -277,10 +280,10 @@ def _pad_to_interior(t, word, index):
     return tuple(word), index
 
 
-def _depth_search(t, horizon, words_of_length, seed_word, pres):
+def _depth_search(t, horizon, words_of_length, seed_word, pres, cyclic):
     """Shared search core for the plain and measure-restricted variants;
     candidates are closed into periodic points on the presentation
-    ``pres``."""
+    ``pres``, whose cyclic components are ``cyclic``."""
     best = None
     failed = set()
     top_length = 0
@@ -298,7 +301,7 @@ def _depth_search(t, horizon, words_of_length, seed_word, pres):
         return False
 
     def certify():
-        y = _close_word(pres, best[1])
+        y = _close_word(pres, cyclic, best[1])
         if y is None:
             return None
         count = _count_classes_over(t, y)
@@ -356,8 +359,9 @@ def find_minimal_transition_block(t, horizon=8):
         raise PreconditionError("image shift is not certified irreducible")
     witness = d_star(t)
     seed_word, _ = _pad_to_interior(t, witness.word, witness.index)
+    image = sofic_image(t)
     return _depth_search(t, horizon, lambda n: image_blocks(t, n),
-                         seed_word, sofic_image(t).triple)
+                         seed_word, image.triple, image.cyclic)
 
 
 def class_count_for_measure(t, measure, horizon=8):
@@ -374,4 +378,5 @@ def class_count_for_measure(t, measure, horizon=8):
     support = sub_triple(pres, keep, (e for e in measure.kernel
                                       if e[0] in keep and e[1] in keep))
     return _depth_search(t, horizon, lambda n: image_blocks(support, n),
-                         None, support)
+                         None, support,
+                         graphs.nontrivial_components(support.x.successor_map))

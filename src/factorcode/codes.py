@@ -380,12 +380,15 @@ class SoficImage:
     construction from the full one-symbol preimage sets, essentialized.
     ``triple`` presents the image: its SFT walks the state graph and its
     labels read off the presented image symbols. ``members`` maps each
-    state name back to the underlying symbol subset.
+    state name back to the underlying symbol subset. One Tarjan pass over
+    the presentation gives ``cyclic``, its nontrivial strongly connected
+    components in emission order, and ``irreducible``.
     """
 
     triple: FactorTriple
     members: dict
     irreducible: bool
+    cyclic: tuple
 
 
 @per_triple
@@ -420,8 +423,10 @@ def sofic_image(t):
     used = set(label.values())
     triple = FactorTriple(sft, label,
                           tuple(c for c in t.y_alphabet if c in used))
-    return SoficImage(triple, members,
-                      graphs.is_strongly_connected(sft.adjacency()))
+    components = graphs.strongly_connected_components(sft.successor_map)
+    return SoficImage(triple, members, len(components) == 1,
+                      tuple(c for c in components
+                            if graphs.is_cyclic(sft.successor_map, c)))
 
 
 def image_irreducible(t):

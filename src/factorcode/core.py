@@ -92,10 +92,6 @@ class Sft:
     def allows(self, a, b):
         return (a, b) in self.transitions
 
-    def adjacency(self):
-        """Adjacency dict in symbol order, for the graph helpers."""
-        return {s: list(self.successor_map[s]) for s in self.symbols}
-
     def admits_word(self, word):
         """Whether a finite symbol sequence is a block of the shift."""
         if not word:
@@ -113,6 +109,12 @@ class Sft:
     def is_essential(self):
         return all(self.successor_map[s] and self.predecessor_map[s]
                    for s in self.symbols)
+
+    @cached_property
+    def is_irreducible(self):
+        """Strong connectivity, from one Tarjan pass."""
+        return len(graphs.strongly_connected_components(
+            self.successor_map)) == 1
 
 
 def make_sft(symbols, edges):
@@ -267,7 +269,7 @@ def essentialize(x):
     """Largest essential sub-SFT: the symbols on some bi-infinite walk,
     each of which keeps a successor and a predecessor inside it. Raises
     EmptyShiftError when nothing survives."""
-    alive = graphs.bi_essential_nodes(x.adjacency())
+    alive = graphs.bi_essential_nodes(x.successor_map)
     if not alive:
         raise EmptyShiftError("empty shift")
     symbols = tuple(s for s in x.symbols if s in alive)
@@ -283,7 +285,7 @@ def essentialize_triple(t):
 
 def is_irreducible(x):
     """Irreducibility of an essential SFT = strong connectivity."""
-    return graphs.is_strongly_connected(x.adjacency())
+    return x.is_irreducible
 
 
 def _parse_pair(token, lineno, kind):
@@ -400,7 +402,6 @@ def enumerate_blocks(x, n):
     """All n-blocks of an essential SFT, lexicographic in symbol order."""
     if n < 1:
         raise ValueError("block length must be >= 1")
-    order = {s: i for i, s in enumerate(x.symbols)}
     out = []
 
     def extend(prefix):
@@ -412,7 +413,7 @@ def enumerate_blocks(x, n):
             extend(prefix)
             prefix.pop()
 
-    for s in sorted(x.symbols, key=order.get):
+    for s in x.symbols:
         extend([s])
     return out
 

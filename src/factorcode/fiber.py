@@ -97,10 +97,8 @@ def _phase_graph(t, word):
         nxt = (k + 1) % p
         adjacency[(s, k)] = [(u, nxt) for u in
                              t.successors_by_label[s].get(word[nxt], ())]
-    order = graphs.strongly_connected_components(adjacency)
+    order, fwd, back = graphs.depth_pass(adjacency)
     cyclic = tuple(c for c in order if graphs.is_cyclic(adjacency, c))
-    fwd = graphs.walk_depths(adjacency, order)
-    back = graphs.walk_depths(graphs.invert(adjacency), order[::-1])
     pruned = frozenset(v for v in vertices
                        if fwd[v] is None and back[v] is None)
     depths = tuple({v: inf if d is None else d for v, d in side.items()}
@@ -190,9 +188,13 @@ class TransitionClassReport:
     class_match: dict
 
 
-def transition_classes(g):
-    """Transition classes over the point presented by fiber graph ``g``."""
-    t = g.triple
+def class_cover(g):
+    """Cover of the pruned phase graph of fiber graph ``g`` at the class
+    period P, the lcm of the cyclicities of its cyclic components: its
+    cyclic components are the transition classes. Raises
+    PreconditionError, before building anything, when the cover at 2P
+    that ``transition_classes`` certifies against would exceed
+    ``COVER_VERTEX_BUDGET`` vertices."""
     p = g.period
     cyclicities = [graphs.component_cyclicity(g.adjacency, comp)
                    for comp in g.cyclic]
@@ -202,7 +204,15 @@ def transition_classes(g):
         raise PreconditionError(
             "unrolling the fiber to period %d needs %d vertices, over the "
             "limit of %d" % (big_p, size, COVER_VERTEX_BUDGET))
-    cover = _unrolled(t, g.word, big_p)
+    return _unrolled(g.triple, g.word, big_p)
+
+
+def transition_classes(g):
+    """Transition classes over the point presented by fiber graph ``g``."""
+    t = g.triple
+    p = g.period
+    cover = class_cover(g)
+    big_p = cover.period
     adj_p = cover.adjacency
 
     xorder = {s: i for i, s in enumerate(t.x.symbols)}
@@ -503,99 +513,71 @@ def extract_transition_block(t, y):
     n2 = 1 + max(depths.values(), default=-1)
 
     def step(frontier):
-        nxt = set()
-        for v in frontier:
-            nxt.update(adj[v])
-        return nxt
+        return {w for v in frontier for w in adj[v]}
 
-    # seeds: non-transient vertices at times 0..n2, grouped by class
-    names = [cls.name for cls in report.classes]
-    seeds = {name: [] for name in names}
+    # seeds: non-transient vertices at times 0..n2. Each keeps one
+    # frontier, the vertices its walks reach at the current time, and is
+    # stepped once per time
+    frontiers = []
     for time in range(n2 + 1):
-        for v in adj:
-            if v[1] == time % big_p and v in class_match:
-                seeds[class_match[v]].append((v, time))
-    for name in names:
-        if not seeds[name]:
-            raise AssertionError("class without early seed vertices")
-    scc_vertices = {cls.name: cls.vertices for cls in report.classes}
+        frontiers = [(name, step(f)) for name, f in frontiers]
+        frontiers += [(class_match[v], {v}) for v in adj
+                      if v[1] == time % big_p and v in class_match]
+    names = [cls.name for cls in report.classes]
+    if {name for name, _ in frontiers} != set(names):
+        raise AssertionError("class without early seed vertices")
 
     max_n3 = n2 + 1 + 4 * big_p * (len(adj) + 1)
     dp_budget = len(adj) * (2 ** len(names)) + 2 * big_p + 8
 
-    chosen = None
+    early = None
     for n3 in range(n2 + 1, max_n3 + 1):
-        targets = {}
-        for name in names:
-            candidates = sorted(
-                (v for v in scc_vertices[name] if v[1] == n3 % big_p),
-                key=lambda v: xorder[v[0]])
-            pick = None
-            for cand in candidates:
-                ok = True
-                for v, time in seeds[name]:
-                    frontier = {v}
-                    for _ in range(n3 - time):
-                        frontier = step(frontier)
-                    if cand not in frontier:
-                        ok = False
-                        break
-                if ok:
-                    pick = cand
-                    break
-            if pick is None:
-                targets = None
-                break
-            targets[name] = pick
-        if targets is None:
+        # stage 2: per class, the first vertex in symbol order that every
+        # seed of the class reaches at time n3
+        frontiers = [(name, step(f)) for name, f in frontiers]
+        reached = {cls.name: cls.vertices for cls in report.classes}
+        for name, f in frontiers:
+            reached[name] = reached[name] & f
+        if not all(reached.values()):
             continue
+        targets = {name: min(vs, key=lambda v: xorder[v[0]])
+                   for name, vs in reached.items()}
 
-        # stage 3: product sweep over (vertex, collected class set)
-        states = {(v, frozenset([class_match[v]] if v in class_match else ()))
-                  for v in adj if v[1] == 0}
-        time = 0
-        while time < n2:
-            time += 1
-            nxt = set()
-            for v, collected in states:
-                for w in adj[v]:
-                    extra = class_match.get(w)
-                    nxt.add((w, collected | {extra}) if extra
-                            else (w, collected))
-            states = nxt
-        if any(not collected for _, collected in states):
-            raise AssertionError("preimage path with no early class visit")
-
-        b_front = {name: {targets[name]} for name in names}
-        b_time = n3
-        found_n4 = None
-        while b_time - n3 <= dp_budget:
-            while time < b_time:
+        # stage 3: product sweep over (vertex, collected class set), run
+        # to n2 once; every attempt advances it from there
+        if early is None:
+            early = {(v, frozenset([class_match[v]] if v in class_match
+                                   else ()))
+                     for v in adj if v[1] == 0}
+            for _ in range(n2):
+                early = {(w, collected | {class_match[w]}
+                          if w in class_match else collected)
+                         for v, collected in early for w in adj[v]}
+            if any(not collected for _, collected in early):
+                raise AssertionError(
+                    "preimage path with no early class visit")
+        states, time = early, n2
+        b_front = {name: step({v}) for name, v in targets.items()}
+        for n4 in range(n3 + 1, n3 + dp_budget + 1):
+            while time < n4:
                 time += 1
                 states = {(w, collected) for v, collected in states
                           for w in adj[v]}
-            if b_time > n3:
-                good = all(
-                    any(v in b_front[name] for name in collected)
-                    for v, collected in states)
-                if good:
-                    found_n4 = b_time
-                    break
-            for name in names:
-                b_front[name] = step(b_front[name])
-            b_time += 1
-        if found_n4 is None:
+            if all(any(v in b_front[name] for name in collected)
+                   for v, collected in states):
+                break
+            b_front = {name: step(f) for name, f in b_front.items()}
+        else:
+            # no merge within the budget: try the next n3
             continue
-        chosen = (n3, found_n4, targets)
         break
-    if chosen is None:
+    else:
         raise RuntimeError("transition block extraction exhausted its caps")
 
-    n3, n4, targets = chosen
     radius = _synchronizing_radius(g, (0, n4))
     window = tuple(PeriodicPoint(report.word).window(-radius, n4 + radius))
     index = n3 + radius
-    symbols = frozenset(targets[name][0] for name in names)
+    symbols = frozenset(v[0] for v in targets.values())
     if len(symbols) != len(names):
         raise AssertionError("routing targets share a symbol")
     block = transition_block(t, window, index, symbols)

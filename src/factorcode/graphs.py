@@ -131,13 +131,6 @@ def shortest_walk(adj, source, target, members):
     return walk
 
 
-def is_strongly_connected(adj):
-    if not adj:
-        return False
-    comps = strongly_connected_components(adj)
-    return len(comps) == 1
-
-
 def component_cyclicity(adj, component):
     """gcd of the cycle lengths inside one strongly connected component.
 
@@ -168,19 +161,6 @@ def component_cyclicity(adj, component):
     return g
 
 
-def bi_essential_nodes(adj):
-    """Nodes lying on some bi-infinite walk.
-
-    A node qualifies iff it is reachable from a cycle and reaches a cycle,
-    which is exactly membership in the closed hull of the nontrivial SCCs.
-    """
-    cyc = set().union(*nontrivial_components(adj))
-    starts = [u for u in adj if u in cyc]
-    fwd = reachable_from(adj, starts)
-    bwd = reachable_from(invert(adj), starts)
-    return {u for u in adj if u in fwd and u in bwd}
-
-
 def walk_depths(adj, order=None):
     """Length of the longest walk starting at each node, or None where
     walks are unbounded because the node reaches a cycle.
@@ -207,3 +187,20 @@ def walk_depths(adj, order=None):
             best = max(best, depth[v] + 1)
         depth[u] = best
     return depth
+
+
+def depth_pass(adj):
+    """Everything one Tarjan pass gives: the components of ``adj`` in
+    emission order (each after every component it reaches), and the
+    forward and backward walk depths (``walk_depths`` of ``adj`` along
+    that order and of its inverse along the reverse)."""
+    order = strongly_connected_components(adj)
+    return (order, walk_depths(adj, order),
+            walk_depths(invert(adj), order[::-1]))
+
+
+def bi_essential_nodes(adj):
+    """Nodes lying on some bi-infinite walk: both their walk depths are
+    unbounded, since they reach a cycle and a cycle reaches them."""
+    _, fwd, back = depth_pass(adj)
+    return {u for u in adj if fwd[u] is None and back[u] is None}

@@ -16,7 +16,7 @@ do not pay for importing it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from math import isfinite, log
 
 from . import graphs
 from .core import (MeasureParseError, PeriodicPoint, PreconditionError,
@@ -74,10 +74,11 @@ def markov_measure(base, kernel):
     """Validate a transition kernel and compute its stationary measure.
 
     Every state needs a row summing to 1 within 1e-9 (rows are then
-    renormalized exactly); positive entries must sit on transitions of the
-    base shift. The positive part of the kernel must have a unique closed
-    communicating class, so the stationary measure is unique and ergodic;
-    otherwise PreconditionError is raised.
+    renormalized exactly); entries must be finite and non-negative, and
+    positive ones must sit on transitions of the base shift. The positive
+    part of the kernel must have a unique closed communicating class, so
+    the stationary measure is unique and ergodic; otherwise
+    PreconditionError is raised.
     """
     import numpy as np
 
@@ -85,6 +86,9 @@ def markov_measure(base, kernel):
     for (s, t), p in kernel.items():
         if s not in base.symbol_set or t not in base.symbol_set:
             raise ValueError("kernel entry on unknown states %r -> %r"
+                             % (s, t))
+        if not isfinite(p):
+            raise ValueError("non-finite kernel probability for %r -> %r"
                              % (s, t))
         if p < 0:
             raise ValueError("negative kernel probability for %r -> %r"
@@ -198,6 +202,10 @@ def parse_measure(text, base):
                     raise MeasureParseError(
                         "line %d: invalid probability %r"
                         % (lineno, token)) from None
+                if not isfinite(p):
+                    raise MeasureParseError(
+                        "line %d: non-finite probability %r"
+                        % (lineno, token))
                 if p < 0:
                     raise MeasureParseError("line %d: negative probability"
                                             % lineno)

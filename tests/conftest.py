@@ -28,9 +28,11 @@ from factorcode import (
     parse_measure,
     primitive_root,
     sofic_image,
+    transition_classes,
 )
 from factorcode import graphs
 from factorcode.core import FactorTriple, enumerate_blocks, sub_triple
+from factorcode.fiber import _unrolled
 from factorcode.measures import (_positive_word_measures, _prune_support,
                                  _require_presentation_measure)
 
@@ -250,10 +252,106 @@ def ref_unrolled(t, word, m):
     adj = {(s, k): [(u, (k + 1) % n) for u in
                     t.successors_by_label[s].get(word[(k + 1) % n], ())]
            for s, k in vertices}
-    pruned = graphs.bi_essential_nodes(adj)
+    pruned = ref_bi_essential_nodes(adj)
     pruned_adj = {v: [w for w in adj[v] if w in pruned]
                   for v in vertices if v in pruned}
     return pruned_adj, graphs.strongly_connected_components(pruned_adj)
+
+
+def ref_bi_essential_nodes(adj):
+    """Nodes on some bi-infinite walk by reachability: those reachable
+    from a cycle that also reach a cycle, i.e. the closed hull of the
+    nontrivial strongly connected components."""
+    cyc = set().union(*graphs.nontrivial_components(adj))
+    starts = [u for u in adj if u in cyc]
+    fwd = graphs.reachable_from(adj, starts)
+    bwd = graphs.reachable_from(graphs.invert(adj), starts)
+    return {u for u in adj if u in fwd and u in bwd}
+
+
+def ref_extract_stages(t, y):
+    """(n2, n3, n4, targets) of stages 1-3 of
+    ``fiber.extract_transition_block`` by the direct stage loop: every
+    routing candidate re-steps every seed from the seed's own time, and
+    every attempt reruns the product sweep from time 0."""
+    g = build_fiber_graph(t, y)
+    report = transition_classes(g)
+    big_p = report.unrolled_period
+    cover = _unrolled(t, g.word, big_p)
+    adj = cover.adjacency
+    xorder = {s: i for i, s in enumerate(t.x.symbols)}
+    class_match = report.class_match
+
+    transient_sub = {v: [w for w in adj[v] if w not in class_match]
+                     for v in adj if v not in class_match}
+    depths = graphs.walk_depths(transient_sub)
+    n2 = 1 + max(depths.values(), default=-1)
+
+    def step(frontier):
+        return {w for v in frontier for w in adj[v]}
+
+    names = [cls.name for cls in report.classes]
+    seeds = {name: [] for name in names}
+    for time in range(n2 + 1):
+        for v in adj:
+            if v[1] == time % big_p and v in class_match:
+                seeds[class_match[v]].append((v, time))
+    scc_vertices = {cls.name: cls.vertices for cls in report.classes}
+    max_n3 = n2 + 1 + 4 * big_p * (len(adj) + 1)
+    dp_budget = len(adj) * (2 ** len(names)) + 2 * big_p + 8
+
+    for n3 in range(n2 + 1, max_n3 + 1):
+        targets = {}
+        for name in names:
+            candidates = sorted(
+                (v for v in scc_vertices[name] if v[1] == n3 % big_p),
+                key=lambda v: xorder[v[0]])
+            pick = None
+            for cand in candidates:
+                ok = True
+                for v, time in seeds[name]:
+                    frontier = {v}
+                    for _ in range(n3 - time):
+                        frontier = step(frontier)
+                    if cand not in frontier:
+                        ok = False
+                        break
+                if ok:
+                    pick = cand
+                    break
+            if pick is None:
+                targets = None
+                break
+            targets[name] = pick
+        if targets is None:
+            continue
+
+        states = {(v, frozenset([class_match[v]] if v in class_match
+                                else ()))
+                  for v in adj if v[1] == 0}
+        time = 0
+        while time < n2:
+            time += 1
+            states = {(w, collected | {class_match[w]}
+                       if w in class_match else collected)
+                      for v, collected in states for w in adj[v]}
+        assert all(collected for _, collected in states)
+
+        b_front = {name: {targets[name]} for name in names}
+        b_time = n3
+        while b_time - n3 <= dp_budget:
+            while time < b_time:
+                time += 1
+                states = {(w, collected) for v, collected in states
+                          for w in adj[v]}
+            if b_time > n3 and all(
+                    any(v in b_front[name] for name in collected)
+                    for v, collected in states):
+                return n2, n3, b_time, targets
+            for name in names:
+                b_front[name] = step(b_front[name])
+            b_time += 1
+    return None
 
 
 def brute_window_blocks(t, y, interval):
@@ -506,7 +604,7 @@ def ref_close_word(pres, word):
     """``classdegree._close_word`` as a frozenset sweep through the part
     (``sub_triple``) of the presentation on each cyclic component in
     turn, from the first start state that carries the word there."""
-    adj = pres.x.adjacency()
+    adj = pres.x.successor_map
     for comp in graphs.nontrivial_components(adj):
         members = set(comp)
         piece = sub_triple(pres, members, ((a, b) for a in comp

@@ -253,10 +253,10 @@ def test_transient_state_in_presentation_still_certifies():
 
 def test_close_word_matches_the_sub_triple_oracle():
     """``_close_word`` walks the presentation itself inside each cyclic
-    component; the oracle sweeps a ``sub_triple`` copy of each component.
-    Both must give the same point, or None, for every image word of
-    length 3-5 of the fixtures' presentations, their measure supports and
-    reducible random codes."""
+    component it is given; the oracle sweeps a ``sub_triple`` copy of
+    each component. Both must give the same point, or None, for every
+    image word of length 3-5 of the fixtures' presentations, their
+    measure supports and reducible random codes."""
     presentations = [sofic_image(fixtures.load(name)).triple
                      for name in FIXTURE_NAMES]
     for name, kind in MEASURE_PAIRS:
@@ -275,11 +275,11 @@ def test_close_word_matches_the_sub_triple_oracle():
     results = []
     starts_outside = 0
     for pres in presentations:
-        cyclic = set().union(
-            *graphs.nontrivial_components(pres.x.adjacency()))
+        components = graphs.nontrivial_components(pres.x.successor_map)
+        cyclic = set().union(*components)
         for n in (3, 4, 5):
             for word in image_blocks(pres, n):
-                got = _close_word(pres, word)
+                got = _close_word(pres, components, word)
                 assert got == ref_close_word(pres, word)
                 results.append(got)
                 first = next(s for s in pres.preimage_map[word[0]]

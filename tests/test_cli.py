@@ -219,6 +219,16 @@ def test_non_ergodic_measure_fails_the_precondition(tmp_path):
     assert proc.stderr.strip() == "error: measure not ergodic"
 
 
+def test_non_finite_probability_exits_1(tmp_path):
+    # nan used to be read as 0 and the report printed with exit 0
+    bad = tmp_path / "nan.measure"
+    bad.write_text("states: 0 1\nrow 0: 0.5 0.5\nrow 1: 1 nan\n")
+    proc = run_cli("entropy", fixture_path("fix_a"), "--measure", str(bad))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: line 3: non-finite probability 'nan'\n"
+
+
 def test_bound_command_reports_value_pqs_and_diagnostic():
     envelope = run_json(
         "bound", fixture_path("fix_c"),
@@ -480,29 +490,71 @@ def test_one_phase_graph_per_point_per_command(argv, words, monkeypatch,
     assert covers == ([] if argv[0] == "sync" else [2, 4])
 
 
+def test_class_degree_certificate_reads_only_the_class_cover(monkeypatch,
+                                                             capsys):
+    """The certificate counts the cyclic components of the cover at the
+    class period: it builds no transition class report and no cover for
+    the doubling check. fix_e closes its witness into (011)^inf, whose
+    class period is twice its period."""
+    covers = []
+
+    def lift(period, *args):
+        covers.append(period)
+        return real_cover(period, *args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("transition class report built")
+
+    real_cover = fiber.PhaseCover
+    monkeypatch.setattr(fiber, "PhaseCover", lift)
+    monkeypatch.setattr(fiber, "TransitionClassReport", refuse)
+    assert cli.main(["classdegree", fixture_path("fix_e")]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["certified"]
+    assert covers == [6]
+
+
 @pytest.mark.parametrize("argv, passes", [
     (["fiber", fixture_path("fix_e"), "--y", "0", "1"], 4),
     (["sync", fixture_path("fix_e"), "--y", "0", "1",
       "--interval", "0", "3"], 2),
     (["extract", fixture_path("fix_e"), "--y", "0", "1"], 4),
+    (["check", fixture_path("fix_e")], 4),
+    (["degree", fixture_path("fix_a")], 2),
+    (["classdegree", fixture_path("fix_e")], 6),
+    (["classdegree", fixture_path("fix_a"), "--measure",
+      fixture_path("fix_a_parry", ".measure")], 7),
 ])
 def test_tarjan_passes_per_command(argv, passes, monkeypatch, capsys):
-    """One pass essentializes the triple and one per phase graph gives
-    its cyclic components, walk depths and pruned part. fiber and
-    extract add one per cover (class period and doubling check); extract
-    takes the depths of its transient vertices from the order of the
-    cover's pass."""
-    calls = []
+    """Every graph pays for one Tarjan pass. One essentializes the
+    triple, one prunes the subset automaton into the image presentation
+    and one gives the presentation's cyclic components and
+    irreducibility, which the domain keeps from its own pass. Each phase
+    graph takes its cyclic components, walk depths and pruned part from
+    one pass; fiber and extract add one per cover (class period and
+    doubling check), the class degree certificate only the one at the
+    class period, and extract takes the depths of its transient vertices
+    from the order of the cover's pass. A measure adds one to find its
+    closed class and one for the components of its support. Only the
+    finite-to-one test searches by reachability."""
+    calls, sweeps = [], []
 
     def count(adj):
         calls.append(len(adj))
         return real(adj)
 
+    def sweep(adj, starts):
+        sweeps.append(sys._getframe(1).f_code.co_name)
+        return real_sweep(adj, starts)
+
     real = graphs.strongly_connected_components
+    real_sweep = graphs.reachable_from
     monkeypatch.setattr(graphs, "strongly_connected_components", count)
+    monkeypatch.setattr(graphs, "reachable_from", sweep)
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert len(calls) == passes
+    assert set(sweeps) <= {"is_finite_to_one"}
+    assert bool(sweeps) == (argv[0] in ("check", "degree"))
 
 
 def cycles_triple(lengths):

@@ -38,7 +38,7 @@ def test_sft_neighbor_maps():
     assert x.predecessors("0") == ("0", "1")
     assert x.predecessors("1") == ("0",)
     assert x.allows("0", "1") and not x.allows("1", "1")
-    assert x.adjacency() == {"0": ["0", "1"], "1": ["0"]}
+    assert x.successor_map == {"0": ("0", "1"), "1": ("0",)}
 
 
 def test_sft_admits_word_and_cycle():

@@ -14,6 +14,8 @@ from conftest import (
     brute_window_blocks_at_radius,
     random_code,
     random_triple,
+    ref_bi_essential_nodes,
+    ref_extract_stages,
     ref_unrolled,
     ref_window_radii,
 )
@@ -33,7 +35,7 @@ from factorcode import (
 )
 from factorcode import graphs, make_sft
 from factorcode.core import FactorTriple
-from factorcode.fiber import _unrolled
+from factorcode.fiber import _unrolled, class_cover
 
 
 def fixture_points(name, max_period=4):
@@ -160,7 +162,7 @@ def test_one_pass_depths_and_pruning_match_their_definitions():
                  graphs.walk_depths(graphs.invert(adj)))
         for got, want in zip(g.depths, wants):
             assert got == {v: inf if d is None else d for v, d in want.items()}
-        assert g.pruned == graphs.bi_essential_nodes(adj)
+        assert g.pruned == ref_bi_essential_nodes(adj)
         assert g.pruned == brute_pruned_phase_vertices(t, g.word)
 
 
@@ -177,6 +179,17 @@ def test_covers_match_the_direct_unrolled_build():
             assert cover.components == order
             assert list(cover.cyclic) == [
                 c for c in order if graphs.is_cyclic(adj, c)]
+
+
+def test_class_cover_holds_the_classes():
+    # the class degree certificate counts the cyclic components of this
+    # one cover, without the report or its doubling check
+    for t, y in oracle_cases():
+        g = build_fiber_graph(t, y)
+        report = transition_classes(g)
+        cover = class_cover(g)
+        assert cover is _unrolled(t, g.word, report.unrolled_period)
+        assert len(cover.cyclic) == report.class_count
 
 
 def test_cyclic_components_are_those_of_the_pruned_graph():
@@ -473,6 +486,32 @@ def test_extraction_frozen_cases():
         got = (res.block.word, res.block.index, set(res.block.symbols),
                res.n2, res.n3, res.n4, res.radius)
         assert got == expected, (name, word, got)
+
+
+def test_extract_stages_match_the_reference():
+    """Stages 1-3 step each seed's frontier once per time and run the
+    product sweep to n2 once; the reference re-steps every seed for every
+    candidate and reruns the sweep per attempt. Every fixture point of
+    period at most 6 and points of seeded random codes."""
+    cases = []
+    for name in FIXTURE_NAMES:
+        t, points = fixture_points(name, max_period=6)
+        cases.extend((t, y) for y in points)
+    rng = random.Random(311)
+    for i in range(40):
+        t = (random_triple(rng) if i % 2 else
+             random_code(rng, rng.randint(3, 8), reducible=i % 4 == 0))
+        cases.extend((t, y) for y in periodic_image_points(t, 4)[:4])
+    gaps = set()
+    for t, y in cases:
+        res = extract_transition_block(t, y)
+        n2, n3, n4, targets = ref_extract_stages(t, y)
+        assert (res.n2, res.n3, res.n4) == (n2, n3, n4)
+        # a target vertex lies in one class, so its symbol fixes it
+        assert res.block.symbols == frozenset(s for s, _ in targets.values())
+        assert res.block.index == n3 + res.radius
+        gaps.add(n3 - n2)
+    assert max(gaps) > 1
 
 
 def test_extraction_depth_equals_class_count_everywhere():

@@ -17,6 +17,7 @@ from conftest import (
     FIXTURE_NAMES,
     brute_walk_depths,
     random_code,
+    ref_bi_essential_nodes,
     ref_d_star,
     ref_essentialize,
     ref_pair_graph,
@@ -33,7 +34,8 @@ from factorcode import (
     sofic_image,
 )
 from factorcode.codes import _label_masks, step
-from factorcode.graphs import (invert, shortest_walk,
+from factorcode.graphs import (bi_essential_nodes, depth_pass, invert,
+                               nontrivial_components, shortest_walk,
                                strongly_connected_components, walk_depths)
 
 
@@ -88,6 +90,8 @@ def test_sofic_image_matches_reference():
         assert image.members == members
         assert list(image.members) == list(names)
         assert image.irreducible == connected
+        assert list(image.cyclic) == nontrivial_components(
+            image.triple.x.successor_map)
 
 
 def test_pair_graph_matches_all_pairs_reference():
@@ -164,7 +168,7 @@ def test_shortest_walk_is_a_shortest_walk_inside_members():
 
 def test_walk_depths_match_bounded_enumeration():
     rng = random.Random(83)
-    unbounded = finite = 0
+    unbounded = finite = pruned_seen = 0
     for trial in range(300):
         n = rng.randint(1, 9)
         acyclic = trial % 2 == 0
@@ -177,6 +181,12 @@ def test_walk_depths_match_bounded_enumeration():
         # reversed, Tarjan's emission order serves the inverted graph
         inverse = invert(adj)
         assert walk_depths(inverse, order[::-1]) == brute_walk_depths(inverse)
+        # one pass gives the order and both depths; where both are
+        # unbounded is the bi-infinite part, by reachability
+        assert depth_pass(adj) == (order, got, brute_walk_depths(inverse))
+        pruned = bi_essential_nodes(adj)
+        assert pruned == ref_bi_essential_nodes(adj)
+        pruned_seen += bool(pruned) and len(pruned) < n
         unbounded += sum(d is None for d in got.values())
         finite += sum(d is not None and d > 1 for d in got.values())
-    assert unbounded and finite
+    assert unbounded and finite and pruned_seen

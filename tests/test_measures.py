@@ -219,6 +219,26 @@ def test_parse_measure_error_catalogue():
             parse_measure(text, x)
 
 
+def test_non_finite_probabilities_are_rejected():
+    x = golden_mean()
+    # nan compares false both ways: it used to be dropped by the parser
+    # and to pass the row-sum test, reaching LAPACK
+    for token in ("nan", "inf", "-inf", "NaN"):
+        text = "states: 0 1\nrow 0: 0.5 %s\nrow 1: 1 0\n" % token
+        with pytest.raises(MeasureParseError,
+                           match="line 2: non-finite probability '%s'"
+                           % token):
+            parse_measure(text, x)
+    with pytest.raises(MeasureParseError, match="line 3: non-finite"):
+        parse_measure("states: 0 1\nrow 0: .5 .5\nrow 1: 1 nan\n", x)
+    for p in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError,
+                           match="non-finite kernel probability for "
+                                 "'0' -> '1'"):
+            markov_measure(x, {("0", "0"): 0.5, ("0", "1"): p,
+                               ("1", "0"): 1.0})
+
+
 def test_parse_measure_ergodicity_failure_is_a_precondition_error():
     two = make_sft(("0", "1"), [("0", "0"), ("1", "1"), ("0", "1")])
     text = "states: 0 1\nrow 0: 1 0\nrow 1: 0 1\n"
