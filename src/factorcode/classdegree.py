@@ -13,15 +13,24 @@ index n depend only on (U_0, U_end), namely the exact-length forward set
 from U_0 intersected with the exact-length backward set from U_end. Both
 sweeps run the labelled step ``codes.step`` on int masks, bit i standing
 for the i-th domain symbol, so route sets are masks from the start;
-frozensets are built only for the symbol sets this module returns.
+frozensets are built only for the symbol sets this module returns. The
+sweeps are kept per prefix and per suffix (``_Routes``), so the words of
+one search, which share them, take each labelled step once.
 
-The least depth at one index is a minimum hitting set of its route sets,
-searched exactly by branch and bound: sizes are deepened from 1, and at
-each size a depth-first search picks bits in increasing order, cutting a
-branch when an uncovered route set has no bit left to pick or when a
-greedy packing of disjoint uncovered route sets needs more picks than
-remain. Ties therefore go to the first set in lexicographic domain symbol
-order, as a size-by-size walk through all combinations would find.
+The least depth at one index is a minimum hitting set of its route sets.
+Size 1 is the intersection of the route sets; beyond it the search is an
+exact branch and bound: sizes are deepened from 2, and at each size a
+depth-first search picks bits in increasing order, cutting a branch when
+an uncovered route set has no bit left to pick or when a greedy packing of
+disjoint uncovered route sets needs more picks than remain, and taking
+the last pick from the intersection of the sets still uncovered. Ties
+therefore go to the first set in lexicographic domain symbol order, as a
+size-by-size walk through all combinations would find.
+
+The search over words only asks each word for a block that would replace
+the best one so far: one of smaller depth, or of the same depth on a word
+ordered before the best word (the seed word padded out of d* comes first
+and is usually not the first in that order).
 """
 
 from __future__ import annotations
@@ -30,8 +39,9 @@ from dataclasses import dataclass
 
 from . import graphs
 from .core import PeriodicPoint, PreconditionError, sub_triple
-from .codes import (_bit_indices, _bits, _sweep, _symbols, _word_sweep,
-                    d_star, image_blocks, image_irreducible, sofic_image)
+from .codes import (_bit_indices, _bits, _label_masks, _symbols, _word_sweep,
+                    d_star, image_blocks, image_irreducible, sofic_image,
+                    step)
 
 
 @dataclass(frozen=True)
@@ -47,28 +57,60 @@ class TransitionBlock:
         return len(self.symbols)
 
 
-def _route_table(t, word):
-    """Route masks of an image word, keyed by realizable endpoint pairs.
+class _Routes:
+    """Route masks of image words, memoized per search.
 
-    Returns (pairs, fsweeps, bsweeps) where ``pairs`` lists the (start,
-    end) symbol pairs realized by some preimage path and the mask sweeps
-    give R(start, end, n) = fsweeps[start][n] & bsweeps[end][n].
+    ``fwd`` maps a prefix of a word to the forward masks at its last
+    coordinate, one per preimage of its first symbol (in ``t.preimages``
+    order); ``bwd`` maps a suffix to the backward masks at its first
+    coordinate, one per preimage of its last symbol. So R(s, e, n) =
+    fwd[word[:n + 1]][s] & bwd[word[n:]][e]. Words of a search share
+    prefixes and suffixes, and each labelled step is taken once: a word
+    whose prefix and suffix one symbol shorter are known costs one step
+    per start and one per end symbol.
     """
-    word = tuple(word)
-    bit = _bits(t)[0]
-    fsweeps = {}
-    for s in t.preimages(word[0]):
-        sweep = _sweep(t, bit[s], word, True)
-        if sweep[-1]:
-            fsweeps[s] = sweep
-    bsweeps = {}
-    for e in t.preimages(word[-1]):
-        sweep = _sweep(t, bit[e], word, False)
-        if sweep[0]:
-            bsweeps[e] = sweep
-    pairs = [(s, e) for s in fsweeps for e in bsweeps
-             if bit[e] & fsweeps[s][-1]]
-    return pairs, fsweeps, bsweeps
+
+    def __init__(self, t):
+        self.t = t
+        self.bit = _bits(t)[0]
+        self.fwd = {}
+        self.bwd = {}
+
+    def _columns(self, word, forward):
+        """The masks of ``word`` at every coordinate, in coordinate order,
+        walking its prefixes (forward) or suffixes from the shortest; only
+        the ones not yet known take a step."""
+        memo = self.fwd if forward else self.bwd
+        table = _label_masks(self.t, forward)
+        order = range(len(word)) if forward else range(len(word) - 1, -1, -1)
+        cols = []
+        for i in order:
+            part = word[:i + 1] if forward else word[i:]
+            masks = memo.get(part)
+            if masks is None:
+                if cols:
+                    c = word[i]
+                    masks = tuple([m and step(table, m, c)
+                                   for m in cols[-1]])
+                else:
+                    masks = tuple(map(self.bit.__getitem__,
+                                      self.t.preimages(word[i])))
+                memo[part] = masks
+            cols.append(masks)
+        return cols if forward else cols[::-1]
+
+    def columns(self, word):
+        """(fcols, bcols): the forward and backward masks of ``word`` at
+        every coordinate."""
+        return self._columns(word, True), self._columns(word, False)
+
+
+def _pairs(fcols, bcols):
+    """The (start, end) positions in ``fcols[n]`` and ``bcols[n]`` of the
+    endpoint pairs joined by some preimage path, in symbol order."""
+    ends = bcols[-1]
+    return [(i, j) for i, f in enumerate(fcols[-1]) if f
+            for j, e in enumerate(ends) if f & e]
 
 
 def _interior_or_raise(word, index):
@@ -85,10 +127,10 @@ def routable_symbols(t, word, index, preimage):
     if len(path) != len(word) or not t.x.admits_word(path) \
             or t.label_word(path) != word:
         raise ValueError("block is not a preimage of the word")
-    bit = _bits(t)[0]
-    fsweep = _sweep(t, bit[path[0]], word, True)
-    bsweep = _sweep(t, bit[path[-1]], word, False)
-    return _symbols(t, fsweep[index] & bsweep[index])
+    fcols, bcols = _Routes(t).columns(word)
+    i = t.preimages(word[0]).index(path[0])
+    j = t.preimages(word[-1]).index(path[-1])
+    return _symbols(t, fcols[index][i] & bcols[index][j])
 
 
 def is_transition_block(t, word, index, symbols):
@@ -98,10 +140,11 @@ def is_transition_block(t, word, index, symbols):
     symbols = frozenset(symbols)
     if not symbols or not symbols <= set(t.preimages(word[index])):
         return False
-    pairs, fsweeps, bsweeps = _route_table(t, word)
+    fcols, bcols = _Routes(t).columns(word)
+    pairs = _pairs(fcols, bcols)
     mask = sum(map(_bits(t)[0].__getitem__, symbols))
-    return bool(pairs) and all(fsweeps[s][index] & bsweeps[e][index] & mask
-                               for s, e in pairs)
+    f, b = fcols[index], bcols[index]
+    return bool(pairs) and all(f[i] & b[j] & mask for i, j in pairs)
 
 
 def transition_block(t, word, index, symbols):
@@ -122,8 +165,12 @@ def _first_hitting_set(uncovered, pool, left, chosen):
     (None if there is none)."""
     if not uncovered:
         return chosen
-    if not left:
-        return None
+    if left == 1:
+        # one more bit meets every mask iff it lies in all of them
+        common = pool
+        for m in uncovered:
+            common &= m
+        return chosen | (common & -common) if common else None
     # pairwise disjoint masks each need a pick of their own
     packed = need = 0
     for m in uncovered:
@@ -149,52 +196,83 @@ def _min_hitting_set(route_masks, below):
     than ``below`` bits, as a mask (None if there is none); the first
     combination in ascending bit order wins ties.
 
-    Exact branch and bound: duplicate masks and masks containing another
-    are dropped (a set meets every mask iff it meets every minimal one),
-    then sizes are deepened from 1, each by a depth-first search over
-    increasing bit positions. The search cuts a branch when an uncovered
-    mask has no bit left at or above its next position, or when a greedy
-    packing of disjoint uncovered masks needs more picks than remain. Its
-    first hit is therefore the one ``itertools.combinations`` over the
-    bits in ascending order would reach first at the least size.
+    Exact branch and bound: duplicate masks are dropped, and so are masks
+    containing another when sizes above 2 are allowed (a set meets every
+    mask iff it meets every minimal one); then sizes are deepened from 1,
+    each by a depth-first search over increasing bit positions. The
+    search cuts a branch when an uncovered mask has no bit left at or
+    above its next position, or when a greedy packing of disjoint
+    uncovered masks needs more picks than remain, and takes the last pick
+    from the intersection of the masks still uncovered (so size 1 is the
+    lowest bit of the AND of all masks). Its first hit is therefore the
+    one ``itertools.combinations`` over the bits in ascending order would
+    reach first at the least size.
     """
-    minimal = []
-    for m in sorted(set(route_masks), key=int.bit_count):
-        if not any(k & m == k for k in minimal):
-            minimal.append(m)
+    masks = sorted(set(route_masks), key=int.bit_count)
+    if below > 3:
+        # a set meets every mask iff it meets every minimal one; up to
+        # size 2 the filter costs more than the intersections it shortens
+        minimal = []
+        for m in masks:
+            if not any(k & m == k for k in minimal):
+                minimal.append(m)
+        masks = minimal
     pool = 0
-    for m in minimal:
+    for m in masks:
         pool |= m
     for size in range(1, below):
-        found = _first_hitting_set(minimal, pool, size, 0)
+        found = _first_hitting_set(masks, pool, size, 0)
         if found is not None:
             return found
     return None
 
 
-def minimal_depth_at(t, word):
+def minimal_depth_at(t, word, below=None, routes=None):
     """Minimal transition block depth of one image word.
 
     Returns (index, symbols) minimizing |symbols| over interior indices;
     ties prefer the smallest index, then the lexicographically least
-    symbol set (in domain symbol order).
+    symbol set (in domain symbol order). With ``below``, returns None
+    when no block of the word has fewer than ``below`` symbols, and the
+    same (index, symbols) otherwise. ``routes`` is a ``_Routes`` memo
+    shared with other words of the same triple.
     """
     word = tuple(word)
     if len(word) < 3:
         raise ValueError("word must have length >= 3")
-    pairs, fsweeps, bsweeps = _route_table(t, word)
-    if not pairs:
+    fcols, bcols = (routes or _Routes(t)).columns(word)
+    # every start (end) that some preimage path leaves (enters) is in a
+    # pair, so the route masks of all pairs meet in the masks of these
+    starts = [i for i, f in enumerate(fcols[-1]) if f]
+    ends = [j for j, b in enumerate(bcols[0]) if b]
+    if not starts:
         raise ValueError("word is not an image block")
-    # bit i stands for t.x.symbols[i], so ascending bits are symbol order
-    best = None
-    below = len(t.x.symbols) + 1
+    if below is None:
+        below = len(t.x.symbols) + 1
+    # bit i stands for t.x.symbols[i], so ascending bits are symbol order;
+    # the first index reaching the least depth finds it first, bound or not
+    best = pairs = None
     for n in range(1, len(word) - 1):
-        found = _min_hitting_set([fsweeps[s][n] & bsweeps[e][n]
-                                  for s, e in pairs], below)
+        if below < 2:
+            break
+        f, b = fcols[n], bcols[n]
+        common = -1
+        for i in starts:
+            common &= f[i]
+        for j in ends:
+            common &= b[j]
+        if common:
+            # size 1, as _min_hitting_set would find it
+            found = common & -common
+        elif below > 2:
+            pairs = pairs or _pairs(fcols, bcols)
+            found = _min_hitting_set([f[i] & b[j] for i, j in pairs], below)
+        else:
+            continue
         if found:
             # only a strictly smaller depth can improve on an earlier index
             best, below = (n, found), found.bit_count()
-    return best[0], _symbols(t, best[1])
+    return None if best is None else (best[0], _symbols(t, best[1]))
 
 
 @dataclass
@@ -218,13 +296,17 @@ class DepthSearchResult:
 def _walk(pres, start, word):
     """The state path that presents ``word`` from ``start`` in the
     right-resolving presentation ``pres``, or None."""
+    succ = pres.x.successor_map
+    label = pres.label
     path = [start]
     for c in word[1:]:
         # right-resolving: at most one successor carries c
-        nxt = pres.successors_by_label[path[-1]].get(c)
-        if nxt is None:
+        for nxt in succ[path[-1]]:
+            if label[nxt] == c:
+                path.append(nxt)
+                break
+        else:
             return None
-        path.append(nxt[0])
     return path
 
 
@@ -289,16 +371,24 @@ def _depth_search(t, horizon, words_of_length, seed_word, pres, cyclic):
     top_length = 0
     yorder = {c: i for i, c in enumerate(t.y_alphabet)}
     xorder = {s: i for i, s in enumerate(t.x.symbols)}
+    routes = _Routes(t)
 
     def consider(word):
         nonlocal best
-        n, m = minimal_depth_at(t, word)
-        key = (len(m), len(word), tuple(yorder[c] for c in word), n,
-               tuple(sorted(xorder[s] for s in m)))
-        if best is None or key < best[0]:
-            best = (key, word, n, m)
-            return True
-        return False
+        place = (len(word), tuple(yorder[c] for c in word))
+        below = None
+        if best is not None:
+            # a word ordered before the best one wins ties at its depth;
+            # any other word needs a strictly smaller depth
+            below = len(best[3]) + (place < best[0][1:3])
+        found = minimal_depth_at(t, word, below, routes)
+        if found is None:
+            return False
+        # below the bound, the key is less than the best one
+        n, m = found
+        best = ((len(m),) + place + (n, tuple(sorted(xorder[s] for s in m))),
+                word, n, m)
+        return True
 
     def certify():
         y = _close_word(pres, cyclic, best[1])

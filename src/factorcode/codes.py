@@ -438,17 +438,30 @@ def image_irreducible(t):
     return is_irreducible(t.x) or sofic_image(t).irreducible
 
 
+# Most image words of one length that ``image_blocks`` lists. The class
+# degree search walks every length up to its horizon; the searches of the
+# benchmark pools list 256 words of one length at most, and a code with
+# two image symbols and no forbidden word passes the limit at length 16.
+IMAGE_WORD_BUDGET = 50_000
+
+
 def image_blocks(t, n):
     """All n-blocks of the image shift, lexicographic in the image
-    alphabet order; enumerated directly on X via nonempty forward sets."""
+    alphabet order; enumerated directly on X via nonempty forward sets.
+    PreconditionError once the words of some length up to n outnumber
+    ``IMAGE_WORD_BUDGET``."""
     if n < 1:
         raise ValueError("block length must be >= 1")
     table = _label_masks(t, True)
     # (word, its last forward set), level by level in lexicographic order
     blocks = [((c,), mask) for c, mask in _bits(t)[1].items()]
-    for _ in range(n - 1):
+    for length in range(2, n + 1):
         blocks = [(word + (c,), nxt) for word, mask in blocks
                   for c in t.y_alphabet if (nxt := step(table, mask, c))]
+        if len(blocks) > IMAGE_WORD_BUDGET:
+            raise PreconditionError(
+                "the image has %d words of length %d, over the limit of %d"
+                % (len(blocks), length, IMAGE_WORD_BUDGET))
     return [word for word, _ in blocks]
 
 

@@ -31,6 +31,10 @@ from factorcode import (
     transition_classes,
 )
 from factorcode import graphs
+from factorcode.classdegree import (_close_word, _count_classes_over,
+                                    _pad_to_interior, _result,
+                                    minimal_depth_at)
+from factorcode.codes import _bits, _sweep, d_star, image_blocks
 from factorcode.core import FactorTriple, enumerate_blocks, sub_triple
 from factorcode.fiber import _unrolled
 from factorcode.measures import (_positive_word_measures, _prune_support,
@@ -598,6 +602,86 @@ def ref_minimal_depth_at(t, word):
         if found:
             best = (n, found)
     return best[0], frozenset(best[1])
+
+
+def ref_route_table(t, word):
+    """Route masks of an image word, keyed by realizable endpoint pairs,
+    from one whole-word sweep per start and per end symbol.
+
+    Returns (pairs, fsweeps, bsweeps) where ``pairs`` lists the (start,
+    end) symbol pairs realized by some preimage path and the mask sweeps
+    give R(start, end, n) = fsweeps[start][n] & bsweeps[end][n].
+    """
+    word = tuple(word)
+    bit = _bits(t)[0]
+    fsweeps = {}
+    for s in t.preimages(word[0]):
+        sweep = _sweep(t, bit[s], word, True)
+        if sweep[-1]:
+            fsweeps[s] = sweep
+    bsweeps = {}
+    for e in t.preimages(word[-1]):
+        sweep = _sweep(t, bit[e], word, False)
+        if sweep[0]:
+            bsweeps[e] = sweep
+    pairs = [(s, e) for s in fsweeps for e in bsweeps
+             if bit[e] & fsweeps[s][-1]]
+    return pairs, fsweeps, bsweeps
+
+
+def ref_depth_search(t, horizon, measure=None):
+    """``find_minimal_transition_block`` (or, with a measure,
+    ``class_count_for_measure``) with the unbounded ``minimal_depth_at``
+    of every word: each word's least block is compared with the best by
+    its whole key (depth, length, word, index, symbols)."""
+    if measure is None:
+        witness = d_star(t)
+        seed_word, _ = _pad_to_interior(t, witness.word, witness.index)
+        image = sofic_image(t)
+        pres, cyclic = image.triple, image.cyclic
+    else:
+        seed_word = None
+        full = sofic_image(t).triple
+        keep = set(measure.support_states())
+        pres = sub_triple(full, keep, (e for e in measure.kernel
+                                       if e[0] in keep and e[1] in keep))
+        cyclic = graphs.nontrivial_components(pres.x.successor_map)
+    yorder = {c: i for i, c in enumerate(t.y_alphabet)}
+    xorder = {s: i for i, s in enumerate(t.x.symbols)}
+    best = None
+    failed = set()
+    top_length = 0
+
+    def consider(word):
+        nonlocal best
+        n, m = minimal_depth_at(t, word)
+        key = (len(m), len(word), tuple(yorder[c] for c in word), n,
+               tuple(sorted(xorder[s] for s in m)))
+        if best is None or key < best[0]:
+            best = (key, word, n, m)
+            return True
+        return False
+
+    def certify():
+        y = _close_word(pres, cyclic, best[1])
+        if y is None or _count_classes_over(t, y) != len(best[3]):
+            return None
+        return y
+
+    if seed_word is not None:
+        consider(seed_word)
+        top_length = len(seed_word)
+    for length in range(3, horizon + 1):
+        top_length = max(top_length, length)
+        for word in image_blocks(t if measure is None else pres, length):
+            if consider(word) and len(best[3]) == 1:
+                return _result(t, best, top_length, certify())
+        if best[0] not in failed:
+            certificate = certify()
+            if certificate is not None:
+                return _result(t, best, top_length, certificate)
+            failed.add(best[0])
+    return _result(t, best, top_length, None)
 
 
 def ref_close_word(pres, word):

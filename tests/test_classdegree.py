@@ -16,8 +16,10 @@ from conftest import (
     random_code,
     random_triple,
     ref_close_word,
+    ref_depth_search,
     ref_min_hitting_set,
     ref_minimal_depth_at,
+    ref_route_table,
 )
 from factorcode import (
     EmptyShiftError,
@@ -35,9 +37,10 @@ from factorcode import (
     transition_block,
     transition_classes,
 )
-from factorcode import graphs
-from factorcode.classdegree import _close_word, _min_hitting_set
-from factorcode.codes import image_blocks
+from factorcode import classdegree, codes, graphs
+from factorcode.classdegree import (_close_word, _min_hitting_set,
+                                    _pad_to_interior, _pairs, _Routes)
+from factorcode.codes import d_star, image_blocks
 from factorcode.core import FactorTriple, sub_triple
 
 
@@ -134,7 +137,10 @@ def _as_mask(symbols):
 
 
 def test_min_hitting_set_matches_exhaustive_oracle():
+    # below 1 admits no set and below 2 only the intersection's lowest
+    # bit; both return before the branch and bound
     rng = random.Random(59)
+    outcomes = set()
     for _ in range(3000):
         sets = _random_route_sets(rng, rng.randint(1, 9))
         pool = sorted(set().union(*sets))
@@ -143,6 +149,9 @@ def test_min_hitting_set_matches_exhaustive_oracle():
             got = None if found is None else tuple(
                 i for i in pool if found >> i & 1)
             assert got == ref_min_hitting_set(sets, pool, below)
+            if below <= 2:
+                outcomes.add((below, got is None))
+    assert outcomes == {(1, True), (2, True), (2, False)}
 
 
 def test_min_hitting_set_without_solution_gives_none():
@@ -175,6 +184,60 @@ def test_minimal_depth_keeps_tie_order():
     assert deepest >= 3
 
 
+def test_bounded_minimal_depth_matches_the_unbounded_one():
+    """With a bound, a word whose least depth reaches the bound gives
+    None, and any other gives the unbounded (index, symbols)."""
+    rng = random.Random(71)
+    triples = [fixtures.load(name) for name in FIXTURE_NAMES]
+    triples += [random_triple(rng) for _ in range(20)]
+    triples += [random_code(rng, rng.randint(6, 12), reducible=False)
+                for _ in range(4)]
+    cut = kept = 0
+    for t in triples:
+        routes = _Routes(t)
+        for n in (3, 4, 5, 6):
+            for word in image_blocks(t, n):
+                want = ref_minimal_depth_at(t, word)
+                for below in range(1, len(want[1]) + 3):
+                    got = minimal_depth_at(t, word, below, routes)
+                    if len(want[1]) >= below:
+                        assert got is None
+                        cut += 1
+                    else:
+                        assert got == want
+                        kept += 1
+    assert cut and kept
+
+
+def test_route_memo_matches_whole_word_sweeps():
+    """The memo's masks at every coordinate equal one sweep per start and
+    per end symbol across the whole word, whether the memo is fresh or
+    already holds the word's prefixes and suffixes; starts and ends
+    whose sweep dies keep an empty mask at the far end."""
+    rng = random.Random(73)
+    cases = [(fixtures.load(name), 8) for name in FIXTURE_NAMES]
+    cases += [(random_triple(rng), 6) for _ in range(40)]
+    for t, longest in cases:
+        shared = _Routes(t)
+        for n in range(1, longest + 1):
+            for word in image_blocks(t, n):
+                pairs, fsweeps, bsweeps = ref_route_table(t, word)
+                starts = t.preimages(word[0])
+                ends = t.preimages(word[-1])
+                for routes in (shared, _Routes(t)):
+                    fcols, bcols = routes.columns(word)
+                    for i, s in enumerate(starts):
+                        column = [masks[i] for masks in fcols]
+                        assert column == fsweeps.get(s, column)
+                        assert bool(column[-1]) == (s in fsweeps)
+                    for j, e in enumerate(ends):
+                        column = [masks[j] for masks in bcols]
+                        assert column == bsweeps.get(e, column)
+                        assert bool(column[0]) == (e in bsweeps)
+                    assert [(starts[i], ends[j]) for i, j
+                            in _pairs(fcols, bcols)] == pairs
+
+
 def test_minimal_depth_rejects_bad_words():
     t = fixtures.load("fix_a")
     with pytest.raises(ValueError, match="length"):
@@ -194,6 +257,80 @@ def test_search_frozen_results():
         assert set(res.witness.symbols) == symbols
         # every fixture certifies during the first (length 3) pass
         assert res.horizon == 3
+
+
+def test_search_matches_the_unbounded_reference():
+    """The search passes each word the bound that its best block so far
+    sets; every field of the result equals that of the search that takes
+    the least block of every word and compares whole keys."""
+    cases = [(fixtures.load(name), None, horizon)
+             for name in FIXTURE_NAMES for horizon in range(3, 9)]
+    cases += [(fixtures.load(name), image_measure(fixtures.load(name),
+                                                  kind)[1], horizon)
+              for name, kind in MEASURE_PAIRS for horizon in range(3, 9)]
+    rng = random.Random(79)
+    triples = [random_triple(rng) for _ in range(300)]
+    triples += [random_code(rng, rng.randint(5, 12), reducible=False)
+                for _ in range(60)]
+    cases += [(t, None, horizon) for t in triples for horizon in (6, 8)]
+    uncertified = 0
+    for t, measure, horizon in cases:
+        try:
+            if measure is None:
+                got = find_minimal_transition_block(t, horizon)
+            else:
+                got = class_count_for_measure(t, measure, horizon)
+        except (PreconditionError, EmptyShiftError):
+            continue
+        want = ref_depth_search(t, horizon, measure)
+        assert (got.value, got.witness, got.horizon, got.certified,
+                got.certificate) == (want.value, want.witness, want.horizon,
+                                     want.certified, want.certificate)
+        uncertified += not got.certified
+    assert uncertified
+
+
+@pytest.mark.parametrize("name, witness", [
+    ("fix_d", (("0", "0", "1"), 1, {"b"})),
+    ("fix_g", (("0", "0", "0"), 1, {"p"})),
+])
+def test_seed_word_loses_ties_to_earlier_words(name, witness):
+    """The seed word padded out of d*'s witness has depth 1 but comes
+    after a length-3 word of depth 1, which must win the tie: a word
+    ordered before the best one is searched for blocks of the best depth
+    itself, not only for smaller ones."""
+    t = fixtures.load(name)
+    magic = d_star(t)
+    seed_word, _ = _pad_to_interior(t, magic.word, magic.index)
+    assert seed_word == ("0", "1", "0")
+    assert len(minimal_depth_at(t, seed_word)[1]) == 1
+    res = find_minimal_transition_block(t, horizon=8)
+    w = res.witness
+    assert (w.word, w.index, set(w.symbols)) == witness
+    assert res.value == 1 and res.certified
+
+
+@pytest.mark.parametrize("name, horizon, steps", [
+    ("probe", 4, 26),
+    ("fix_e", 8, 64),
+])
+def test_labelled_steps_per_search(name, horizon, steps, monkeypatch):
+    """Words of one search share the sweeps of their common prefixes and
+    suffixes, so each labelled step is taken once (the search took 50 and
+    98 steps when every word swept its own route table)."""
+    t = parse_triple(INFINITE_TO_ONE_PROBE) if name == "probe" else \
+        fixtures.load(name)
+    calls = []
+    real = codes.step
+
+    def count(table, mask, c):
+        calls.append(c)
+        return real(table, mask, c)
+
+    monkeypatch.setattr(codes, "step", count)
+    monkeypatch.setattr(classdegree, "step", count)
+    find_minimal_transition_block(t, horizon)
+    assert len(calls) == steps
 
 
 def test_search_certificate_contains_witness_and_counts_match():
@@ -249,6 +386,18 @@ def test_transient_state_in_presentation_still_certifies():
     res = find_minimal_transition_block(t)
     assert (res.value, res.certified) == (1, True)
     assert res.certificate.window(0, 2) == res.witness.word
+
+
+def test_certificate_builds_no_labelled_successor_table():
+    """Closing a word follows the presentation's successor map; the
+    labelled successor table of the whole presentation is never built."""
+    for name in FIXTURE_NAMES:
+        t = fixtures.load(name)
+        assert find_minimal_transition_block(t).certified
+        assert "successors_by_label" not in vars(sofic_image(t).triple)
+    t = parse_triple(INFINITE_TO_ONE_PROBE)
+    assert find_minimal_transition_block(t, horizon=5).certified
+    assert "successors_by_label" not in vars(sofic_image(t).triple)
 
 
 def test_close_word_matches_the_sub_triple_oracle():

@@ -589,6 +589,32 @@ def test_fiber_cover_over_budget_exits_2_at_once(tmp_path, capsys):
     assert "limit of %d" % fiber.COVER_VERTEX_BUDGET in err
 
 
+def twin_full_shift(k):
+    """Two copies of the full shift on k symbols, joined by one edge each
+    way; the copies carry the same labels."""
+    syms = ["%s%d" % (tag, i) for tag in "AB" for i in range(k)]
+    edges = ["%s%d>%s%d" % (tag, i, tag, j) for tag in "AB"
+             for i in range(k) for j in range(k)] + ["A0>B1", "B0>A1"]
+    return ("xsymbols: %s\nysymbols: %s\nmap: %s\nedges: %s\n"
+            % (" ".join(syms), " ".join("y%d" % i for i in range(k)),
+               " ".join("%s>y%s" % (s, s[1:]) for s in syms),
+               " ".join(edges)))
+
+
+def test_classdegree_over_the_word_budget_exits_2_at_once(tmp_path,
+                                                          capsys):
+    # 64,000 image words of length 3: refused before the search lists
+    # them, whatever the horizon
+    path = tmp_path / "twin.triple"
+    path.write_text(twin_full_shift(40))
+    start = time.perf_counter()
+    assert cli.main(["classdegree", str(path), "--horizon", "30"]) == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert "64000 words of length 3" in err
+    assert "limit of %d" % codes.IMAGE_WORD_BUDGET in err
+
+
 def test_extract_lists_no_window_path(monkeypatch, capsys):
     """extract reads only the synchronizing radius, which one sweep
     across the window gives without listing a block."""

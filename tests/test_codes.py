@@ -34,7 +34,7 @@ from factorcode import (
     preimage_profiles,
     sofic_image,
 )
-from factorcode.codes import pair_graph
+from factorcode.codes import IMAGE_WORD_BUDGET, pair_graph
 from factorcode.core import FactorTriple
 
 
@@ -287,6 +287,16 @@ def test_image_blocks_sorted_in_image_alphabet_order():
                 got, key=lambda w: tuple(yorder[c] for c in w))
     with pytest.raises(ValueError):
         image_blocks(fixtures.load("fix_a"), 0)
+
+
+def test_image_blocks_refuse_a_length_over_the_word_budget():
+    # the golden mean shift has 46,368 words of length 22 and 75,025 of
+    # length 23
+    t = fixtures.load("fix_a")
+    with pytest.raises(PreconditionError) as info:
+        image_blocks(t, 40)
+    assert "75025 words of length 23" in str(info.value)
+    assert "limit of %d" % IMAGE_WORD_BUDGET in str(info.value)
 
 
 def test_periodic_image_points_frozen_and_brute_checked():
