@@ -15,7 +15,8 @@ sweeps run the labelled step ``codes.step`` on int masks, bit i standing
 for the i-th domain symbol, so route sets are masks from the start;
 frozensets are built only for the symbol sets this module returns. The
 sweeps are kept per prefix and per suffix (``_Routes``), so the words of
-one search, which share them, take each labelled step once.
+one search, which share them, take each labelled step once; a word
+checked on its own takes one plain sweep each way (``_route_columns``).
 
 The least depth at one index is a minimum hitting set of its route sets.
 Size 1 is the intersection of the route sets; beyond it the search is an
@@ -57,6 +58,34 @@ class TransitionBlock:
         return len(self.symbols)
 
 
+def _start_column(t, c):
+    """The one-symbol masks of the preimages of image symbol ``c``."""
+    return tuple(map(_bits(t)[0].__getitem__, t.preimages(c)))
+
+
+def _next_column(table, column, c):
+    """One labelled step of every live mask of ``column``."""
+    return tuple([m and step(table, m, c) for m in column])
+
+
+def _columns(t, word, forward):
+    """The masks of ``word`` at every coordinate, in coordinate order: one
+    per preimage of its first symbol (forward) or of its last symbol,
+    by one whole-word sweep."""
+    table = _label_masks(t, forward)
+    walk = word if forward else word[::-1]
+    cols = [_start_column(t, walk[0])]
+    for c in walk[1:]:
+        cols.append(_next_column(table, cols[-1], c))
+    return cols if forward else cols[::-1]
+
+
+def _route_columns(t, word):
+    """(fcols, bcols): the forward and backward masks of ``word`` at
+    every coordinate, for a word no other word shares sweeps with."""
+    return _columns(t, word, True), _columns(t, word, False)
+
+
 class _Routes:
     """Route masks of image words, memoized per search.
 
@@ -67,12 +96,12 @@ class _Routes:
     fwd[word[:n + 1]][s] & bwd[word[n:]][e]. Words of a search share
     prefixes and suffixes, and each labelled step is taken once: a word
     whose prefix and suffix one symbol shorter are known costs one step
-    per start and one per end symbol.
+    per start and one per end symbol. Each word costs a lookup per prefix
+    and suffix, so one-off words take ``_route_columns`` instead.
     """
 
     def __init__(self, t):
         self.t = t
-        self.bit = _bits(t)[0]
         self.fwd = {}
         self.bwd = {}
 
@@ -88,20 +117,14 @@ class _Routes:
             part = word[:i + 1] if forward else word[i:]
             masks = memo.get(part)
             if masks is None:
-                if cols:
-                    c = word[i]
-                    masks = tuple([m and step(table, m, c)
-                                   for m in cols[-1]])
-                else:
-                    masks = tuple(map(self.bit.__getitem__,
-                                      self.t.preimages(word[i])))
+                masks = (_next_column(table, cols[-1], word[i]) if cols
+                         else _start_column(self.t, word[i]))
                 memo[part] = masks
             cols.append(masks)
         return cols if forward else cols[::-1]
 
     def columns(self, word):
-        """(fcols, bcols): the forward and backward masks of ``word`` at
-        every coordinate."""
+        """(fcols, bcols) of ``word``, as ``_route_columns`` gives them."""
         return self._columns(word, True), self._columns(word, False)
 
 
@@ -127,7 +150,7 @@ def routable_symbols(t, word, index, preimage):
     if len(path) != len(word) or not t.x.admits_word(path) \
             or t.label_word(path) != word:
         raise ValueError("block is not a preimage of the word")
-    fcols, bcols = _Routes(t).columns(word)
+    fcols, bcols = _route_columns(t, word)
     i = t.preimages(word[0]).index(path[0])
     j = t.preimages(word[-1]).index(path[-1])
     return _symbols(t, fcols[index][i] & bcols[index][j])
@@ -140,7 +163,7 @@ def is_transition_block(t, word, index, symbols):
     symbols = frozenset(symbols)
     if not symbols or not symbols <= set(t.preimages(word[index])):
         return False
-    fcols, bcols = _Routes(t).columns(word)
+    fcols, bcols = _route_columns(t, word)
     pairs = _pairs(fcols, bcols)
     mask = sum(map(_bits(t)[0].__getitem__, symbols))
     f, b = fcols[index], bcols[index]
@@ -191,36 +214,26 @@ def _first_hitting_set(uncovered, pool, left, chosen):
     return None
 
 
-def _min_hitting_set(route_masks, below):
-    """Smallest set of bits meeting every route mask, among those of fewer
-    than ``below`` bits, as a mask (None if there is none); the first
-    combination in ascending bit order wins ties.
+def _min_hitting_set(route_masks, below, least=1):
+    """Smallest set of at least ``least`` and fewer than ``below`` bits
+    meeting every route mask, as a mask (None if there is none); the
+    first combination in ascending bit order wins ties.
 
-    Exact branch and bound: duplicate masks are dropped, and so are masks
-    containing another when sizes above 2 are allowed (a set meets every
-    mask iff it meets every minimal one); then sizes are deepened from 1,
-    each by a depth-first search over increasing bit positions. The
-    search cuts a branch when an uncovered mask has no bit left at or
-    above its next position, or when a greedy packing of disjoint
-    uncovered masks needs more picks than remain, and takes the last pick
-    from the intersection of the masks still uncovered (so size 1 is the
-    lowest bit of the AND of all masks). Its first hit is therefore the
-    one ``itertools.combinations`` over the bits in ascending order would
-    reach first at the least size.
+    Exact branch and bound: duplicate masks are dropped, then sizes are
+    deepened from ``least``, each by a depth-first search over increasing
+    bit positions. The search cuts a branch when an uncovered mask has no
+    bit left at or above its next position, or when a greedy packing of
+    disjoint uncovered masks needs more picks than remain, and takes the
+    last pick from the intersection of the masks still uncovered (so size
+    1 is the lowest bit of the AND of all masks). Its first hit is
+    therefore the one ``itertools.combinations`` over the bits in
+    ascending order would reach first at the least size.
     """
-    masks = sorted(set(route_masks), key=int.bit_count)
-    if below > 3:
-        # a set meets every mask iff it meets every minimal one; up to
-        # size 2 the filter costs more than the intersections it shortens
-        minimal = []
-        for m in masks:
-            if not any(k & m == k for k in minimal):
-                minimal.append(m)
-        masks = minimal
+    masks = list(set(route_masks))
     pool = 0
     for m in masks:
         pool |= m
-    for size in range(1, below):
+    for size in range(least, below):
         found = _first_hitting_set(masks, pool, size, 0)
         if found is not None:
             return found
@@ -240,7 +253,8 @@ def minimal_depth_at(t, word, below=None, routes=None):
     word = tuple(word)
     if len(word) < 3:
         raise ValueError("word must have length >= 3")
-    fcols, bcols = (routes or _Routes(t)).columns(word)
+    fcols, bcols = (routes.columns(word) if routes
+                    else _route_columns(t, word))
     # every start (end) that some preimage path leaves (enters) is in a
     # pair, so the route masks of all pairs meet in the masks of these
     starts = [i for i, f in enumerate(fcols[-1]) if f]
@@ -265,8 +279,10 @@ def minimal_depth_at(t, word, below=None, routes=None):
             # size 1, as _min_hitting_set would find it
             found = common & -common
         elif below > 2:
+            # no single symbol meets them all, so sizes start at 2
             pairs = pairs or _pairs(fcols, bcols)
-            found = _min_hitting_set([f[i] & b[j] for i, j in pairs], below)
+            found = _min_hitting_set([f[i] & b[j] for i, j in pairs],
+                                     below, 2)
         else:
             continue
         if found:

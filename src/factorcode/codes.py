@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from . import graphs
 from .core import (Block, EmptyShiftError, FactorTriple, PeriodicPoint,
@@ -448,20 +449,23 @@ IMAGE_WORD_BUDGET = 50_000
 def image_blocks(t, n):
     """All n-blocks of the image shift, lexicographic in the image
     alphabet order; enumerated directly on X via nonempty forward sets.
-    PreconditionError once the words of some length up to n outnumber
-    ``IMAGE_WORD_BUDGET``."""
+    PreconditionError once some length up to n has more than
+    ``IMAGE_WORD_BUDGET`` words, after listing one word past the budget."""
     if n < 1:
         raise ValueError("block length must be >= 1")
     table = _label_masks(t, True)
     # (word, its last forward set), level by level in lexicographic order
     blocks = [((c,), mask) for c, mask in _bits(t)[1].items()]
     for length in range(2, n + 1):
-        blocks = [(word + (c,), nxt) for word, mask in blocks
-                  for c in t.y_alphabet if (nxt := step(table, mask, c))]
+        # lazily, so that a level past the budget is never built whole
+        blocks = list(islice(((word + (c,), nxt) for word, mask in blocks
+                              for c in t.y_alphabet
+                              if (nxt := step(table, mask, c))),
+                             IMAGE_WORD_BUDGET + 1))
         if len(blocks) > IMAGE_WORD_BUDGET:
             raise PreconditionError(
-                "the image has %d words of length %d, over the limit of %d"
-                % (len(blocks), length, IMAGE_WORD_BUDGET))
+                "the image has more than %d words of length %d, the "
+                "limit of one length" % (IMAGE_WORD_BUDGET, length))
     return [word for word, _ in blocks]
 
 

@@ -39,7 +39,8 @@ from factorcode import (
 )
 from factorcode import classdegree, codes, graphs
 from factorcode.classdegree import (_close_word, _min_hitting_set,
-                                    _pad_to_interior, _pairs, _Routes)
+                                    _pad_to_interior, _pairs,
+                                    _route_columns, _Routes)
 from factorcode.codes import d_star, image_blocks
 from factorcode.core import FactorTriple, sub_triple
 
@@ -141,6 +142,7 @@ def test_min_hitting_set_matches_exhaustive_oracle():
     # bit; both return before the branch and bound
     rng = random.Random(59)
     outcomes = set()
+    from_two = 0
     for _ in range(3000):
         sets = _random_route_sets(rng, rng.randint(1, 9))
         pool = sorted(set().union(*sets))
@@ -151,7 +153,13 @@ def test_min_hitting_set_matches_exhaustive_oracle():
             assert got == ref_min_hitting_set(sets, pool, below)
             if below <= 2:
                 outcomes.add((below, got is None))
+            elif _min_hitting_set([_as_mask(rs) for rs in sets], 2) is None:
+                # no size-1 set: starting at size 2 changes nothing
+                assert _min_hitting_set([_as_mask(rs) for rs in sets],
+                                        below, 2) == found
+                from_two += 1
     assert outcomes == {(1, True), (2, True), (2, False)}
+    assert from_two
 
 
 def test_min_hitting_set_without_solution_gives_none():
@@ -200,6 +208,7 @@ def test_bounded_minimal_depth_matches_the_unbounded_one():
                 want = ref_minimal_depth_at(t, word)
                 for below in range(1, len(want[1]) + 3):
                     got = minimal_depth_at(t, word, below, routes)
+                    assert got == minimal_depth_at(t, word, below)
                     if len(want[1]) >= below:
                         assert got is None
                         cut += 1
@@ -212,8 +221,9 @@ def test_bounded_minimal_depth_matches_the_unbounded_one():
 def test_route_memo_matches_whole_word_sweeps():
     """The memo's masks at every coordinate equal one sweep per start and
     per end symbol across the whole word, whether the memo is fresh or
-    already holds the word's prefixes and suffixes; starts and ends
-    whose sweep dies keep an empty mask at the far end."""
+    already holds the word's prefixes and suffixes, and so do those of
+    the plain sweep; starts and ends whose sweep dies keep an empty mask
+    at the far end."""
     rng = random.Random(73)
     cases = [(fixtures.load(name), 8) for name in FIXTURE_NAMES]
     cases += [(random_triple(rng), 6) for _ in range(40)]
@@ -224,8 +234,9 @@ def test_route_memo_matches_whole_word_sweeps():
                 pairs, fsweeps, bsweeps = ref_route_table(t, word)
                 starts = t.preimages(word[0])
                 ends = t.preimages(word[-1])
-                for routes in (shared, _Routes(t)):
-                    fcols, bcols = routes.columns(word)
+                for fcols, bcols in (shared.columns(word),
+                                     _Routes(t).columns(word),
+                                     _route_columns(t, word)):
                     for i, s in enumerate(starts):
                         column = [masks[i] for masks in fcols]
                         assert column == fsweeps.get(s, column)

@@ -19,6 +19,7 @@ from factorcode import (
     PreconditionError,
     apply_code,
     backward_sets,
+    codes,
     d_star,
     degree,
     degree_witness,
@@ -295,8 +296,31 @@ def test_image_blocks_refuse_a_length_over_the_word_budget():
     t = fixtures.load("fix_a")
     with pytest.raises(PreconditionError) as info:
         image_blocks(t, 40)
-    assert "75025 words of length 23" in str(info.value)
-    assert "limit of %d" % IMAGE_WORD_BUDGET in str(info.value)
+    assert "more than %d words of length 23" % IMAGE_WORD_BUDGET \
+        in str(info.value)
+    assert "limit" in str(info.value)
+
+
+def test_image_blocks_stop_listing_a_level_at_the_word_budget(monkeypatch):
+    """The full shift on 40 symbols has 1,600 words of length 2; with a
+    budget of 100 the level is cut at its 101st word, not built whole
+    and then counted."""
+    syms = ["s%d" % i for i in range(40)]
+    t = FactorTriple(make_sft(syms, [(a, b) for a in syms for b in syms]),
+                     {s: s for s in syms}, tuple(syms))
+    steps = []
+    real = codes.step
+
+    def counted(*args):
+        steps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(codes, "IMAGE_WORD_BUDGET", 100)
+    monkeypatch.setattr(codes, "step", counted)
+    with pytest.raises(PreconditionError,
+                       match="more than 100 words of length 2"):
+        image_blocks(t, 2)
+    assert len(steps) == 101
 
 
 def test_periodic_image_points_frozen_and_brute_checked():
