@@ -338,11 +338,16 @@ def _close_word(pres, cyclic, word):
     is tried in turn: present the word inside it, then return from the
     final state to the initial one along a shortest state walk. The
     labels along the closed walk give the periodic point, whose window
-    [0, L) equals the word."""
+    [0, L) equals the word. Starts are tried in presentation symbol
+    order, read off the symbols as the scan reaches them, so a component
+    costs the states up to its first start that presents the word."""
     succ = pres.x.successor_map
+    label = pres.label
     for comp in cyclic:
         members = set(comp)
-        for start in pres.preimage_map.get(word[0], ()):
+        for start in pres.x.symbols:
+            if start not in members or label[start] != word[0]:
+                continue
             path = _walk(pres, start, word)
             if path and members.issuperset(path):
                 break

@@ -494,16 +494,31 @@ def degree(t, strict=False):
     return degree_witness(t, strict).value
 
 
+# Most walks of the presentation that ``periodic_image_points`` may list;
+# their number grows exponentially with the period. The fixtures need
+# 592 at most, at period 8, and the fiber inputs of the benchmark pools,
+# listed at period 8, 39,953.
+PERIODIC_WALK_BUDGET = 200_000
+
+
 def periodic_image_points(t, max_period):
     """Orbit representatives of image points with period <= max_period.
 
     Enumerates cycles of the presentation graph and canonicalizes the
     label words (primitive root, least rotation). Sorted by (period, word).
+    PreconditionError, before any is listed, when that takes more than
+    ``PERIODIC_WALK_BUDGET`` walks of the presentation.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     image = sofic_image(t)
     sft = image.triple.x
+    if graphs.count_walks(sft.successor_map, sft.symbols, max_period - 1,
+                          PERIODIC_WALK_BUDGET) > PERIODIC_WALK_BUDGET:
+        raise PreconditionError(
+            "the periodic points of period up to %d take more than %d "
+            "walks of the presentation, the limit"
+            % (max_period, PERIODIC_WALK_BUDGET))
     label = image.triple.label
     yorder = {c: i for i, c in enumerate(t.y_alphabet)}
     seen = set()

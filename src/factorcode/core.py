@@ -268,7 +268,13 @@ def sub_triple(t, keep, transitions):
 def essentialize(x):
     """Largest essential sub-SFT: the symbols on some bi-infinite walk,
     each of which keeps a successor and a predecessor inside it. Raises
-    EmptyShiftError when nothing survives."""
+    EmptyShiftError when nothing survives.
+
+    An essential ``x`` is returned itself, with the maps it has built: in
+    a finite graph, a successor and a predecessor at every symbol already
+    put each symbol on a bi-infinite walk."""
+    if x.is_essential:
+        return x
     alive = graphs.bi_essential_nodes(x.successor_map)
     if not alive:
         raise EmptyShiftError("empty shift")
@@ -279,7 +285,11 @@ def essentialize(x):
 
 
 def essentialize_triple(t):
+    """The triple on the essential part of its domain; ``t`` itself, with
+    everything derived and kept on it, when the domain is essential."""
     x = essentialize(t.x)
+    if x is t.x:
+        return t
     return sub_triple(t, x.symbol_set, x.transitions)
 
 

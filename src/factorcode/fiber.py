@@ -4,8 +4,10 @@ The fiber of a periodic point y of period p is carried by the phase graph:
 vertices are pairs (symbol, phase) whose label matches y at that phase,
 edges act by the transition relation while advancing the phase. Preimages
 of y are exactly the bi-infinite walks, so the graph is pruned to vertices
-lying on such walks. One Tarjan pass gives the cyclic components, the
-forward and backward walk depths and so the pruned part.
+lying on such walks. Peeling it from its sinks and from its sources gives
+the forward and backward walk depths and so the pruned part, with no
+Tarjan pass; one runs over the pruned part only where its components are
+read.
 
 Transition classes (mutual-reachability classes of preimages under
 coordinate splicing) are read off as the nontrivial strongly connected
@@ -41,14 +43,14 @@ class FiberGraph:
 
     ``vertices`` lists every label-compatible (symbol, phase) pair and
     ``adjacency`` covers them all; restrict to ``pruned`` for fiber
-    content. One Tarjan pass over ``adjacency`` gives the rest:
-    ``cyclic``, its nontrivial strongly connected components; ``depths``,
-    the longest forward walk out of and the longest backward walk into
-    each vertex (``inf`` where unbounded), read along the emission order
-    and, on the inverted graph, along its reverse; and ``pruned``, the
-    vertices where both are unbounded, which are those on bi-infinite
-    walks. The cyclic components all lie in ``pruned`` and are exactly
-    the nontrivial components of the pruned graph.
+    content. Two peels of ``adjacency`` give the rest: ``depths``, the
+    longest forward walk out of and the longest backward walk into each
+    vertex (``inf`` where unbounded), one peel from the sinks and one
+    from the sources; and ``pruned``, the vertices where both are
+    unbounded, which are those on bi-infinite walks. The cyclic
+    components lie in ``pruned``; the 1-fold cover
+    (``_unrolled(triple, word, period)``) finds them by one Tarjan pass
+    over the pruned graph when they are first read.
     """
 
     triple: object
@@ -57,7 +59,6 @@ class FiberGraph:
     vertices: tuple
     adjacency: dict
     pruned: frozenset
-    cyclic: tuple
     depths: tuple
     _pruned_adjacency: dict = field(default=None, init=False, repr=False,
                                     compare=False)
@@ -97,14 +98,14 @@ def _phase_graph(t, word):
         nxt = (k + 1) % p
         adjacency[(s, k)] = [(u, nxt) for u in
                              t.successors_by_label[s].get(word[nxt], ())]
-    order, fwd, back = graphs.depth_pass(adjacency)
-    cyclic = tuple(c for c in order if graphs.is_cyclic(adjacency, c))
+    pred = graphs.invert(adjacency)
+    fwd = graphs.walk_depths(adjacency, pred)
+    back = graphs.walk_depths(pred, adjacency)
     pruned = frozenset(v for v in vertices
                        if fwd[v] is None and back[v] is None)
     depths = tuple({v: inf if d is None else d for v, d in side.items()}
                    for side in (fwd, back))
-    return FiberGraph(t, word, p, vertices, adjacency, pruned, cyclic,
-                      depths)
+    return FiberGraph(t, word, p, vertices, adjacency, pruned, depths)
 
 
 # Most vertices a fiber report may lift into the cover of its doubling
@@ -135,14 +136,16 @@ class PhaseCover:
 @per_triple
 def _unrolled(t, word, period):
     """Cover of the pruned phase graph of ``word`` at the given multiple
-    of its period, lifted from that graph and searched by one Tarjan
-    pass."""
-    base = _phase_graph(t, word).pruned_adjacency()
-    adjacency = {}
-    for shift in range(0, period, len(word)):
-        for (s, k), nbrs in base.items():
-            nxt = (k + shift + 1) % period
-            adjacency[(s, k + shift)] = [(u, nxt) for u, _ in nbrs]
+    of its period, searched by one Tarjan pass. At the period itself the
+    cover is the pruned graph; at a larger multiple it is lifted from
+    that graph."""
+    adjacency = _phase_graph(t, word).pruned_adjacency()
+    if period != len(word):
+        base, adjacency = adjacency, {}
+        for shift in range(0, period, len(word)):
+            for (s, k), nbrs in base.items():
+                nxt = (k + shift + 1) % period
+                adjacency[(s, k + shift)] = [(u, nxt) for u, _ in nbrs]
     components = graphs.strongly_connected_components(adjacency)
     cyclic = tuple(c for c in components if graphs.is_cyclic(adjacency, c))
     return PhaseCover(period, adjacency, components, cyclic)
@@ -196,8 +199,9 @@ def class_cover(g):
     that ``transition_classes`` certifies against would exceed
     ``COVER_VERTEX_BUDGET`` vertices."""
     p = g.period
-    cyclicities = [graphs.component_cyclicity(g.adjacency, comp)
-                   for comp in g.cyclic]
+    base = _unrolled(g.triple, g.word, p)
+    cyclicities = [graphs.component_cyclicity(base.adjacency, comp)
+                   for comp in base.cyclic]
     big_p = lcm(*cyclicities) if cyclicities else p
     size = 2 * (big_p // p) * len(g.pruned)
     if size > COVER_VERTEX_BUDGET:
@@ -302,11 +306,20 @@ def class_of_preimage(t, report, x):
     return report.class_of_vertex[vertex]
 
 
+# Most walks of the pruned phase graph that ``enumerate_periodic_preimages``
+# may list; their number grows exponentially with the period. The
+# fixtures need 508 at most, over their points of period up to 8 listed
+# to period 8.
+PREIMAGE_WALK_BUDGET = 50_000
+
+
 def enumerate_periodic_preimages(t, y, max_period):
     """Periodic preimages of y with period at most max_period, as points.
 
     Each result is phase aligned with y (coordinate 0 maps to y_0); both
     members of a rotation pair are reported when they are distinct points.
+    PreconditionError, before any is listed, when that takes more than
+    ``PREIMAGE_WALK_BUDGET`` walks of the pruned phase graph.
     """
     g = build_fiber_graph(t, y)
     if max_period < g.period:
@@ -316,6 +329,12 @@ def enumerate_periodic_preimages(t, y, max_period):
     found = set()
 
     starts = sorted((v for v in adj if v[1] == 0), key=lambda v: xorder[v[0]])
+    if graphs.count_walks(adj, starts, max_period - 1,
+                          PREIMAGE_WALK_BUDGET) > PREIMAGE_WALK_BUDGET:
+        raise PreconditionError(
+            "the periodic preimages of period up to %d take more than %d "
+            "walks of the phase graph, the limit"
+            % (max_period, PREIMAGE_WALK_BUDGET))
     for v0 in starts:
         stack = [(v0, (v0[0],))]
         while stack:
@@ -500,14 +519,10 @@ def extract_transition_block(t, y):
     xorder = {s: i for i, s in enumerate(t.x.symbols)}
     class_match = report.class_match
 
-    # n2: vertices on the longest walk through transient vertices. These
-    # are acyclic singletons of the cover, and the cover's emission order
-    # lists each after every vertex it reaches.
+    # n2: vertices on the longest walk through transient vertices
     transient_sub = {v: [w for w in adj[v] if w not in class_match]
                      for v in adj if v not in class_match}
-    depths = graphs.walk_depths(
-        transient_sub,
-        [c for c in cover.components if c[0] in transient_sub])
+    depths = graphs.walk_depths(transient_sub)
     if None in depths.values():
         raise AssertionError("transient vertex reaches a cycle")
     n2 = 1 + max(depths.values(), default=-1)

@@ -40,52 +40,44 @@ def strongly_connected_components(adj):
 
     Returns a list of components, each a list of nodes. Component content
     order and the order of the component list itself are deterministic
-    functions of the adjacency iteration order.
+    functions of the adjacency iteration order. A visited node is on the
+    stack until its component is done, and the component is the top of
+    the stack down to its root, taken off in one slice.
     """
     index = {}
     low = {}
-    on_stack = set()
+    done = set()
     stack = []
     components = []
-    counter = [0]
 
     for root in adj:
         if root in index:
             continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = len(index)
+        # (node, its remaining neighbours, its place on the stack)
+        work = [(root, iter(adj[root]), len(stack))]
         stack.append(root)
-        on_stack.add(root)
         while work:
-            node, it = work[-1]
-            advanced = False
+            node, it, place = work[-1]
             for child in it:
                 if child not in index:
-                    index[child] = low[child] = counter[0]
-                    counter[0] += 1
+                    index[child] = low[child] = len(index)
+                    work.append((child, iter(adj[child]), len(stack)))
                     stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(adj[child])))
-                    advanced = True
                     break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(comp)
+                if child not in done and index[child] < low[node]:
+                    low[node] = index[child]
+            else:
+                work.pop()
+                least = low[node]
+                if least == index[node]:
+                    comp = stack[place:]
+                    del stack[place:]
+                    done.update(comp)
+                    comp.reverse()
+                    components.append(comp)
+                elif least < low[work[-1][0]]:
+                    low[work[-1][0]] = least
     return components
 
 
@@ -161,46 +153,58 @@ def component_cyclicity(adj, component):
     return g
 
 
-def walk_depths(adj, order=None):
+def count_walks(adj, starts, max_edges, limit):
+    """Number of walks of 1 to ``max_edges`` edges in ``adj`` out of the
+    ``starts``, counted length by length by how many end at each node,
+    so without listing one. Counting stops once the total passes
+    ``limit``, and the total so far is returned."""
+    ends = dict.fromkeys(starts, 1)
+    total = 0
+    for _ in range(max_edges):
+        reached = {}
+        for v, n in ends.items():
+            for w in adj[v]:
+                reached[w] = reached.get(w, 0) + n
+        ends = reached
+        total += sum(ends.values())
+        if total > limit or not ends:
+            break
+    return total
+
+
+def walk_depths(adj, pred=None):
     """Length of the longest walk starting at each node, or None where
     walks are unbounded because the node reaches a cycle.
 
-    One pass: Tarjan's algorithm emits each component after every
-    component it reaches, so each acyclic node is settled from settled
-    successors. ``order`` may give the components of ``adj`` in any such
-    order, which saves that Tarjan pass; reversed, the emission order of
-    a graph is one for its inverse."""
-    depth = {}
-    if order is None:
-        order = strongly_connected_components(adj)
-    for comp in order:
-        if is_cyclic(adj, comp):
-            for u in comp:
-                depth[u] = None
-            continue
-        u = comp[0]
-        best = 0
-        for v in adj[u]:
-            if depth[v] is None:
-                best = None
-                break
-            best = max(best, depth[v] + 1)
-        depth[u] = best
+    Peeling, in Kahn order, one level at a time: the sinks have depth 0,
+    and a node whose last unpeeled successor has depth d has depth d + 1,
+    the largest over its successors. The nodes never peeled are exactly
+    those that reach a cycle. ``pred`` is the inverse of ``adj``
+    (``invert(adj)``) when the caller has it."""
+    if pred is None:
+        pred = invert(adj)
+    left = {u: len(vs) for u, vs in adj.items()}
+    depth = dict.fromkeys(adj)
+    level = [u for u, n in left.items() if not n]
+    d = 0
+    while level:
+        peeled = []
+        for u in level:
+            depth[u] = d
+            for w in pred[u]:
+                left[w] -= 1
+                if not left[w]:
+                    peeled.append(w)
+        level = peeled
+        d += 1
     return depth
-
-
-def depth_pass(adj):
-    """Everything one Tarjan pass gives: the components of ``adj`` in
-    emission order (each after every component it reaches), and the
-    forward and backward walk depths (``walk_depths`` of ``adj`` along
-    that order and of its inverse along the reverse)."""
-    order = strongly_connected_components(adj)
-    return (order, walk_depths(adj, order),
-            walk_depths(invert(adj), order[::-1]))
 
 
 def bi_essential_nodes(adj):
     """Nodes lying on some bi-infinite walk: both their walk depths are
-    unbounded, since they reach a cycle and a cycle reaches them."""
-    _, fwd, back = depth_pass(adj)
+    unbounded, since they reach a cycle and a cycle reaches them. Two
+    peels, one each way."""
+    pred = invert(adj)
+    fwd = walk_depths(adj, pred)
+    back = walk_depths(pred, adj)
     return {u for u in adj if fwd[u] is None and back[u] is None}

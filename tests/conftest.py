@@ -259,14 +259,15 @@ def ref_unrolled(t, word, m):
     pruned = ref_bi_essential_nodes(adj)
     pruned_adj = {v: [w for w in adj[v] if w in pruned]
                   for v in vertices if v in pruned}
-    return pruned_adj, graphs.strongly_connected_components(pruned_adj)
+    return pruned_adj, ref_strongly_connected_components(pruned_adj)
 
 
 def ref_bi_essential_nodes(adj):
     """Nodes on some bi-infinite walk by reachability: those reachable
     from a cycle that also reach a cycle, i.e. the closed hull of the
     nontrivial strongly connected components."""
-    cyc = set().union(*graphs.nontrivial_components(adj))
+    cyc = {u for comp in ref_strongly_connected_components(adj)
+           if graphs.is_cyclic(adj, comp) for u in comp}
     starts = [u for u in adj if u in cyc]
     fwd = graphs.reachable_from(adj, starts)
     bwd = graphs.reachable_from(graphs.invert(adj), starts)
@@ -435,6 +436,57 @@ def random_triple(rng):
 # Reference implementations of the graph core by definition: quadratic
 # or worse, but each a direct transcription of what the fast version in
 # the library must reproduce, down to every output order.
+
+def ref_strongly_connected_components(adj):
+    """Tarjan's algorithm in its textbook iterative form: an on-stack set,
+    and each component popped node by node. The library's version must
+    give the same list of lists, in the same order."""
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    components = []
+    counter = [0]
+
+    for root in adj:
+        if root in index:
+            continue
+        work = [(root, iter(adj[root]))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for child in it:
+                if child not in index:
+                    index[child] = low[child] = counter[0]
+                    counter[0] += 1
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(adj[child])))
+                    advanced = True
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == node:
+                        break
+                components.append(comp)
+    return components
+
 
 def ref_successor_map(x):
     return {s: tuple(u for u in x.symbols if (s, u) in x.transitions)

@@ -400,15 +400,19 @@ def test_transient_state_in_presentation_still_certifies():
 
 
 def test_certificate_builds_no_labelled_successor_table():
-    """Closing a word follows the presentation's successor map; the
-    labelled successor table of the whole presentation is never built."""
+    """Closing a word follows the presentation's successor map and reads
+    its starts off the presentation's symbols as it scans them; neither
+    the labelled successor table nor the preimage table of the whole
+    presentation is built."""
     for name in FIXTURE_NAMES:
         t = fixtures.load(name)
         assert find_minimal_transition_block(t).certified
-        assert "successors_by_label" not in vars(sofic_image(t).triple)
+        assert not {"successors_by_label", "preimage_map"} & set(
+            vars(sofic_image(t).triple))
     t = parse_triple(INFINITE_TO_ONE_PROBE)
     assert find_minimal_transition_block(t, horizon=5).certified
-    assert "successors_by_label" not in vars(sofic_image(t).triple)
+    assert not {"successors_by_label", "preimage_map"} & set(
+        vars(sofic_image(t).triple))
 
 
 def test_close_word_matches_the_sub_triple_oracle():

@@ -468,18 +468,21 @@ def test_numpy_is_imported_only_by_commands_that_need_it():
 def test_one_phase_graph_per_point_per_command(argv, words, monkeypatch,
                                                capsys):
     """Each command builds the point's phase graph once. extract and
-    fiber add its covers at the class period P (here the period itself)
-    and at 2P for the doubling check, each lifted once; sync needs
-    none."""
-    built, covers = [], []
+    fiber add its covers at the class period P and at 2P for the
+    doubling check. Here P is the period itself, so the cover at P is
+    the pruned phase graph, searched as it is, and only the one at 2P is
+    lifted; sync needs none."""
+    built, graphs_built, covers = [], [], []
 
     def build(t, word, *args):
         built.append(word)
-        return real_graph(t, word, *args)
+        graphs_built.append(real_graph(t, word, *args))
+        return graphs_built[-1]
 
-    def lift(period, *args):
-        covers.append(period)
-        return real_cover(period, *args)
+    def lift(period, adjacency, *args):
+        covers.append(
+            (period, adjacency is graphs_built[-1].pruned_adjacency()))
+        return real_cover(period, adjacency, *args)
 
     real_graph, real_cover = fiber.FiberGraph, fiber.PhaseCover
     monkeypatch.setattr(fiber, "FiberGraph", build)
@@ -487,7 +490,7 @@ def test_one_phase_graph_per_point_per_command(argv, words, monkeypatch,
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert built == words
-    assert covers == ([] if argv[0] == "sync" else [2, 4])
+    assert covers == ([] if argv[0] == "sync" else [(2, True), (4, False)])
 
 
 def test_class_degree_certificate_reads_only_the_class_cover(monkeypatch,
@@ -495,7 +498,9 @@ def test_class_degree_certificate_reads_only_the_class_cover(monkeypatch,
     """The certificate counts the cyclic components of the cover at the
     class period: it builds no transition class report and no cover for
     the doubling check. fix_e closes its witness into (011)^inf, whose
-    class period is twice its period."""
+    class period is twice its period. The class period comes from the
+    cyclic components of the pruned phase graph, its cover at the period
+    3 itself, which one Tarjan pass finds."""
     covers = []
 
     def lift(period, *args):
@@ -510,32 +515,38 @@ def test_class_degree_certificate_reads_only_the_class_cover(monkeypatch,
     monkeypatch.setattr(fiber, "TransitionClassReport", refuse)
     assert cli.main(["classdegree", fixture_path("fix_e")]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["certified"]
-    assert covers == [6]
+    assert covers == [3, 6]
 
 
 @pytest.mark.parametrize("argv, passes", [
-    (["fiber", fixture_path("fix_e"), "--y", "0", "1"], 4),
-    (["sync", fixture_path("fix_e"), "--y", "0", "1",
-      "--interval", "0", "3"], 2),
-    (["extract", fixture_path("fix_e"), "--y", "0", "1"], 4),
-    (["check", fixture_path("fix_e")], 4),
-    (["degree", fixture_path("fix_a")], 2),
-    (["classdegree", fixture_path("fix_e")], 6),
-    (["classdegree", fixture_path("fix_a"), "--measure",
-      fixture_path("fix_a_parry", ".measure")], 7),
+    pytest.param(["fiber", fixture_path("fix_e"), "--y", "0", "1"], 2,
+                 id="fiber"),
+    pytest.param(["sync", fixture_path("fix_e"), "--y", "0", "1",
+                  "--interval", "0", "3"], 0, id="sync"),
+    pytest.param(["extract", fixture_path("fix_e"), "--y", "0", "1"], 2,
+                 id="extract"),
+    pytest.param(["check", fixture_path("fix_e")], 2, id="check"),
+    pytest.param(["degree", fixture_path("fix_a")], 1, id="degree"),
+    pytest.param(["classdegree", fixture_path("fix_e")], 4,
+                 id="classdegree"),
+    pytest.param(["classdegree", fixture_path("fix_a"), "--measure",
+                  fixture_path("fix_a_parry", ".measure")], 4,
+                 id="classdegree-measure"),
 ])
 def test_tarjan_passes_per_command(argv, passes, monkeypatch, capsys):
-    """Every graph pays for one Tarjan pass. One essentializes the
-    triple, one prunes the subset automaton into the image presentation
-    and one gives the presentation's cyclic components and
-    irreducibility, which the domain keeps from its own pass. Each phase
-    graph takes its cyclic components, walk depths and pruned part from
-    one pass; fiber and extract add one per cover (class period and
-    doubling check), the class degree certificate only the one at the
-    class period, and extract takes the depths of its transient vertices
-    from the order of the cover's pass. A measure adds one to find its
-    closed class and one for the components of its support. Only the
-    finite-to-one test searches by reachability."""
+    """Tarjan runs only where strongly connected components are read.
+    Pruning peels instead: the essential domain of a fixture is kept as
+    it is, and the subset automaton and every phase graph are pruned by
+    one peel each way. The image presentation takes one pass for its
+    cyclic components and irreducibility, and the domain one for its
+    irreducibility. A phase graph takes one over its pruned part, its
+    cover at its own period, where its cyclic components are read:
+    never for sync. fiber and extract add the cover at 2P for the
+    doubling check, here P being the period; the class degree
+    certificate adds the cover at the class period, here twice the
+    period. A measure adds one to find its closed class and one for the
+    components of its support. Only the finite-to-one test searches by
+    reachability."""
     calls, sweeps = [], []
 
     def count(adj):
@@ -613,6 +624,32 @@ def test_classdegree_over_the_word_budget_exits_2_at_once(tmp_path,
     err = capsys.readouterr().err
     assert "more than %d words of length 3" % codes.IMAGE_WORD_BUDGET \
         in err
+
+
+NON_ESSENTIAL_FIX_E = """\
+# fix_e with a source h leading in, a sink i and a chain j k into a sink
+xsymbols: h a b c d e f g i j k
+ysymbols: 0 1 2
+map: h>2 a>1 b>0 c>1 d>0 e>0 f>1 g>1 i>0 j>1 k>2
+edges: h>a a>b b>a b>c c>d c>e d>f f>d e>g g>e f>g g>f g>a d>i g>j j>k
+"""
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["check"], "a3821c14f9fc3462"),
+    (["fiber", "--y", "0", "1"], "9fc5c3bd1b4233a1"),
+    (["classdegree"], "bab34475d7f920d6"),
+])
+def test_non_essential_triple_reports_are_unchanged(argv, digest,
+                                                    tmp_path):
+    """No fixture and no benchmark input has a non-essential domain, so
+    this pins the reports of one: the digests are those of the outputs
+    when every domain was pruned by a Tarjan pass."""
+    path = tmp_path / "ne.triple"
+    path.write_text(NON_ESSENTIAL_FIX_E)
+    proc = run_cli(argv[0], str(path), *argv[1:])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest()[:16] == digest
 
 
 def test_extract_lists_no_window_path(monkeypatch, capsys):

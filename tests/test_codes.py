@@ -1,6 +1,7 @@
 """Tests for preimage analysis, the degree, and the image presentation."""
 
 import random
+import time
 
 import pytest
 
@@ -331,6 +332,27 @@ def test_periodic_image_points_frozen_and_brute_checked():
         assert {p.word for p in pts} == brute_periodic_image_words(t, 4)
     with pytest.raises(ValueError):
         periodic_image_points(fixtures.load("fix_a"), 0)
+
+
+def test_periodic_image_points_refuse_a_period_over_the_walk_budget(
+        monkeypatch):
+    # the walks are counted, not listed, before any point is: a long
+    # period is refused at once
+    t = fixtures.load("fix_a")
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError,
+                       match="period up to 60 take more than %d walks"
+                       % codes.PERIODIC_WALK_BUDGET):
+        periodic_image_points(t, 60)
+    assert time.perf_counter() - start < 1.0
+    # fix_d needs 592 walks at period 8: the limit is exact
+    t = fixtures.load("fix_d")
+    want = periodic_image_points(t, 8)
+    monkeypatch.setattr(codes, "PERIODIC_WALK_BUDGET", 592)
+    assert periodic_image_points(t, 8) == want
+    monkeypatch.setattr(codes, "PERIODIC_WALK_BUDGET", 591)
+    with pytest.raises(PreconditionError, match="more than 591 walks"):
+        periodic_image_points(t, 8)
 
 
 def test_periodic_image_points_on_random_triples():

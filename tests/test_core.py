@@ -137,6 +137,16 @@ def test_parse_essentializes_and_drops_unused_image_symbols():
     assert t.y_alphabet == ("0", "1")
 
 
+def test_essential_triple_parses_to_one_sft_keeping_its_maps():
+    # the neighbour maps that showed the domain essential are those of
+    # the parsed Sft: nothing is pruned or rebuilt
+    for name in FIXTURE_NAMES:
+        t = parse_triple(fixtures.load_text(name + ".triple"))
+        assert {"successor_map", "predecessor_map"} <= set(vars(t.x))
+        assert essentialize(t.x) is t.x
+        assert essentialize_triple(t) is t
+
+
 def test_parse_errors_carry_line_numbers():
     cases = [
         ("xsymbols: a\nysymbols: 0\nmap a>0\nedges: a>a\n", "line 3"),

@@ -1,6 +1,7 @@
 """Tests for fiber graphs, transition classes, windows, and extraction."""
 
 import random
+import time
 from math import gcd, inf
 
 import pytest
@@ -10,12 +11,14 @@ from conftest import (
     brute_is_transition_block,
     brute_periodic_preimages,
     brute_pruned_phase_vertices,
+    brute_walk_depths,
     brute_window_blocks,
     brute_window_blocks_at_radius,
     random_code,
     random_triple,
     ref_bi_essential_nodes,
     ref_extract_stages,
+    ref_strongly_connected_components,
     ref_unrolled,
     ref_window_radii,
 )
@@ -33,7 +36,7 @@ from factorcode import (
     transition_classes,
     window_blocks,
 )
-from factorcode import graphs, make_sft
+from factorcode import fiber, graphs, make_sft
 from factorcode.core import FactorTriple
 from factorcode.fiber import _unrolled, class_cover
 
@@ -154,12 +157,23 @@ def oracle_cases():
 
 
 def test_one_pass_depths_and_pruning_match_their_definitions():
+    # one peel each way gives the depths and the pruned part; the cyclic
+    # components are read off the 1-fold cover, one Tarjan pass over the
+    # pruned graph: its emission order there, and exactly the cyclic
+    # components of the label-compatible graph
     for t, y in oracle_cases():
         g = build_fiber_graph(t, y)
         adj = g.adjacency
-        assert list(g.cyclic) == graphs.nontrivial_components(adj)
-        wants = (graphs.walk_depths(adj),
-                 graphs.walk_depths(graphs.invert(adj)))
+        cyclic = _unrolled(t, g.word, g.period).cyclic
+        pruned_adj = g.pruned_adjacency()
+        assert list(cyclic) == [
+            c for c in ref_strongly_connected_components(pruned_adj)
+            if graphs.is_cyclic(pruned_adj, c)]
+        assert sorted(map(sorted, cyclic)) == sorted(
+            sorted(c) for c in ref_strongly_connected_components(adj)
+            if graphs.is_cyclic(adj, c))
+        wants = (brute_walk_depths(adj),
+                 brute_walk_depths(graphs.invert(adj)))
         for got, want in zip(g.depths, wants):
             assert got == {v: inf if d is None else d for v, d in want.items()}
         assert g.pruned == ref_bi_essential_nodes(adj)
@@ -193,35 +207,38 @@ def test_class_cover_holds_the_classes():
 
 
 def test_cyclic_components_are_those_of_the_pruned_graph():
-    # the phase graph keeps those of its one Tarjan pass; the class order
-    # and the doubling certificate read one pass per cover. Over a base
-    # component of cyclicity c the m-fold cover has gcd(c / p, m) cyclic
-    # components, each lying over all of it
+    # the 1-fold cover is the pruned graph with its one Tarjan pass; the
+    # class order and the doubling certificate read one pass per cover.
+    # Over a base component of cyclicity c the m-fold cover has
+    # gcd(c / p, m) cyclic components, each lying over all of it
     for name in FIXTURE_NAMES:
         t, points = fixture_points(name)
         for y in points:
             g = build_fiber_graph(t, y)
-            assert {frozenset(c) for c in g.cyclic} == {
+            one = _unrolled(t, g.word, g.period)
+            assert one.adjacency is g.pruned_adjacency()
+            cyclic = one.cyclic
+            assert {frozenset(c) for c in cyclic} == {
                 frozenset(c) for c in
                 graphs.nontrivial_components(g.pruned_adjacency())}
             p = g.period
             big_p = transition_classes(g).unrolled_period
-            base = {v: i for i, comp in enumerate(g.cyclic) for v in comp}
+            base = {v: i for i, comp in enumerate(cyclic) for v in comp}
             for period in (big_p, 2 * big_p):
                 h = _unrolled(t, g.word, period)
                 assert h.components == \
                     graphs.strongly_connected_components(h.adjacency)
                 assert list(h.cyclic) == \
                     graphs.nontrivial_components(h.adjacency)
-                over = [0] * len(g.cyclic)
+                over = [0] * len(cyclic)
                 for comp in h.cyclic:
                     shadow = {(s, k % p) for s, k in comp}
                     i = base[next(iter(shadow))]
-                    assert shadow == set(g.cyclic[i])
+                    assert shadow == set(cyclic[i])
                     over[i] += 1
                 assert over == [
                     gcd(graphs.component_cyclicity(g.adjacency, c) // p,
-                        period // p) for c in g.cyclic]
+                        period // p) for c in cyclic]
 
 
 def test_report_invariants_on_all_fixture_points():
@@ -280,6 +297,27 @@ def test_class_of_preimage_validates_arguments():
     report = transition_classes(build_fiber_graph(t, PeriodicPoint(("0",))))
     with pytest.raises(ValueError, match="periodic point of the domain"):
         class_of_preimage(t, report, PeriodicPoint(("a",)))
+
+
+def test_enumerate_periodic_preimages_refuse_a_period_over_the_walk_budget(
+        monkeypatch):
+    # the walks are counted, not listed, before any preimage is: a long
+    # period is refused at once
+    t = fixtures.load("fix_c")
+    y = PeriodicPoint(("0",))
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError,
+                       match="period up to 60 take more than %d walks"
+                       % fiber.PREIMAGE_WALK_BUDGET):
+        enumerate_periodic_preimages(t, y, 60)
+    assert time.perf_counter() - start < 1.0
+    # listing to period 8 takes 508 walks: the limit is exact
+    want = enumerate_periodic_preimages(t, y, 8)
+    monkeypatch.setattr(fiber, "PREIMAGE_WALK_BUDGET", 508)
+    assert enumerate_periodic_preimages(t, y, 8) == want
+    monkeypatch.setattr(fiber, "PREIMAGE_WALK_BUDGET", 507)
+    with pytest.raises(PreconditionError, match="more than 507 walks"):
+        enumerate_periodic_preimages(t, y, 8)
 
 
 def test_enumerate_periodic_preimages_frozen_and_brute_checked():

@@ -23,18 +23,23 @@ from conftest import (
     ref_pair_graph,
     ref_predecessor_map,
     ref_sofic_image,
+    ref_strongly_connected_components,
     ref_successor_map,
 )
 from factorcode import (
     EmptyShiftError,
+    FactorTriple,
     d_star,
     essentialize,
+    essentialize_triple,
     fixtures,
+    make_sft,
     pair_graph,
     sofic_image,
 )
 from factorcode.codes import _label_masks, step
-from factorcode.graphs import (bi_essential_nodes, depth_pass, invert,
+from factorcode.core import sub_triple
+from factorcode.graphs import (bi_essential_nodes, count_walks, invert,
                                nontrivial_components, shortest_walk,
                                strongly_connected_components, walk_depths)
 
@@ -71,6 +76,69 @@ def test_essentialize_matches_fixed_point_reference():
         got = essentialize(t.x)
         assert got.symbols == want.symbols
         assert got.transitions == want.transitions
+
+
+def with_dangling_chains(rng, t):
+    """``t`` with chains of new symbols hung off its domain: heads that
+    start at a source and lead into it, and tails that leave it and end
+    in a sink, each joined to it at one or two places. The new
+    symbols take old image symbols or a new one, which then labels
+    nothing that survives."""
+    syms = list(t.x.symbols)
+    edges = set(t.x.transitions)
+    label = dict(t.label)
+    images = list(t.y_alphabet) + ["dead"]
+    for i in range(rng.randint(1, 4)):
+        chain = ["h%d_%d" % (i, j) for j in range(rng.randint(1, 3))]
+        edges.update(zip(chain, chain[1:]))
+        head = rng.random() < 0.5
+        for _ in range(rng.randint(1, 2)):
+            edges.add((chain[-1], rng.choice(syms)) if head
+                      else (rng.choice(syms), chain[0]))
+        for s in chain:
+            label[s] = rng.choice(images)
+        syms.extend(chain)
+    used = set(label.values())
+    return FactorTriple(make_sft(syms, edges), label,
+                        tuple(c for c in images if c in used))
+
+
+def test_essential_domains_are_kept_whole():
+    # an essential domain is its own essentialization: the same Sft and
+    # triple, keeping the neighbour maps and everything derived on it
+    kept_whole = 0
+    for t in population(103):
+        if ref_essentialize(t.x) != t.x:
+            continue
+        kept_whole += 1
+        sofic_image(t)
+        kept = dict(t.derived)
+        assert essentialize(t.x) is t.x
+        assert {"successor_map", "predecessor_map"} <= set(vars(t.x))
+        assert essentialize_triple(t) is t
+        assert t.derived == kept
+    assert kept_whole > len(FIXTURE_NAMES)
+
+
+def test_essentialize_prunes_dangling_chains_as_the_reference():
+    rng = random.Random(107)
+    pruned = 0
+    for t in population(109)[:20]:
+        try:
+            essential = essentialize_triple(t)
+        except EmptyShiftError:
+            continue
+        u = with_dangling_chains(rng, essential)
+        want = ref_essentialize(u.x)
+        assert want is not None and want != u.x
+        got = essentialize_triple(u)
+        assert got is not u
+        assert got.x.symbols == want.symbols == essential.x.symbols
+        assert got.x.transitions == want.transitions
+        assert got == sub_triple(u, set(want.symbols), want.transitions)
+        assert got.y_alphabet == essential.y_alphabet
+        pruned += len(u.x.symbols) - len(got.x.symbols)
+    assert pruned
 
 
 def test_sofic_image_matches_reference():
@@ -175,18 +243,100 @@ def test_walk_depths_match_bounded_enumeration():
         adj = {v: sorted(u for u in rng.sample(range(n), rng.randint(0, n))
                          if not acyclic or u > v)
                for v in range(n)}
-        order = strongly_connected_components(adj)
-        got = walk_depths(adj, order)
-        assert got == walk_depths(adj) == brute_walk_depths(adj)
-        # reversed, Tarjan's emission order serves the inverted graph
+        got = walk_depths(adj)
+        assert got == brute_walk_depths(adj)
+        # a peel from the sources is a peel of the inverted graph; the
+        # inverse the caller passes in is the one it would build
         inverse = invert(adj)
-        assert walk_depths(inverse, order[::-1]) == brute_walk_depths(inverse)
-        # one pass gives the order and both depths; where both are
-        # unbounded is the bi-infinite part, by reachability
-        assert depth_pass(adj) == (order, got, brute_walk_depths(inverse))
+        assert walk_depths(inverse) == brute_walk_depths(inverse)
+        assert walk_depths(adj, inverse) == got
+        assert walk_depths(inverse, adj) == brute_walk_depths(inverse)
+        # where both are unbounded is the bi-infinite part, by reachability
         pruned = bi_essential_nodes(adj)
         assert pruned == ref_bi_essential_nodes(adj)
         pruned_seen += bool(pruned) and len(pruned) < n
         unbounded += sum(d is None for d in got.values())
         finite += sum(d is not None and d > 1 for d in got.values())
     assert unbounded and finite and pruned_seen
+
+
+def random_multigraph(rng, n):
+    """Neighbour lists drawn with repetition, so self-loops and repeated
+    neighbours occur, and some nodes get no neighbour at all."""
+    return {v: rng.choices(range(n), k=rng.choice((0, 0, 1, 2, 3)))
+            for v in range(n)}
+
+
+def test_peeling_matches_its_definitions_on_multigraphs():
+    rng = random.Random(89)
+    seen = {"self_loop": 0, "repeat": 0, "isolated": 0, "partial": 0}
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        adj = random_multigraph(rng, n)
+        depths = walk_depths(adj)
+        assert depths == brute_walk_depths(adj)
+        assert walk_depths(invert(adj)) == brute_walk_depths(invert(adj))
+        assert bi_essential_nodes(adj) == ref_bi_essential_nodes(adj)
+        seen["self_loop"] += any(v in adj[v] for v in adj)
+        seen["repeat"] += any(len(set(vs)) < len(vs) for vs in adj.values())
+        seen["isolated"] += any(not adj[v] and all(v not in vs for vs in
+                                                   adj.values())
+                                for v in adj)
+        # unbounded, though some successor is peeled
+        seen["partial"] += any(depths[v] is None and
+                               any(depths[u] is not None for u in adj[v])
+                               for v in adj)
+    assert all(seen.values()), seen
+
+
+def test_partial_peeling_leaks_no_finite_depth():
+    # a has one sink successor and one, twice, that reaches the loop at
+    # c: the sink peels one of a's three out-edges, and a must stay
+    # unbounded. The isolated node d and the repeated edge b -> s of the
+    # chain peel as they should
+    adj = {"a": ["s", "b", "b"], "b": ["c"], "c": ["c"], "s": [], "d": []}
+    assert walk_depths(adj) == {"a": None, "b": None, "c": None, "s": 0,
+                                "d": 0}
+    assert walk_depths(invert(adj)) == {"a": 0, "b": 1, "c": None,
+                                        "s": 1, "d": 0}
+    assert bi_essential_nodes(adj) == {"c"}
+    chain = {"a": ["b"], "b": ["s", "s"], "s": []}
+    assert walk_depths(chain) == {"a": 2, "b": 1, "s": 0}
+    assert bi_essential_nodes(chain) == set()
+
+
+def test_tarjan_matches_the_reference_exactly():
+    # the same list of lists: emission order and the order inside each
+    # component, on simple graphs and on multigraphs
+    rng = random.Random(97)
+    for trial in range(300):
+        n = rng.randint(1, 12)
+        if trial % 2:
+            adj = random_multigraph(rng, n)
+        else:
+            adj = {v: rng.sample(range(n), rng.randint(0, n))
+                   for v in range(n)}
+        assert strongly_connected_components(adj) == \
+            ref_strongly_connected_components(adj)
+    for t in population(101):
+        adj = t.x.successor_map
+        assert strongly_connected_components(adj) == \
+            ref_strongly_connected_components(adj)
+
+
+def test_count_walks_matches_listing_them():
+    rng = random.Random(113)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        adj = random_multigraph(rng, n)
+        starts = rng.sample(range(n), rng.randint(0, n))
+        max_edges = rng.randint(0, 5)
+        walks, total = [(v,) for v in starts], 0
+        for _ in range(max_edges):
+            walks = [w + (u,) for w in walks for u in adj[w[-1]]]
+            total += len(walks)
+        assert count_walks(adj, starts, max_edges, total) == total
+        if total:
+            # past the limit, counting stops after the length passing it
+            got = count_walks(adj, starts, max_edges, total - 1)
+            assert total - 1 < got <= total
