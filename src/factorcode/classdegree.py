@@ -13,10 +13,14 @@ index n depend only on (U_0, U_end), namely the exact-length forward set
 from U_0 intersected with the exact-length backward set from U_end. Both
 sweeps run the labelled step ``codes.step`` on int masks, bit i standing
 for the i-th domain symbol, so route sets are masks from the start;
-frozensets are built only for the symbol sets this module returns. The
-sweeps are kept per prefix and per suffix (``_Routes``), so the words of
-one search, which share them, take each labelled step once; a word
-checked on its own takes one plain sweep each way (``_route_columns``).
+frozensets are built only for the symbol sets this module returns. One
+builder, ``_Routes``, keeps the sweeps per prefix and per suffix, so the
+words of one search, which share them, take each labelled step once; a
+word checked on its own takes a fresh one.
+
+The measure-restricted search lists the image blocks of the measure's
+support presentation (``measures._measure_support``), which are the
+measure-positive image words.
 
 The least depth at one index is a minimum hitting set of its route sets.
 Size 1 is the intersection of the route sets; beyond it the search is an
@@ -39,10 +43,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graphs
-from .core import PeriodicPoint, PreconditionError, sub_triple
+from .core import PeriodicPoint, PreconditionError
 from .codes import (_bit_indices, _bits, _label_masks, _symbols, _word_sweep,
                     d_star, image_blocks, image_irreducible, sofic_image,
                     step)
+from .measures import _measure_support
 
 
 @dataclass(frozen=True)
@@ -58,36 +63,10 @@ class TransitionBlock:
         return len(self.symbols)
 
 
-def _start_column(t, c):
-    """The one-symbol masks of the preimages of image symbol ``c``."""
-    return tuple(map(_bits(t)[0].__getitem__, t.preimages(c)))
-
-
-def _next_column(table, column, c):
-    """One labelled step of every live mask of ``column``."""
-    return tuple([m and step(table, m, c) for m in column])
-
-
-def _columns(t, word, forward):
-    """The masks of ``word`` at every coordinate, in coordinate order: one
-    per preimage of its first symbol (forward) or of its last symbol,
-    by one whole-word sweep."""
-    table = _label_masks(t, forward)
-    walk = word if forward else word[::-1]
-    cols = [_start_column(t, walk[0])]
-    for c in walk[1:]:
-        cols.append(_next_column(table, cols[-1], c))
-    return cols if forward else cols[::-1]
-
-
-def _route_columns(t, word):
-    """(fcols, bcols): the forward and backward masks of ``word`` at
-    every coordinate, for a word no other word shares sweeps with."""
-    return _columns(t, word, True), _columns(t, word, False)
-
-
 class _Routes:
-    """Route masks of image words, memoized per search.
+    """Route masks of image words, the one builder of them: one instance
+    serves a whole search, and a word checked on its own takes a fresh
+    one.
 
     ``fwd`` maps a prefix of a word to the forward masks at its last
     coordinate, one per preimage of its first symbol (in ``t.preimages``
@@ -96,8 +75,7 @@ class _Routes:
     fwd[word[:n + 1]][s] & bwd[word[n:]][e]. Words of a search share
     prefixes and suffixes, and each labelled step is taken once: a word
     whose prefix and suffix one symbol shorter are known costs one step
-    per start and one per end symbol. Each word costs a lookup per prefix
-    and suffix, so one-off words take ``_route_columns`` instead.
+    per start and one per end symbol.
     """
 
     def __init__(self, t):
@@ -117,14 +95,18 @@ class _Routes:
             part = word[:i + 1] if forward else word[i:]
             masks = memo.get(part)
             if masks is None:
-                masks = (_next_column(table, cols[-1], word[i]) if cols
-                         else _start_column(self.t, word[i]))
-                memo[part] = masks
+                # one labelled step of every live mask, or the one-symbol
+                # masks of the preimages at the first coordinate walked
+                masks = memo[part] = (
+                    tuple([m and step(table, m, word[i]) for m in cols[-1]])
+                    if cols else tuple(map(_bits(self.t)[0].__getitem__,
+                                           self.t.preimages(word[i]))))
             cols.append(masks)
         return cols if forward else cols[::-1]
 
     def columns(self, word):
-        """(fcols, bcols) of ``word``, as ``_route_columns`` gives them."""
+        """(fcols, bcols): the forward and backward masks of ``word`` at
+        every coordinate."""
         return self._columns(word, True), self._columns(word, False)
 
 
@@ -150,7 +132,7 @@ def routable_symbols(t, word, index, preimage):
     if len(path) != len(word) or not t.x.admits_word(path) \
             or t.label_word(path) != word:
         raise ValueError("block is not a preimage of the word")
-    fcols, bcols = _route_columns(t, word)
+    fcols, bcols = _Routes(t).columns(word)
     i = t.preimages(word[0]).index(path[0])
     j = t.preimages(word[-1]).index(path[-1])
     return _symbols(t, fcols[index][i] & bcols[index][j])
@@ -163,7 +145,7 @@ def is_transition_block(t, word, index, symbols):
     symbols = frozenset(symbols)
     if not symbols or not symbols <= set(t.preimages(word[index])):
         return False
-    fcols, bcols = _route_columns(t, word)
+    fcols, bcols = _Routes(t).columns(word)
     pairs = _pairs(fcols, bcols)
     mask = sum(map(_bits(t)[0].__getitem__, symbols))
     f, b = fcols[index], bcols[index]
@@ -253,8 +235,7 @@ def minimal_depth_at(t, word, below=None, routes=None):
     word = tuple(word)
     if len(word) < 3:
         raise ValueError("word must have length >= 3")
-    fcols, bcols = (routes.columns(word) if routes
-                    else _route_columns(t, word))
+    fcols, bcols = (routes or _Routes(t)).columns(word)
     # every start (end) that some preimage path leaves (enters) is in a
     # pair, so the route masks of all pairs meet in the masks of these
     starts = [i for i, f in enumerate(fcols[-1]) if f]
@@ -482,12 +463,7 @@ def class_count_for_measure(t, measure, horizon=8):
     points whenever a closure succeeds."""
     if horizon < 3:
         raise ValueError("horizon must be >= 3")
-    pres = sofic_image(t).triple
-    if tuple(measure.base.symbols) != tuple(pres.x.symbols):
-        raise PreconditionError("measure is not on the image presentation")
-    keep = set(measure.support_states())
-    support = sub_triple(pres, keep, (e for e in measure.kernel
-                                      if e[0] in keep and e[1] in keep))
+    support = _measure_support(t, measure)
     return _depth_search(t, horizon, lambda n: image_blocks(support, n),
                          None, support,
                          graphs.nontrivial_components(support.x.successor_map))

@@ -176,8 +176,8 @@ def primitive_root(word):
 
 def least_rotation(word):
     """Lexicographically least rotation, comparing by position tuples."""
-    return min(tuple(word[(i + j) % len(word)] for j in range(len(word)))
-               for i in range(len(word)))
+    word = tuple(word)
+    return min(word[i:] + word[:i] for i in range(len(word)))
 
 
 def canonical_orbit_word(word):

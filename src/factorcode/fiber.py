@@ -35,6 +35,7 @@ from math import inf, lcm
 from . import graphs
 from .core import PeriodicPoint, PreconditionError, per_triple, primitive_root
 from .classdegree import TransitionBlock, transition_block
+from .codes import _check_image_word
 
 
 @dataclass
@@ -79,11 +80,8 @@ def build_fiber_graph(t, y):
     Raises PreconditionError when y has no preimage (y not in the image).
     The graph is built once per triple and word and shared by every caller.
     """
-    word = tuple(y.word) if isinstance(y, PeriodicPoint) else tuple(y)
-    for c in word:
-        if c not in t.preimage_map:
-            raise ValueError("unknown image symbol %r" % (c,))
-    g = _phase_graph(t, word)
+    g = _phase_graph(t, _check_image_word(
+        t, y.word if isinstance(y, PeriodicPoint) else y))
     if not g.pruned:
         raise PreconditionError("point has no preimage in the domain")
     return g

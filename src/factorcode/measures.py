@@ -20,8 +20,10 @@ from math import isfinite, log
 
 from . import graphs
 from .core import (MeasureParseError, PeriodicPoint, PreconditionError,
-                   enumerate_blocks, is_irreducible, primitive_root)
-from .codes import sofic_image
+                   enumerate_blocks, is_irreducible, primitive_root,
+                   sub_triple)
+from .codes import (_bit_indices, _check_image_word, _label_masks,
+                    image_blocks, sofic_image)
 
 ROW_SUM_TOLERANCE = 1e-9
 # The Newton solve of the relative entropy bound stops on each piece
@@ -47,9 +49,6 @@ class MarkovMeasure:
 
     def support_states(self):
         return tuple(s for s in self.base.symbols if self.stationary[s] > 0)
-
-    def row(self, state):
-        return {t: p for (s, t), p in self.kernel.items() if s == state}
 
 
 def _check_invariants(measure):
@@ -330,12 +329,6 @@ def _require_presentation_measure(measure, pres):
         raise PreconditionError("measure is not on the image presentation")
 
 
-def _start(pres, measure, c):
-    """Stationary weights of the states carrying ``c``, where positive."""
-    return {s: measure.stationary[s] for s in pres.preimage_map.get(c, ())
-            if measure.stationary[s] > 0}
-
-
 def _push(pres, measure, vec, c):
     """The labelled step of ``codes.step`` for weighted states: the
     weights ``vec`` carried one step along the kernel onto the states
@@ -352,17 +345,28 @@ def _push(pres, measure, vec, c):
     return nxt
 
 
-def _mass(pres, vec):
-    return float(sum(vec[s] for s in pres.x.symbols if s in vec))
-
-
 def _word_measure(pres, measure, word):
-    vec = _start(pres, measure, word[0])
+    """Measure of ``word``: the stationary weights of the states carrying
+    its first symbol, where positive, pushed along the rest of it."""
+    vec = {s: measure.stationary[s]
+           for s in pres.preimage_map.get(word[0], ())
+           if measure.stationary[s] > 0}
     for c in word[1:]:
         vec = _push(pres, measure, vec, c)
         if not vec:
             return 0.0
-    return _mass(pres, vec)
+    return float(sum(vec[s] for s in pres.x.symbols if s in vec))
+
+
+def _measure_support(t, measure):
+    """The image presentation restricted to the support of ``measure``:
+    its states of positive stationary weight and the kernel's transitions
+    among them. Its image blocks are the measure-positive image words."""
+    pres = sofic_image(t).triple
+    _require_presentation_measure(measure, pres)
+    keep = set(measure.support_states())
+    return sub_triple(pres, keep, (e for e in measure.kernel
+                                   if e[0] in keep and e[1] in keep))
 
 
 def image_word_measure(t, measure, word):
@@ -373,43 +377,15 @@ def image_word_measure(t, measure, word):
     word = tuple(word)
     if not word:
         return 1.0
-    for c in word:
-        if c not in t.preimage_map:
-            raise ValueError("unknown image symbol %r" % (c,))
-    return _word_measure(pres, measure, word)
+    return _word_measure(pres, measure, _check_image_word(t, word))
 
 
 def pqs_bound(t, measure):
     """Preimage-count bound for the class degree relative to a measure on
     the image presentation: the smallest number of preimage symbols among
     measure-positive image symbols, a positive integer."""
-    pres = sofic_image(t).triple
-    _require_presentation_measure(measure, pres)
-    positive = {pres.label[s] for s in pres.x.symbols
-                if measure.stationary[s] > 0}
-    return min(len(t.preimages(c)) for c in sorted(positive))
-
-
-def _positive_word_measures(pres, measure, n):
-    """Measures of all measure-positive image words of length n."""
-    out = {}
-
-    def extend(word, vec):
-        if len(word) == n:
-            out[tuple(word)] = _mass(pres, vec)
-            return
-        for c in pres.y_alphabet:
-            nxt = _push(pres, measure, vec, c)
-            if nxt:
-                word.append(c)
-                extend(word, nxt)
-                word.pop()
-
-    for c in pres.y_alphabet:
-        vec = _start(pres, measure, c)
-        if vec:
-            extend([c], vec)
-    return out
+    return min(len(t.preimages(c))
+               for c in _measure_support(t, measure).y_alphabet)
 
 
 @dataclass
@@ -584,10 +560,9 @@ def relative_entropy_upper_bound(t, measure, k):
 
     if k < 1:
         raise ValueError("k must be >= 1")
-    pres = sofic_image(t).triple
-    _require_presentation_measure(measure, pres)
-
-    nu = _positive_word_measures(pres, measure, k + 1)
+    support = _measure_support(t, measure)
+    nu = {w: _word_measure(support, measure, w)
+          for w in image_blocks(support, k + 1)}
     xorder = {s: i for i, s in enumerate(t.x.symbols)}
 
     def block_key(block):
@@ -717,15 +692,14 @@ def uniform_conditional_diagnostic(t, bound):
     triple = ((codes[head[where], k - 1] * ny + label_of[center[where]]) * n
               + codes[last[where], 1])
     triples, kind = np.unique(triple, return_inverse=True)
-    transitions = t.x.transitions
+    after, before = _label_masks(t, True), _label_masks(t, False)
     admissible = []
     for code in triples.tolist():
         rest, nxt = divmod(code, n)
         prev, y0 = divmod(rest, ny)
-        admissible.append(
-            [xorder[a] for a in
-             t.successors_by_label[symbols[prev]].get(t.y_alphabet[y0], ())
-             if (a, symbols[nxt]) in transitions])
+        c = t.y_alphabet[y0]
+        admissible.append(list(_bit_indices(after[prev].get(c, 0)
+                                            & before[nxt].get(c, 0))))
     size = np.array([len(a) for a in admissible], dtype=np.intp)
     flat = np.array([a for adm in admissible for a in adm], dtype=np.intp)
 

@@ -37,8 +37,7 @@ from factorcode.classdegree import (_close_word, _count_classes_over,
 from factorcode.codes import _bits, _sweep, d_star, image_blocks
 from factorcode.core import FactorTriple, enumerate_blocks, sub_triple
 from factorcode.fiber import _unrolled
-from factorcode.measures import (_positive_word_measures, _prune_support,
-                                 _require_presentation_measure)
+from factorcode.measures import _prune_support, _require_presentation_measure
 
 
 FIXTURE_NAMES = ("fix_a", "fix_b", "fix_c", "fix_d", "fix_e", "fix_g")
@@ -835,6 +834,48 @@ def random_code(rng, n, reducible):
     return FactorTriple(make_sft(syms, edges), label, y_syms)
 
 
+def ref_positive_word_measures(pres, measure, n):
+    """Measures of all measure-positive image words of length n, by a
+    depth-first walk over the image alphabet of the presentation ``pres``
+    that carries the state weights one symbol at a time: the start is the
+    positive stationary weights of the states carrying the first symbol,
+    each step sums weight times kernel probability onto the successors
+    carrying the next symbol (in symbol order), and a word is kept when
+    some weight is left at its end."""
+    out = {}
+
+    def push(vec, c):
+        nxt = {}
+        for s in pres.x.symbols:
+            v = vec.get(s)
+            if not v:
+                continue
+            for u in pres.successors_by_label[s].get(c, ()):
+                p = measure.kernel.get((s, u))
+                if p:
+                    nxt[u] = nxt.get(u, 0.0) + v * p
+        return nxt
+
+    def extend(word, vec):
+        if len(word) == n:
+            out[tuple(word)] = float(sum(vec[s] for s in pres.x.symbols
+                                         if s in vec))
+            return
+        for c in pres.y_alphabet:
+            nxt = push(vec, c)
+            if nxt:
+                word.append(c)
+                extend(word, nxt)
+                word.pop()
+
+    for c in pres.y_alphabet:
+        vec = {s: measure.stationary[s] for s in pres.preimage_map.get(c, ())
+               if measure.stationary[s] > 0}
+        if vec:
+            extend([c], vec)
+    return out
+
+
 def ref_relative_entropy_upper_bound(t, measure, k,
                                      max_iterations=100000):
     """The relative entropy relaxation solved in the primal, by
@@ -847,7 +888,7 @@ def ref_relative_entropy_upper_bound(t, measure, k,
     pres = sofic_image(t).triple
     _require_presentation_measure(measure, pres)
 
-    nu = _positive_word_measures(pres, measure, k + 1)
+    nu = ref_positive_word_measures(pres, measure, k + 1)
     xorder = {s: i for i, s in enumerate(t.x.symbols)}
 
     def block_key(block):

@@ -39,8 +39,7 @@ from factorcode import (
 )
 from factorcode import classdegree, codes, graphs
 from factorcode.classdegree import (_close_word, _min_hitting_set,
-                                    _pad_to_interior, _pairs,
-                                    _route_columns, _Routes)
+                                    _pad_to_interior, _pairs, _Routes)
 from factorcode.codes import d_star, image_blocks
 from factorcode.core import FactorTriple, sub_triple
 
@@ -220,10 +219,10 @@ def test_bounded_minimal_depth_matches_the_unbounded_one():
 
 def test_route_memo_matches_whole_word_sweeps():
     """The memo's masks at every coordinate equal one sweep per start and
-    per end symbol across the whole word, whether the memo is fresh or
-    already holds the word's prefixes and suffixes, and so do those of
-    the plain sweep; starts and ends whose sweep dies keep an empty mask
-    at the far end."""
+    per end symbol across the whole word, whether the memo is fresh (as
+    for a word checked on its own) or already holds the word's prefixes
+    and suffixes; starts and ends whose sweep dies keep an empty mask at
+    the far end."""
     rng = random.Random(73)
     cases = [(fixtures.load(name), 8) for name in FIXTURE_NAMES]
     cases += [(random_triple(rng), 6) for _ in range(40)]
@@ -235,8 +234,7 @@ def test_route_memo_matches_whole_word_sweeps():
                 starts = t.preimages(word[0])
                 ends = t.preimages(word[-1])
                 for fcols, bcols in (shared.columns(word),
-                                     _Routes(t).columns(word),
-                                     _route_columns(t, word)):
+                                     _Routes(t).columns(word)):
                     for i, s in enumerate(starts):
                         column = [masks[i] for masks in fcols]
                         assert column == fsweeps.get(s, column)

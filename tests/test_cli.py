@@ -626,6 +626,20 @@ def test_classdegree_over_the_word_budget_exits_2_at_once(tmp_path,
         in err
 
 
+def test_bound_over_the_word_budget_exits_2_at_once(capsys):
+    # the measure-positive words are the image blocks of the measure's
+    # support, listed under the same limit of one length; fix_a's Parry
+    # measure passes it at length 23
+    argv = ["bound", fixture_path("fix_a"), "--measure",
+            fixture_path("fix_a_parry", ".measure"), "--k", "40"]
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "more than %d words of length 23" % codes.IMAGE_WORD_BUDGET \
+        in err
+
+
 NON_ESSENTIAL_FIX_E = """\
 # fix_e with a source h leading in, a sink i and a chain j k into a sink
 xsymbols: h a b c d e f g i j k

@@ -80,6 +80,15 @@ def test_word_canonicalization():
     assert primitive_root(("a", "b", "a", "b")) == ("a", "b")
     assert primitive_root(("a", "b", "a")) == ("a", "b", "a")
     assert least_rotation(("b", "a", "c")) == ("a", "c", "b")
+    assert least_rotation(["b", "a", "c"]) == ("a", "c", "b")
+    rng = random.Random(17)
+    for _ in range(2000):
+        word = [rng.choice("abc") for _ in range(rng.randint(1, 12))]
+        brute = min(tuple(word[(i + j) % len(word)]
+                          for j in range(len(word)))
+                    for i in range(len(word)))
+        assert least_rotation(word) == brute
+        assert least_rotation(tuple(word)) == brute
     assert canonical_orbit_word(("1", "0", "1", "0")) == ("0", "1")
 
 

@@ -63,6 +63,8 @@ def test_build_fiber_graph_validates_input():
     t = fixtures.load("fix_a")
     with pytest.raises(ValueError, match="unknown image symbol"):
         build_fiber_graph(t, PeriodicPoint(("z",)))
+    with pytest.raises(ValueError, match="empty image word"):
+        build_fiber_graph(t, ())
     with pytest.raises(PreconditionError, match="no preimage"):
         build_fiber_graph(t, PeriodicPoint(("1",)))
 

@@ -19,11 +19,13 @@ from conftest import (
     closed_class_measure,
     image_measure,
     random_code,
+    ref_positive_word_measures,
     ref_relative_entropy_upper_bound,
     ref_uniform_conditional_diagnostic,
 )
 import factorcode
 from factorcode import measures
+from factorcode.codes import image_blocks
 from factorcode import (
     MeasureParseError,
     PeriodicPoint,
@@ -85,7 +87,8 @@ def test_markov_measure_invariants_and_rows():
     m = markov_measure(x, {("0", "0"): 0.5, ("0", "1"): 0.5,
                            ("1", "0"): 1.0})
     assert set(m.support_states()) == {"0", "1"}
-    assert m.row("0") == {"0": 0.5, "1": 0.5}
+    assert {u: p for (s, u), p in m.kernel.items() if s == "0"} \
+        == {"0": 0.5, "1": 0.5}
     assert abs(sum(m.stationary.values()) - 1.0) < 1e-12
     for s in x.symbols:
         flow = sum(m.stationary[u] * m.kernel.get((u, s), 0.0)
@@ -314,6 +317,38 @@ def test_pqs_bound_frozen_and_recomputed():
             if sum(measure.stationary[s] for s in pres.x.symbols
                    if pres.label[s] == c) > 0)
         assert got == by_hand
+
+
+def support_word_measures(t, measure, n):
+    support = measures._measure_support(t, measure)
+    return {w: measures._word_measure(support, measure, w)
+            for w in image_blocks(support, n)}
+
+
+def test_support_words_carry_the_walked_measures_exactly():
+    """The image blocks of the support presentation, weighed one by one,
+    are the measure-positive words of the depth-first walk, with the same
+    values bit for bit and in the same order."""
+    cases = []
+    for name, kind in MEASURE_PAIRS:
+        t = fixtures.load(name)
+        cases.append((t,) + image_measure(t, kind))
+    for seed in range(8):
+        rng = random.Random(seed)
+        t = random_code(rng, rng.randint(4, 7), reducible=bool(seed % 2))
+        pres = sofic_image(t).triple
+        cycle = next(w for n in (2, 3, 1) for w in all_cycle_words(pres.x, n))
+        orbit = orbit_measure(pres.x, PeriodicPoint(cycle))
+        cases.append((t, pres, orbit))
+        if is_irreducible(pres.x):
+            # the same orbit with every other state transient
+            cases += [(t, pres, closed_class_measure(pres.x, orbit.kernel)),
+                      (t, pres, parry_measure(pres.x))]
+    for t, pres, measure in cases:
+        for k in (1, 2, 3, 4):
+            got = support_word_measures(t, measure, k + 1)
+            ref = ref_positive_word_measures(pres, measure, k + 1)
+            assert list(got.items()) == list(ref.items())
 
 
 _BOUND_CACHE = {}
