@@ -290,7 +290,7 @@ def main(argv=None):
             ValueError, OSError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 1
-    except (AssertionError, RuntimeError) as exc:
+    except (AssertionError, RuntimeError, MemoryError) as exc:
         print("internal error: %s" % (exc,), file=sys.stderr)
         return 4
 

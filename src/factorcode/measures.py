@@ -30,6 +30,14 @@ ROW_SUM_TOLERANCE = 1e-9
 # once the gradient of the dual is within the tolerance, or at the cap.
 DUAL_TOLERANCE = 1e-12
 NEWTON_STEPS = 100
+# Noda steps allowed for one Perron vector. The benchmark pools need 10
+# at most; a cold start on a matrix whose entries span 200 orders of
+# magnitude, a few hundred.
+_PERRON_STEPS = 1000
+# Most entries of the dense affine-kernel system and the k-block matrix of
+# one piece of the entropy bound's solve. The largest piece of the
+# benchmark pools needs 533 x 147 and 130 x 130.
+SOLVE_ENTRY_BUDGET = 4_000_000
 _ROW_INVARIANT = 1e-12
 _FLOW_INVARIANT = 1e-10
 
@@ -393,14 +401,16 @@ class RelativeEntropyBound:
     """Result of the k-block relative entropy relaxation.
 
     ``value`` is in nats: the dual value D at the last Newton iterate of
-    the piece where it is largest, an upper bound for the relaxation
-    whether or not the solve converged. ``optimizer`` maps the admissible
-    (k+1)-blocks of the domain kept by pruning to the weights of that
-    iterate's Gibbs chain, 0 off its piece; ``residuals`` reports the
-    largest violation of the image and marginal constraint families by
-    the optimizer (the image one is |grad D|). ``iterations`` counts
-    Newton steps over all pieces. ``converged`` is true when every piece
-    that can carry the image measure reached |grad D| <= ``tolerance``."""
+    the piece where it is largest, or 0 where that D is negative (the
+    relaxation is an entropy, so never below 0), an upper bound for the
+    relaxation whether or not the solve converged. ``optimizer`` maps
+    the admissible (k+1)-blocks of the domain kept by pruning to the
+    weights of that iterate's Gibbs chain, 0 off its piece;
+    ``residuals`` reports the largest violation of the image and
+    marginal constraint families by the optimizer (the image one is
+    |grad D|). ``iterations`` counts Newton steps over all pieces.
+    ``converged`` is true when every piece that can carry the image
+    measure reached |grad D| <= ``tolerance``."""
 
     k: int
     value: float
@@ -432,53 +442,123 @@ def _prune_support(blocks):
             if component[U[:-1]] == component[U[1:]]}
 
 
+def _gibbs_chain(weight, src, dst, x):
+    """The Perron root rho of the irreducible matrix A with A[src[i],
+    dst[i]] = weight[i] > 0 (len(x) rows; no entry given twice), its right
+    Perron vector r, and the masses of the entries under the Gibbs chain
+    of A, as (rho, masses, r).
+
+    r comes from Noda's inverse iteration, started at the positive vector
+    x and run on B = X^-1 A X (X = diag(x)), whose row sums are the
+    ratios (A x) / x: solve (max(ratio) I - B) z = 1 and take x z, over
+    its largest entry, as the next x. A is irreducible, so min(ratio) <=
+    rho <= max(ratio) for every positive x (Collatz-Wielandt), and rho is
+    taken as the maximum, an upper bound. In exact arithmetic the maximum
+    falls at every step. The iteration stops once the two bounds are
+    within 1e-14 of each other, or at the rounding floor: at a step that
+    is singular, leaves the positive cone or does not lower the maximum,
+    which is then not taken. B is solved rather than A so that every
+    entry of x is found to working accuracy, however many orders of
+    magnitude x spans. A step at most halves the maximum, so a start
+    whose maximum is far above rho takes at least log2 of their ratio in
+    steps; a run past _PERRON_STEPS steps is an internal error.
+
+    The Gibbs chain P = B / rho (at x = r) is stochastic, and its
+    stationary law pi solves (I - P + 1 1^T)^T pi = 1. Entry i has mass
+    pi[src[i]] P[src[i], dst[i]], which is l[src[i]] weight[i] r[dst[i]]
+    / (l A r) with l the left Perron vector."""
+    import numpy as np
+
+    n = len(x)
+    a = np.zeros((n, n))
+    a[src, dst] = weight
+    ones = np.ones(n)
+    b = a * x / x[:, None]
+    ratio = b.sum(axis=1)
+    for _ in range(_PERRON_STEPS):
+        rho = ratio.max()
+        if rho - ratio.min() <= 1e-14 * rho:
+            break
+        try:
+            z = np.linalg.solve(rho * np.eye(n) - b, ones)
+        except np.linalg.LinAlgError:
+            break
+        if not z.min() > 0:
+            break
+        y = x * z
+        y /= y.max()
+        if not y.min() > 0:
+            break
+        b_next = a * y / y[:, None]
+        ratio_next = b_next.sum(axis=1)
+        if not ratio_next.max() < rho:
+            break
+        x, b, ratio = y, b_next, ratio_next
+    else:
+        raise AssertionError("Perron iteration reached its cap")
+    chain = b / rho
+    pi = np.linalg.solve((np.eye(n) - chain + 1.0).T, ones)
+    masses = np.maximum(pi[src], 0.0) * chain[src, dst]
+    return rho, masses / masses.sum(), x
+
+
 def _dual_piece(cell, src, dst, n, nu):
     """Newton's method on the dual D of one strongly connected piece.
 
     Block i runs from k-block ``src[i]`` to k-block ``dst[i]`` (numbered
     0..n-1 within the piece) and carries image word ``cell[i]``. For lam
     over the image words, A holds e^lam[cell[i]] at (src[i], dst[i]) and
-    D(lam) = log rho(A) - lam . nu. The Perron vectors l and r of A (from
-    ``eig``) give its Gibbs chain, in which block i has mass
-    l[src[i]] A[src[i], dst[i]] r[dst[i]] / (l A r). grad D is the chain's
-    mass of each image word minus nu, and the Hessian their asymptotic
-    covariance, through the group inverse (I - P + 1 pi)^-1 - 1 pi of
-    I - P, with P the chain's transition matrix and pi its stationary
-    law. That is rho times the group inverse of rho I - A up to a
-    diagonal similarity, and unlike it stays well conditioned when lam
-    spreads the entries of A over many orders of magnitude.
+    D(lam) = log rho(A) - lam . nu. ``_gibbs_chain`` gives rho, from
+    above, so that every D is an upper bound, and the Gibbs chain's mass
+    of every block; each evaluation starts its Perron iteration from the
+    vector of the point it steps from (ones at lam = 0). grad D is the
+    chain's mass of each image word minus nu, and the Hessian their
+    asymptotic covariance, through the group inverse (I - P + 1 pi)^-1 -
+    1 pi of I - P, with P the chain's transition matrix and pi its
+    stationary law. That is rho times the group inverse of rho I - A up
+    to a diagonal similarity, and unlike it stays well conditioned when
+    lam spreads the entries of A over many orders of magnitude.
 
     D is affine along the directions v with v[cell] = phi[dst] - phi[src]
     + c on every block (A moves by a diagonal similarity and the factor
     e^c): lam -> lam + c, and the direction of any image word the piece
-    lacks, among others. A gradient along them means the piece cannot
-    carry nu, and D is returned as -inf. Newton steps solve the system
-    on the other directions by least squares. Each is halved until D
-    falls; near the optimum D moves by less than its rounding, and a
-    step that lowers |grad D| is taken instead. The solve stops once
-    |grad D| <= DUAL_TOLERANCE, once D < -DUAL_TOLERANCE, when no step
-    is taken or after NEWTON_STEPS steps, and returns D, grad D, the
-    block masses and the number of steps."""
+    lacks, among others. They are the kernel of that linear system over
+    (v, phi, c), restricted to v, read off the SVD of the R factor of the
+    system's QR decomposition: it has the system's singular values and
+    right singular vectors, without the blocks x blocks left factor. A
+    gradient along them means the piece cannot carry nu, and D is
+    returned as -inf; so is it at once for a piece that lacks an image
+    word. Newton steps solve the Newton system on the other directions
+    by least squares. Each is halved until D falls; near the optimum D
+    moves by less than its rounding, and a step that lowers |grad D| is
+    taken instead. The solve stops once |grad D| <= DUAL_TOLERANCE, once
+    D < -DUAL_TOLERANCE, when no step is taken or after NEWTON_STEPS
+    steps, and returns D, grad D, the block masses and the number of
+    steps.
+
+    PreconditionError, before any matrix is built, when the linear system
+    (blocks x (image words + k-blocks + 1)) or A has more than
+    SOLVE_ENTRY_BUDGET entries. A piece with a block for every image
+    word has at least as many blocks as image words and as k-blocks, so
+    every matrix of its solve is within a few times that budget."""
     import numpy as np
 
     m = len(nu)
+    if np.bincount(cell, minlength=m).min() == 0:
+        return -np.inf, None, None, 0
+    entries = max(len(cell) * (m + n + 1), n * n)
+    if entries > SOLVE_ENTRY_BUDGET:
+        raise PreconditionError(
+            "the entropy bound's solve on a piece of %d blocks needs a "
+            "matrix of %d entries, more than the limit of %d"
+            % (len(cell), entries, SOLVE_ENTRY_BUDGET))
 
-    def perron(a):
-        values, vectors = np.linalg.eig(a)
-        top = np.argmax(values.real)
-        return values[top].real, np.abs(vectors[:, top].real)
-
-    def evaluate(lam):
+    def evaluate(lam, x):
         # D ignores a shift of lam; this one keeps every weight <= 1
         shift = lam.max()
-        weight = np.exp(lam[cell] - shift)
-        a = np.zeros((n, n))
-        a[src, dst] = weight
-        rho, right = perron(a)
-        q = perron(a.T)[1][src] * weight * right[dst]
-        q /= q.sum()
+        rho, q, right = _gibbs_chain(np.exp(lam[cell] - shift), src, dst, x)
         grad = np.bincount(cell, weights=q, minlength=m) - nu
-        return log(rho) + shift - lam @ nu, grad, q
+        return log(rho) + shift - lam @ nu, grad, q, right
 
     def hessian(grad, q):
         pi = np.bincount(src, weights=q, minlength=n)
@@ -503,14 +583,14 @@ def _dual_piece(cell, src, dst, n, nu):
     np.add.at(system, (rows, m + src), 1.0)
     np.add.at(system, (rows, m + dst), -1.0)
     system[:, -1] = -1.0
-    sing, basis = np.linalg.svd(system)[1:]
+    sing, basis = np.linalg.svd(np.linalg.qr(system, mode="r"))[1:]
     kernel = basis[np.count_nonzero(sing > 1e-9 * sing[0]):, :m]
     sing, basis = np.linalg.svd(kernel)[1:]
     flat = basis[:np.count_nonzero(sing > 1e-9)]
     curved = basis[len(flat):]
 
     lam = np.zeros(m)
-    value, grad, q = evaluate(lam)
+    value, grad, q, right = evaluate(lam, np.ones(n))
     if np.abs(flat.T @ (flat @ grad)).max() > DUAL_TOLERANCE:
         return -np.inf, grad, q, 0
     steps = 0
@@ -524,14 +604,14 @@ def _dual_piece(cell, src, dst, n, nu):
         rounding = 1e-15 * (1.0 + np.abs(lam).max())
         for halving in range(40):
             trial = lam - step / 2 ** halving
-            point = evaluate(trial)
+            point = evaluate(trial, right)
             if point[0] < value or (point[0] <= value + rounding
                                     and np.abs(point[1]).max() < gap):
                 break
         else:
             break
         lam = trial
-        value, grad, q = point
+        value, grad, q, right = point
         steps += 1
     return value, grad, q, steps
 
@@ -554,7 +634,8 @@ def relative_entropy_upper_bound(t, measure, k):
     block graph. Each piece is solved on its own (``_dual_piece``) and
     the largest D reported. A piece whose D falls below -tolerance is
     dropped: by weak duality one that can carry nu has D >= 0 at every
-    lam.
+    lam. A linear algebra failure in the solve is raised as RuntimeError,
+    an internal error, since numpy's LinAlgError is a ValueError.
     """
     import numpy as np
 
@@ -589,8 +670,11 @@ def relative_entropy_upper_bound(t, measure, k):
                         for i in piece], dtype=np.intp)
         dst = np.array([kindex.setdefault(blocks[i][1:], len(kindex))
                         for i in piece], dtype=np.intp)
-        value, grad, q, steps = _dual_piece(cell, src, dst, len(kindex),
-                                            targets)
+        try:
+            value, grad, q, steps = _dual_piece(cell, src, dst, len(kindex),
+                                                targets)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError("entropy bound solve failed: %s" % exc) from exc
         iterations += steps
         if value < -DUAL_TOLERANCE:
             continue
@@ -607,7 +691,7 @@ def relative_entropy_upper_bound(t, measure, k):
     marginal = np.abs(np.bincount(src, weights=q, minlength=n)
                       - np.bincount(dst, weights=q, minlength=n)).max()
     return RelativeEntropyBound(
-        k=k, value=float(value),
+        k=k, value=max(float(value), 0.0),
         optimizer=dict(zip(blocks, weights.tolist())),
         residuals={"image": float(np.abs(grad).max()),
                    "marginal": float(marginal)},

@@ -876,6 +876,20 @@ def ref_positive_word_measures(pres, measure, n):
     return out
 
 
+def ref_perron(a):
+    """The Perron root of the irreducible nonnegative matrix ``a`` and its
+    right and left Perron vectors, from dense ``eig`` of ``a`` and of its
+    transpose: the eigenvalue of largest real part, and the absolute
+    values of its eigenvectors."""
+    pair = []
+    for matrix in (a, a.T):
+        values, vectors = np.linalg.eig(matrix)
+        top = np.argmax(values.real)
+        pair.append((values[top].real, np.abs(vectors[:, top].real)))
+    (rho, right), (_, left) = pair
+    return rho, right, left
+
+
 def ref_relative_entropy_upper_bound(t, measure, k,
                                      max_iterations=100000):
     """The relative entropy relaxation solved in the primal, by

@@ -19,6 +19,7 @@ from conftest import (
     closed_class_measure,
     image_measure,
     random_code,
+    ref_perron,
     ref_positive_word_measures,
     ref_relative_entropy_upper_bound,
     ref_uniform_conditional_diagnostic,
@@ -525,7 +526,7 @@ def test_level_scheduled_solver_matches_sequential_one_on_fixtures(k):
         assert_matches_sequential_solver(t, measure, k)
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("seed", range(40))
 def test_level_scheduled_solver_matches_sequential_one_on_random_codes(seed):
     rng = random.Random(seed)
     t = random_code(rng, rng.randint(4, 7), reducible=False)
@@ -535,6 +536,60 @@ def test_level_scheduled_solver_matches_sequential_one_on_random_codes(seed):
                     orbit_measure(pres.x, PeriodicPoint(cycle))):
         for k in (1, 2):
             assert_matches_sequential_solver(t, measure, k)
+
+
+def cyclic_matrix(rng, n, period, orders):
+    """A seeded irreducible nonnegative n x n matrix as (weight, src, dst):
+    the cycle 0 -> 1 -> ... -> n-1 -> 0 and 2n random entries, each from
+    an index in class c to one in class c + 1 (mod period), index i being
+    in class i % period, so the matrix is imprimitive when period > 1.
+    The weights are 10^-u with u uniform in [0, orders]."""
+    entries = {(i, (i + 1) % n) for i in range(n)}
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        entries.add((i, (j - (j - i - 1) % period) % n))
+    src, dst = (np.array(side) for side in zip(*sorted(entries)))
+    weight = np.array([10.0 ** (-orders * rng.random()) for _ in src])
+    return weight, src, dst
+
+
+@pytest.mark.parametrize("orders", (0, 3, 30, 200))
+@pytest.mark.parametrize("period", (1, 2, 3))
+def test_gibbs_chain_matches_the_eig_oracle(period, orders):
+    """Noda's iteration from ones and from a random positive start finds
+    rho and the Gibbs masses l[src] A r[dst] / (l A r) of ``eig``, on
+    primitive and imprimitive matrices and on entries spread over up to
+    200 orders of magnitude."""
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = period * rng.randint(1, 12)
+        weight, src, dst = cyclic_matrix(rng, n, period, orders)
+        a = np.zeros((n, n))
+        a[src, dst] = weight
+        rho_ref, right, left = ref_perron(a)
+        q_ref = left[src] * weight * right[dst]
+        q_ref /= q_ref.sum()
+        for start in (np.ones(n), np.array([rng.uniform(0.1, 1.0)
+                                            for _ in range(n)])):
+            rho, q, r = measures._gibbs_chain(weight, src, dst, start)
+            assert abs(rho - rho_ref) <= 1e-13 * rho_ref
+            assert np.abs(q - q_ref).max() <= 1e-12
+            assert q.min() >= 0
+            assert r.min() > 0
+
+
+def test_bound_never_calls_eig(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    for name, kind in MEASURE_PAIRS:
+        t = fixtures.load(name)
+        _, measure = image_measure(t, kind)
+        for k in (1, 2, 3):
+            b = relative_entropy_upper_bound(t, measure, k)
+            assert b.converged is True
+            assert max(b.residuals.values()) <= 1e-12
 
 
 def test_bound_stopped_by_a_cap_reports_no_convergence(monkeypatch):
