@@ -133,7 +133,7 @@ def _cmd_check(t, args, inputs):
         "irreducible": is_irreducible(t.x),
         "finite_to_one": is_finite_to_one(t),
         "image_irreducible_certified": image_irreducible(t),
-        "presentation_states": len(sofic_image(t).triple.x.symbols),
+        "presentation_states": len(sofic_image(t).masks),
     }, 0
 
 

@@ -11,8 +11,15 @@ of the code (the minimal number of preimages of a point).
 Sets of domain symbols are int bitmasks inside this package, bit i
 standing for ``t.x.symbols[i]``. The labelled step ``step`` maps a mask to
 a mask through one table per triple and direction (``_label_masks``),
-which the sweeps, the subset automata and ``image_blocks`` all read.
-Frozensets are built only by the public functions that return them.
+which the sweeps and ``image_blocks`` read. The subset automata and the
+finite-to-one test read each row of that table packed into one int
+(``_packed_rows``), the mask of the k-th image symbol at bits k*n to
+k*n + n - 1 for n domain symbols, so a mask steps to every image symbol
+at once by one OR per member. The finite-to-one test walks the label
+product as one mask per first coordinate. The sofic image keeps its
+presentation int-indexed; its state names, members and named triple are
+built on first read. Frozensets are built only by the public functions
+that return them.
 """
 
 from __future__ import annotations
@@ -23,20 +30,9 @@ from functools import cached_property
 from itertools import islice
 
 from . import graphs
-from .core import (Block, EmptyShiftError, FactorTriple, PeriodicPoint,
+from .core import (EmptyShiftError, FactorTriple, PeriodicPoint,
                    PreconditionError, Sft, canonical_orbit_word,
                    is_irreducible, per_triple)
-
-
-def apply_code(t, obj):
-    """Apply the 1-block code to a Block or PeriodicPoint of X."""
-    if isinstance(obj, PeriodicPoint):
-        if not t.x.admits_cycle(obj.word):
-            raise ValueError("invalid periodic point")
-        return PeriodicPoint(t.label_word(obj.word))
-    if not t.x.admits_word(obj.symbols):
-        raise ValueError("invalid block")
-    return Block(t.label_word(obj.symbols), obj.start)
 
 
 def _check_image_word(t, word):
@@ -112,79 +108,13 @@ def _sweep(t, start, word, forward):
 
 
 def _word_sweep(t, word, forward):
-    """Masks of ``forward_sets`` (forward) or ``backward_sets``."""
+    """``_sweep`` of an image word from all preimages of its first
+    (forward) or last symbol: at each coordinate, the mask of the symbols
+    that can end (forward) or start a preimage of that side of the
+    word."""
     word = _check_image_word(t, word)
     return _sweep(t, _bits(t)[1][word[0] if forward else word[-1]], word,
                   forward)
-
-
-def forward_sets(t, word):
-    """F_i sweep: F_0 = preimages(w_0), F_{i+1} = succ(F_i) & preimages."""
-    return [_symbols(t, m) for m in _word_sweep(t, word, True)]
-
-
-def backward_sets(t, word):
-    """B_i sweep from the right end, mirror image of forward_sets."""
-    return [_symbols(t, m) for m in _word_sweep(t, word, False)]
-
-
-@dataclass(frozen=True)
-class PreimageProfile:
-    """Symbols shown at one coordinate by the preimages of an image word."""
-
-    word: tuple
-    index: int
-    symbols: frozenset
-
-    @property
-    def value(self):
-        return len(self.symbols)
-
-
-def preimage_profiles(t, word):
-    """Profiles at every coordinate of ``word`` (empty sets iff w not in
-    the image language)."""
-    word = _check_image_word(t, word)
-    fwd = _word_sweep(t, word, True)
-    bwd = _word_sweep(t, word, False)
-    return [PreimageProfile(word, i, _symbols(t, fwd[i] & bwd[i]))
-            for i in range(len(word))]
-
-
-def preimage_profile(t, word, index):
-    word = _check_image_word(t, word)
-    if not 0 <= index < len(word):
-        raise ValueError("index out of range")
-    return preimage_profiles(t, word)[index]
-
-
-def exact_forward_sweep(t, start, word):
-    """Symbols reachable from ``start`` along paths labeled by the
-    prefixes of ``word`` (start must carry word[0]), one set per
-    coordinate."""
-    start = _bits(t)[0][start] if t.label[start] == word[0] else 0
-    return [_symbols(t, m) for m in _sweep(t, start, word, True)]
-
-
-def exact_backward_sweep(t, end, word):
-    """Mirror image of exact_forward_sweep, from ``end`` at the last
-    coordinate."""
-    end = _bits(t)[0][end] if t.label[end] == word[-1] else 0
-    return [_symbols(t, m) for m in _sweep(t, end, word, False)]
-
-
-def preimage_blocks(t, word):
-    """All X-paths labeled by ``word``, lexicographic in symbol order."""
-    word = _check_image_word(t, word)
-    bwd = _word_sweep(t, word, False)
-    bit = _bits(t)[0]
-    # every kept prefix ends in bwd, so it extends to a whole path
-    paths = [(s,) for s in t.preimages(word[0]) if bit[s] & bwd[0]]
-    for i in range(1, len(word)):
-        paths = [path + (u,) for path in paths
-                 for u in t.successors_by_label[path[-1]].get(word[i], ())
-                 if bit[u] & bwd[i]]
-    return paths
 
 
 @dataclass(frozen=True)
@@ -226,43 +156,72 @@ class _SubsetAutomaton:
 
 
 @per_triple
+def _packed_rows(t, forward):
+    """Each ``_label_masks`` row packed into one int: the mask of the
+    successors (forward) or predecessors carrying the k-th image symbol
+    at bits k*n to k*n + n - 1, for n domain symbols. Kept on the
+    triple."""
+    table = _label_masks(t, forward)
+    offset = {c: k * len(table) for k, c in enumerate(t.y_alphabet)}
+    return [sum(bits << offset[c] for c, bits in row.items())
+            for row in table]
+
+
+def _fold(rows, mask):
+    """The OR of the packed rows of the symbols in ``mask``: its labelled
+    step to every image symbol at once, laid out as the rows are."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+@per_triple
 def _subset_automaton(t, forward):
     """Breadth-first subset construction from the one-symbol preimage
     sets, stepping along successors (forward) or predecessors (backward).
 
     Discovery order follows the image alphabet at every state, so state
-    numbers and witness words are deterministic. Each state's step folds
-    the ``_label_masks`` entries of its members into one mask per image
-    symbol. Built once per triple and direction, and kept on the
-    triple."""
-    table = _label_masks(t, forward)
-    yorder = {c: k for k, c in enumerate(t.y_alphabet)}
-    auto = _SubsetAutomaton([], [], [], [], [])
+    numbers and witness words are deterministic. A state's successors are
+    one ``_fold`` of the packed rows (``_packed_rows``), one OR per
+    member bit, read off in image alphabet order by shift and mask.
+    Built once per triple and direction, and kept on the triple."""
+    rows = _packed_rows(t, forward)
+    n = len(rows)
+    full = (1 << n) - 1
     found = {}
-
-    def visit(mask, c, parent):
-        i = found.get(mask)
-        if i is None:
-            i = found[mask] = len(auto.masks)
-            auto.masks.append(mask)
-            auto.labels.append(c)
-            auto.parent.append(parent)
-            auto.depth.append(0 if parent is None else auto.depth[parent] + 1)
-            auto.succ.append([])
-        return i
-
+    masks, labels, parent, depth, succ = [], [], [], [], []
     for c, mask in _bits(t)[1].items():
-        visit(mask, c, None)
+        found[mask] = len(masks)
+        masks.append(mask)
+        labels.append(c)
+        parent.append(None)
+        depth.append(0)
+        succ.append(None)
     head = 0
-    while head < len(auto.masks):
-        acc = {}
-        for j in _bit_indices(auto.masks[head]):
-            for c, bits in table[j].items():
-                acc[c] = acc.get(c, 0) | bits
-        for c in sorted(acc, key=yorder.get):
-            auto.succ[head].append(visit(acc[c], c, head))
+    while head < len(masks):
+        acc = _fold(rows, masks[head])
+        out = succ[head] = []
+        below = depth[head] + 1
+        for c in t.y_alphabet:
+            mask = acc & full
+            if mask:
+                i = found.get(mask)
+                if i is None:
+                    i = found[mask] = len(masks)
+                    masks.append(mask)
+                    labels.append(c)
+                    parent.append(head)
+                    depth.append(below)
+                    succ.append(None)
+                out.append(i)
+            acc >>= n
+            if not acc:
+                break
         head += 1
-    return auto
+    return _SubsetAutomaton(masks, labels, parent, depth, succ)
 
 
 def d_star(t):
@@ -326,70 +285,109 @@ def d_star(t):
     return best_witness
 
 
-@dataclass(frozen=True)
-class PairGraph:
-    """Label product of X with itself: vertices are ordered pairs of
-    equally labeled symbols, edges act componentwise.
-
-    ``adjacency`` is built directly as products of equally labeled
-    successors: (a, b) -> (c, d) for every successor c of a and every
-    successor d of b with the label of c. Vertices and every adjacency
-    list are in lexicographic symbol order; ``edges`` is derived from it
-    on first use.
-    """
-
-    vertices: tuple
-    adjacency: dict
-
-    @cached_property
-    def edges(self):
-        return frozenset((v, w) for v in self.vertices
-                         for w in self.adjacency[v])
-
-
-def pair_graph(t):
-    succ = t.x.successor_map
-    by_label = t.successors_by_label
-    vertices = tuple((a, b) for a in t.x.symbols
-                     for b in t.preimages(t.label[a]))
-    adjacency = {(a, b): [(c, d) for c in succ[a]
-                          for d in by_label[b].get(t.label[c], ())]
-                 for a, b in vertices}
-    return PairGraph(vertices, adjacency)
+def _diagonal_reach(t, forward):
+    """The label product reached from its diagonal, as one mask per first
+    coordinate: entry a is the mask of every b with (a, b) reachable from
+    some (s, s) along pairs of equally labelled successors (forward) or
+    predecessors. Deltas are pushed: the second coordinates new under a
+    are stepped once, by one ``_fold``, and handed to a's neighbours
+    under each label."""
+    table = _label_masks(t, forward)
+    rows = _packed_rows(t, forward)
+    n = len(rows)
+    full = (1 << n) - 1
+    offset = {c: k * n for k, c in enumerate(t.y_alphabet)}
+    got = [1 << a for a in range(n)]
+    delta = got[:]
+    # a is on the stack exactly while delta[a] is nonzero
+    stack = list(range(n))
+    while stack:
+        a = stack.pop()
+        reach = _fold(rows, delta[a])
+        delta[a] = 0
+        for c, heads in table[a].items():
+            news = (reach >> offset[c]) & full
+            while news and heads:
+                low = heads & -heads
+                heads ^= low
+                h = low.bit_length() - 1
+                new = news & ~got[h]
+                if new:
+                    got[h] |= new
+                    if not delta[h]:
+                        stack.append(h)
+                    delta[h] |= new
+    return got
 
 
 def is_finite_to_one(t):
     """A 1-block code is finite-to-one iff it admits no diamond: two
     distinct equally labeled paths with equal endpoints. Equivalently, no
-    off-diagonal pair-graph vertex sits on a diagonal-to-diagonal path."""
-    pg = pair_graph(t)
-    adj = pg.adjacency
-    diagonal = [v for v in pg.vertices if v[0] == v[1]]
-    from_diag = graphs.reachable_from(adj, diagonal)
-    to_diag = graphs.reachable_from(graphs.invert(adj), diagonal)
-    for v in pg.vertices:
-        if v[0] != v[1] and v in from_diag and v in to_diag:
-            return False
-    return True
+    off-diagonal pair of the label product is reachable from the diagonal
+    and reaches it back. With the product held as one mask per first
+    coordinate a, from the diagonal forward and backward
+    (``_diagonal_reach``), that is: no ``fwd[a] & bwd[a]`` has a bit other
+    than a's own."""
+    fwd = _diagonal_reach(t, True)
+    bwd = _diagonal_reach(t, False)
+    return not any(f & b & ~(1 << a)
+                   for a, (f, b) in enumerate(zip(fwd, bwd)))
 
 
 @dataclass
 class SoficImage:
-    """Right-resolving presentation of the image shift.
+    """Right-resolving presentation of the image shift, int-indexed.
 
-    States are the label-homogeneous subsets of X reachable by the subset
-    construction from the full one-symbol preimage sets, essentialized.
-    ``triple`` presents the image: its SFT walks the state graph and its
-    labels read off the presented image symbols. ``members`` maps each
-    state name back to the underlying symbol subset. One Tarjan pass over
-    the presentation gives ``cyclic``, its nontrivial strongly connected
-    components in emission order, and ``irreducible``.
+    Its states are the label-homogeneous subsets of X reachable by the
+    subset construction from the full one-symbol preimage sets,
+    essentialized, kept in discovery order: state p is the member mask
+    ``masks[p]`` (bit j is ``domain[j]``, the domain alphabet) and
+    carries the image symbol ``labels[p]``. ``successors[p]`` lists the
+    states one image symbol away, ascending. One Tarjan pass over that
+    adjacency gives ``irreducible`` and ``components``, the nontrivial
+    strongly connected components in emission order.
+
+    The named reading is built on first read and kept: ``names`` joins
+    each state's members with '+' in symbol order, ``members`` maps each
+    name to its symbol subset, ``triple`` presents the image (its SFT
+    walks the state graph by name and its labels read off the presented
+    image symbols) and ``cyclic`` is ``components`` by name.
     """
 
-    triple: FactorTriple
-    members: dict
+    domain: tuple
+    y_alphabet: tuple
+    masks: list
+    labels: list
+    successors: list
     irreducible: bool
-    cyclic: tuple
+    components: tuple
+
+    @cached_property
+    def names(self):
+        return tuple("+".join(map(self.domain.__getitem__,
+                                  _bit_indices(mask)))
+                     for mask in self.masks)
+
+    @cached_property
+    def members(self):
+        return {name: frozenset(map(self.domain.__getitem__,
+                                    _bit_indices(mask)))
+                for name, mask in zip(self.names, self.masks)}
+
+    @cached_property
+    def triple(self):
+        names = self.names
+        sft = Sft(names, frozenset((names[p], names[q])
+                                   for p, nxt in enumerate(self.successors)
+                                   for q in nxt))
+        used = set(self.labels)
+        return FactorTriple(sft, dict(zip(names, self.labels)),
+                            tuple(c for c in self.y_alphabet if c in used))
+
+    @cached_property
+    def cyclic(self):
+        return tuple([self.names[p] for p in comp]
+                     for comp in self.components)
 
 
 @per_triple
@@ -397,37 +395,40 @@ def sofic_image(t):
     """Canonical right-resolving presentation of the image shift.
 
     Runs the forward subset construction from the one-symbol preimage
-    sets, keeps the states on some bi-infinite walk of its state graph
+    sets and keeps the states on some bi-infinite walk of its state graph
     (``graphs.bi_essential_nodes``; every finite image block is still
     presented, since each run can be stabilized on the left into that
-    part) and names every state by joining its members with '+' in symbol
-    order. States keep their breadth-first discovery order. Linear in the
-    size of the subset automaton. Raises EmptyShiftError when no state
-    survives. Built once per triple and kept on it: every command that
-    needs the image shares one.
+    part), in breadth-first discovery order. The presentation stays
+    int-indexed, and its names are built only when read (``SoficImage``).
+    Linear in the size of the subset automaton. Raises EmptyShiftError
+    when no state survives. Built once per triple and kept on it: every
+    command that needs the image shares one.
     """
     auto = _subset_automaton(t, True)
-    alive = graphs.bi_essential_nodes(dict(enumerate(auto.succ)))
+    graph = dict(enumerate(auto.succ))
+    pred = graphs.invert(graph)
+    alive = graphs.bi_essential_nodes(graph, pred)
     if not alive:
         raise EmptyShiftError("image shift is empty")
-    kept = [i for i in range(len(auto.masks)) if i in alive]
-    members = {}
-    names = {}
-    for i in kept:
-        state = [t.x.symbols[j] for j in _bit_indices(auto.masks[i])]
-        names[i] = "+".join(state)
-        members[names[i]] = frozenset(state)
-    sft = Sft(tuple(names[i] for i in kept),
-              frozenset((names[i], names[j]) for i in kept
-                        for j in auto.succ[i] if j in alive))
-    label = {names[i]: auto.labels[i] for i in kept}
-    used = set(label.values())
-    triple = FactorTriple(sft, label,
-                          tuple(c for c in t.y_alphabet if c in used))
-    components = graphs.strongly_connected_components(sft.successor_map)
-    return SoficImage(triple, members, len(components) == 1,
+    place = [-1] * len(graph)
+    kept = sorted(alive)
+    for p, i in enumerate(kept):
+        place[i] = p
+    # the predecessor lists are ascending, so visiting the kept targets in
+    # order appends every successor list ascending
+    successors = [[] for _ in kept]
+    for q, j in enumerate(kept):
+        for i in pred[j]:
+            if place[i] >= 0:
+                successors[place[i]].append(q)
+    adj = dict(enumerate(successors))
+    components = graphs.strongly_connected_components(adj)
+    return SoficImage(t.x.symbols, t.y_alphabet,
+                      [auto.masks[i] for i in kept],
+                      [auto.labels[i] for i in kept], successors,
+                      len(components) == 1,
                       tuple(c for c in components
-                            if graphs.is_cyclic(sft.successor_map, c)))
+                            if graphs.is_cyclic(adj, c)))
 
 
 def image_irreducible(t):

@@ -636,14 +636,25 @@ def relative_entropy_upper_bound(t, measure, k):
     dropped: by weak duality one that can carry nu has D >= 0 at every
     lam. A linear algebra failure in the solve is raised as RuntimeError,
     an internal error, since numpy's LinAlgError is a ValueError.
+
+    A piece that can carry nu has a block per image word, so m words need
+    a system of at least m(m + 1) entries: past SOLVE_ENTRY_BUDGET, the
+    PreconditionError comes right after the words are listed, before any
+    domain block is.
     """
     import numpy as np
 
     if k < 1:
         raise ValueError("k must be >= 1")
     support = _measure_support(t, measure)
-    nu = {w: _word_measure(support, measure, w)
-          for w in image_blocks(support, k + 1)}
+    positive = image_blocks(support, k + 1)
+    least = len(positive) * (len(positive) + 1)
+    if least > SOLVE_ENTRY_BUDGET:
+        raise PreconditionError(
+            "the entropy bound's solve over %d image words needs a matrix "
+            "of at least %d entries, more than the limit of %d"
+            % (len(positive), least, SOLVE_ENTRY_BUDGET))
+    nu = {w: _word_measure(support, measure, w) for w in positive}
     xorder = {s: i for i, s in enumerate(t.x.symbols)}
 
     def block_key(block):

@@ -18,8 +18,6 @@ from factorcode import (
     PeriodicPoint,
     build_fiber_graph,
     canonical_orbit_word,
-    exact_backward_sweep,
-    exact_forward_sweep,
     fixtures,
     make_sft,
     markov_measure,
@@ -34,7 +32,8 @@ from factorcode import graphs
 from factorcode.classdegree import (_close_word, _count_classes_over,
                                     _pad_to_interior, _result,
                                     minimal_depth_at)
-from factorcode.codes import _bits, _sweep, d_star, image_blocks
+from factorcode.codes import (_bits, _check_image_word, _sweep, _symbols,
+                              _word_sweep, d_star, image_blocks)
 from factorcode.core import FactorTriple, enumerate_blocks, sub_triple
 from factorcode.fiber import _unrolled
 from factorcode.measures import _prune_support, _require_presentation_measure
@@ -598,6 +597,16 @@ def ref_pair_graph(t):
     return vertices, edges, adjacency
 
 
+def ref_is_finite_to_one(t):
+    """No off-diagonal vertex of the all-pairs label product lies on a
+    path from its diagonal back to it, by reachability both ways."""
+    vertices, _, adjacency = ref_pair_graph(t)
+    diagonal = [v for v in vertices if v[0] == v[1]]
+    fwd = graphs.reachable_from(adjacency, diagonal)
+    bwd = graphs.reachable_from(graphs.invert(adjacency), diagonal)
+    return not any(v[0] != v[1] and v in fwd and v in bwd for v in vertices)
+
+
 def ref_d_star(t):
     """(word, index, value) minimizing (value, length, word) over every
     pair of forward and backward frozenset states with a common label,
@@ -618,6 +627,64 @@ def ref_d_star(t):
                 if best is None or key < best[0]:
                     best = (key, (word, len(fword) - 1, len(meet)))
     return best[1]
+
+
+# Frozenset readings of the library's mask sweeps (``codes._sweep``), which
+# the tests compare with the brute-force oracles above and use to build the
+# references below.
+
+def forward_sets(t, word):
+    """F_i sweep: F_0 = preimages(w_0), F_{i+1} = succ(F_i) & preimages."""
+    return [_symbols(t, m) for m in _word_sweep(t, word, True)]
+
+
+def backward_sets(t, word):
+    """B_i sweep from the right end, mirror image of forward_sets."""
+    return [_symbols(t, m) for m in _word_sweep(t, word, False)]
+
+
+def preimage_profiles(t, word):
+    """The symbols shown at every coordinate of ``word`` by its preimages,
+    as (word, index, symbols) records: F_i & B_i, empty everywhere iff
+    the word is not in the image language."""
+    word = _check_image_word(t, word)
+    return [SimpleNamespace(word=word, index=i, symbols=f & b)
+            for i, (f, b) in enumerate(zip(forward_sets(t, word),
+                                           backward_sets(t, word)))]
+
+
+def preimage_profile(t, word, index):
+    profiles = preimage_profiles(t, word)
+    if not 0 <= index < len(profiles):
+        raise ValueError("index out of range")
+    return profiles[index]
+
+
+def preimage_blocks(t, word):
+    """All X-paths labeled by ``word``, lexicographic in symbol order,
+    each prefix kept only while the backward sweep says it extends."""
+    bwd = backward_sets(t, word)
+    paths = [(s,) for s in t.preimages(word[0]) if s in bwd[0]]
+    for i in range(1, len(word)):
+        paths = [path + (u,) for path in paths
+                 for u in t.successors_by_label[path[-1]].get(word[i], ())
+                 if u in bwd[i]]
+    return paths
+
+
+def exact_forward_sweep(t, start, word):
+    """Symbols reachable from ``start`` along paths labeled by the
+    prefixes of ``word`` (start must carry word[0]), one set per
+    coordinate."""
+    start = _bits(t)[0][start] if t.label[start] == word[0] else 0
+    return [_symbols(t, m) for m in _sweep(t, start, word, True)]
+
+
+def exact_backward_sweep(t, end, word):
+    """Mirror image of exact_forward_sweep, from ``end`` at the last
+    coordinate."""
+    end = _bits(t)[0][end] if t.label[end] == word[-1] else 0
+    return [_symbols(t, m) for m in _sweep(t, end, word, False)]
 
 
 def ref_min_hitting_set(route_sets, pool, below):

@@ -18,7 +18,7 @@ import factorcode
 from conftest import (closed_class_measure, image_measure, measure_text,
                       random_code)
 from factorcode import (cli, codes, fiber, fixtures, graphs, measures,
-                        sofic_image, triple_to_text)
+                        parse_triple, sofic_image, triple_to_text)
 
 FIXDIR = Path(factorcode.__file__).parent / "fixtures"
 GOLDEN = (1 + sqrt(5)) / 2
@@ -41,6 +41,24 @@ def run_json(*argv, expect_status=0):
     proc = run_cli(*argv)
     assert proc.returncode == expect_status, proc.stderr
     return json.loads(proc.stdout)
+
+
+def test_check_counts_the_states_of_the_named_presentation(tmp_path):
+    """check reads the state count off the int-indexed presentation; it
+    is the number of states of the named triple the other commands
+    read."""
+    paths = {name: fixture_path(name) for name in fixtures.names()}
+    rng = random.Random(11)
+    for i in range(3):
+        path = tmp_path / ("random%d.triple" % i)
+        path.write_text(triple_to_text(
+            random_code(rng, rng.randint(40, 60), reducible=i == 2)))
+        paths[path.name] = str(path)
+    for path in paths.values():
+        result = run_json("check", path)["result"]
+        t = parse_triple(Path(path).read_text())
+        assert result["presentation_states"] == len(
+            sofic_image(t).triple.x.symbols)
 
 
 def test_json_envelope_and_check_summary():
@@ -568,9 +586,11 @@ def test_tarjan_passes_per_command(argv, passes, monkeypatch, capsys):
     doubling check, here P being the period; the class degree
     certificate adds the cover at the class period, here twice the
     period. A measure adds one to find its closed class and one for the
-    components of its support. Only the finite-to-one test searches by
-    reachability."""
-    calls, sweeps = [], []
+    components of its support. No command searches by reachability:
+    the finite-to-one test walks the label product as masks. check reads
+    the presentation's state count and irreducibility, never its named
+    triple."""
+    calls, sweeps, triples = [], [], []
 
     def count(adj):
         calls.append(len(adj))
@@ -580,15 +600,21 @@ def test_tarjan_passes_per_command(argv, passes, monkeypatch, capsys):
         sweeps.append(sys._getframe(1).f_code.co_name)
         return real_sweep(adj, starts)
 
+    def triple(image):
+        triples.append(image)
+        return real_triple.__get__(image, codes.SoficImage)
+
     real = graphs.strongly_connected_components
     real_sweep = graphs.reachable_from
+    real_triple = codes.SoficImage.triple
     monkeypatch.setattr(graphs, "strongly_connected_components", count)
     monkeypatch.setattr(graphs, "reachable_from", sweep)
+    monkeypatch.setattr(codes.SoficImage, "triple", property(triple))
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert len(calls) == passes
-    assert set(sweeps) <= {"is_finite_to_one"}
-    assert bool(sweeps) == (argv[0] in ("check", "degree"))
+    assert sweeps == []
+    assert bool(triples) == (argv[0] == "classdegree")
 
 
 def cycles_triple(lengths):
@@ -663,15 +689,25 @@ def test_bound_over_the_word_budget_exits_2_at_once(capsys):
         in err
 
 
-def test_bound_over_the_solve_budget_exits_2(capsys):
+def test_bound_over_the_solve_budget_exits_2(monkeypatch, capsys):
     # 46,368 positive words of length 22 are under the word limit, but
-    # the solve would need a 46,368 x 75,026 system
+    # the solve would need at least 46,368 x 46,369 entries: refused
+    # before any domain block is listed
+    listed = []
+
+    def blocks(x, n):
+        listed.append(n)
+        return real_blocks(x, n)
+
+    real_blocks = measures.enumerate_blocks
+    monkeypatch.setattr(measures, "enumerate_blocks", blocks)
     argv = ["bound", fixture_path("fix_a"), "--measure",
             fixture_path("fix_a_parry", ".measure"), "--k", "21"]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "limit of %d" % measures.SOLVE_ENTRY_BUDGET in captured.err
+    assert listed == []
 
 
 NON_ESSENTIAL_FIX_E = """\

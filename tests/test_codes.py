@@ -8,35 +8,34 @@ import pytest
 from conftest import (
     FIXTURE_NAMES,
     all_words,
+    backward_sets,
     brute_image_words,
     brute_periodic_image_words,
     brute_preimage_blocks,
     brute_profile,
+    forward_sets,
+    preimage_blocks,
+    preimage_profile,
+    preimage_profiles,
     random_triple,
+    ref_pair_graph,
 )
 from factorcode import (
-    Block,
     PeriodicPoint,
     PreconditionError,
-    apply_code,
-    backward_sets,
     codes,
     d_star,
     degree,
     degree_witness,
     fixtures,
-    forward_sets,
     image_blocks,
     image_irreducible,
     is_finite_to_one,
     make_sft,
     periodic_image_points,
-    preimage_blocks,
-    preimage_profile,
-    preimage_profiles,
     sofic_image,
 )
-from factorcode.codes import IMAGE_WORD_BUDGET, pair_graph
+from factorcode.codes import IMAGE_WORD_BUDGET
 from factorcode.core import FactorTriple
 
 
@@ -71,18 +70,6 @@ PERIODIC_POINTS_EXPECTED = {
     "fix_e": ["1", "01", "011", "0111"],
     "fix_g": ["0", "001", "0001"],
 }
-
-
-def test_apply_code_on_blocks_and_points():
-    t = fixtures.load("fix_a")
-    assert apply_code(t, Block(("0", "1", "0"), start=2)) == Block(
-        ("0", "1", "0"), start=2)
-    assert apply_code(t, PeriodicPoint(("0", "1"))) == PeriodicPoint(
-        ("0", "1"))
-    with pytest.raises(ValueError):
-        apply_code(t, Block(("1", "1")))
-    with pytest.raises(ValueError):
-        apply_code(t, PeriodicPoint(("1",)))
 
 
 def test_sweep_sets_on_a_hand_example():
@@ -167,16 +154,17 @@ def test_d_star_is_a_global_minimum_at_desk_scale():
 
 
 def test_pair_graph_shape():
+    """The label product that the finite-to-one test walks as masks,
+    pinned on the reference that its oracle searches."""
     t = fixtures.load("fix_b")
-    pg = pair_graph(t)
-    assert set(pg.vertices) == {("a", "a"), ("a", "b"), ("b", "a"),
-                                ("b", "b")}
-    assert set(pg.edges) == {(("a", "a"), ("b", "b")),
-                             (("b", "b"), ("a", "a")),
-                             (("a", "b"), ("b", "a")),
-                             (("b", "a"), ("a", "b"))}
-    sizes = {name: (len(pair_graph(fixtures.load(name)).vertices),
-                    len(pair_graph(fixtures.load(name)).edges))
+    vertices, edges, _ = ref_pair_graph(t)
+    assert set(vertices) == {("a", "a"), ("a", "b"), ("b", "a"),
+                             ("b", "b")}
+    assert set(edges) == {(("a", "a"), ("b", "b")),
+                          (("b", "b"), ("a", "a")),
+                          (("a", "b"), ("b", "a")),
+                          (("b", "a"), ("a", "b"))}
+    sizes = {name: tuple(map(len, ref_pair_graph(fixtures.load(name))[:2]))
              for name in FIXTURE_NAMES}
     assert sizes == {"fix_a": (2, 3), "fix_b": (4, 4), "fix_c": (4, 16),
                      "fix_d": (8, 18), "fix_e": (25, 50), "fix_g": (5, 6)}

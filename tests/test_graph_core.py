@@ -1,9 +1,9 @@
 """The linear-time graph core against its definitions.
 
-The library builds neighbour maps, essentializations, the sofic image,
-the pair graph and d* in time linear in the graphs involved; the
-reference versions in conftest build the same objects by definition, in
-quadratic time or worse. Every output order is part of the comparison,
+The library builds neighbour maps, essentializations, the subset
+automata, the sofic image, the finite-to-one test and d* in time linear
+in the graphs involved; the reference versions in conftest build the
+same objects by definition, in quadratic time or worse. Every output order is part of the comparison,
 because the CLI reports depend on it. The population mixes irreducible
 codes with reducible ones, whose domains carry transient and
 non-essential symbols, at up to 30 domain symbols.
@@ -20,10 +20,11 @@ from conftest import (
     ref_bi_essential_nodes,
     ref_d_star,
     ref_essentialize,
-    ref_pair_graph,
+    ref_is_finite_to_one,
     ref_predecessor_map,
     ref_sofic_image,
     ref_strongly_connected_components,
+    ref_subset_automaton,
     ref_successor_map,
 )
 from factorcode import (
@@ -33,11 +34,11 @@ from factorcode import (
     essentialize,
     essentialize_triple,
     fixtures,
+    is_finite_to_one,
     make_sft,
-    pair_graph,
     sofic_image,
 )
-from factorcode.codes import _label_masks, step
+from factorcode.codes import _label_masks, _subset_automaton, step
 from factorcode.core import sub_triple
 from factorcode.graphs import (bi_essential_nodes, count_walks, invert,
                                nontrivial_components, shortest_walk,
@@ -162,14 +163,44 @@ def test_sofic_image_matches_reference():
             image.triple.x.successor_map)
 
 
-def test_pair_graph_matches_all_pairs_reference():
-    for t in population(61):
-        vertices, edges, adjacency = ref_pair_graph(t)
-        pg = pair_graph(t)
-        assert pg.vertices == vertices
-        assert pg.edges == edges
-        assert list(pg.adjacency) == list(adjacency)
-        assert pg.adjacency == adjacency
+def test_finite_to_one_matches_pair_graph_reachability():
+    """The mask walk of the label product against reachability over the
+    all-pairs product, on the population and on codes of 40 to 60
+    domain symbols."""
+    rng = random.Random(79)
+    triples = population(61) + [
+        random_code(rng, rng.randint(40, 60), reducible=rng.random() < 0.5)
+        for _ in range(3)]
+    answers = [is_finite_to_one(t) for t in triples]
+    assert answers == [ref_is_finite_to_one(t) for t in triples]
+    assert set(answers) == {True, False}
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_subset_automaton_matches_frozenset_construction(forward):
+    """Every field of the packed-row construction against the frozenset
+    one: states in breadth-first order, their labels, the parent that
+    first reached each, depths, and successors in image alphabet
+    order."""
+    for t in population(89):
+        found, edges = ref_subset_automaton(t, forward)
+        auto = _subset_automaton(t, forward)
+        states = list(found)
+        words = [found[s][0] for s in states]
+        index = {s: i for i, s in enumerate(states)}
+        by_word = {w: i for i, w in enumerate(words)}
+        yorder = {c: k for k, c in enumerate(t.y_alphabet)}
+        out = [[] for _ in states]
+        for a, b in edges:
+            out[index[a]].append(index[b])
+        assert auto.masks == [
+            sum(1 << i for i, u in enumerate(t.x.symbols) if u in s)
+            for s in states]
+        assert auto.labels == [found[s][1] for s in states]
+        assert auto.parent == [by_word.get(w[:-1]) for w in words]
+        assert auto.depth == [len(w) - 1 for w in words]
+        assert auto.succ == [sorted(js, key=lambda j: yorder[auto.labels[j]])
+                             for js in out]
 
 
 def test_d_star_matches_frozenset_scan():
