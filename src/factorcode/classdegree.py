@@ -290,11 +290,10 @@ class DepthSearchResult:
     certificate: PeriodicPoint | None
 
 
-def _walk(pres, start, word):
-    """The state path that presents ``word`` from ``start`` in the
-    right-resolving presentation ``pres``, or None."""
-    succ = pres.x.successor_map
-    label = pres.label
+def _walk(succ, label, start, word):
+    """The state path that presents ``word`` from ``start`` in a
+    right-resolving presentation with successor mapping ``succ`` and
+    label lookup ``label``, or None."""
     path = [start]
     for c in word[1:]:
         # right-resolving: at most one successor carries c
@@ -307,29 +306,29 @@ def _walk(pres, start, word):
     return path
 
 
-def _close_word(pres, cyclic, word):
+def _close_word(succ, label, cyclic, word):
     """Extend an image word into a periodic image point containing it.
 
-    ``pres`` is the image presentation, or its part on the support of a
-    measure, and ``cyclic`` its nontrivial strongly connected components
-    in Tarjan emission order. A word embeds in a periodic point iff it
-    can be presented inside a single strongly connected piece of that
-    graph; the subset construction may also present it along transient
-    states, from which no closed walk returns. So each cyclic component
-    is tried in turn: present the word inside it, then return from the
-    final state to the initial one along a shortest state walk. The
-    labels along the closed walk give the periodic point, whose window
-    [0, L) equals the word. Starts are tried in presentation symbol
-    order, read off the symbols as the scan reaches them, so a component
-    costs the states up to its first start that presents the word."""
-    succ = pres.x.successor_map
-    label = pres.label
+    ``succ`` maps each state of the image presentation, or of its part
+    on the support of a measure, to its successors, both in presentation
+    order; ``label`` gives the image symbol of a state, and ``cyclic``
+    lists the nontrivial strongly connected components in Tarjan
+    emission order. A word embeds in a periodic point iff it can be
+    presented inside a single strongly connected piece of that graph;
+    the subset construction may also present it along transient states,
+    from which no closed walk returns. So each cyclic component is tried
+    in turn: present the word inside it, then return from the final
+    state to the initial one along a shortest state walk. The labels
+    along the closed walk give the periodic point, whose window [0, L)
+    equals the word. Starts are tried in presentation order, read off
+    ``succ`` as the scan reaches them, so a component costs the states
+    up to its first start that presents the word."""
     for comp in cyclic:
         members = set(comp)
-        for start in pres.x.symbols:
+        for start in succ:
             if start not in members or label[start] != word[0]:
                 continue
-            path = _walk(pres, start, word)
+            path = _walk(succ, label, start, word)
             if path and members.issuperset(path):
                 break
         else:
@@ -338,7 +337,7 @@ def _close_word(pres, cyclic, word):
         back = graphs.shortest_walk(succ, path[-1], path[0], members)
         if back is None:
             raise AssertionError("cyclic component failed to close a word")
-        return PeriodicPoint(tuple(pres.label[s] for s in path + back[:-1]))
+        return PeriodicPoint(tuple(label[s] for s in path + back[:-1]))
     return None
 
 
@@ -364,10 +363,11 @@ def _pad_to_interior(t, word, index):
     return tuple(word), index
 
 
-def _depth_search(t, horizon, words_of_length, seed_word, pres, cyclic):
+def _depth_search(t, horizon, words_of_length, seed_word, closure):
     """Shared search core for the plain and measure-restricted variants;
-    candidates are closed into periodic points on the presentation
-    ``pres``, whose cyclic components are ``cyclic``."""
+    candidates are closed into periodic points by ``_close_word`` on the
+    presentation ``closure`` = (successor mapping, label lookup, cyclic
+    components)."""
     best = None
     failed = set()
     top_length = 0
@@ -393,7 +393,7 @@ def _depth_search(t, horizon, words_of_length, seed_word, pres, cyclic):
         return True
 
     def certify():
-        y = _close_word(pres, cyclic, best[1])
+        y = _close_word(*closure, best[1])
         if y is None:
             return None
         count = _count_classes_over(t, y)
@@ -452,8 +452,8 @@ def find_minimal_transition_block(t, horizon=8):
     witness = d_star(t)
     seed_word, _ = _pad_to_interior(t, witness.word, witness.index)
     image = sofic_image(t)
-    return _depth_search(t, horizon, lambda n: image_blocks(t, n),
-                         seed_word, image.triple, image.cyclic)
+    return _depth_search(t, horizon, lambda n: image_blocks(t, n), seed_word,
+                         (image.successors, image.labels, image.components))
 
 
 def class_count_for_measure(t, measure, horizon=8):
@@ -464,6 +464,7 @@ def class_count_for_measure(t, measure, horizon=8):
     if horizon < 3:
         raise ValueError("horizon must be >= 3")
     support = _measure_support(t, measure)
-    return _depth_search(t, horizon, lambda n: image_blocks(support, n),
-                         None, support,
-                         graphs.nontrivial_components(support.x.successor_map))
+    succ = support.x.successor_map
+    return _depth_search(t, horizon, lambda n: image_blocks(support, n), None,
+                         (succ, support.label,
+                          graphs.nontrivial_components(succ)))

@@ -10,16 +10,17 @@ of the code (the minimal number of preimages of a point).
 
 Sets of domain symbols are int bitmasks inside this package, bit i
 standing for ``t.x.symbols[i]``. The labelled step ``step`` maps a mask to
-a mask through one table per triple and direction (``_label_masks``),
-which the sweeps and ``image_blocks`` read. The subset automata and the
+a mask through one table per triple and direction (``_label_masks``), the
+package's one labelled-neighbour table: the sweeps, ``image_blocks``, the
+phase graphs and the measure pushes read it. The subset automata and the
 finite-to-one test read each row of that table packed into one int
 (``_packed_rows``), the mask of the k-th image symbol at bits k*n to
 k*n + n - 1 for n domain symbols, so a mask steps to every image symbol
 at once by one OR per member. The finite-to-one test walks the label
 product as one mask per first coordinate. The sofic image keeps its
-presentation int-indexed; its state names, members and named triple are
-built on first read. Frozensets are built only by the public functions
-that return them.
+presentation int-indexed; its state names and named triple are built on
+first read. Frozensets are built only by the public functions that
+return them.
 """
 
 from __future__ import annotations
@@ -342,23 +343,24 @@ class SoficImage:
     subset construction from the full one-symbol preimage sets,
     essentialized, kept in discovery order: state p is the member mask
     ``masks[p]`` (bit j is ``domain[j]``, the domain alphabet) and
-    carries the image symbol ``labels[p]``. ``successors[p]`` lists the
-    states one image symbol away, ascending. One Tarjan pass over that
-    adjacency gives ``irreducible`` and ``components``, the nontrivial
-    strongly connected components in emission order.
+    carries the image symbol ``labels[p]``. ``successors`` maps each
+    state, in order, to the states one image symbol away, ascending. One
+    Tarjan pass over it gives ``irreducible`` and ``components``, the
+    nontrivial strongly connected components in emission order.
 
     The named reading is built on first read and kept: ``names`` joins
-    each state's members with '+' in symbol order, ``members`` maps each
-    name to its symbol subset, ``triple`` presents the image (its SFT
-    walks the state graph by name and its labels read off the presented
-    image symbols) and ``cyclic`` is ``components`` by name.
+    each state's members with '+' in symbol order, and ``triple``
+    presents the image under those names (its SFT walks the state graph
+    and its labels read off the presented image symbols). Only a measure
+    file, whose states are named, needs it. PreconditionError when two
+    states get one name, which a '+' in a domain symbol allows.
     """
 
     domain: tuple
     y_alphabet: tuple
     masks: list
     labels: list
-    successors: list
+    successors: dict
     irreducible: bool
     components: tuple
 
@@ -369,25 +371,21 @@ class SoficImage:
                      for mask in self.masks)
 
     @cached_property
-    def members(self):
-        return {name: frozenset(map(self.domain.__getitem__,
-                                    _bit_indices(mask)))
-                for name, mask in zip(self.names, self.masks)}
-
-    @cached_property
     def triple(self):
         names = self.names
+        seen = set()
+        for name in names:
+            if name in seen:
+                raise PreconditionError(
+                    "two states of the image presentation are both named "
+                    "%r" % name)
+            seen.add(name)
         sft = Sft(names, frozenset((names[p], names[q])
-                                   for p, nxt in enumerate(self.successors)
+                                   for p, nxt in self.successors.items()
                                    for q in nxt))
         used = set(self.labels)
         return FactorTriple(sft, dict(zip(names, self.labels)),
                             tuple(c for c in self.y_alphabet if c in used))
-
-    @cached_property
-    def cyclic(self):
-        return tuple([self.names[p] for p in comp]
-                     for comp in self.components)
 
 
 @per_triple
@@ -416,19 +414,18 @@ def sofic_image(t):
         place[i] = p
     # the predecessor lists are ascending, so visiting the kept targets in
     # order appends every successor list ascending
-    successors = [[] for _ in kept]
+    successors = {p: [] for p in range(len(kept))}
     for q, j in enumerate(kept):
         for i in pred[j]:
             if place[i] >= 0:
                 successors[place[i]].append(q)
-    adj = dict(enumerate(successors))
-    components = graphs.strongly_connected_components(adj)
+    components = graphs.strongly_connected_components(successors)
     return SoficImage(t.x.symbols, t.y_alphabet,
                       [auto.masks[i] for i in kept],
                       [auto.labels[i] for i in kept], successors,
                       len(components) == 1,
                       tuple(c for c in components
-                            if graphs.is_cyclic(adj, c)))
+                            if graphs.is_cyclic(successors, c)))
 
 
 def image_irreducible(t):
@@ -513,14 +510,14 @@ def periodic_image_points(t, max_period):
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     image = sofic_image(t)
-    sft = image.triple.x
-    if graphs.count_walks(sft.successor_map, sft.symbols, max_period - 1,
+    succ = image.successors
+    if graphs.count_walks(succ, succ, max_period - 1,
                           PERIODIC_WALK_BUDGET) > PERIODIC_WALK_BUDGET:
         raise PreconditionError(
             "the periodic points of period up to %d take more than %d "
             "walks of the presentation, the limit"
             % (max_period, PERIODIC_WALK_BUDGET))
-    label = image.triple.label
+    label = image.labels
     yorder = {c: i for i, c in enumerate(t.y_alphabet)}
     seen = set()
 
@@ -528,11 +525,11 @@ def periodic_image_points(t, max_period):
         word = tuple(label[s] for s in state_cycle)
         seen.add(canonical_orbit_word(word))
 
-    for start in sft.symbols:
+    for start in succ:
         stack = [(start, [start])]
         while stack:
             node, path = stack.pop()
-            for nxt in sft.successors(node):
+            for nxt in succ[node]:
                 if nxt == start:
                     record(path)
                 if len(path) < max_period:

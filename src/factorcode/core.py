@@ -193,9 +193,10 @@ class FactorTriple:
     the ordered image alphabet (every member has at least one preimage).
 
     Triples are not mutated after construction. Everything derived from
-    one (the labelled neighbour tables below, and the objects of functions
-    decorated with ``per_triple``, such as the sofic image) is built on
-    first use and kept on it, in ``derived``.
+    one is built on first use and kept on it: the preimage table below,
+    and in ``derived`` the objects of functions decorated with
+    ``per_triple``, such as the labelled neighbour table and the sofic
+    image.
     """
 
     x: Sft
@@ -226,18 +227,6 @@ class FactorTriple:
 
     def label_word(self, word):
         return tuple(self.label[s] for s in word)
-
-    @cached_property
-    def successors_by_label(self):
-        """``{symbol: {image symbol: successors carrying it}}``, every list
-        in symbol order; built in one pass over the successor map. The
-        labelled step ``codes.step`` keeps the same table as bitmasks."""
-        out = {}
-        for s in self.x.symbols:
-            by_label = out[s] = {}
-            for u in self.x.successor_map[s]:
-                by_label.setdefault(self.label[u], []).append(u)
-        return out
 
 
 def per_triple(build):

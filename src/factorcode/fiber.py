@@ -24,7 +24,8 @@ Window questions read the same graph. The synchronizing radius of a
 window comes from one sweep across it that carries the backward walk
 depths of its start vertices forward, so it lists no path. The true
 blocks of a window are exactly the paths across it in the pruned graph,
-and only they are listed.
+and only they are listed, once a count of those paths has shown that
+they stay within a budget.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from math import inf, lcm
 from . import graphs
 from .core import PeriodicPoint, PreconditionError, per_triple, primitive_root
 from .classdegree import TransitionBlock, transition_block
-from .codes import _check_image_word
+from .codes import _bits, _check_image_word, _label_masks
 
 
 @dataclass
@@ -89,13 +90,25 @@ def build_fiber_graph(t, y):
 
 @per_triple
 def _phase_graph(t, word):
+    """The vertices (s, k) by phase k, then s in symbol order, and their
+    neighbours in symbol order, read off the labelled neighbour table
+    ``codes._label_masks`` by the low-bit loop of ``codes.step``."""
     p = len(word)
-    vertices = tuple((s, k) for k in range(p) for s in t.preimages(word[k]))
+    symbols = t.x.symbols
+    table = _label_masks(t, True)
+    bit = _bits(t)[0]
     adjacency = {}
-    for s, k in vertices:
+    for k in range(p):
         nxt = (k + 1) % p
-        adjacency[(s, k)] = [(u, nxt) for u in
-                             t.successors_by_label[s].get(word[nxt], ())]
+        c = word[nxt]
+        for s in t.preimages(word[k]):
+            heads = table[bit[s].bit_length() - 1].get(c, 0)
+            out = adjacency[(s, k)] = []
+            while heads:
+                low = heads & -heads
+                heads ^= low
+                out.append((symbols[low.bit_length() - 1], nxt))
+    vertices = tuple(adjacency)
     pred = graphs.invert(adjacency)
     fwd = graphs.walk_depths(adjacency, pred)
     back = graphs.walk_depths(pred, adjacency)
@@ -290,20 +303,6 @@ def _shortest_cycle_word(adj, members, start):
     return tuple(v[0] for v in [start] + walk[:-1])
 
 
-def class_of_preimage(t, report, x):
-    """Name of the transition class containing a periodic preimage x."""
-    if not t.x.admits_cycle(x.word):
-        raise ValueError("not a periodic point of the domain")
-    span = lcm(x.period, len(report.word))
-    for j in range(span):
-        if t.label[x.symbol_at(j)] != report.word[j % len(report.word)]:
-            raise ValueError("point is not a preimage of the fiber's point")
-    vertex = (x.symbol_at(0), 0)
-    if vertex not in report.class_of_vertex:
-        raise ValueError("point is not a preimage of the fiber's point")
-    return report.class_of_vertex[vertex]
-
-
 # Most walks of the pruned phase graph that ``enumerate_periodic_preimages``
 # may list; their number grows exponentially with the period. The
 # fixtures need 508 at most, over their points of period up to 8 listed
@@ -372,17 +371,31 @@ def _window_graph(t, y, interval):
     return build_fiber_graph(t, y)
 
 
+# Most walks of a phase graph that the listing of a window's blocks may
+# try; their number grows exponentially with the width of the window.
+# The sync ops of the benchmark pools try 1,364 at most, and a window of
+# 1,501 coordinates with one block tries 1,500.
+WINDOW_WALK_BUDGET = 100_000
+
+
 def _window_paths(g, adjacency, interval, keep_start=None, keep_end=None):
     """Symbol blocks of the paths across the window in ``adjacency`` whose
     start passes ``keep_start`` and whose end passes ``keep_end`` (None
     keeps every vertex), in symbol order; a block fixes its path. One
-    iterative depth first walk, so it costs the paths it tries."""
+    iterative depth first walk, so it costs the paths it tries.
+    PreconditionError, before any is listed, when that takes more than
+    ``WINDOW_WALK_BUDGET`` walks of ``adjacency``."""
     m, n = interval
     width = n - m + 1
+    starts = [v for v in adjacency if v[1] == m % g.period
+              and (keep_start is None or keep_start(v))]
+    if graphs.count_walks(adjacency, starts, width - 1,
+                          WINDOW_WALK_BUDGET) > WINDOW_WALK_BUDGET:
+        raise PreconditionError(
+            "the blocks of the window %d..%d take more than %d walks of "
+            "the phase graph, the limit" % (m, n, WINDOW_WALK_BUDGET))
     blocks = []
-    for v in adjacency:
-        if v[1] != m % g.period or not (keep_start is None or keep_start(v)):
-            continue
+    for v in starts:
         path, todo = [v], [iter(adjacency[v])]
         while path:
             if len(path) < width:
@@ -476,8 +489,10 @@ def synchronizing_extension(t, y, interval):
     true block, and every true block is one. So the cost is the radius
     sweep plus the size of the output."""
     g = _window_graph(t, y, interval)
-    radius = _synchronizing_radius(g, interval)
+    # listed first, so that a window over the walk budget is refused
+    # before the sweep, which costs its width
     true_blocks = tuple(_window_paths(g, g.pruned_adjacency(), interval))
+    radius = _synchronizing_radius(g, interval)
     m, n = interval
     per_coordinate = tuple(frozenset(w[i] for w in true_blocks)
                            for i in range(n - m + 1))

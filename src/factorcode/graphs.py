@@ -20,21 +20,6 @@ def invert(adj):
     return pred
 
 
-def reachable_from(adj, starts):
-    """All nodes reachable from ``starts`` (the starts included)."""
-    seen = set()
-    stack = list(starts)
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        for v in adj[u]:
-            if v not in seen:
-                stack.append(v)
-    return seen
-
-
 def strongly_connected_components(adj):
     """Tarjan's algorithm, iterative.
 

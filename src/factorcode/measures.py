@@ -340,13 +340,17 @@ def _require_presentation_measure(measure, pres):
 def _push(pres, measure, vec, c):
     """The labelled step of ``codes.step`` for weighted states: the
     weights ``vec`` carried one step along the kernel onto the states
-    carrying ``c``. Sums run in symbol order, so they are deterministic."""
+    carrying ``c``, read off the same table (``_label_masks``). Sums run
+    in symbol order, so they are deterministic."""
+    symbols = pres.x.symbols
+    table = _label_masks(pres, True)
     nxt = {}
-    for s in pres.x.symbols:
+    for i, s in enumerate(symbols):
         v = vec.get(s)
         if not v:
             continue
-        for u in pres.successors_by_label[s].get(c, ()):
+        for j in _bit_indices(table[i].get(c, 0)):
+            u = symbols[j]
             p = measure.kernel.get((s, u))
             if p:
                 nxt[u] = nxt.get(u, 0.0) + v * p

@@ -41,6 +41,15 @@ from factorcode.measures import _prune_support, _require_presentation_measure
 
 FIXTURE_NAMES = ("fix_a", "fix_b", "fix_c", "fix_d", "fix_e", "fix_g")
 
+# State names join member symbols with '+', so a '+' in a domain symbol
+# gives the presentation states {a, b} and {a+b} the one name a+b.
+PLUS_TRIPLE = """\
+xsymbols: a b a+b c d
+ysymbols: 0 1 2
+map: a>0 b>0 a+b>0 c>1 d>2
+edges: c>a c>b a>c b>c a+b>c a>a b>b d>a+b a+b>d c>d d>c
+"""
+
 # The image-measure pairs exercised throughout: Parry measures of the
 # image presentation, point masses on fixed points of the presentation,
 # and the bundled empirical measure of the (01)-periodic image orbit.
@@ -53,6 +62,29 @@ MEASURE_PAIRS = (
     ("fix_e", "orbit01"),
     ("fix_g", "parry"),
 )
+
+
+def labelled_successors(t, s, c):
+    """The successors of ``s`` in the domain of ``t`` that carry the image
+    symbol ``c``, in symbol order, read off the successor map and the
+    labels: the oracles' labelled step, independent of the library's
+    mask table."""
+    return [u for u in t.x.successor_map[s] if t.label[u] == c]
+
+
+def reachable_from(adj, starts):
+    """All nodes reachable from ``starts`` (the starts included)."""
+    seen = set()
+    stack = list(starts)
+    while stack:
+        u = stack.pop()
+        if u in seen:
+            continue
+        seen.add(u)
+        for v in adj[u]:
+            if v not in seen:
+                stack.append(v)
+    return seen
 
 
 def image_measure(t, kind):
@@ -252,7 +284,7 @@ def ref_unrolled(t, word, m):
     n = len(word)
     vertices = [(s, k) for k in range(n) for s in t.preimages(word[k])]
     adj = {(s, k): [(u, (k + 1) % n) for u in
-                    t.successors_by_label[s].get(word[(k + 1) % n], ())]
+                    labelled_successors(t, s, word[(k + 1) % n])]
            for s, k in vertices}
     pruned = ref_bi_essential_nodes(adj)
     pruned_adj = {v: [w for w in adj[v] if w in pruned]
@@ -267,8 +299,8 @@ def ref_bi_essential_nodes(adj):
     cyc = {u for comp in ref_strongly_connected_components(adj)
            if graphs.is_cyclic(adj, comp) for u in comp}
     starts = [u for u in adj if u in cyc]
-    fwd = graphs.reachable_from(adj, starts)
-    bwd = graphs.reachable_from(graphs.invert(adj), starts)
+    fwd = reachable_from(adj, starts)
+    bwd = reachable_from(graphs.invert(adj), starts)
     return {u for u in adj if u in fwd and u in bwd}
 
 
@@ -602,8 +634,8 @@ def ref_is_finite_to_one(t):
     path from its diagonal back to it, by reachability both ways."""
     vertices, _, adjacency = ref_pair_graph(t)
     diagonal = [v for v in vertices if v[0] == v[1]]
-    fwd = graphs.reachable_from(adjacency, diagonal)
-    bwd = graphs.reachable_from(graphs.invert(adjacency), diagonal)
+    fwd = reachable_from(adjacency, diagonal)
+    bwd = reachable_from(graphs.invert(adjacency), diagonal)
     return not any(v[0] != v[1] and v in fwd and v in bwd for v in vertices)
 
 
@@ -667,7 +699,7 @@ def preimage_blocks(t, word):
     paths = [(s,) for s in t.preimages(word[0]) if s in bwd[0]]
     for i in range(1, len(word)):
         paths = [path + (u,) for path in paths
-                 for u in t.successors_by_label[path[-1]].get(word[i], ())
+                 for u in labelled_successors(t, path[-1], word[i])
                  if u in bwd[i]]
     return paths
 
@@ -756,14 +788,15 @@ def ref_depth_search(t, horizon, measure=None):
         witness = d_star(t)
         seed_word, _ = _pad_to_interior(t, witness.word, witness.index)
         image = sofic_image(t)
-        pres, cyclic = image.triple, image.cyclic
+        closure = (image.successors, image.labels, image.components)
     else:
         seed_word = None
         full = sofic_image(t).triple
         keep = set(measure.support_states())
         pres = sub_triple(full, keep, (e for e in measure.kernel
                                        if e[0] in keep and e[1] in keep))
-        cyclic = graphs.nontrivial_components(pres.x.successor_map)
+        succ = pres.x.successor_map
+        closure = (succ, pres.label, graphs.nontrivial_components(succ))
     yorder = {c: i for i, c in enumerate(t.y_alphabet)}
     xorder = {s: i for i, s in enumerate(t.x.symbols)}
     best = None
@@ -781,7 +814,7 @@ def ref_depth_search(t, horizon, measure=None):
         return False
 
     def certify():
-        y = _close_word(pres, cyclic, best[1])
+        y = _close_word(*closure, best[1])
         if y is None or _count_classes_over(t, y) != len(best[3]):
             return None
         return y
@@ -917,7 +950,7 @@ def ref_positive_word_measures(pres, measure, n):
             v = vec.get(s)
             if not v:
                 continue
-            for u in pres.successors_by_label[s].get(c, ()):
+            for u in labelled_successors(pres, s, c):
                 p = measure.kernel.get((s, u))
                 if p:
                     nxt[u] = nxt.get(u, 0.0) + v * p
@@ -1142,7 +1175,7 @@ def ref_uniform_conditional_diagnostic(t, bound):
 
     worst = 0.0
     for (left, right, y0), dist in sorted(groups.items()):
-        admissible = [a for a in t.successors_by_label[left[-1]].get(y0, ())
+        admissible = [a for a in labelled_successors(t, left[-1], y0)
                       if (a, right[0]) in t.x.transitions]
         total = _add_in_order(
             dist[a] for a in sorted(dist, key=lambda s: xorder[s]))

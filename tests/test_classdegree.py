@@ -13,6 +13,7 @@ from conftest import (
     brute_preimage_blocks,
     brute_routable,
     image_measure,
+    labelled_successors,
     random_code,
     random_triple,
     ref_close_word,
@@ -397,51 +398,59 @@ def test_transient_state_in_presentation_still_certifies():
     assert res.certificate.window(0, 2) == res.witness.word
 
 
-def test_certificate_builds_no_labelled_successor_table():
-    """Closing a word follows the presentation's successor map and reads
-    its starts off the presentation's symbols as it scans them; neither
-    the labelled successor table nor the preimage table of the whole
-    presentation is built."""
+def test_plain_classdegree_builds_no_named_triple():
+    """The plain search closes its best word on the int-indexed image
+    presentation, following its successor mapping and labels, so neither
+    the state names nor the named triple of the presentation is built:
+    only a measure file, whose states are named, needs them."""
     for name in FIXTURE_NAMES:
         t = fixtures.load(name)
         assert find_minimal_transition_block(t).certified
-        assert not {"successors_by_label", "preimage_map"} & set(
-            vars(sofic_image(t).triple))
+        assert not {"names", "triple"} & set(vars(sofic_image(t)))
     t = parse_triple(INFINITE_TO_ONE_PROBE)
     assert find_minimal_transition_block(t, horizon=5).certified
-    assert not {"successors_by_label", "preimage_map"} & set(
-        vars(sofic_image(t).triple))
+    assert "triple" not in vars(sofic_image(t))
 
 
 def test_close_word_matches_the_sub_triple_oracle():
     """``_close_word`` walks the presentation itself inside each cyclic
     component it is given; the oracle sweeps a ``sub_triple`` copy of
-    each component. Both must give the same point, or None, for every
-    image word of length 3-5 of the fixtures' presentations, their
-    measure supports and reducible random codes."""
-    presentations = [sofic_image(fixtures.load(name)).triple
-                     for name in FIXTURE_NAMES]
+    each component of the named presentation. Both must give the same
+    point, or None, for every image word of length 3-5 of the fixtures'
+    presentations, their measure supports and reducible random codes,
+    whether the closure reads an image int-indexed or by name."""
+    images = [sofic_image(fixtures.load(name)) for name in FIXTURE_NAMES]
+    rng = random.Random(307)
+    for _ in range(16):
+        try:
+            images.append(sofic_image(
+                random_code(rng, rng.randint(4, 10), reducible=True)))
+        except EmptyShiftError:
+            pass
+    # (named presentation, the successor mapping, labels and cyclic
+    # components the closure reads)
+    cases = [(image.triple,
+              (image.successors, image.labels, image.components))
+             for image in images]
+    presentations = [image.triple for image in images]
     for name, kind in MEASURE_PAIRS:
         pres, measure = image_measure(fixtures.load(name), kind)
         keep = set(measure.support_states())
         presentations.append(sub_triple(
             pres, keep, (e for e in measure.kernel
                          if e[0] in keep and e[1] in keep)))
-    rng = random.Random(307)
-    for _ in range(16):
-        try:
-            presentations.append(sofic_image(
-                random_code(rng, rng.randint(4, 10), reducible=True)).triple)
-        except EmptyShiftError:
-            pass
+    for pres in presentations:
+        succ = pres.x.successor_map
+        cases.append((pres, (succ, pres.label,
+                             graphs.nontrivial_components(succ))))
     results = []
     starts_outside = 0
-    for pres in presentations:
-        components = graphs.nontrivial_components(pres.x.successor_map)
-        cyclic = set().union(*components)
+    for pres, closure in cases:
+        cyclic = set().union(
+            *graphs.nontrivial_components(pres.x.successor_map))
         for n in (3, 4, 5):
             for word in image_blocks(pres, n):
-                got = _close_word(pres, components, word)
+                got = _close_word(*closure, word)
                 assert got == ref_close_word(pres, word)
                 results.append(got)
                 first = next(s for s in pres.preimage_map[word[0]]
@@ -455,7 +464,7 @@ def presents(pres, start, word):
     """Whether the walk of ``word`` from ``start`` exists in ``pres``."""
     state = start
     for c in word[1:]:
-        nxt = pres.successors_by_label[state].get(c)
+        nxt = labelled_successors(pres, state, c)
         if not nxt:
             return False
         state = nxt[0]

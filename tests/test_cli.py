@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import factorcode
-from conftest import (closed_class_measure, image_measure, measure_text,
-                      random_code)
+from conftest import (PLUS_TRIPLE, closed_class_measure, image_measure,
+                      measure_text, random_code)
 from factorcode import (cli, codes, fiber, fixtures, graphs, measures,
                         parse_triple, sofic_image, triple_to_text)
 
@@ -360,6 +360,42 @@ def test_one_image_and_one_automaton_per_direction_per_command(
     assert tables and all(len(ids) == 1 for ids in tables.values())
 
 
+def test_a_shared_state_name_exits_2_only_where_a_measure_names_states(
+        tmp_path, capsys):
+    """Plain classdegree never names the presentation's states, so it
+    certifies a triple whose states {a, b} and {a+b} are both named a+b;
+    a measure file names the states, so bound and classdegree --measure
+    refuse that triple as a precondition, naming the shared name."""
+    path = tmp_path / "plus.triple"
+    path.write_text(PLUS_TRIPLE)
+    assert cli.main(["classdegree", str(path)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["value"], result["certified"]) == (1, True)
+    measure = fixture_path("fix_a_parry", ".measure")
+    for argv in (["classdegree", str(path), "--measure", measure],
+                 ["bound", str(path), "--measure", measure, "--k", "1"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: two states of the image presentation are both "
+            "named 'a+b'\n")
+
+
+@pytest.mark.parametrize("name, stop", [("fix_c", 16), ("fix_a", 3000000)])
+def test_sync_over_the_walk_budget_exits_2_at_once(name, stop, capsys):
+    """fix_c's window 0..16 over the fixed point 0 takes 262,140 walks,
+    and fix_a's window of 3,000,001 coordinates one walk per length: the
+    count stops past the limit, and the refusal comes before any block
+    is listed and before the radius sweep across the window."""
+    argv = ["sync", fixture_path(name), "--y", "0", "--interval", "0",
+            str(stop)]
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: the blocks of the window 0..%d take more than %d walks of "
+        "the phase graph, the limit\n" % (stop, fiber.WINDOW_WALK_BUDGET))
+
+
 def test_sync_walks_a_wide_window(capsys):
     """The window walk is iterative: a window of 1501 coordinates, far
     past the interpreter's recursion limit, has its one block."""
@@ -586,35 +622,27 @@ def test_tarjan_passes_per_command(argv, passes, monkeypatch, capsys):
     doubling check, here P being the period; the class degree
     certificate adds the cover at the class period, here twice the
     period. A measure adds one to find its closed class and one for the
-    components of its support. No command searches by reachability:
-    the finite-to-one test walks the label product as masks. check reads
-    the presentation's state count and irreducibility, never its named
-    triple."""
-    calls, sweeps, triples = [], [], []
+    components of its support. Only the measure file, whose states are
+    named, makes a command read the presentation's named triple: the
+    class degree certificate walks the int-indexed presentation."""
+    calls, triples = [], []
 
     def count(adj):
         calls.append(len(adj))
         return real(adj)
-
-    def sweep(adj, starts):
-        sweeps.append(sys._getframe(1).f_code.co_name)
-        return real_sweep(adj, starts)
 
     def triple(image):
         triples.append(image)
         return real_triple.__get__(image, codes.SoficImage)
 
     real = graphs.strongly_connected_components
-    real_sweep = graphs.reachable_from
     real_triple = codes.SoficImage.triple
     monkeypatch.setattr(graphs, "strongly_connected_components", count)
-    monkeypatch.setattr(graphs, "reachable_from", sweep)
     monkeypatch.setattr(codes.SoficImage, "triple", property(triple))
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert len(calls) == passes
-    assert sweeps == []
-    assert bool(triples) == (argv[0] == "classdegree")
+    assert bool(triples) == ("--measure" in argv)
 
 
 def cycles_triple(lengths):

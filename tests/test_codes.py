@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     FIXTURE_NAMES,
+    PLUS_TRIPLE,
     all_words,
     backward_sets,
     brute_image_words,
@@ -32,6 +33,7 @@ from factorcode import (
     image_irreducible,
     is_finite_to_one,
     make_sft,
+    parse_triple,
     periodic_image_points,
     sofic_image,
 )
@@ -244,15 +246,17 @@ def test_presentation_is_right_resolving_and_label_homogeneous():
     for t in triples:
         image = sofic_image(t)
         pres = image.triple
+        members_of = {name: codes._symbols(t, mask)
+                      for name, mask in zip(image.names, image.masks)}
         for state in pres.x.symbols:
-            members = image.members[state]
+            members = members_of[state]
             assert len({t.label[s] for s in members}) == 1
             labels = [pres.label[u] for u in pres.x.successors(state)]
             assert len(labels) == len(set(labels))
             for nxt in pres.x.successors(state):
                 grown = {u for s in members for u in t.x.successors(s)
                          if t.label[u] == pres.label[nxt]}
-                assert grown == set(image.members[nxt])
+                assert grown == members_of[nxt]
 
 
 def test_presentation_language_equals_image_language():
@@ -341,6 +345,20 @@ def test_periodic_image_points_refuse_a_period_over_the_walk_budget(
     monkeypatch.setattr(codes, "PERIODIC_WALK_BUDGET", 591)
     with pytest.raises(PreconditionError, match="more than 591 walks"):
         periodic_image_points(t, 8)
+
+
+def test_a_plus_in_a_domain_symbol_shares_a_state_name():
+    """The int-indexed presentation lists the periodic points of a triple
+    whose states share a name; only its named triple, which a measure
+    file needs, is refused, naming the shared name."""
+    t = parse_triple(PLUS_TRIPLE)
+    image = sofic_image(t)
+    assert image.names == ("c", "d", "a+b", "a+b")
+    pts = periodic_image_points(t, 3)
+    assert len(pts) == 6
+    assert {p.word for p in pts} == brute_periodic_image_words(t, 3)
+    with pytest.raises(PreconditionError, match="both named 'a\\+b'"):
+        image.triple
 
 
 def test_periodic_image_points_on_random_triples():

@@ -26,7 +26,6 @@ from factorcode import (
     PeriodicPoint,
     PreconditionError,
     build_fiber_graph,
-    class_of_preimage,
     enumerate_periodic_preimages,
     extract_transition_block,
     fixtures,
@@ -262,7 +261,7 @@ def test_report_invariants_on_all_fixture_points():
                 assert t.x.admits_cycle(rep.word)
                 assert t.label_word(rep.word) == y.window(0, rep.period - 1)
                 assert rep.period % y.period == 0
-                assert class_of_preimage(t, report, rep) == c.name
+                assert report.class_of_vertex[(rep.word[0], 0)] == c.name
             # reaches is a strict partial order on the class names
             names = {c.name for c in report.classes}
             for a, b in report.reaches:
@@ -292,13 +291,6 @@ def test_class_count_never_exceeds_symbol_preimage_count():
             report = transition_classes(build_fiber_graph(t, y))
             bound = min(len(t.preimages(c)) for c in y.word)
             assert report.class_count <= bound
-
-
-def test_class_of_preimage_validates_arguments():
-    t = fixtures.load("fix_b")
-    report = transition_classes(build_fiber_graph(t, PeriodicPoint(("0",))))
-    with pytest.raises(ValueError, match="periodic point of the domain"):
-        class_of_preimage(t, report, PeriodicPoint(("a",)))
 
 
 def test_enumerate_periodic_preimages_refuse_a_period_over_the_walk_budget(
@@ -418,6 +410,28 @@ def test_window_blocks_validates_arguments():
         window_blocks(t, y, (0, 1), -1)
     with pytest.raises(ValueError, match="empty interval"):
         window_blocks(t, y, (2, 1))
+
+
+def test_window_listings_refuse_a_window_over_the_walk_budget(monkeypatch):
+    """Both listings count the walks their window takes before listing
+    any: the true blocks in the pruned phase graph, the blocks at a
+    radius in the label-compatible one."""
+    t = fixtures.load("fix_c")
+    y = PeriodicPoint(("0",))
+    message = "window 0..16 take more than %d walks" % \
+        fiber.WINDOW_WALK_BUDGET
+    for listing in (synchronizing_extension, window_blocks,
+                    lambda t, y, interval: window_blocks(t, y, interval, 2)):
+        with pytest.raises(PreconditionError, match=message):
+            listing(t, y, (0, 16))
+    # the window 0..6 takes 4 + 8 + ... + 128 = 252 walks: the limit is
+    # exact
+    want = synchronizing_extension(t, y, (0, 6))
+    monkeypatch.setattr(fiber, "WINDOW_WALK_BUDGET", 252)
+    assert synchronizing_extension(t, y, (0, 6)) == want
+    monkeypatch.setattr(fiber, "WINDOW_WALK_BUDGET", 251)
+    with pytest.raises(PreconditionError, match="more than 251 walks"):
+        synchronizing_extension(t, y, (0, 6))
 
 
 def test_synchronizing_extension_frozen_cases():

@@ -38,7 +38,7 @@ from factorcode import (
     make_sft,
     sofic_image,
 )
-from factorcode.codes import _label_masks, _subset_automaton, step
+from factorcode.codes import _label_masks, _subset_automaton, _symbols, step
 from factorcode.core import sub_triple
 from factorcode.graphs import (bi_essential_nodes, count_walks, invert,
                                nontrivial_components, shortest_walk,
@@ -156,11 +156,12 @@ def test_sofic_image_matches_reference():
         assert image.triple.label == label
         assert image.triple.y_alphabet == tuple(
             c for c in t.y_alphabet if c in set(label.values()))
-        assert image.members == members
-        assert list(image.members) == list(names)
+        assert image.names == names
+        assert {name: _symbols(t, mask) for name, mask in
+                zip(image.names, image.masks)} == members
         assert image.irreducible == connected
-        assert list(image.cyclic) == nontrivial_components(
-            image.triple.x.successor_map)
+        assert [[names[p] for p in comp] for comp in image.components] == \
+            nontrivial_components(image.triple.x.successor_map)
 
 
 def test_finite_to_one_matches_pair_graph_reachability():
@@ -223,12 +224,7 @@ def test_labelled_tables_and_step_match_definition():
             return sum(1 << i for i, u in enumerate(t.x.symbols)
                        if u in symbols)
 
-        succ = ref_successor_map(t.x)
-        for s in t.x.symbols:
-            assert t.successors_by_label[s] == {
-                c: [u for u in succ[s] if t.label[u] == c]
-                for c in {t.label[u] for u in succ[s]}}
-        for forward, nbrs in ((True, succ),
+        for forward, nbrs in ((True, ref_successor_map(t.x)),
                               (False, ref_predecessor_map(t.x))):
             masks = _label_masks(t, forward)
             for i, s in enumerate(t.x.symbols):
