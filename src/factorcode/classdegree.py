@@ -139,17 +139,23 @@ def routable_symbols(t, word, index, preimage):
 
 
 def is_transition_block(t, word, index, symbols):
-    """Machine check of the transition block property."""
+    """Machine check of the transition block property.
+
+    A start and an end are joined by a preimage path iff the forward mask
+    of the start and the backward mask of the end meet at the index, so
+    the word is swept forward only up to the index and backward only
+    down to it, and every such meet must hold a symbol of the block."""
     word = tuple(word)
     _interior_or_raise(word, index)
     symbols = frozenset(symbols)
     if not symbols or not symbols <= set(t.preimages(word[index])):
         return False
-    fcols, bcols = _Routes(t).columns(word)
-    pairs = _pairs(fcols, bcols)
+    routes = _Routes(t)
+    fwd = routes._columns(word[:index + 1], True)[-1]
+    bwd = routes._columns(word[index:], False)[0]
     mask = sum(map(_bits(t)[0].__getitem__, symbols))
-    f, b = fcols[index], bcols[index]
-    return bool(pairs) and all(f[i] & b[j] & mask for i, j in pairs)
+    meets = [m for f in fwd for b in bwd if (m := f & b)]
+    return bool(meets) and all(m & mask for m in meets)
 
 
 def transition_block(t, word, index, symbols):

@@ -2,12 +2,12 @@
 
 The fiber of a periodic point y of period p is carried by the phase graph:
 vertices are pairs (symbol, phase) whose label matches y at that phase,
-edges act by the transition relation while advancing the phase. Preimages
-of y are exactly the bi-infinite walks, so the graph is pruned to vertices
-lying on such walks. Peeling it from its sinks and from its sources gives
-the forward and backward walk depths and so the pruned part, with no
-Tarjan pass; one runs over the pruned part only where its components are
-read.
+numbered as ints (see below), and edges act by the transition relation
+while advancing the phase. Preimages of y are exactly the bi-infinite
+walks, so the graph is pruned to vertices lying on such walks. Peeling it
+from its sinks and from its sources gives the forward and backward walk
+depths and so the pruned part, with no Tarjan pass; one runs over the
+pruned part only where its components are read.
 
 Transition classes (mutual-reachability classes of preimages under
 coordinate splicing) are read off as the nontrivial strongly connected
@@ -15,10 +15,17 @@ components after unrolling the phase graph to the least common multiple P
 of the component cyclicities; at that period every component has settled
 into its terminal splitting and the count is stable under any further
 unrolling, which the doubling certificate re-checks explicitly with a
-real Tarjan pass over the reading at 2P. Reading y with a multiple of
-its period gives a cyclic cover of the phase graph, and a walk lifts
+real Tarjan pass over the reading at 2P. Only the fiber report builds
+that doubling cover: extraction reads the cover at P and the class data
+drawn from it, and nothing else of the report. Reading y with a multiple
+of its period gives a cyclic cover of the phase graph, and a walk lifts
 uniquely once its starting phase is fixed, so the unrolled readings are
 lifted from the pruned graph rather than rebuilt from the triple.
+
+A vertex is an int: the pair (``t.x.symbols[i]``, phase k) is
+``k * n + i`` for n domain symbols, so ``v // n`` is its phase, ``v % n``
+its symbol index, and integer order is phase order, then symbol order.
+Names are decoded only where a public result names a symbol.
 
 Window questions read the same graph. The synchronizing radius of a
 window comes from one sweep across it that carries the backward walk
@@ -31,19 +38,23 @@ they stay within a budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from math import inf, lcm
+from operator import or_
 
 from . import graphs
 from .core import PeriodicPoint, PreconditionError, per_triple, primitive_root
 from .classdegree import TransitionBlock, transition_block
-from .codes import _bits, _check_image_word, _label_masks
+from .codes import _bits, _check_image_word, _label_masks, _symbols
 
 
 @dataclass
 class FiberGraph:
     """Phase graph of a periodic image point.
 
-    ``vertices`` lists every label-compatible (symbol, phase) pair and
+    Its vertices are ints, ``k * n + i`` standing for the pair
+    (``triple.x.symbols[i]``, phase k) with n domain symbols.
+    ``vertices`` lists every label-compatible one in integer order and
     ``adjacency`` covers them all; restrict to ``pruned`` for fiber
     content. Two peels of ``adjacency`` give the rest: ``depths``, the
     longest forward walk out of and the longest backward walk into each
@@ -90,24 +101,30 @@ def build_fiber_graph(t, y):
 
 @per_triple
 def _phase_graph(t, word):
-    """The vertices (s, k) by phase k, then s in symbol order, and their
-    neighbours in symbol order, read off the labelled neighbour table
-    ``codes._label_masks`` by the low-bit loop of ``codes.step``."""
+    """The vertices k * n + i by phase k, then symbol index i, and their
+    neighbours in symbol order, read off the rows of the labelled
+    neighbour table ``codes._label_masks`` by the low-bit loop of
+    ``codes.step``: a bit index is a symbol index, so no name is looked
+    up."""
     p = len(word)
-    symbols = t.x.symbols
+    n = len(t.x.symbols)
     table = _label_masks(t, True)
-    bit = _bits(t)[0]
+    preimages = _bits(t)[1]
     adjacency = {}
     for k in range(p):
         nxt = (k + 1) % p
-        c = word[nxt]
-        for s in t.preimages(word[k]):
-            heads = table[bit[s].bit_length() - 1].get(c, 0)
-            out = adjacency[(s, k)] = []
+        c, base = word[nxt], nxt * n
+        here = preimages[word[k]]
+        while here:
+            low = here & -here
+            here ^= low
+            i = low.bit_length() - 1
+            heads = table[i].get(c, 0)
+            out = adjacency[k * n + i] = []
             while heads:
                 low = heads & -heads
                 heads ^= low
-                out.append((symbols[low.bit_length() - 1], nxt))
+                out.append(base + low.bit_length() - 1)
     vertices = tuple(adjacency)
     pred = graphs.invert(adjacency)
     fwd = graphs.walk_depths(adjacency, pred)
@@ -130,7 +147,8 @@ class PhaseCover:
     """The pruned phase graph of a point read with a multiple P = m * p
     of its period p: its m-fold cyclic cover.
 
-    Vertex (s, k) lifts to (s, k + j * p) for j < m, and each edge
+    Vertex v = k * n + i (symbol index i at phase k, n domain symbols)
+    lifts to v + j * p * n, at phase k + j * p, for j < m, and each edge
     advances the lifted phase modulo P. ``adjacency`` lists the lift in
     the vertex and neighbour order of the pruned phase graph built
     directly from the P-periodic word; ``components`` are its strongly
@@ -152,11 +170,14 @@ def _unrolled(t, word, period):
     that graph."""
     adjacency = _phase_graph(t, word).pruned_adjacency()
     if period != len(word):
-        base, adjacency = adjacency, {}
+        n = len(t.x.symbols)
+        base = [(v, v // n + 1, [u % n for u in nbrs])
+                for v, nbrs in adjacency.items()]
+        adjacency = {}
         for shift in range(0, period, len(word)):
-            for (s, k), nbrs in base.items():
-                nxt = (k + shift + 1) % period
-                adjacency[(s, k + shift)] = [(u, nxt) for u, _ in nbrs]
+            for v, after, heads in base:
+                nxt = (after + shift) % period * n
+                adjacency[v + shift * n] = [nxt + i for i in heads]
     components = graphs.strongly_connected_components(adjacency)
     cyclic = tuple(c for c in components if graphs.is_cyclic(adjacency, c))
     return PhaseCover(period, adjacency, components, cyclic)
@@ -222,68 +243,78 @@ def class_cover(g):
     return _unrolled(g.triple, g.word, big_p)
 
 
-def transition_classes(g):
-    """Transition classes over the point presented by fiber graph ``g``."""
-    t = g.triple
-    p = g.period
+def _class_data(g):
+    """What the transition classes over fiber graph ``g`` are read from:
+    ``(cover, comps, class_reach, class_match)``. ``cover`` is the cover
+    at the class period P; ``comps`` its cyclic components in name order,
+    that of their least vertices, so class j is named C(j + 1);
+    ``class_reach[j]`` the mask of the classes class j reaches, bit k
+    standing for class k; and ``class_match`` maps each cover vertex
+    whose future options match one class exactly (its reachable classes
+    are that class's) to the index of the class."""
     cover = class_cover(g)
-    big_p = cover.period
-    adj_p = cover.adjacency
-
-    xorder = {s: i for i, s in enumerate(t.x.symbols)}
-
-    def vkey(v):
-        return (v[1], xorder[v[0]])
-
-    order = cover.components
-    comps = sorted(cover.cyclic, key=lambda comp: min(vkey(v) for v in comp))
-    names = ["C%d" % (i + 1) for i in range(len(comps))]
-    class_of_vertex = {}
-    for name, comp in zip(names, comps):
-        for v in comp:
-            class_of_vertex[v] = name
-
-    # class names reachable from each vertex; Tarjan emits every component
-    # after all the components it reaches
+    adj = cover.adjacency
+    comps = sorted(cover.cyclic, key=min)
+    class_bit = {v: 1 << j for j, comp in enumerate(comps) for v in comp}
+    # the mask of the classes reachable from each vertex; Tarjan emits
+    # every component after all the components it reaches
     reach = {}
-    for comp in order:
-        found = set()
-        if comp[0] in class_of_vertex:
-            found.add(class_of_vertex[comp[0]])
+    for comp in cover.components:
+        found = class_bit.get(comp[0], 0)
         for v in comp:
-            for w in adj_p[v]:
-                if w in reach:
-                    found |= reach[w]
-        found = frozenset(found)
+            for w in adj[v]:
+                found |= reach.get(w, 0)
         for v in comp:
             reach[v] = found
-    reach_of_class = {name: reach[comp[0]]
-                      for name, comp in zip(names, comps)}
-    reaches = tuple((a, b) for a in names for b in names
-                    if a != b and b in reach_of_class[a])
-
+    class_reach = [reach[comp[0]] for comp in comps]
     # distinct classes reach distinct class sets (each reaches itself)
-    class_by_reach = {r: name for name, r in reach_of_class.items()}
+    class_by_reach = {r: j for j, r in enumerate(class_reach)}
     class_match = {v: class_by_reach[r] for v, r in reach.items()
                    if r in class_by_reach}
-    members = {name: [set() for _ in range(big_p)] for name in names}
-    placed = [set() for _ in range(big_p)]
-    for (s, n), name in class_match.items():
-        members[name][n].add(s)
-        placed[n].add(s)
-    s_sets = {name: tuple(map(frozenset, members[name])) for name in names}
-    transient = tuple(
-        frozenset(s for s in t.preimages(g.word[n % p]) if s not in placed[n])
-        for n in range(big_p))
-    matched = set().union(*placed)
-    transient_symbols = frozenset(
-        s for phase in transient for s in phase if s not in matched)
+    return cover, comps, class_reach, class_match
+
+
+def transition_classes(g):
+    """Transition classes over the point presented by fiber graph ``g``.
+    The report names its vertices as (symbol, phase) pairs."""
+    t = g.triple
+    p = g.period
+    cover, comps, class_reach, class_match = _class_data(g)
+    big_p = cover.period
+    adj_p = cover.adjacency
+    symbols = t.x.symbols
+    n = len(symbols)
+
+    def pair(v):
+        return symbols[v % n], v // n
+
+    names = ["C%d" % (j + 1) for j in range(len(comps))]
+    reaches = tuple((names[a], names[b]) for a in range(len(comps))
+                    for b in range(len(comps))
+                    if a != b and class_reach[a] >> b & 1)
+
+    # symbol masks per class and phase, and of all matched symbols per
+    # phase
+    members = [[0] * big_p for _ in comps]
+    placed = [0] * big_p
+    for v, j in class_match.items():
+        k, bit = v // n, 1 << v % n
+        members[j][k] |= bit
+        placed[k] |= bit
+    s_sets = {name: tuple(_symbols(t, m) for m in members[j])
+              for j, name in enumerate(names)}
+    preimages = _bits(t)[1]
+    unmatched = [preimages[g.word[k % p]] & ~placed[k] for k in range(big_p)]
+    transient = tuple(_symbols(t, m) for m in unmatched)
+    transient_symbols = _symbols(
+        t, reduce(or_, unmatched) & ~reduce(or_, placed))
 
     classes = []
     for name, comp in zip(names, comps):
-        rep_start = min((v for v in comp if v[1] == 0), key=vkey)
-        rep_word = _shortest_cycle_word(adj_p, set(comp), rep_start)
-        classes.append(TransitionClass(name, frozenset(comp),
+        rep_start = min(v for v in comp if v < n)
+        walk = graphs.shortest_walk(adj_p, rep_start, rep_start, set(comp))
+        rep_word = tuple(symbols[v % n] for v in [rep_start] + walk[:-1])
+        classes.append(TransitionClass(name, frozenset(map(pair, comp)),
                                        PeriodicPoint(rep_word)))
 
     stable = len(_unrolled(t, g.word, 2 * big_p).cyclic) == len(comps)
@@ -293,14 +324,9 @@ def transition_classes(g):
         class_count=len(comps), classes=tuple(classes), reaches=reaches,
         s_sets=s_sets, transient=transient,
         transient_symbols=transient_symbols, stable_under_doubling=stable,
-        class_of_vertex=class_of_vertex, class_match=class_match)
-
-
-def _shortest_cycle_word(adj, members, start):
-    """Symbols along a shortest closed walk through ``start`` inside one
-    strongly connected component."""
-    walk = graphs.shortest_walk(adj, start, start, members)
-    return tuple(v[0] for v in [start] + walk[:-1])
+        class_of_vertex={pair(v): name for name, comp in zip(names, comps)
+                         for v in comp},
+        class_match={pair(v): names[j] for v, j in class_match.items()})
 
 
 # Most walks of the pruned phase graph that ``enumerate_periodic_preimages``
@@ -322,10 +348,13 @@ def enumerate_periodic_preimages(t, y, max_period):
     if max_period < g.period:
         raise ValueError("max_period is smaller than the point's period")
     adj = g.pruned_adjacency()
-    xorder = {s: i for i, s in enumerate(t.x.symbols)}
+    symbols = t.x.symbols
+    n = len(symbols)
     found = set()
 
-    starts = sorted((v for v in adj if v[1] == 0), key=lambda v: xorder[v[0]])
+    # the phase-0 vertices, in symbol order, are their own symbol
+    # indices; words are tuples of symbol indices until they are sorted
+    starts = [v for v in adj if v < n]
     if graphs.count_walks(adj, starts, max_period - 1,
                           PREIMAGE_WALK_BUDGET) > PREIMAGE_WALK_BUDGET:
         raise PreconditionError(
@@ -333,7 +362,7 @@ def enumerate_periodic_preimages(t, y, max_period):
             "walks of the phase graph, the limit"
             % (max_period, PREIMAGE_WALK_BUDGET))
     for v0 in starts:
-        stack = [(v0, (v0[0],))]
+        stack = [(v0, (v0,))]
         while stack:
             node, word = stack.pop()
             for nxt in adj[node]:
@@ -341,11 +370,10 @@ def enumerate_periodic_preimages(t, y, max_period):
                     if primitive_root(word) == word:
                         found.add(word)
                 if len(word) < max_period:
-                    stack.append((nxt, word + (nxt[0],)))
+                    stack.append((nxt, word + (nxt % n,)))
 
-    words = sorted(found, key=lambda w: (len(w),
-                                         tuple(xorder[s] for s in w)))
-    return [PeriodicPoint(w) for w in words]
+    return [PeriodicPoint(tuple(map(symbols.__getitem__, w)))
+            for w in sorted(found, key=lambda w: (len(w), w))]
 
 
 @dataclass
@@ -387,7 +415,9 @@ def _window_paths(g, adjacency, interval, keep_start=None, keep_end=None):
     ``WINDOW_WALK_BUDGET`` walks of ``adjacency``."""
     m, n = interval
     width = n - m + 1
-    starts = [v for v in adjacency if v[1] == m % g.period
+    symbols = g.triple.x.symbols
+    size = len(symbols)
+    starts = [v for v in adjacency if v // size == m % g.period
               and (keep_start is None or keep_start(v))]
     if graphs.count_walks(adjacency, starts, width - 1,
                           WINDOW_WALK_BUDGET) > WINDOW_WALK_BUDGET:
@@ -405,11 +435,11 @@ def _window_paths(g, adjacency, interval, keep_start=None, keep_end=None):
                     todo.append(iter(adjacency[u]))
                     continue
             elif keep_end is None or keep_end(path[-1]):
-                blocks.append(tuple(u[0] for u in path))
+                blocks.append(tuple(u % size for u in path))
             path.pop()
             todo.pop()
-    xorder = {s: i for i, s in enumerate(g.triple.x.symbols)}
-    return sorted(blocks, key=lambda w: tuple(xorder[s] for s in w))
+    # sorted as symbol index tuples, each decoded once
+    return [tuple(map(symbols.__getitem__, w)) for w in sorted(blocks)]
 
 
 def _synchronizing_radius(g, interval):
@@ -431,10 +461,11 @@ def _synchronizing_radius(g, interval):
     window width times the edges of the graph."""
     m, n = interval
     adjacency = g.adjacency
+    size = len(g.triple.x.symbols)
     fwd, back = g.depths
     best, finite = {}, {}
     for v in adjacency:
-        if v[1] == m % g.period:
+        if v // size == m % g.period:
             best[v] = back[v]
             finite[v] = back[v] if back[v] < inf else -1
     for _ in range(n - m):
@@ -522,15 +553,16 @@ def extract_transition_block(t, y):
     n3; stage 3 grows the window until every preimage provably merges back
     out of its routing target; stage 4 pads the window by the
     synchronizing radius so that finite preimage blocks behave like the
-    bi-infinite fiber. The result is machine-checked on construction.
+    bi-infinite fiber. Only the cover at the class period is read: the
+    doubling cover and the rest of the transition class report are not
+    built. The result is machine-checked on construction, and a block
+    that fails the check raises AssertionError.
     """
     g = build_fiber_graph(t, y)
-    report = transition_classes(g)
-    big_p = report.unrolled_period
-    cover = _unrolled(t, g.word, big_p)
+    cover, comps, _, class_match = _class_data(g)
+    big_p = cover.period
     adj = cover.adjacency
-    xorder = {s: i for i, s in enumerate(t.x.symbols)}
-    class_match = report.class_match
+    n = len(t.x.symbols)
 
     # n2: vertices on the longest walk through transient vertices
     transient_sub = {v: [w for w in adj[v] if w not in class_match]
@@ -548,35 +580,35 @@ def extract_transition_block(t, y):
     # stepped once per time
     frontiers = []
     for time in range(n2 + 1):
-        frontiers = [(name, step(f)) for name, f in frontiers]
+        frontiers = [(j, step(f)) for j, f in frontiers]
         frontiers += [(class_match[v], {v}) for v in adj
-                      if v[1] == time % big_p and v in class_match]
-    names = [cls.name for cls in report.classes]
-    if {name for name, _ in frontiers} != set(names):
+                      if v // n == time % big_p and v in class_match]
+    if {j for j, _ in frontiers} != set(range(len(comps))):
         raise AssertionError("class without early seed vertices")
 
     max_n3 = n2 + 1 + 4 * big_p * (len(adj) + 1)
-    dp_budget = len(adj) * (2 ** len(names)) + 2 * big_p + 8
+    dp_budget = len(adj) * (2 ** len(comps)) + 2 * big_p + 8
+    class_vertices = [frozenset(comp) for comp in comps]
 
     early = None
     for n3 in range(n2 + 1, max_n3 + 1):
         # stage 2: per class, the first vertex in symbol order that every
-        # seed of the class reaches at time n3
-        frontiers = [(name, step(f)) for name, f in frontiers]
-        reached = {cls.name: cls.vertices for cls in report.classes}
-        for name, f in frontiers:
-            reached[name] = reached[name] & f
-        if not all(reached.values()):
+        # seed of the class reaches at time n3; all lie at one phase, so
+        # that is the least
+        frontiers = [(j, step(f)) for j, f in frontiers]
+        reached = list(class_vertices)
+        for j, f in frontiers:
+            reached[j] = reached[j] & f
+        if not all(reached):
             continue
-        targets = {name: min(vs, key=lambda v: xorder[v[0]])
-                   for name, vs in reached.items()}
+        targets = [min(vs) for vs in reached]
 
         # stage 3: product sweep over (vertex, collected class set), run
         # to n2 once; every attempt advances it from there
         if early is None:
             early = {(v, frozenset([class_match[v]] if v in class_match
                                    else ()))
-                     for v in adj if v[1] == 0}
+                     for v in adj if v < n}
             for _ in range(n2):
                 early = {(w, collected | {class_match[w]}
                           if w in class_match else collected)
@@ -585,16 +617,16 @@ def extract_transition_block(t, y):
                 raise AssertionError(
                     "preimage path with no early class visit")
         states, time = early, n2
-        b_front = {name: step({v}) for name, v in targets.items()}
+        b_front = [step({v}) for v in targets]
         for n4 in range(n3 + 1, n3 + dp_budget + 1):
             while time < n4:
                 time += 1
                 states = {(w, collected) for v, collected in states
                           for w in adj[v]}
-            if all(any(v in b_front[name] for name in collected)
+            if all(any(v in b_front[j] for j in collected)
                    for v, collected in states):
                 break
-            b_front = {name: step(f) for name, f in b_front.items()}
+            b_front = [step(f) for f in b_front]
         else:
             # no merge within the budget: try the next n3
             continue
@@ -603,10 +635,15 @@ def extract_transition_block(t, y):
         raise RuntimeError("transition block extraction exhausted its caps")
 
     radius = _synchronizing_radius(g, (0, n4))
-    window = tuple(PeriodicPoint(report.word).window(-radius, n4 + radius))
+    window = tuple(PeriodicPoint(g.word).window(-radius, n4 + radius))
     index = n3 + radius
-    symbols = frozenset(v[0] for v in targets.values())
-    if len(symbols) != len(names):
+    symbols = frozenset(t.x.symbols[v % n] for v in targets)
+    if len(symbols) != len(comps):
         raise AssertionError("routing targets share a symbol")
-    block = transition_block(t, window, index, symbols)
-    return ExtractionResult(block, report.class_count, n2, n3, n4, radius)
+    try:
+        block = transition_block(t, window, index, symbols)
+    except (ValueError, PreconditionError) as exc:
+        # the construction guarantees a transition block of an image word
+        raise AssertionError("extracted block fails its check: %s"
+                             % (exc,)) from exc
+    return ExtractionResult(block, len(comps), n2, n3, n4, radius)

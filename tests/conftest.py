@@ -72,6 +72,20 @@ def labelled_successors(t, s, c):
     return [u for u in t.x.successor_map[s] if t.label[u] == c]
 
 
+def decode(t, x):
+    """The (symbol, phase) name of an int phase-graph vertex, v = k * n + i
+    standing for (t.x.symbols[i], k) with n domain symbols; of each member
+    of a list, tuple, set or frozenset, kept as that type; and of the keys
+    of a dict and of its list values, as in an adjacency or a depth map."""
+    if isinstance(x, int):
+        n = len(t.x.symbols)
+        return t.x.symbols[x % n], x // n
+    if isinstance(x, dict):
+        return {decode(t, k): decode(t, v) if isinstance(v, list) else v
+                for k, v in x.items()}
+    return type(x)(decode(t, v) for v in x)
+
+
 def reachable_from(adj, starts):
     """All nodes reachable from ``starts`` (the starts included)."""
     seen = set()
@@ -312,8 +326,7 @@ def ref_extract_stages(t, y):
     g = build_fiber_graph(t, y)
     report = transition_classes(g)
     big_p = report.unrolled_period
-    cover = _unrolled(t, g.word, big_p)
-    adj = cover.adjacency
+    adj = decode(t, _unrolled(t, g.word, big_p).adjacency)
     xorder = {s: i for i, s in enumerate(t.x.symbols)}
     class_match = report.class_match
 
@@ -873,7 +886,7 @@ def ref_window_radii(t, y, interval):
     if m > n:
         raise ValueError("empty interval")
     g = build_fiber_graph(t, y)
-    adjacency = g.adjacency
+    adjacency = decode(t, g.adjacency)
     fwd = graphs.walk_depths(adjacency)
     back = graphs.walk_depths(graphs.invert(adjacency))
     width = n - m + 1

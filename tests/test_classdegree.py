@@ -1,5 +1,6 @@
 """Tests for transition blocks, routing, and the class degree search."""
 
+import itertools
 import random
 
 import pytest
@@ -100,6 +101,30 @@ def test_transition_block_factory_checks_the_routing_property():
         transition_block(t, ("0", "0", "0"), 1, frozenset({"a"}))
     with pytest.raises(ValueError, match="interior"):
         transition_block(t, ("0", "0", "1"), 0, frozenset({"a"}))
+
+
+def test_is_transition_block_matches_brute_on_every_symbol_set():
+    """The check sweeps forward only up to the index and backward only
+    down to it. It agrees with the brute check on every word of length
+    3 to 5 over the image alphabet, at every interior index, for every
+    nonempty set of preimages of the symbol there."""
+    rng = random.Random(71)
+    triples = [fixtures.load(name) for name in FIXTURE_NAMES]
+    triples += [random_triple(rng) for _ in range(20)]
+    answers = set()
+    for t in triples:
+        for n in (3, 4, 5):
+            for word in itertools.product(t.y_alphabet, repeat=n):
+                for index in range(1, n - 1):
+                    pre = t.preimages(word[index])
+                    for size in range(1, len(pre) + 1):
+                        for symbols in itertools.combinations(pre, size):
+                            got = is_transition_block(t, word, index,
+                                                      symbols)
+                            assert got == brute_is_transition_block(
+                                t, word, index, symbols), (t, word, index)
+                            answers.add(got)
+    assert answers == {True, False}
 
 
 def test_minimal_depth_matches_brute_and_is_valid():

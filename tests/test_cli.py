@@ -17,8 +17,8 @@ import pytest
 import factorcode
 from conftest import (PLUS_TRIPLE, closed_class_measure, image_measure,
                       measure_text, random_code)
-from factorcode import (cli, codes, fiber, fixtures, graphs, measures,
-                        parse_triple, sofic_image, triple_to_text)
+from factorcode import (classdegree, cli, codes, fiber, fixtures, graphs,
+                        measures, parse_triple, sofic_image, triple_to_text)
 
 FIXDIR = Path(factorcode.__file__).parent / "fixtures"
 GOLDEN = (1 + sqrt(5)) / 2
@@ -421,6 +421,24 @@ def test_internal_errors_exit_4_on_one_line(error, monkeypatch, capsys):
     assert captured.err == "internal error: %s\n" % (error,)
 
 
+@pytest.mark.parametrize("name, broken, message", [
+    ("is_transition_block", lambda *args: False,
+     "not a transition block: routing fails"),
+    ("_word_sweep", lambda *args: [0], "word is not an image block"),
+])
+def test_a_failed_extract_self_check_exits_4(name, broken, message,
+                                             monkeypatch, capsys):
+    """extract checks the block it builds with ``transition_block``. A
+    block that fails that check is a fault of the construction, not a
+    failed precondition (exit 2) or bad input (exit 1)."""
+    monkeypatch.setattr(classdegree, name, broken)
+    assert cli.main(["extract", fixture_path("fix_e"), "--y", "0", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: extracted block fails its check: %s\n" % message)
+
+
 @pytest.mark.parametrize("name, error, message", [
     ("solve", np.linalg.LinAlgError("Singular matrix"),
      "entropy bound solve failed: Singular matrix"),
@@ -545,10 +563,10 @@ def test_numpy_is_imported_only_by_commands_that_need_it():
 def test_one_phase_graph_per_point_per_command(argv, words, monkeypatch,
                                                capsys):
     """Each command builds the point's phase graph once. extract and
-    fiber add its covers at the class period P and at 2P for the
-    doubling check. Here P is the period itself, so the cover at P is
-    the pruned phase graph, searched as it is, and only the one at 2P is
-    lifted; sync needs none."""
+    fiber add its cover at the class period P, and fiber the one at 2P
+    for the doubling check, which extract does not read. Here P is the
+    period itself, so the cover at P is the pruned phase graph, searched
+    as it is, and only the one at 2P is lifted; sync needs none."""
     built, graphs_built, covers = [], [], []
 
     def build(t, word, *args):
@@ -567,7 +585,8 @@ def test_one_phase_graph_per_point_per_command(argv, words, monkeypatch,
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert built == words
-    assert covers == ([] if argv[0] == "sync" else [(2, True), (4, False)])
+    assert covers == {"sync": [], "extract": [(2, True)],
+                      "fiber": [(2, True), (4, False)]}[argv[0]]
 
 
 def test_class_degree_certificate_reads_only_the_class_cover(monkeypatch,
@@ -600,7 +619,7 @@ def test_class_degree_certificate_reads_only_the_class_cover(monkeypatch,
                  id="fiber"),
     pytest.param(["sync", fixture_path("fix_e"), "--y", "0", "1",
                   "--interval", "0", "3"], 0, id="sync"),
-    pytest.param(["extract", fixture_path("fix_e"), "--y", "0", "1"], 2,
+    pytest.param(["extract", fixture_path("fix_e"), "--y", "0", "1"], 1,
                  id="extract"),
     pytest.param(["check", fixture_path("fix_e")], 2, id="check"),
     pytest.param(["degree", fixture_path("fix_a")], 1, id="degree"),
@@ -618,8 +637,8 @@ def test_tarjan_passes_per_command(argv, passes, monkeypatch, capsys):
     cyclic components and irreducibility, and the domain one for its
     irreducibility. A phase graph takes one over its pruned part, its
     cover at its own period, where its cyclic components are read:
-    never for sync. fiber and extract add the cover at 2P for the
-    doubling check, here P being the period; the class degree
+    never for sync. fiber adds the cover at 2P for the doubling check,
+    here P being the period, which extract does not read; the class degree
     certificate adds the cover at the class period, here twice the
     period. A measure adds one to find its closed class and one for the
     components of its support. Only the measure file, whose states are

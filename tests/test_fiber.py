@@ -14,6 +14,7 @@ from conftest import (
     brute_walk_depths,
     brute_window_blocks,
     brute_window_blocks_at_radius,
+    decode,
     random_code,
     random_triple,
     ref_bi_essential_nodes,
@@ -73,7 +74,9 @@ def test_fiber_graph_shape_on_golden_mean_orbit():
     g = build_fiber_graph(t, PeriodicPoint(("0", "1")))
     assert g.word == ("0", "1")
     assert g.period == 2
-    assert set(g.vertices) == {
+    # vertex k * 7 + i is (t.x.symbols[i], k) over the seven symbols a..g
+    assert g.vertices == (1, 3, 4, 7, 9, 12, 13)
+    assert set(decode(t, g.vertices)) == {
         ("b", 0), ("d", 0), ("e", 0), ("a", 1), ("c", 1), ("f", 1),
         ("g", 1)}
     assert set(g.pruned) == set(g.vertices)
@@ -164,9 +167,9 @@ def test_one_pass_depths_and_pruning_match_their_definitions():
     # components of the label-compatible graph
     for t, y in oracle_cases():
         g = build_fiber_graph(t, y)
-        adj = g.adjacency
-        cyclic = _unrolled(t, g.word, g.period).cyclic
-        pruned_adj = g.pruned_adjacency()
+        adj = decode(t, g.adjacency)
+        cyclic = decode(t, _unrolled(t, g.word, g.period).cyclic)
+        pruned_adj = decode(t, g.pruned_adjacency())
         assert list(cyclic) == [
             c for c in ref_strongly_connected_components(pruned_adj)
             if graphs.is_cyclic(pruned_adj, c)]
@@ -176,9 +179,10 @@ def test_one_pass_depths_and_pruning_match_their_definitions():
         wants = (brute_walk_depths(adj),
                  brute_walk_depths(graphs.invert(adj)))
         for got, want in zip(g.depths, wants):
-            assert got == {v: inf if d is None else d for v, d in want.items()}
-        assert g.pruned == ref_bi_essential_nodes(adj)
-        assert g.pruned == brute_pruned_phase_vertices(t, g.word)
+            assert decode(t, got) == {
+                v: inf if d is None else d for v, d in want.items()}
+        assert decode(t, g.pruned) == ref_bi_essential_nodes(adj)
+        assert decode(t, g.pruned) == brute_pruned_phase_vertices(t, g.word)
 
 
 def test_covers_match_the_direct_unrolled_build():
@@ -190,9 +194,10 @@ def test_covers_match_the_direct_unrolled_build():
         for fold in sorted({1, 2, m, 2 * m}):
             cover = _unrolled(t, g.word, fold * g.period)
             adj, order = ref_unrolled(t, g.word, fold)
-            assert list(cover.adjacency.items()) == list(adj.items())
-            assert cover.components == order
-            assert list(cover.cyclic) == [
+            assert list(decode(t, cover.adjacency).items()) == \
+                list(adj.items())
+            assert decode(t, cover.components) == order
+            assert list(decode(t, cover.cyclic)) == [
                 c for c in order if graphs.is_cyclic(adj, c)]
 
 
@@ -224,6 +229,7 @@ def test_cyclic_components_are_those_of_the_pruned_graph():
                 graphs.nontrivial_components(g.pruned_adjacency())}
             p = g.period
             big_p = transition_classes(g).unrolled_period
+            cyclic = decode(t, cyclic)
             base = {v: i for i, comp in enumerate(cyclic) for v in comp}
             for period in (big_p, 2 * big_p):
                 h = _unrolled(t, g.word, period)
@@ -232,13 +238,14 @@ def test_cyclic_components_are_those_of_the_pruned_graph():
                 assert list(h.cyclic) == \
                     graphs.nontrivial_components(h.adjacency)
                 over = [0] * len(cyclic)
-                for comp in h.cyclic:
+                for comp in decode(t, h.cyclic):
                     shadow = {(s, k % p) for s, k in comp}
                     i = base[next(iter(shadow))]
                     assert shadow == set(cyclic[i])
                     over[i] += 1
+                adj = decode(t, g.adjacency)
                 assert over == [
-                    gcd(graphs.component_cyclicity(g.adjacency, c) // p,
+                    gcd(graphs.component_cyclicity(adj, c) // p,
                         period // p) for c in cyclic]
 
 
