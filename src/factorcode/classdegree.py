@@ -44,9 +44,9 @@ from dataclasses import dataclass
 
 from . import graphs
 from .core import PeriodicPoint, PreconditionError
-from .codes import (_bit_indices, _bits, _label_masks, _symbols, _word_sweep,
-                    d_star, image_blocks, image_irreducible, sofic_image,
-                    step)
+from .codes import (_bit_indices, _bits, _check_image_word, _label_masks,
+                    _symbols, d_star, image_blocks, image_irreducible,
+                    sofic_image, step)
 from .measures import _measure_support
 
 
@@ -138,34 +138,53 @@ def routable_symbols(t, word, index, preimage):
     return _symbols(t, fcols[index][i] & bcols[index][j])
 
 
+def _meets(t, word, index):
+    """The nonzero meets at ``index`` of the forward mask of each start
+    and the backward mask of each end: one per start and end joined by a
+    preimage path, none iff the word is not an image block. The word is
+    swept forward only up to the index and backward only down to it."""
+    routes = _Routes(t)
+    fwd = routes._columns(word[:index + 1], True)[-1]
+    bwd = routes._columns(word[index:], False)[0]
+    return [m for f in fwd for b in bwd if (m := f & b)]
+
+
+def _block_mask(t, word, index, symbols):
+    """The mask of ``symbols`` when they are a nonempty set of preimages
+    of the image symbol at ``index``, else 0."""
+    if not symbols or not symbols <= set(t.preimages(word[index])):
+        return 0
+    return sum(map(_bits(t)[0].__getitem__, symbols))
+
+
 def is_transition_block(t, word, index, symbols):
     """Machine check of the transition block property.
 
     A start and an end are joined by a preimage path iff the forward mask
-    of the start and the backward mask of the end meet at the index, so
-    the word is swept forward only up to the index and backward only
-    down to it, and every such meet must hold a symbol of the block."""
+    of the start and the backward mask of the end meet at the index
+    (``_meets``), and every such meet must hold a symbol of the block."""
     word = tuple(word)
     _interior_or_raise(word, index)
-    symbols = frozenset(symbols)
-    if not symbols or not symbols <= set(t.preimages(word[index])):
+    mask = _block_mask(t, word, index, frozenset(symbols))
+    if not mask:
         return False
-    routes = _Routes(t)
-    fwd = routes._columns(word[:index + 1], True)[-1]
-    bwd = routes._columns(word[index:], False)[0]
-    mask = sum(map(_bits(t)[0].__getitem__, symbols))
-    meets = [m for f in fwd for b in bwd if (m := f & b)]
+    meets = _meets(t, word, index)
     return bool(meets) and all(m & mask for m in meets)
 
 
 def transition_block(t, word, index, symbols):
-    """Constructor that machine-checks the routing property."""
+    """Constructor that machine-checks the routing property: ValueError
+    when the word is not an image block, PreconditionError when it is
+    but the symbols do not route it. One sweep decides both."""
     word = tuple(word)
     _interior_or_raise(word, index)
-    if not _word_sweep(t, word, True)[-1]:
+    word = _check_image_word(t, word)
+    meets = _meets(t, word, index)
+    if not meets:
         raise ValueError("word is not an image block")
     symbols = frozenset(symbols)
-    if not is_transition_block(t, word, index, symbols):
+    mask = _block_mask(t, word, index, symbols)
+    if not mask or not all(m & mask for m in meets):
         raise PreconditionError("not a transition block: routing fails")
     return TransitionBlock(word, index, symbols)
 
@@ -353,33 +372,34 @@ def _count_classes_over(t, y):
     return len(class_cover(build_fiber_graph(t, y)).cyclic)
 
 
-def _pad_to_interior(t, word, index):
-    """Extend an image word minimally so the marked index is interior."""
-    word = list(word)
+def _pad_to_interior(t, word, index, routes):
+    """Extend an image word minimally so the marked index is interior;
+    each extension is checked on the ``_Routes`` memo ``routes``."""
+    word = tuple(word)
     while len(word) < 3 or index == 0 or index == len(word) - 1:
         left = index == 0
         for c in t.y_alphabet:
-            longer = [c] + word if left else word + [c]
-            if _word_sweep(t, longer, True)[-1]:
+            longer = (c,) + word if left else word + (c,)
+            if any(routes._columns(longer, True)[-1]):
                 word, index = longer, index + left
                 break
         else:
             raise PreconditionError("image word admits no %s extension"
                                     % ("left" if left else "right"))
-    return tuple(word), index
+    return word, index
 
 
-def _depth_search(t, horizon, words_of_length, seed_word, closure):
+def _depth_search(t, horizon, words_of_length, seed_word, closure, routes):
     """Shared search core for the plain and measure-restricted variants;
     candidates are closed into periodic points by ``_close_word`` on the
     presentation ``closure`` = (successor mapping, label lookup, cyclic
-    components)."""
+    components), and their route masks come from the ``_Routes`` memo
+    ``routes``."""
     best = None
     failed = set()
     top_length = 0
     yorder = {c: i for i, c in enumerate(t.y_alphabet)}
     xorder = {s: i for i, s in enumerate(t.x.symbols)}
-    routes = _Routes(t)
 
     def consider(word):
         nonlocal best
@@ -456,10 +476,12 @@ def find_minimal_transition_block(t, horizon=8):
     if not image_irreducible(t):
         raise PreconditionError("image shift is not certified irreducible")
     witness = d_star(t)
-    seed_word, _ = _pad_to_interior(t, witness.word, witness.index)
+    routes = _Routes(t)
+    seed_word, _ = _pad_to_interior(t, witness.word, witness.index, routes)
     image = sofic_image(t)
     return _depth_search(t, horizon, lambda n: image_blocks(t, n), seed_word,
-                         (image.successors, image.labels, image.components))
+                         (image.successors, image.labels, image.components),
+                         routes)
 
 
 def class_count_for_measure(t, measure, horizon=8):
@@ -473,4 +495,4 @@ def class_count_for_measure(t, measure, horizon=8):
     succ = support.x.successor_map
     return _depth_search(t, horizon, lambda n: image_blocks(support, n), None,
                          (succ, support.label,
-                          graphs.nontrivial_components(succ)))
+                          graphs.nontrivial_components(succ)), _Routes(t))

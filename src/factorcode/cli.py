@@ -3,9 +3,10 @@
 Every subcommand reads a triple file and prints a JSON report (recode
 prints a triple file instead). Exit status: 0 success, 1 bad input or
 usage, 2 failed precondition, 3 uncertified class degree bound, 4 internal
-error (a broken invariant or an exhausted internal cap), 5 relative entropy
-bound not converged (the report is still printed, and its value is still
-an upper bound, only a looser one).
+error (a broken invariant, an exhausted internal cap or any other
+unexpected exception), 5 relative entropy bound not converged (the report
+is still printed, and its value is still an upper bound, only a looser
+one).
 """
 
 import argparse
@@ -292,6 +293,11 @@ def main(argv=None):
         return 1
     except (AssertionError, RuntimeError, MemoryError) as exc:
         print("internal error: %s" % (exc,), file=sys.stderr)
+        return 4
+    except Exception as exc:
+        # any other failure is a fault of the program, never bad input
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
         return 4
 
     if args.command == "recode":

@@ -11,16 +11,16 @@ of the code (the minimal number of preimages of a point).
 Sets of domain symbols are int bitmasks inside this package, bit i
 standing for ``t.x.symbols[i]``. The labelled step ``step`` maps a mask to
 a mask through one table per triple and direction (``_label_masks``), the
-package's one labelled-neighbour table: the sweeps, ``image_blocks``, the
-phase graphs and the measure pushes read it. The subset automata and the
-finite-to-one test read each row of that table packed into one int
-(``_packed_rows``), the mask of the k-th image symbol at bits k*n to
-k*n + n - 1 for n domain symbols, so a mask steps to every image symbol
-at once by one OR per member. The finite-to-one test walks the label
-product as one mask per first coordinate. The sofic image keeps its
-presentation int-indexed; its state names and named triple are built on
-first read. Frozensets are built only by the public functions that
-return them.
+package's one labelled-neighbour table: the route sweeps of the class
+degree search, ``image_blocks``, the phase graphs and the measure pushes
+read it. The subset automata and the finite-to-one test read each row of
+that table packed into one int (``_packed_rows``), the mask of the k-th
+image symbol at bits k*n to k*n + n - 1 for n domain symbols, so a mask
+steps to every image symbol at once by one OR per member. The
+finite-to-one test walks the label product as one mask per first
+coordinate. The sofic image keeps its presentation int-indexed; its
+state names and named triple are built on first read. Frozensets are
+built only by the public functions that return them.
 """
 
 from __future__ import annotations
@@ -95,27 +95,6 @@ def step(table, mask, c):
         out |= table[low.bit_length() - 1].get(c, 0)
         mask ^= low
     return out
-
-
-def _sweep(t, start, word, forward):
-    """``step`` along ``word`` from the mask ``start`` at its first
-    (forward) or last coordinate: one mask per coordinate, in coordinate
-    order."""
-    table = _label_masks(t, forward)
-    masks = [start]
-    for c in (word[1:] if forward else word[-2::-1]):
-        masks.append(step(table, masks[-1], c))
-    return masks if forward else masks[::-1]
-
-
-def _word_sweep(t, word, forward):
-    """``_sweep`` of an image word from all preimages of its first
-    (forward) or last symbol: at each coordinate, the mask of the symbols
-    that can end (forward) or start a preimage of that side of the
-    word."""
-    word = _check_image_word(t, word)
-    return _sweep(t, _bits(t)[1][word[0] if forward else word[-1]], word,
-                  forward)
 
 
 @dataclass(frozen=True)
@@ -519,22 +498,8 @@ def periodic_image_points(t, max_period):
             % (max_period, PERIODIC_WALK_BUDGET))
     label = image.labels
     yorder = {c: i for i, c in enumerate(t.y_alphabet)}
-    seen = set()
-
-    def record(state_cycle):
-        word = tuple(label[s] for s in state_cycle)
-        seen.add(canonical_orbit_word(word))
-
-    for start in succ:
-        stack = [(start, [start])]
-        while stack:
-            node, path = stack.pop()
-            for nxt in succ[node]:
-                if nxt == start:
-                    record(path)
-                if len(path) < max_period:
-                    stack.append((nxt, path + [nxt]))
-
+    seen = {canonical_orbit_word(tuple(map(label.__getitem__, walk)))
+            for walk in graphs.closed_walks(succ, succ, max_period)}
     words = [w for w in seen if len(w) <= max_period]
     words.sort(key=lambda w: (len(w), tuple(yorder[c] for c in w)))
     return [PeriodicPoint(w) for w in words]

@@ -361,16 +361,11 @@ def enumerate_periodic_preimages(t, y, max_period):
             "the periodic preimages of period up to %d take more than %d "
             "walks of the phase graph, the limit"
             % (max_period, PREIMAGE_WALK_BUDGET))
-    for v0 in starts:
-        stack = [(v0, (v0,))]
-        while stack:
-            node, word = stack.pop()
-            for nxt in adj[node]:
-                if nxt == v0 and len(word) % g.period == 0:
-                    if primitive_root(word) == word:
-                        found.add(word)
-                if len(word) < max_period:
-                    stack.append((nxt, word + (nxt % n,)))
+    for walk in graphs.closed_walks(adj, starts, max_period):
+        if len(walk) % g.period == 0:
+            word = tuple(v % n for v in walk)
+            if primitive_root(word) == word:
+                found.add(word)
 
     return [PeriodicPoint(tuple(map(symbols.__getitem__, w)))
             for w in sorted(found, key=lambda w: (len(w), w))]

@@ -157,6 +157,23 @@ def count_walks(adj, starts, max_edges, limit):
     return total
 
 
+def closed_walks(adj, starts, max_edges):
+    """The closed walks of 1 to ``max_edges`` edges in ``adj`` out of each
+    of the ``starts`` and back to it, each as the tuple of its nodes from
+    the start on (the start not repeated at the end). One depth first
+    walk per start, so it costs every walk of up to ``max_edges`` - 1
+    edges out of the starts, which ``count_walks`` counts."""
+    for start in starts:
+        stack = [(start, (start,))]
+        while stack:
+            node, path = stack.pop()
+            for nxt in adj[node]:
+                if nxt == start:
+                    yield path
+                if len(path) < max_edges:
+                    stack.append((nxt, path + (nxt,)))
+
+
 def walk_depths(adj, pred=None):
     """Length of the longest walk starting at each node, or None where
     walks are unbounded because the node reaches a cycle.

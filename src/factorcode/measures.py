@@ -250,49 +250,36 @@ def entropy_rate(measure):
 def spectral_entropy(base):
     """Topological entropy of an irreducible SFT in nats: log of the
     Perron value of its transition matrix."""
-    _perron = _perron_data(base)
-    return log(_perron[0])
+    return log(_perron_pair(base)[0])
 
 
-def _perron_data(base):
+def _perron_pair(base):
+    """The Perron root and right Perron vector of the 0/1 transition
+    matrix of an irreducible SFT, in symbol order, by ``_gibbs_chain``'s
+    iteration from the all-ones vector."""
     import numpy as np
 
     if not is_irreducible(base):
         raise PreconditionError("shift is not irreducible")
-    symbols = base.symbols
-    n = len(symbols)
-    index = {s: i for i, s in enumerate(symbols)}
-    matrix = np.zeros((n, n))
-    for (s, t) in base.transitions:
-        matrix[index[s], index[t]] = 1.0
-    shifted = matrix + np.eye(n)
-    vec = np.ones(n) / n
-    for _ in range(100000):
-        nxt = shifted @ vec
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - vec)) < 1e-12:
-            vec = nxt
-            break
-        vec = nxt
-    else:
-        raise AssertionError("power iteration failed to converge")
-    lam = float((shifted @ vec).sum()) - 1.0
-    return lam, matrix, vec, index
+    index = {s: i for i, s in enumerate(base.symbols)}
+    src, dst = np.array([[index[s], index[t]]
+                         for s, t in base.transitions]).T
+    rho, _, right = _gibbs_chain(np.ones(len(src)), src, dst,
+                                 np.ones(len(index)))
+    return float(rho), right, index
 
 
 def parry_measure(base):
     """Markov measure of maximal entropy of an irreducible SFT.
 
-    Power iteration on A + I (tolerance 1e-12) gives the Perron value and
-    right vector; the kernel is the stochasticization A(s,t) r_t / (l r_s).
+    The Perron value rho and right vector r of the transition matrix A
+    come from the one Perron iteration of the package (``_gibbs_chain``);
+    the kernel is the stochasticization A(s,t) r_t / (rho r_s).
     """
-    lam, matrix, right, index = _perron_data(base)
-    kernel = {}
-    for (s, t) in base.transitions:
-        kernel[(s, t)] = float(
-            matrix[index[s], index[t]] * right[index[t]]
-            / (lam * right[index[s]]))
-    return markov_measure(base, kernel)
+    rho, right, index = _perron_pair(base)
+    return markov_measure(base, {
+        (s, t): float(right[index[t]] / (rho * right[index[s]]))
+        for s, t in base.transitions})
 
 
 def orbit_measure(base, point):

@@ -30,10 +30,9 @@ from factorcode import (
 )
 from factorcode import graphs
 from factorcode.classdegree import (_close_word, _count_classes_over,
-                                    _pad_to_interior, _result,
+                                    _pad_to_interior, _result, _Routes,
                                     minimal_depth_at)
-from factorcode.codes import (_bits, _check_image_word, _sweep, _symbols,
-                              _word_sweep, d_star, image_blocks)
+from factorcode.codes import _check_image_word, d_star, image_blocks
 from factorcode.core import FactorTriple, enumerate_blocks, sub_triple
 from factorcode.fiber import _unrolled
 from factorcode.measures import _prune_support, _require_presentation_measure
@@ -674,18 +673,30 @@ def ref_d_star(t):
     return best[1]
 
 
-# Frozenset readings of the library's mask sweeps (``codes._sweep``), which
-# the tests compare with the brute-force oracles above and use to build the
-# references below.
+# Frozenset sweeps along image words by ``_ref_step``, independent of the
+# library's mask sweeps, which the tests compare with the brute-force
+# oracles above and use to build the references below.
+
+def _ref_sweep(t, start, word, forward):
+    """``_ref_step`` along ``word`` from the set ``start`` at its first
+    (forward) or last coordinate: one set per coordinate, in coordinate
+    order."""
+    sets = [frozenset(start)]
+    for c in (word[1:] if forward else word[-2::-1]):
+        sets.append(_ref_step(t, sets[-1], c, forward))
+    return sets if forward else sets[::-1]
+
 
 def forward_sets(t, word):
     """F_i sweep: F_0 = preimages(w_0), F_{i+1} = succ(F_i) & preimages."""
-    return [_symbols(t, m) for m in _word_sweep(t, word, True)]
+    word = _check_image_word(t, word)
+    return _ref_sweep(t, t.preimages(word[0]), word, True)
 
 
 def backward_sets(t, word):
     """B_i sweep from the right end, mirror image of forward_sets."""
-    return [_symbols(t, m) for m in _word_sweep(t, word, False)]
+    word = _check_image_word(t, word)
+    return _ref_sweep(t, t.preimages(word[-1]), word, False)
 
 
 def preimage_profiles(t, word):
@@ -721,15 +732,15 @@ def exact_forward_sweep(t, start, word):
     """Symbols reachable from ``start`` along paths labeled by the
     prefixes of ``word`` (start must carry word[0]), one set per
     coordinate."""
-    start = _bits(t)[0][start] if t.label[start] == word[0] else 0
-    return [_symbols(t, m) for m in _sweep(t, start, word, True)]
+    return _ref_sweep(t, {start} if t.label[start] == word[0] else (),
+                      word, True)
 
 
 def exact_backward_sweep(t, end, word):
     """Mirror image of exact_forward_sweep, from ``end`` at the last
     coordinate."""
-    end = _bits(t)[0][end] if t.label[end] == word[-1] else 0
-    return [_symbols(t, m) for m in _sweep(t, end, word, False)]
+    return _ref_sweep(t, {end} if t.label[end] == word[-1] else (), word,
+                      False)
 
 
 def ref_min_hitting_set(route_sets, pool, below):
@@ -768,27 +779,26 @@ def ref_minimal_depth_at(t, word):
 
 
 def ref_route_table(t, word):
-    """Route masks of an image word, keyed by realizable endpoint pairs,
-    from one whole-word sweep per start and per end symbol.
+    """Route sets of an image word, keyed by realizable endpoint pairs,
+    from one whole-word frozenset sweep per start and per end symbol.
 
     Returns (pairs, fsweeps, bsweeps) where ``pairs`` lists the (start,
-    end) symbol pairs realized by some preimage path and the mask sweeps
-    give R(start, end, n) = fsweeps[start][n] & bsweeps[end][n].
+    end) symbol pairs realized by some preimage path and the sweeps give
+    R(start, end, n) = fsweeps[start][n] & bsweeps[end][n].
     """
     word = tuple(word)
-    bit = _bits(t)[0]
     fsweeps = {}
     for s in t.preimages(word[0]):
-        sweep = _sweep(t, bit[s], word, True)
+        sweep = exact_forward_sweep(t, s, word)
         if sweep[-1]:
             fsweeps[s] = sweep
     bsweeps = {}
     for e in t.preimages(word[-1]):
-        sweep = _sweep(t, bit[e], word, False)
+        sweep = exact_backward_sweep(t, e, word)
         if sweep[0]:
             bsweeps[e] = sweep
     pairs = [(s, e) for s in fsweeps for e in bsweeps
-             if bit[e] & fsweeps[s][-1]]
+             if e in fsweeps[s][-1]]
     return pairs, fsweeps, bsweeps
 
 
@@ -799,7 +809,8 @@ def ref_depth_search(t, horizon, measure=None):
     its whole key (depth, length, word, index, symbols)."""
     if measure is None:
         witness = d_star(t)
-        seed_word, _ = _pad_to_interior(t, witness.word, witness.index)
+        seed_word, _ = _pad_to_interior(t, witness.word, witness.index,
+                                        _Routes(t))
         image = sofic_image(t)
         closure = (image.successors, image.labels, image.components)
     else:

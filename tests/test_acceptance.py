@@ -231,7 +231,7 @@ def test_criterion_10_entropy_numerics():
     start = time.monotonic()
     golden = (1 + sqrt(5)) / 2
     t = fixtures.load("fix_a")
-    assert abs(entropy_rate(parry_measure(t.x)) - log(golden)) < 1e-9
+    assert abs(entropy_rate(parry_measure(t.x)) - log(golden)) < 1e-14
 
     for name, kind in FINITE_TO_ONE_PAIRS:
         t = fixtures.load(name)
@@ -263,7 +263,7 @@ def test_criterion_10_entropy_numerics():
 
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, "criterion 10 exceeded 30 s: %.2fs" % elapsed
-    print("criterion 10: PASS - parry entropy within 1e-9, bounds "
+    print("criterion 10: PASS - parry entropy within 1e-14, bounds "
           "monotone within 1e-7 and tight within 1e-6 by k=4 on "
           "finite-to-one fixtures, diagnostics below 1e-8 (%.2fs)"
           % elapsed)

@@ -26,6 +26,7 @@ from conftest import (
 from factorcode import (
     EmptyShiftError,
     PreconditionError,
+    TransitionBlock,
     build_fiber_graph,
     class_count_for_measure,
     find_minimal_transition_block,
@@ -42,7 +43,7 @@ from factorcode import (
 from factorcode import classdegree, codes, graphs
 from factorcode.classdegree import (_close_word, _min_hitting_set,
                                     _pad_to_interior, _pairs, _Routes)
-from factorcode.codes import d_star, image_blocks
+from factorcode.codes import _symbols, d_star, image_blocks
 from factorcode.core import FactorTriple, sub_triple
 
 
@@ -103,15 +104,14 @@ def test_transition_block_factory_checks_the_routing_property():
         transition_block(t, ("0", "0", "1"), 0, frozenset({"a"}))
 
 
-def test_is_transition_block_matches_brute_on_every_symbol_set():
-    """The check sweeps forward only up to the index and backward only
-    down to it. It agrees with the brute check on every word of length
-    3 to 5 over the image alphabet, at every interior index, for every
-    nonempty set of preimages of the symbol there."""
-    rng = random.Random(71)
+def _block_candidates(seed):
+    """(t, word, index, symbols) for every word of length 3 to 5 over the
+    image alphabet, every interior index and every nonempty set of
+    preimages of the symbol there, over the fixtures and 20 seeded
+    random triples."""
+    rng = random.Random(seed)
     triples = [fixtures.load(name) for name in FIXTURE_NAMES]
     triples += [random_triple(rng) for _ in range(20)]
-    answers = set()
     for t in triples:
         for n in (3, 4, 5):
             for word in itertools.product(t.y_alphabet, repeat=n):
@@ -119,12 +119,46 @@ def test_is_transition_block_matches_brute_on_every_symbol_set():
                     pre = t.preimages(word[index])
                     for size in range(1, len(pre) + 1):
                         for symbols in itertools.combinations(pre, size):
-                            got = is_transition_block(t, word, index,
-                                                      symbols)
-                            assert got == brute_is_transition_block(
-                                t, word, index, symbols), (t, word, index)
-                            answers.add(got)
+                            yield t, word, index, symbols
+
+
+def test_is_transition_block_matches_brute_on_every_symbol_set():
+    """The check sweeps forward only up to the index and backward only
+    down to it. It agrees with the brute check on every candidate of
+    ``_block_candidates``."""
+    answers = set()
+    for t, word, index, symbols in _block_candidates(71):
+        got = is_transition_block(t, word, index, symbols)
+        assert got == brute_is_transition_block(t, word, index, symbols), \
+            (t, word, index)
+        answers.add(got)
     assert answers == {True, False}
+
+
+def test_transition_block_errors_split_on_the_one_sweep():
+    """``transition_block`` raises ValueError exactly when the word has no
+    preimage block, PreconditionError exactly when it has one but the
+    symbols fail the brute check, and returns the block otherwise; a word
+    with an unknown symbol is still named as such."""
+    outcomes = set()
+    for t, word, index, symbols in _block_candidates(72):
+        if not brute_preimage_blocks(t, word):
+            with pytest.raises(ValueError, match="not an image block"):
+                transition_block(t, word, index, symbols)
+            outcomes.add("not an image block")
+        elif not brute_is_transition_block(t, word, index, symbols):
+            with pytest.raises(PreconditionError, match="routing fails"):
+                transition_block(t, word, index, symbols)
+            outcomes.add("routing fails")
+        else:
+            block = transition_block(t, word, index, symbols)
+            assert block == TransitionBlock(word, index, frozenset(symbols))
+            outcomes.add("block")
+    assert len(outcomes) == 3
+    t = fixtures.load("fix_d")
+    for word in (("0", "z", "1"), ("z", "0", "1"), ("0", "0", "z")):
+        with pytest.raises(ValueError, match="unknown image symbol"):
+            transition_block(t, word, 1, frozenset({"b"}))
 
 
 def test_minimal_depth_matches_brute_and_is_valid():
@@ -262,11 +296,11 @@ def test_route_memo_matches_whole_word_sweeps():
                 for fcols, bcols in (shared.columns(word),
                                      _Routes(t).columns(word)):
                     for i, s in enumerate(starts):
-                        column = [masks[i] for masks in fcols]
+                        column = [_symbols(t, masks[i]) for masks in fcols]
                         assert column == fsweeps.get(s, column)
                         assert bool(column[-1]) == (s in fsweeps)
                     for j, e in enumerate(ends):
-                        column = [masks[j] for masks in bcols]
+                        column = [_symbols(t, masks[j]) for masks in bcols]
                         assert column == bsweeps.get(e, column)
                         assert bool(column[0]) == (e in bsweeps)
                     assert [(starts[i], ends[j]) for i, j
@@ -336,7 +370,7 @@ def test_seed_word_loses_ties_to_earlier_words(name, witness):
     itself, not only for smaller ones."""
     t = fixtures.load(name)
     magic = d_star(t)
-    seed_word, _ = _pad_to_interior(t, magic.word, magic.index)
+    seed_word, _ = _pad_to_interior(t, magic.word, magic.index, _Routes(t))
     assert seed_word == ("0", "1", "0")
     assert len(minimal_depth_at(t, seed_word)[1]) == 1
     res = find_minimal_transition_block(t, horizon=8)
@@ -346,13 +380,14 @@ def test_seed_word_loses_ties_to_earlier_words(name, witness):
 
 
 @pytest.mark.parametrize("name, horizon, steps", [
-    ("probe", 4, 26),
-    ("fix_e", 8, 64),
+    ("probe", 4, 23),
+    ("fix_e", 8, 62),
 ])
 def test_labelled_steps_per_search(name, horizon, steps, monkeypatch):
-    """Words of one search share the sweeps of their common prefixes and
-    suffixes, so each labelled step is taken once (the search took 50 and
-    98 steps when every word swept its own route table)."""
+    """Words of one search, and the padding of its seed word, share the
+    sweeps of their common prefixes and suffixes, so each labelled step is
+    taken once (the search took 50 and 98 steps when every word swept its
+    own route table, and 26 and 64 when the padding swept on its own)."""
     t = parse_triple(INFINITE_TO_ONE_PROBE) if name == "probe" else \
         fixtures.load(name)
     calls = []

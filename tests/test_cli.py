@@ -209,13 +209,13 @@ def test_entropy_variants_and_units():
     base = run_json("entropy", fixture_path("fix_a"))["result"]
     assert base["kind"] == "topological"
     assert base["units"] == "nats"
-    assert abs(base["value"] - log(GOLDEN)) < 1e-9
+    assert abs(base["value"] - log(GOLDEN)) <= 1e-15
     bits = run_json("entropy", fixture_path("fix_a"), "--bits")["result"]
     assert bits["units"] == "bits"
-    assert abs(bits["value"] - log(GOLDEN) / log(2)) < 1e-9
+    assert abs(bits["value"] - log(GOLDEN) / log(2)) <= 1e-15
     parry = run_json("entropy", fixture_path("fix_a"), "--parry")["result"]
     assert parry["kind"] == "parry"
-    assert abs(parry["value"] - log(GOLDEN)) < 1e-9
+    assert abs(parry["value"] - log(GOLDEN)) <= 1e-14
     markov = run_json(
         "entropy", fixture_path("fix_a"),
         "--measure", fixture_path("fix_a_parry", ".measure"))["result"]
@@ -421,10 +421,24 @@ def test_internal_errors_exit_4_on_one_line(error, monkeypatch, capsys):
     assert captured.err == "internal error: %s\n" % (error,)
 
 
+def test_an_unlisted_exception_exits_4_on_one_line(monkeypatch, capsys):
+    """An exception of a type ``main`` does not list, raised inside a
+    handler, is an internal error: one line and exit 4, not a traceback
+    and exit 1 (bad input)."""
+    def broken(t):
+        raise KeyError("a")
+
+    monkeypatch.setattr(cli, "is_finite_to_one", broken)
+    assert cli.main(["check", fixture_path("fix_a")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: KeyError: 'a'\n"
+
+
 @pytest.mark.parametrize("name, broken, message", [
-    ("is_transition_block", lambda *args: False,
+    ("_block_mask", lambda *args: 0,
      "not a transition block: routing fails"),
-    ("_word_sweep", lambda *args: [0], "word is not an image block"),
+    ("_meets", lambda *args: [], "word is not an image block"),
 ])
 def test_a_failed_extract_self_check_exits_4(name, broken, message,
                                              monkeypatch, capsys):
