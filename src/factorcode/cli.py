@@ -23,7 +23,7 @@ from .codes import (degree_witness, image_irreducible, is_finite_to_one,
                     sofic_image)
 from .core import (EmptyShiftError, MeasureParseError, PeriodicPoint,
                    PreconditionError, TripleParseError, higher_block,
-                   is_irreducible, parse_triple, triple_to_text)
+                   parse_triple, triple_to_text)
 from .fiber import (build_fiber_graph, extract_transition_block,
                     synchronizing_extension, transition_classes)
 from .measures import (entropy_rate, parry_measure, parse_measure, pqs_bound,
@@ -131,7 +131,7 @@ def _cmd_check(t, args, inputs):
         "x_symbols": list(t.x.symbols),
         "y_symbols": list(t.y_alphabet),
         "edge_count": len(t.x.transitions),
-        "irreducible": is_irreducible(t.x),
+        "irreducible": t.x.is_irreducible,
         "finite_to_one": is_finite_to_one(t),
         "image_irreducible_certified": image_irreducible(t),
         "presentation_states": len(sofic_image(t).masks),

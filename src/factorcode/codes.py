@@ -33,7 +33,7 @@ from itertools import islice
 from . import graphs
 from .core import (EmptyShiftError, FactorTriple, PeriodicPoint,
                    PreconditionError, Sft, canonical_orbit_word,
-                   is_irreducible, per_triple)
+                   per_triple)
 
 
 def _check_image_word(t, word):
@@ -413,7 +413,7 @@ def image_irreducible(t):
     Either the domain is irreducible (a factor of an irreducible shift is
     irreducible) or the canonical presentation is strongly connected.
     """
-    return is_irreducible(t.x) or sofic_image(t).irreducible
+    return t.x.is_irreducible or sofic_image(t).irreducible
 
 
 # Most image words of one length that ``image_blocks`` lists. The class
@@ -455,7 +455,7 @@ def degree_witness(t, strict=False):
     """
     if not is_finite_to_one(t):
         raise PreconditionError("degree undefined (infinite-to-one code)")
-    if strict and not is_irreducible(t.x):
+    if strict and not t.x.is_irreducible:
         raise PreconditionError("domain shift is not irreducible")
     if not image_irreducible(t):
         raise PreconditionError("image shift is not certified irreducible")

@@ -1,4 +1,4 @@
-"""Core objects: shifts of finite type, blocks, periodic points, factor triples.
+"""Core objects: shifts of finite type, periodic points, factor triples.
 
 A shift of finite type (SFT) is presented by its 1-step transition relation
 on a finite alphabet of vertex symbols. A factor triple bundles an SFT with
@@ -7,7 +7,9 @@ block code onto a sofic image shift.
 
 Symbol order is structural throughout: the order of first appearance in the
 defining file (or constructor argument) fixes iteration order everywhere
-downstream, which keeps every derived quantity deterministic.
+downstream, which keeps every derived quantity deterministic. A block, a
+finite word of the domain, is a plain tuple of symbols; ``enumerate_blocks``
+lists them as symbol tuples, lexicographic in domain-symbol order.
 """
 
 from __future__ import annotations
@@ -119,28 +121,6 @@ class Sft:
 
 def make_sft(symbols, edges):
     return Sft(tuple(symbols), frozenset((a, b) for a, b in edges))
-
-
-@dataclass(frozen=True)
-class Block:
-    """A finite word placed at integer coordinates [start, start+len-1]."""
-
-    symbols: tuple
-    start: int = 0
-
-    def __post_init__(self):
-        if not self.symbols:
-            raise ValueError("empty block")
-
-    def __len__(self):
-        return len(self.symbols)
-
-    @property
-    def end(self):
-        return self.start + len(self.symbols) - 1
-
-    def __getitem__(self, i):
-        return self.symbols[i]
 
 
 @dataclass(frozen=True)
@@ -282,11 +262,6 @@ def essentialize_triple(t):
     return sub_triple(t, x.symbol_set, x.transitions)
 
 
-def is_irreducible(x):
-    """Irreducibility of an essential SFT = strong connectivity."""
-    return x.is_irreducible
-
-
 def _parse_pair(token, lineno, kind):
     parts = token.split(">")
     if len(parts) != 2 or not parts[0] or not parts[1]:
@@ -398,33 +373,26 @@ def triple_to_text(t):
 
 
 def enumerate_blocks(x, n):
-    """All n-blocks of an essential SFT, lexicographic in symbol order."""
+    """All n-blocks of an essential SFT, as symbol tuples, lexicographic in
+    domain-symbol order: each length extends the blocks of the one before
+    by their last symbol's successors, in symbol order."""
     if n < 1:
         raise ValueError("block length must be >= 1")
-    out = []
-
-    def extend(prefix):
-        if len(prefix) == n:
-            out.append(Block(tuple(prefix)))
-            return
-        for t_ in x.successors(prefix[-1]):
-            prefix.append(t_)
-            extend(prefix)
-            prefix.pop()
-
-    for s in x.symbols:
-        extend([s])
-    return out
+    succ = x.successor_map
+    blocks = [(s,) for s in x.symbols]
+    for _ in range(n - 1):
+        blocks = [b + (s,) for b in blocks for s in succ[b[-1]]]
+    return blocks
 
 
 @dataclass
 class BlockRecoding:
     """Conjugacy data for a higher-block recoding.
 
-    Maps blocks and periodic points both ways between the base triple and
-    the recoded one. Recoded symbols are named by joining the base window
-    with '.'; the name-to-window mapping is stored explicitly so recodings
-    of already-recoded triples stay unambiguous.
+    Maps blocks (symbol tuples) and periodic points both ways between the
+    base triple and the recoded one. Recoded symbols are named by joining
+    the base window with '.'; the name-to-window mapping is stored
+    explicitly so recodings of already-recoded triples stay unambiguous.
     """
 
     n: int
@@ -444,16 +412,18 @@ class BlockRecoding:
         return self.windows[name]
 
     def to_recoded_block(self, b):
+        b = tuple(b)
         if len(b) < self.n:
             raise ValueError("block shorter than the recoding window")
-        syms = tuple(self._window_name(b.symbols[i:i + self.n])
+        return tuple(self._window_name(b[i:i + self.n])
                      for i in range(len(b) - self.n + 1))
-        return Block(syms, b.start)
 
     def to_base_block(self, b):
-        windows = [self._window_of(s) for s in b.symbols]
-        syms = tuple(w[0] for w in windows) + windows[-1][1:]
-        return Block(syms, b.start)
+        b = tuple(b)
+        if not b:
+            raise ValueError("empty block")
+        windows = [self._window_of(s) for s in b]
+        return tuple(w[0] for w in windows) + windows[-1][1:]
 
     def to_recoded_point(self, p):
         q = p.period
@@ -480,10 +450,10 @@ def higher_block(t, n):
     if n == 1:
         return t, BlockRecoding(1, t, t)
     blocks = enumerate_blocks(t.x, n)
-    names = [".".join(b.symbols) for b in blocks]
+    names = [".".join(b) for b in blocks]
     if len(set(names)) != len(names):
         raise ValueError("symbol names collide under '.' joining")
-    windows = {name: b.symbols for name, b in zip(names, blocks)}
+    windows = dict(zip(names, blocks))
     by_prefix = {}
     for v in names:
         by_prefix.setdefault(windows[v][:-1], []).append(v)

@@ -20,8 +20,7 @@ from math import isfinite, log
 
 from . import graphs
 from .core import (MeasureParseError, PeriodicPoint, PreconditionError,
-                   enumerate_blocks, is_irreducible, primitive_root,
-                   sub_triple)
+                   enumerate_blocks, primitive_root, sub_triple)
 from .codes import (_bit_indices, _check_image_word, _label_masks,
                     image_blocks, sofic_image)
 
@@ -38,6 +37,11 @@ _PERRON_STEPS = 1000
 # one piece of the entropy bound's solve. The largest piece of the
 # benchmark pools needs 533 x 147 and 130 x 130.
 SOLVE_ENTRY_BUDGET = 4_000_000
+# Most walks of the domain, of 1 to k steps, that the entropy bound at k
+# may take to list its (k+1)-blocks; their number grows exponentially
+# with k. The benchmark pools need 695 at most (533 blocks of length 4),
+# and the full shift on four symbols passes the limit at k = 8.
+DOMAIN_WALK_BUDGET = 100_000
 _ROW_INVARIANT = 1e-12
 _FLOW_INVARIANT = 1e-10
 
@@ -259,7 +263,7 @@ def _perron_pair(base):
     iteration from the all-ones vector."""
     import numpy as np
 
-    if not is_irreducible(base):
+    if not base.is_irreducible:
         raise PreconditionError("shift is not irreducible")
     index = {s: i for i, s in enumerate(base.symbols)}
     src, dst = np.array([[index[s], index[t]]
@@ -395,8 +399,9 @@ class RelativeEntropyBound:
     the piece where it is largest, or 0 where that D is negative (the
     relaxation is an entropy, so never below 0), an upper bound for the
     relaxation whether or not the solve converged. ``optimizer`` maps
-    the admissible (k+1)-blocks of the domain kept by pruning to the
-    weights of that iterate's Gibbs chain, 0 off its piece;
+    the admissible (k+1)-blocks of the domain kept by pruning, symbol
+    tuples, lexicographic in domain-symbol order, to the weights of that
+    iterate's Gibbs chain, 0 off its piece;
     ``residuals`` reports the largest violation of the image and
     marginal constraint families by the optimizer (the image one is
     |grad D|). ``iterations`` counts Newton steps over all pieces.
@@ -414,7 +419,9 @@ class RelativeEntropyBound:
 
 def _prune_support(blocks):
     """The blocks that can carry weight under marginal consistency, each
-    mapped to the number of the strongly connected piece it lies in.
+    mapped to the number of the strongly connected piece it lies in, in
+    the order given: symbol tuples, lexicographic in domain-symbol order,
+    as ``enumerate_blocks`` lists them.
 
     Read each (k+1)-block as an edge from its prefix k-block to its suffix
     k-block. Marginally consistent weights are circulations on that graph,
@@ -631,7 +638,8 @@ def relative_entropy_upper_bound(t, measure, k):
     A piece that can carry nu has a block per image word, so m words need
     a system of at least m(m + 1) entries: past SOLVE_ENTRY_BUDGET, the
     PreconditionError comes right after the words are listed, before any
-    domain block is.
+    domain block is. So does the one for more than DOMAIN_WALK_BUDGET
+    walks of the domain of up to k steps, counted without listing one.
     """
     import numpy as np
 
@@ -646,14 +654,14 @@ def relative_entropy_upper_bound(t, measure, k):
             "of at least %d entries, more than the limit of %d"
             % (len(positive), least, SOLVE_ENTRY_BUDGET))
     nu = {w: _word_measure(support, measure, w) for w in positive}
-    xorder = {s: i for i, s in enumerate(t.x.symbols)}
-
-    def block_key(block):
-        return tuple(xorder[s] for s in block)
-
+    if graphs.count_walks(t.x.successor_map, t.x.symbols, k,
+                          DOMAIN_WALK_BUDGET) > DOMAIN_WALK_BUDGET:
+        raise PreconditionError(
+            "the domain blocks of length up to %d take more than %d walks "
+            "of the domain, the limit" % (k + 1, DOMAIN_WALK_BUDGET))
     piece_of = _prune_support(
         U for U in enumerate_blocks(t.x, k + 1) if t.label_word(U) in nu)
-    blocks = sorted(piece_of, key=block_key)
+    blocks = list(piece_of)
     words = sorted(nu)
     cell_index = {w: i for i, w in enumerate(words)}
     targets = np.array([nu[w] for w in words])

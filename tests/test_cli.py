@@ -771,6 +771,41 @@ def test_bound_over_the_solve_budget_exits_2(monkeypatch, capsys):
     assert listed == []
 
 
+FULL_SHIFT_4 = """\
+xsymbols: a b c d
+ysymbols: 0
+map: a>0 b>0 c>0 d>0
+edges: %s
+""" % " ".join("%s>%s" % (u, v) for u in "abcd" for v in "abcd")
+
+
+def test_bound_past_the_domain_walk_budget_exits_2_at_once(
+        monkeypatch, capsys, tmp_path):
+    # one image word of each length, but 4^11 domain blocks at k = 10:
+    # refused before any is listed, where listing them took minutes
+    listed = []
+
+    def blocks(x, n):
+        listed.append(n)
+        return real_blocks(x, n)
+
+    real_blocks = measures.enumerate_blocks
+    monkeypatch.setattr(measures, "enumerate_blocks", blocks)
+    triple = tmp_path / "full.triple"
+    triple.write_text(FULL_SHIFT_4)
+    measure = tmp_path / "full.measure"
+    measure.write_text("states: a+b+c+d\nrow a+b+c+d: 1\n")
+    start = time.perf_counter()
+    status = cli.main(["bound", str(triple), "--measure", str(measure),
+                       "--k", "10"])
+    assert time.perf_counter() - start < 1.0
+    assert status == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "more than %d walks" % measures.DOMAIN_WALK_BUDGET in captured.err
+    assert listed == []
+
+
 NON_ESSENTIAL_FIX_E = """\
 # fix_e with a source h leading in, a sink i and a chain j k into a sink
 xsymbols: h a b c d e f g i j k

@@ -6,7 +6,6 @@ import pytest
 
 from conftest import FIXTURE_NAMES, all_words, random_triple
 from factorcode import (
-    Block,
     EmptyShiftError,
     FactorTriple,
     PeriodicPoint,
@@ -18,7 +17,6 @@ from factorcode import (
     essentialize_triple,
     fixtures,
     higher_block,
-    is_irreducible,
     least_rotation,
     make_sft,
     parse_triple,
@@ -58,13 +56,6 @@ def test_sft_validation():
         Sft(("a", "a"), frozenset())
     with pytest.raises(ValueError, match="unknown symbol"):
         Sft(("a",), frozenset([("a", "b")]))
-
-
-def test_block_coordinates():
-    b = Block(("x", "y", "z"), start=-1)
-    assert len(b) == 3 and b.end == 1 and b[0] == "x"
-    with pytest.raises(ValueError):
-        Block(())
 
 
 def test_periodic_point_window_is_inclusive():
@@ -195,7 +186,8 @@ def test_enumerate_blocks_matches_product_enumeration():
     for name in FIXTURE_NAMES:
         x = fixtures.load(name).x
         for n in (1, 2, 3, 4):
-            got = [b.symbols for b in enumerate_blocks(x, n)]
+            got = enumerate_blocks(x, n)
+            assert all(type(b) is tuple for b in got)
             assert got == sorted(
                 all_words(x, n),
                 key=lambda u: tuple(x.symbols.index(s) for s in u))
@@ -228,11 +220,13 @@ def test_higher_block_round_trips():
         for n in (2, 3):
             rt, rec = higher_block(t, n)
             assert rt.x.is_essential
-            assert is_irreducible(rt.x) == is_irreducible(t.x)
+            assert rt.x.is_irreducible == t.x.is_irreducible
             for b in enumerate_blocks(t.x, n + 2):
                 rb = rec.to_recoded_block(b)
-                assert rt.x.admits_word(rb.symbols)
+                assert rt.x.admits_word(rb)
                 assert rec.to_base_block(rb) == b
+                assert rec.to_recoded_block(list(b)) == rb
+                assert rec.to_base_block(list(rb)) == b
             words = [u for u in all_words(t.x, 4) if t.x.allows(u[-1], u[0])]
             for u in rng.sample(words, min(5, len(words))):
                 p = PeriodicPoint(u)
@@ -246,7 +240,11 @@ def test_higher_block_rejects_short_blocks_and_bad_window():
     t = fixtures.load("fix_b")
     _, rec = higher_block(t, 3)
     with pytest.raises(ValueError, match="shorter"):
-        rec.to_recoded_block(Block(("a", "b")))
+        rec.to_recoded_block(("a", "b"))
+    with pytest.raises(ValueError, match="shorter"):
+        rec.to_recoded_block(())
+    with pytest.raises(ValueError, match="empty block"):
+        rec.to_base_block(())
     with pytest.raises(ValueError):
         higher_block(t, 0)
 
@@ -256,7 +254,7 @@ def test_random_triples_are_essential_and_parse_stable():
     for _ in range(50):
         t = random_triple(rng)
         assert t.x.is_essential
-        assert is_irreducible(t.x)
+        assert t.x.is_irreducible
         again = parse_triple(triple_to_text(t))
         assert again.x.symbols == t.x.symbols
         assert again.x.transitions == t.x.transitions

@@ -19,6 +19,7 @@ from conftest import (
     closed_class_measure,
     image_measure,
     random_code,
+    random_triple,
     ref_perron,
     ref_positive_word_measures,
     ref_relative_entropy_upper_bound,
@@ -31,10 +32,10 @@ from factorcode import (
     MeasureParseError,
     PeriodicPoint,
     PreconditionError,
+    enumerate_blocks,
     entropy_rate,
     fixtures,
     image_word_measure,
-    is_irreducible,
     make_sft,
     markov_measure,
     orbit_measure,
@@ -162,7 +163,7 @@ def test_parry_entropy_equals_spectral_entropy_on_every_fixture():
     domains.append(random_code(random.Random(3), 300, False).x)
     checked = 0
     for x in domains:
-        if not is_irreducible(x):
+        if not x.is_irreducible:
             continue
         index = {s: i for i, s in enumerate(x.symbols)}
         a = np.zeros((len(index), len(index)))
@@ -359,7 +360,7 @@ def test_support_words_carry_the_walked_measures_exactly():
         cycle = next(w for n in (2, 3, 1) for w in all_cycle_words(pres.x, n))
         orbit = orbit_measure(pres.x, PeriodicPoint(cycle))
         cases.append((t, pres, orbit))
-        if is_irreducible(pres.x):
+        if pres.x.is_irreducible:
             # the same orbit with every other state transient
             cases += [(t, pres, closed_class_measure(pres.x, orbit.kernel)),
                       (t, pres, parry_measure(pres.x))]
@@ -554,6 +555,35 @@ def test_level_scheduled_solver_matches_sequential_one_on_random_codes(seed):
                     orbit_measure(pres.x, PeriodicPoint(cycle))):
         for k in (1, 2):
             assert_matches_sequential_solver(t, measure, k)
+
+
+def test_bound_blocks_are_symbol_tuples_in_lexicographic_order():
+    """The bound takes its blocks in the order ``enumerate_blocks`` lists
+    them, symbol tuples lexicographic in domain-symbol order, and keeps
+    that order in the optimizer's keys."""
+    cases = []
+    for name, kind in MEASURE_PAIRS:
+        t = fixtures.load(name)
+        cases.append((t, image_measure(t, kind)[1]))
+    for seed in range(20):
+        t = random_triple(random.Random(seed))
+        pres = sofic_image(t).triple
+        if pres.x.is_irreducible:
+            measure = parry_measure(pres.x)
+        else:
+            cycle = next(w for n in range(1, len(pres.x.symbols) + 1)
+                         for w in all_cycle_words(pres.x, n))
+            measure = orbit_measure(pres.x, PeriodicPoint(cycle))
+        cases.append((t, measure))
+    for t, measure in cases:
+        xorder = {s: i for i, s in enumerate(t.x.symbols)}
+        for k in (1, 2, 3):
+            blocks = enumerate_blocks(t.x, k + 1)
+            keys = list(relative_entropy_upper_bound(t, measure, k).optimizer)
+            assert all(type(U) is tuple for U in blocks + keys)
+            assert set(keys) <= set(blocks)
+            codes = [tuple(xorder[s] for s in U) for U in keys]
+            assert codes == sorted(codes)
 
 
 def cyclic_matrix(rng, n, period, orders):

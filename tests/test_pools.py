@@ -1,55 +1,50 @@
-"""Replay of the benchmark pools: every op of the fiber-orbits,
-class-search and image-scale pools, run through ``cli.main`` in this
-process, must give the exit status and the result digest recorded in
-``perfbench/pool``. The digest is the one ``perfbench/run.py`` checks: the
-first 20 hex digits of the sha256 of the compact, key-sorted JSON of the
-envelope's ``result``. The entropy-bound pool is checked by invariants,
-not digits, and is left to the benchmark."""
+"""Replay of the benchmark pools: every op of the four pools, run through
+``cli.main`` in this process by ``perfbench/run.py``'s own ``call_cli``,
+must pass its own ``check_op``. That is the exit status and result digest
+recorded in ``perfbench/pool`` for most ops, and the invariants of the
+bound (value between the entropies, small residual) for the entropy-bound
+pool. A floating-point warning fails the replay, as it fails the op in
+the benchmark run under ``-W error::RuntimeWarning``."""
 
-import contextlib
-import hashlib
-import io
-import json
+import importlib.util
+import os
+import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from factorcode import cli
 
-POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def digest(result):
-    text = json.dumps(result, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:20]
+def load_run():
+    """``perfbench/run.py`` as a module. Its sibling ``hostspeed`` is
+    importable while it loads, and the thread settings it makes in the
+    environment are undone afterwards."""
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ), \
+            mock.patch.object(sys, "path", [str(PERFBENCH)] + sys.path):
+        spec.loader.exec_module(run)
+    return run
 
 
-def replay(op):
-    """None if the op gives its recorded status and digest, else why not."""
-    argv = [a.replace("{pool}", str(POOL)) for a in op["argv"]]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        try:
-            status = cli.main(argv)
-        except SystemExit as exc:
-            status = exc.code if isinstance(exc.code, int) else 1
-    if status != op["status"]:
-        return "exit %r, recorded %r" % (status, op["status"])
-    if not out.getvalue():
-        return None if op.get("digest") is None else "no output"
-    if digest(json.loads(out.getvalue())["result"]) != op["digest"]:
-        return "result digest differs"
-    return None
-
-
-@pytest.mark.parametrize("workload",
-                         ["fiber-orbits", "class-search", "image-scale"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("workload", ["fiber-orbits", "class-search",
+                                      "image-scale", "entropy-bound"])
 def test_every_pool_op_gives_its_recorded_status_and_digest(workload):
-    pool = json.loads((POOL / (workload + ".json")).read_text())
-    ops = [op for stratum in pool["strata"]
+    run = load_run()
+    ops = [op for stratum in run.load_pool(workload)["strata"]
            for instance in stratum["instances"] for op in instance["ops"]]
     assert ops
-    failures = [(" ".join(op["argv"]), reason) for op in ops
-                if (reason := replay(op)) is not None]
+    failures = []
+    for op in ops:
+        status, _, stdout, error = run.call_cli(cli.main,
+                                                run.expand(op["argv"]))
+        reason = error or run.check_op(op, status, stdout)
+        if reason is not None:
+            failures.append((" ".join(op["argv"]), reason))
     assert failures == []
