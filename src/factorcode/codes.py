@@ -481,17 +481,18 @@ PERIODIC_WALK_BUDGET = 200_000
 def periodic_image_points(t, max_period):
     """Orbit representatives of image points with period <= max_period.
 
-    Enumerates cycles of the presentation graph and canonicalizes the
-    label words (primitive root, least rotation). Sorted by (period, word).
-    PreconditionError, before any is listed, when that takes more than
-    ``PERIODIC_WALK_BUDGET`` walks of the presentation.
+    Reads the cycles of the presentation graph off ``graphs.walks`` and
+    canonicalizes their label words (primitive root, least rotation).
+    Sorted by (period, word). PreconditionError, before any is listed,
+    when that takes more than ``PERIODIC_WALK_BUDGET`` walks of the
+    presentation.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     image = sofic_image(t)
     succ = image.successors
-    if graphs.count_walks(succ, succ, max_period - 1,
-                          PERIODIC_WALK_BUDGET) > PERIODIC_WALK_BUDGET:
+    levels = graphs.walks(succ, succ, max_period - 1, PERIODIC_WALK_BUDGET)
+    if levels is None:
         raise PreconditionError(
             "the periodic points of period up to %d take more than %d "
             "walks of the presentation, the limit"
@@ -499,7 +500,8 @@ def periodic_image_points(t, max_period):
     label = image.labels
     yorder = {c: i for i, c in enumerate(t.y_alphabet)}
     seen = {canonical_orbit_word(tuple(map(label.__getitem__, walk)))
-            for walk in graphs.closed_walks(succ, succ, max_period)}
+            for level in levels for walk in level
+            if walk[0] in succ[walk[-1]]}
     words = [w for w in seen if len(w) <= max_period]
     words.sort(key=lambda w: (len(w), tuple(yorder[c] for c in w)))
     return [PeriodicPoint(w) for w in words]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
+from math import inf
 
 from . import graphs
 
@@ -374,15 +375,11 @@ def triple_to_text(t):
 
 def enumerate_blocks(x, n):
     """All n-blocks of an essential SFT, as symbol tuples, lexicographic in
-    domain-symbol order: each length extends the blocks of the one before
-    by their last symbol's successors, in symbol order."""
+    domain-symbol order: the walks of n - 1 edges that ``graphs.walks``
+    lists out of the symbols, whose successors come in symbol order."""
     if n < 1:
         raise ValueError("block length must be >= 1")
-    succ = x.successor_map
-    blocks = [(s,) for s in x.symbols]
-    for _ in range(n - 1):
-        blocks = [b + (s,) for b in blocks for s in succ[b[-1]]]
-    return blocks
+    return graphs.walks(x.successor_map, x.symbols, n - 1, inf)[-1]
 
 
 @dataclass

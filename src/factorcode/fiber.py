@@ -350,23 +350,19 @@ def enumerate_periodic_preimages(t, y, max_period):
     adj = g.pruned_adjacency()
     symbols = t.x.symbols
     n = len(symbols)
-    found = set()
 
     # the phase-0 vertices, in symbol order, are their own symbol
     # indices; words are tuples of symbol indices until they are sorted
     starts = [v for v in adj if v < n]
-    if graphs.count_walks(adj, starts, max_period - 1,
-                          PREIMAGE_WALK_BUDGET) > PREIMAGE_WALK_BUDGET:
+    levels = graphs.walks(adj, starts, max_period - 1, PREIMAGE_WALK_BUDGET)
+    if levels is None:
         raise PreconditionError(
             "the periodic preimages of period up to %d take more than %d "
             "walks of the phase graph, the limit"
             % (max_period, PREIMAGE_WALK_BUDGET))
-    for walk in graphs.closed_walks(adj, starts, max_period):
-        if len(walk) % g.period == 0:
-            word = tuple(v % n for v in walk)
-            if primitive_root(word) == word:
-                found.add(word)
-
+    words = (tuple(v % n for v in w) for level in levels for w in level
+             if w[0] in adj[w[-1]])
+    found = {w for w in words if primitive_root(w) == w}
     return [PeriodicPoint(tuple(map(symbols.__getitem__, w)))
             for w in sorted(found, key=lambda w: (len(w), w))]
 
@@ -404,37 +400,25 @@ WINDOW_WALK_BUDGET = 100_000
 def _window_paths(g, adjacency, interval, keep_start=None, keep_end=None):
     """Symbol blocks of the paths across the window in ``adjacency`` whose
     start passes ``keep_start`` and whose end passes ``keep_end`` (None
-    keeps every vertex), in symbol order; a block fixes its path. One
-    iterative depth first walk, so it costs the paths it tries.
-    PreconditionError, before any is listed, when that takes more than
-    ``WINDOW_WALK_BUDGET`` walks of ``adjacency``."""
+    keeps every vertex), in symbol order: the last level of the walks
+    ``graphs.walks`` lists out of the starts, which ascend, as does each
+    adjacency list, so a path's vertices and its block sort alike; a
+    block fixes its path. PreconditionError, before any is listed, when
+    that takes more than ``WINDOW_WALK_BUDGET`` walks of ``adjacency``."""
     m, n = interval
-    width = n - m + 1
     symbols = g.triple.x.symbols
     size = len(symbols)
     starts = [v for v in adjacency if v // size == m % g.period
               and (keep_start is None or keep_start(v))]
-    if graphs.count_walks(adjacency, starts, width - 1,
-                          WINDOW_WALK_BUDGET) > WINDOW_WALK_BUDGET:
+    levels = graphs.walks(adjacency, starts, n - m, WINDOW_WALK_BUDGET)
+    if levels is None:
         raise PreconditionError(
             "the blocks of the window %d..%d take more than %d walks of "
             "the phase graph, the limit" % (m, n, WINDOW_WALK_BUDGET))
-    blocks = []
-    for v in starts:
-        path, todo = [v], [iter(adjacency[v])]
-        while path:
-            if len(path) < width:
-                u = next(todo[-1], None)
-                if u is not None:
-                    path.append(u)
-                    todo.append(iter(adjacency[u]))
-                    continue
-            elif keep_end is None or keep_end(path[-1]):
-                blocks.append(tuple(u % size for u in path))
-            path.pop()
-            todo.pop()
-    # sorted as symbol index tuples, each decoded once
-    return [tuple(map(symbols.__getitem__, w)) for w in sorted(blocks)]
+    # vertex k * size + i names symbol i at every phase k
+    names = symbols * g.period
+    return [tuple(map(names.__getitem__, path)) for path in levels[-1]
+            if keep_end is None or keep_end(path[-1])]
 
 
 def _synchronizing_radius(g, interval):

@@ -4,6 +4,9 @@ All functions operate on adjacency mappings ``{node: sequence of nodes}``
 over hashable nodes. Iteration order of the input dict (and of each
 neighbor sequence) determines every output order, so callers that pass
 deterministically ordered adjacencies get deterministic results back.
+
+Walks are listed in one place, ``walks``, which counts them first, so a
+caller with a budget refuses at the cost of the count.
 """
 
 from __future__ import annotations
@@ -138,11 +141,14 @@ def component_cyclicity(adj, component):
     return g
 
 
-def count_walks(adj, starts, max_edges, limit):
-    """Number of walks of 1 to ``max_edges`` edges in ``adj`` out of the
-    ``starts``, counted length by length by how many end at each node,
-    so without listing one. Counting stops once the total passes
-    ``limit``, and the total so far is returned."""
+def walks(adj, starts, max_edges, limit):
+    """The walks of 0 to ``max_edges`` edges in ``adj`` out of the
+    ``starts``, as one list per edge count of their node tuples, in start
+    order and then adjacency order; or None when the walks of 1 to
+    ``max_edges`` edges number more than ``limit``. They are counted
+    first, length by length by how many end at each node, so a refusal
+    costs no listing. A closed walk is a listed ``w`` with ``w[0]`` in
+    ``adj[w[-1]]``."""
     ends = dict.fromkeys(starts, 1)
     total = 0
     for _ in range(max_edges):
@@ -152,26 +158,14 @@ def count_walks(adj, starts, max_edges, limit):
                 reached[w] = reached.get(w, 0) + n
         ends = reached
         total += sum(ends.values())
-        if total > limit or not ends:
-            break
-    return total
-
-
-def closed_walks(adj, starts, max_edges):
-    """The closed walks of 1 to ``max_edges`` edges in ``adj`` out of each
-    of the ``starts`` and back to it, each as the tuple of its nodes from
-    the start on (the start not repeated at the end). One depth first
-    walk per start, so it costs every walk of up to ``max_edges`` - 1
-    edges out of the starts, which ``count_walks`` counts."""
-    for start in starts:
-        stack = [(start, (start,))]
-        while stack:
-            node, path = stack.pop()
-            for nxt in adj[node]:
-                if nxt == start:
-                    yield path
-                if len(path) < max_edges:
-                    stack.append((nxt, path + (nxt,)))
+        if total > limit:
+            return None
+    level = [(v,) for v in starts]
+    levels = [level]
+    for _ in range(max_edges):
+        level = [w + (u,) for w in level for u in adj[w[-1]]]
+        levels.append(level)
+    return levels
 
 
 def walk_depths(adj, pred=None):

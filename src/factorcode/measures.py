@@ -20,7 +20,7 @@ from math import isfinite, log
 
 from . import graphs
 from .core import (MeasureParseError, PeriodicPoint, PreconditionError,
-                   enumerate_blocks, primitive_root, sub_triple)
+                   primitive_root, sub_triple)
 from .codes import (_bit_indices, _check_image_word, _label_masks,
                     image_blocks, sofic_image)
 
@@ -421,7 +421,7 @@ def _prune_support(blocks):
     """The blocks that can carry weight under marginal consistency, each
     mapped to the number of the strongly connected piece it lies in, in
     the order given: symbol tuples, lexicographic in domain-symbol order,
-    as ``enumerate_blocks`` lists them.
+    as ``graphs.walks`` lists them.
 
     Read each (k+1)-block as an edge from its prefix k-block to its suffix
     k-block. Marginally consistent weights are circulations on that graph,
@@ -654,13 +654,14 @@ def relative_entropy_upper_bound(t, measure, k):
             "of at least %d entries, more than the limit of %d"
             % (len(positive), least, SOLVE_ENTRY_BUDGET))
     nu = {w: _word_measure(support, measure, w) for w in positive}
-    if graphs.count_walks(t.x.successor_map, t.x.symbols, k,
-                          DOMAIN_WALK_BUDGET) > DOMAIN_WALK_BUDGET:
+    levels = graphs.walks(t.x.successor_map, t.x.symbols, k,
+                          DOMAIN_WALK_BUDGET)
+    if levels is None:
         raise PreconditionError(
             "the domain blocks of length up to %d take more than %d walks "
             "of the domain, the limit" % (k + 1, DOMAIN_WALK_BUDGET))
     piece_of = _prune_support(
-        U for U in enumerate_blocks(t.x, k + 1) if t.label_word(U) in nu)
+        U for U in levels[-1] if t.label_word(U) in nu)
     blocks = list(piece_of)
     words = sorted(nu)
     cell_index = {w: i for i, w in enumerate(words)}
@@ -722,9 +723,10 @@ def uniform_conditional_diagnostic(t, bound):
     maximal entropy measure at window scale.
 
     The windows are built as arrays, all at once, in lexicographic domain
-    symbol order: a window of weight w whose last block ends in the
-    k-block W extends by each block U with prefix W, to weight
-    (w * q(U)) / m(W). Each window is the only one with its (left
+    symbol order, the order in which the bound lists the optimizer's
+    blocks and so reads them, unsorted. A window of weight w whose last
+    block ends in the k-block W extends by each block U with prefix W, to
+    weight (w * q(U)) / m(W). Each window is the only one with its (left
     context, center, right context), so a context's total is the sum of
     its windows' weights in center order, and its gap half the sum of
     |weight / total - share| over its admissible symbols in symbol order;
@@ -735,14 +737,10 @@ def uniform_conditional_diagnostic(t, bound):
     q = bound.optimizer
     symbols = t.x.symbols
     xorder = {s: i for i, s in enumerate(symbols)}
-
-    def word_key(word):
-        return tuple(xorder[s] for s in word)
-
-    blocks = sorted((U for U, p in q.items() if p > 0), key=word_key)
+    blocks = [U for U, p in q.items() if p > 0]
     if not blocks:
         return 0.0
-    codes = np.array([word_key(U) for U in blocks], dtype=np.intp)
+    codes = np.array([[xorder[s] for s in U] for U in blocks], dtype=np.intp)
     weight = np.array([q[U] for U in blocks])
     kindex = {}
     prefix = np.array([kindex.setdefault(U[:k], len(kindex))

@@ -753,15 +753,15 @@ def test_bound_over_the_word_budget_exits_2_at_once(capsys):
 def test_bound_over_the_solve_budget_exits_2(monkeypatch, capsys):
     # 46,368 positive words of length 22 are under the word limit, but
     # the solve would need at least 46,368 x 46,369 entries: refused
-    # before any domain block is listed
+    # before any domain walk is counted or listed
     listed = []
 
-    def blocks(x, n):
-        listed.append(n)
-        return real_blocks(x, n)
+    def spy(*args):
+        listed.append(args)
+        return real_walks(*args)
 
-    real_blocks = measures.enumerate_blocks
-    monkeypatch.setattr(measures, "enumerate_blocks", blocks)
+    real_walks = graphs.walks
+    monkeypatch.setattr(graphs, "walks", spy)
     argv = ["bound", fixture_path("fix_a"), "--measure",
             fixture_path("fix_a_parry", ".measure"), "--k", "21"]
     assert cli.main(argv) == 2
@@ -783,14 +783,14 @@ def test_bound_past_the_domain_walk_budget_exits_2_at_once(
         monkeypatch, capsys, tmp_path):
     # one image word of each length, but 4^11 domain blocks at k = 10:
     # refused before any is listed, where listing them took minutes
-    listed = []
+    calls = []
 
-    def blocks(x, n):
-        listed.append(n)
-        return real_blocks(x, n)
+    def spy(*args):
+        calls.append(real_walks(*args))
+        return calls[-1]
 
-    real_blocks = measures.enumerate_blocks
-    monkeypatch.setattr(measures, "enumerate_blocks", blocks)
+    real_walks = graphs.walks
+    monkeypatch.setattr(graphs, "walks", spy)
     triple = tmp_path / "full.triple"
     triple.write_text(FULL_SHIFT_4)
     measure = tmp_path / "full.measure"
@@ -803,7 +803,7 @@ def test_bound_past_the_domain_walk_budget_exits_2_at_once(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "more than %d walks" % measures.DOMAIN_WALK_BUDGET in captured.err
-    assert listed == []
+    assert calls == [None]
 
 
 NON_ESSENTIAL_FIX_E = """\

@@ -10,6 +10,8 @@ non-essential symbols, at up to 30 domain symbols.
 """
 
 import random
+import time
+from itertools import product
 
 import pytest
 
@@ -40,9 +42,10 @@ from factorcode import (
 )
 from factorcode.codes import _label_masks, _subset_automaton, _symbols, step
 from factorcode.core import sub_triple
-from factorcode.graphs import (bi_essential_nodes, count_walks, invert,
+from factorcode.graphs import (bi_essential_nodes, invert,
                                nontrivial_components, shortest_walk,
-                               strongly_connected_components, walk_depths)
+                               strongly_connected_components, walk_depths,
+                               walks)
 
 
 def population(seed):
@@ -351,19 +354,42 @@ def test_tarjan_matches_the_reference_exactly():
             ref_strongly_connected_components(adj)
 
 
-def test_count_walks_matches_listing_them():
+def product_walks(adj, starts, edges):
+    """The walks of ``edges`` edges out of the ``starts`` by definition:
+    every choice of a start and of a neighbour position at each step, in
+    product order, kept where every position exists."""
+    width = max(map(len, adj.values()), default=0)
+    found = []
+    for first, *picks in product(starts, *[range(width)] * edges):
+        walk = (first,)
+        for i in picks:
+            if i >= len(adj[walk[-1]]):
+                break
+            walk += (adj[walk[-1]][i],)
+        else:
+            found.append(walk)
+    return found
+
+
+def test_walks_match_a_product_enumeration():
     rng = random.Random(113)
     for _ in range(200):
         n = rng.randint(1, 6)
         adj = random_multigraph(rng, n)
         starts = rng.sample(range(n), rng.randint(0, n))
         max_edges = rng.randint(0, 5)
-        walks, total = [(v,) for v in starts], 0
-        for _ in range(max_edges):
-            walks = [w + (u,) for w in walks for u in adj[w[-1]]]
-            total += len(walks)
-        assert count_walks(adj, starts, max_edges, total) == total
-        if total:
-            # past the limit, counting stops after the length passing it
-            got = count_walks(adj, starts, max_edges, total - 1)
-            assert total - 1 < got <= total
+        levels = [product_walks(adj, starts, edges)
+                  for edges in range(max_edges + 1)]
+        total = sum(map(len, levels[1:]))
+        # None exactly when the walks of 1 to max_edges edges pass limit
+        for limit in range(max(total - 2, 0), total + 2):
+            got = walks(adj, starts, max_edges, limit)
+            assert got == (None if total > limit else levels)
+
+
+def test_walks_are_counted_before_any_is_listed():
+    complete = {v: [0, 1, 2, 3] for v in range(4)}
+    start = time.perf_counter()
+    # 4^40 walks of 40 edges: listing them would never end
+    assert walks(complete, complete, 40, 10 ** 6) is None
+    assert time.perf_counter() - start < 1.0
