@@ -1,4 +1,4 @@
-"""Transition blocks and the class degree search.
+"""Transition blocks: their check, the class degree search, extraction.
 
 A transition block for an image word w is an interior index n together
 with a set m of preimage symbols such that every preimage path of w can be
@@ -6,7 +6,8 @@ rerouted, keeping its endpoints and labels, through some symbol of m at
 coordinate n. The depth of the block is |m|. The class degree of the code
 is the minimal depth over all image words; it also equals the minimal
 number of fiber transition classes over periodic image points, which is
-what the certification step checks.
+what the certification step checks, and extraction builds a block that
+deep out of the class data ``fiber`` reads off one point's phase graph.
 
 Route sets are computed per endpoint pair: the reroutes of a preimage U at
 index n depend only on (U_0, U_end), namely the exact-length forward set
@@ -47,6 +48,8 @@ from .core import PeriodicPoint, PreconditionError
 from .codes import (_bit_indices, _bits, _check_image_word, _label_masks,
                     _symbols, d_star, image_blocks, image_irreducible,
                     sofic_image, step)
+from .fiber import (_class_data, _synchronizing_radius, build_fiber_graph,
+                    class_cover)
 from .measures import _measure_support
 
 
@@ -366,12 +369,6 @@ def _close_word(succ, label, cyclic, word):
     return None
 
 
-def _count_classes_over(t, y):
-    """Transition classes over y, counted on its class cover alone."""
-    from .fiber import build_fiber_graph, class_cover
-    return len(class_cover(build_fiber_graph(t, y)).cyclic)
-
-
 def _pad_to_interior(t, word, index, routes):
     """Extend an image word minimally so the marked index is interior;
     each extension is checked on the ``_Routes`` memo ``routes``."""
@@ -422,7 +419,7 @@ def _depth_search(t, horizon, words_of_length, seed_word, closure, routes):
         y = _close_word(*closure, best[1])
         if y is None:
             return None
-        count = _count_classes_over(t, y)
+        count = len(class_cover(build_fiber_graph(t, y)).cyclic)
         if count > len(best[3]):
             raise AssertionError(
                 "class count exceeds transition block depth")
@@ -496,3 +493,121 @@ def class_count_for_measure(t, measure, horizon=8):
     return _depth_search(t, horizon, lambda n: image_blocks(support, n), None,
                          (succ, support.label,
                           graphs.nontrivial_components(succ)), _Routes(t))
+
+
+@dataclass
+class ExtractionResult:
+    """A transition block extracted from the fiber of a periodic point,
+    together with the stage data that produced it."""
+
+    block: TransitionBlock
+    class_count: int
+    n2: int
+    n3: int
+    n4: int
+    radius: int
+
+
+def extract_transition_block(t, y):
+    """Construct a transition block whose depth equals the number of
+    transition classes over the periodic point y.
+
+    Stage 1 bounds the time by which every preimage shows a non-transient
+    vertex; stage 2 finds a common routing target per class at one time
+    n3; stage 3 grows the window until every preimage provably merges back
+    out of its routing target; stage 4 pads the window by the
+    synchronizing radius so that finite preimage blocks behave like the
+    bi-infinite fiber. Only the cover at the class period is read: the
+    doubling cover and the rest of the transition class report are not
+    built. The result is machine-checked on construction, and a block
+    that fails the check raises AssertionError.
+    """
+    g = build_fiber_graph(t, y)
+    cover, comps, _, class_match = _class_data(g)
+    big_p = cover.period
+    adj = cover.adjacency
+    n = len(t.x.symbols)
+
+    # n2: vertices on the longest walk through transient vertices
+    transient_sub = {v: [w for w in adj[v] if w not in class_match]
+                     for v in adj if v not in class_match}
+    depths = graphs.walk_depths(transient_sub)
+    if None in depths.values():
+        raise AssertionError("transient vertex reaches a cycle")
+    n2 = 1 + max(depths.values(), default=-1)
+
+    def step(frontier):
+        return {w for v in frontier for w in adj[v]}
+
+    # seeds: non-transient vertices at times 0..n2. Each keeps one
+    # frontier, the vertices its walks reach at the current time, and is
+    # stepped once per time
+    frontiers = []
+    for time in range(n2 + 1):
+        frontiers = [(j, step(f)) for j, f in frontiers]
+        frontiers += [(class_match[v], {v}) for v in adj
+                      if v // n == time % big_p and v in class_match]
+    if {j for j, _ in frontiers} != set(range(len(comps))):
+        raise AssertionError("class without early seed vertices")
+
+    max_n3 = n2 + 1 + 4 * big_p * (len(adj) + 1)
+    dp_budget = len(adj) * (2 ** len(comps)) + 2 * big_p + 8
+    class_vertices = [frozenset(comp) for comp in comps]
+
+    early = None
+    for n3 in range(n2 + 1, max_n3 + 1):
+        # stage 2: per class, the first vertex in symbol order that every
+        # seed of the class reaches at time n3; all lie at one phase, so
+        # that is the least
+        frontiers = [(j, step(f)) for j, f in frontiers]
+        reached = list(class_vertices)
+        for j, f in frontiers:
+            reached[j] = reached[j] & f
+        if not all(reached):
+            continue
+        targets = [min(vs) for vs in reached]
+
+        # stage 3: product sweep over (vertex, collected class set), run
+        # to n2 once; every attempt advances it from there
+        if early is None:
+            early = {(v, frozenset([class_match[v]] if v in class_match
+                                   else ()))
+                     for v in adj if v < n}
+            for _ in range(n2):
+                early = {(w, collected | {class_match[w]}
+                          if w in class_match else collected)
+                         for v, collected in early for w in adj[v]}
+            if any(not collected for _, collected in early):
+                raise AssertionError(
+                    "preimage path with no early class visit")
+        states, time = early, n2
+        b_front = [step({v}) for v in targets]
+        for n4 in range(n3 + 1, n3 + dp_budget + 1):
+            while time < n4:
+                time += 1
+                states = {(w, collected) for v, collected in states
+                          for w in adj[v]}
+            if all(any(v in b_front[j] for j in collected)
+                   for v, collected in states):
+                break
+            b_front = [step(f) for f in b_front]
+        else:
+            # no merge within the budget: try the next n3
+            continue
+        break
+    else:
+        raise RuntimeError("transition block extraction exhausted its caps")
+
+    radius = _synchronizing_radius(g, (0, n4))
+    window = tuple(PeriodicPoint(g.word).window(-radius, n4 + radius))
+    index = n3 + radius
+    symbols = frozenset(t.x.symbols[v % n] for v in targets)
+    if len(symbols) != len(comps):
+        raise AssertionError("routing targets share a symbol")
+    try:
+        block = transition_block(t, window, index, symbols)
+    except (ValueError, PreconditionError) as exc:
+        # the construction guarantees a transition block of an image word
+        raise AssertionError("extracted block fails its check: %s"
+                             % (exc,)) from exc
+    return ExtractionResult(block, len(comps), n2, n3, n4, radius)

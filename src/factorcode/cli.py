@@ -17,15 +17,15 @@ import sys
 import time
 from math import log
 
-from .classdegree import (class_count_for_measure,
+from .classdegree import (class_count_for_measure, extract_transition_block,
                           find_minimal_transition_block)
 from .codes import (degree_witness, image_irreducible, is_finite_to_one,
                     sofic_image)
 from .core import (EmptyShiftError, MeasureParseError, PeriodicPoint,
                    PreconditionError, TripleParseError, higher_block,
                    parse_triple, triple_to_text)
-from .fiber import (build_fiber_graph, extract_transition_block,
-                    synchronizing_extension, transition_classes)
+from .fiber import (build_fiber_graph, synchronizing_extension,
+                    transition_classes)
 from .measures import (entropy_rate, parry_measure, parse_measure, pqs_bound,
                        relative_entropy_upper_bound, spectral_entropy,
                        uniform_conditional_diagnostic)

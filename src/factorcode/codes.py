@@ -324,8 +324,9 @@ class SoficImage:
     ``masks[p]`` (bit j is ``domain[j]``, the domain alphabet) and
     carries the image symbol ``labels[p]``. ``successors`` maps each
     state, in order, to the states one image symbol away, ascending. One
-    Tarjan pass over it gives ``irreducible`` and ``components``, the
-    nontrivial strongly connected components in emission order.
+    Tarjan pass on first read gives ``components``, its nontrivial strongly
+    connected components in emission order; every state lies on a
+    bi-infinite walk, so ``irreducible`` iff one of them holds them all.
 
     The named reading is built on first read and kept: ``names`` joins
     each state's members with '+' in symbol order, and ``triple``
@@ -340,8 +341,14 @@ class SoficImage:
     masks: list
     labels: list
     successors: dict
-    irreducible: bool
-    components: tuple
+
+    @cached_property
+    def components(self):
+        return tuple(graphs.nontrivial_components(self.successors))
+
+    @property
+    def irreducible(self):
+        return [len(c) for c in self.components] == [len(self.masks)]
 
     @cached_property
     def names(self):
@@ -398,13 +405,9 @@ def sofic_image(t):
         for i in pred[j]:
             if place[i] >= 0:
                 successors[place[i]].append(q)
-    components = graphs.strongly_connected_components(successors)
     return SoficImage(t.x.symbols, t.y_alphabet,
                       [auto.masks[i] for i in kept],
-                      [auto.labels[i] for i in kept], successors,
-                      len(components) == 1,
-                      tuple(c for c in components
-                            if graphs.is_cyclic(successors, c)))
+                      [auto.labels[i] for i in kept], successors)
 
 
 def image_irreducible(t):

@@ -1,4 +1,4 @@
-"""Fiber analysis over periodic image points.
+"""Fiber analysis of periodic image points: classes, windows, preimages.
 
 The fiber of a periodic point y of period p is carried by the phase graph:
 vertices are pairs (symbol, phase) whose label matches y at that phase,
@@ -16,8 +16,8 @@ of the component cyclicities; at that period every component has settled
 into its terminal splitting and the count is stable under any further
 unrolling, which the doubling certificate re-checks explicitly with a
 real Tarjan pass over the reading at 2P. Only the fiber report builds
-that doubling cover: extraction reads the cover at P and the class data
-drawn from it, and nothing else of the report. Reading y with a multiple
+that doubling cover: ``classdegree`` reads the cover at P and its class
+data, and nothing else of the report. Reading y with a multiple
 of its period gives a cyclic cover of the phase graph, and a walk lifts
 uniquely once its starting phase is fixed, so the unrolled readings are
 lifted from the pruned graph rather than rebuilt from the triple.
@@ -44,7 +44,6 @@ from operator import or_
 
 from . import graphs
 from .core import PeriodicPoint, PreconditionError, per_triple, primitive_root
-from .classdegree import TransitionBlock, transition_block
 from .codes import _bits, _check_image_word, _label_masks, _symbols
 
 
@@ -508,121 +507,3 @@ def synchronizing_extension(t, y, interval):
                            for i in range(n - m + 1))
     return SynchronizingExtension((m, n), radius, true_blocks,
                                   per_coordinate)
-
-
-@dataclass
-class ExtractionResult:
-    """A transition block extracted from the fiber of a periodic point,
-    together with the stage data that produced it."""
-
-    block: TransitionBlock
-    class_count: int
-    n2: int
-    n3: int
-    n4: int
-    radius: int
-
-
-def extract_transition_block(t, y):
-    """Construct a transition block whose depth equals the number of
-    transition classes over the periodic point y.
-
-    Stage 1 bounds the time by which every preimage shows a non-transient
-    vertex; stage 2 finds a common routing target per class at one time
-    n3; stage 3 grows the window until every preimage provably merges back
-    out of its routing target; stage 4 pads the window by the
-    synchronizing radius so that finite preimage blocks behave like the
-    bi-infinite fiber. Only the cover at the class period is read: the
-    doubling cover and the rest of the transition class report are not
-    built. The result is machine-checked on construction, and a block
-    that fails the check raises AssertionError.
-    """
-    g = build_fiber_graph(t, y)
-    cover, comps, _, class_match = _class_data(g)
-    big_p = cover.period
-    adj = cover.adjacency
-    n = len(t.x.symbols)
-
-    # n2: vertices on the longest walk through transient vertices
-    transient_sub = {v: [w for w in adj[v] if w not in class_match]
-                     for v in adj if v not in class_match}
-    depths = graphs.walk_depths(transient_sub)
-    if None in depths.values():
-        raise AssertionError("transient vertex reaches a cycle")
-    n2 = 1 + max(depths.values(), default=-1)
-
-    def step(frontier):
-        return {w for v in frontier for w in adj[v]}
-
-    # seeds: non-transient vertices at times 0..n2. Each keeps one
-    # frontier, the vertices its walks reach at the current time, and is
-    # stepped once per time
-    frontiers = []
-    for time in range(n2 + 1):
-        frontiers = [(j, step(f)) for j, f in frontiers]
-        frontiers += [(class_match[v], {v}) for v in adj
-                      if v // n == time % big_p and v in class_match]
-    if {j for j, _ in frontiers} != set(range(len(comps))):
-        raise AssertionError("class without early seed vertices")
-
-    max_n3 = n2 + 1 + 4 * big_p * (len(adj) + 1)
-    dp_budget = len(adj) * (2 ** len(comps)) + 2 * big_p + 8
-    class_vertices = [frozenset(comp) for comp in comps]
-
-    early = None
-    for n3 in range(n2 + 1, max_n3 + 1):
-        # stage 2: per class, the first vertex in symbol order that every
-        # seed of the class reaches at time n3; all lie at one phase, so
-        # that is the least
-        frontiers = [(j, step(f)) for j, f in frontiers]
-        reached = list(class_vertices)
-        for j, f in frontiers:
-            reached[j] = reached[j] & f
-        if not all(reached):
-            continue
-        targets = [min(vs) for vs in reached]
-
-        # stage 3: product sweep over (vertex, collected class set), run
-        # to n2 once; every attempt advances it from there
-        if early is None:
-            early = {(v, frozenset([class_match[v]] if v in class_match
-                                   else ()))
-                     for v in adj if v < n}
-            for _ in range(n2):
-                early = {(w, collected | {class_match[w]}
-                          if w in class_match else collected)
-                         for v, collected in early for w in adj[v]}
-            if any(not collected for _, collected in early):
-                raise AssertionError(
-                    "preimage path with no early class visit")
-        states, time = early, n2
-        b_front = [step({v}) for v in targets]
-        for n4 in range(n3 + 1, n3 + dp_budget + 1):
-            while time < n4:
-                time += 1
-                states = {(w, collected) for v, collected in states
-                          for w in adj[v]}
-            if all(any(v in b_front[j] for j in collected)
-                   for v, collected in states):
-                break
-            b_front = [step(f) for f in b_front]
-        else:
-            # no merge within the budget: try the next n3
-            continue
-        break
-    else:
-        raise RuntimeError("transition block extraction exhausted its caps")
-
-    radius = _synchronizing_radius(g, (0, n4))
-    window = tuple(PeriodicPoint(g.word).window(-radius, n4 + radius))
-    index = n3 + radius
-    symbols = frozenset(t.x.symbols[v % n] for v in targets)
-    if len(symbols) != len(comps):
-        raise AssertionError("routing targets share a symbol")
-    try:
-        block = transition_block(t, window, index, symbols)
-    except (ValueError, PreconditionError) as exc:
-        # the construction guarantees a transition block of an image word
-        raise AssertionError("extracted block fails its check: %s"
-                             % (exc,)) from exc
-    return ExtractionResult(block, len(comps), n2, n3, n4, radius)

@@ -29,12 +29,11 @@ from factorcode import (
     transition_classes,
 )
 from factorcode import graphs
-from factorcode.classdegree import (_close_word, _count_classes_over,
-                                    _pad_to_interior, _result, _Routes,
-                                    minimal_depth_at)
+from factorcode.classdegree import (_close_word, _pad_to_interior, _result,
+                                    _Routes, minimal_depth_at)
 from factorcode.codes import _check_image_word, d_star, image_blocks
 from factorcode.core import FactorTriple, enumerate_blocks, sub_triple
-from factorcode.fiber import _unrolled
+from factorcode.fiber import _unrolled, class_cover
 from factorcode.measures import _prune_support, _require_presentation_measure
 
 
@@ -319,7 +318,7 @@ def ref_bi_essential_nodes(adj):
 
 def ref_extract_stages(t, y):
     """(n2, n3, n4, targets) of stages 1-3 of
-    ``fiber.extract_transition_block`` by the direct stage loop: every
+    ``classdegree.extract_transition_block`` by the direct stage loop: every
     routing candidate re-steps every seed from the seed's own time, and
     every attempt reruns the product sweep from time 0."""
     g = build_fiber_graph(t, y)
@@ -839,7 +838,8 @@ def ref_depth_search(t, horizon, measure=None):
 
     def certify():
         y = _close_word(*closure, best[1])
-        if y is None or _count_classes_over(t, y) != len(best[3]):
+        if y is None or len(class_cover(build_fiber_graph(t, y)).cyclic) \
+                != len(best[3]):
             return None
         return y
 

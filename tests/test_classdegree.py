@@ -79,6 +79,10 @@ def test_routable_symbols_reroutes_a_specific_preimage():
     routes = routable_symbols(t, ("0", "0", "1"), 1, ("a", "a", "c"))
     assert "b" in routes
     assert routes == brute_routable(t, ("0", "0", "1"), 1, ("a", "a", "c"))
+    # wrong labels, wrong length, and a>d is no edge of the domain
+    for path in (("a", "a", "a"), ("a", "c"), ("a", "d", "c")):
+        with pytest.raises(ValueError, match="not a preimage"):
+            routable_symbols(t, ("0", "0", "1"), 1, path)
 
 
 def test_routable_symbols_matches_brute_on_fixtures():
@@ -102,6 +106,12 @@ def test_transition_block_factory_checks_the_routing_property():
         transition_block(t, ("0", "0", "0"), 1, frozenset({"a"}))
     with pytest.raises(ValueError, match="interior"):
         transition_block(t, ("0", "0", "1"), 0, frozenset({"a"}))
+    # an empty set routes nothing, and neither does {"b"} with "c", no
+    # preimage of the "0" at the index
+    for symbols in (frozenset(), frozenset({"b", "c"})):
+        assert not is_transition_block(t, ("0", "0", "1"), 1, symbols)
+        with pytest.raises(PreconditionError, match="routing fails"):
+            transition_block(t, ("0", "0", "1"), 1, symbols)
 
 
 def _block_candidates(seed):
@@ -428,6 +438,9 @@ def test_search_rejects_small_horizon_and_uncertified_image():
     t = fixtures.load("fix_a")
     with pytest.raises(ValueError, match="horizon"):
         find_minimal_transition_block(t, horizon=2)
+    _, measure = image_measure(t, "parry")
+    with pytest.raises(ValueError, match="horizon"):
+        class_count_for_measure(t, measure, horizon=2)
     x = make_sft(("a", "b"), [("a", "a"), ("a", "b"), ("b", "b")])
     bad = FactorTriple(x, {"a": "0", "b": "1"}, ("0", "1"))
     with pytest.raises(PreconditionError, match="image shift"):

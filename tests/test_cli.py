@@ -635,22 +635,24 @@ def test_class_degree_certificate_reads_only_the_class_cover(monkeypatch,
                   "--interval", "0", "3"], 0, id="sync"),
     pytest.param(["extract", fixture_path("fix_e"), "--y", "0", "1"], 1,
                  id="extract"),
-    pytest.param(["check", fixture_path("fix_e")], 2, id="check"),
+    pytest.param(["check", fixture_path("fix_e")], 1, id="check"),
     pytest.param(["degree", fixture_path("fix_a")], 1, id="degree"),
     pytest.param(["classdegree", fixture_path("fix_e")], 4,
                  id="classdegree"),
     pytest.param(["classdegree", fixture_path("fix_a"), "--measure",
-                  fixture_path("fix_a_parry", ".measure")], 4,
+                  fixture_path("fix_a_parry", ".measure")], 3,
                  id="classdegree-measure"),
 ])
 def test_tarjan_passes_per_command(argv, passes, monkeypatch, capsys):
     """Tarjan runs only where strongly connected components are read.
     Pruning peels instead: the essential domain of a fixture is kept as
     it is, and the subset automaton and every phase graph are pruned by
-    one peel each way. The image presentation takes one pass for its
-    cyclic components and irreducibility, and the domain one for its
-    irreducibility. A phase graph takes one over its pruned part, its
-    cover at its own period, where its cyclic components are read:
+    one peel each way. The domain takes one pass for its irreducibility,
+    and the image presentation one only where its cyclic components are
+    read: by the plain class degree search, or for the image's
+    irreducibility where the domain is reducible. A phase graph takes
+    one over its pruned part, its cover at its own period, where its
+    cyclic components are read:
     never for sync. fiber adds the cover at 2P for the doubling check,
     here P being the period, which extract does not read; the class degree
     certificate adds the cover at the class period, here twice the

@@ -24,6 +24,7 @@ from conftest import (
 from factorcode import (
     PeriodicPoint,
     PreconditionError,
+    cli,
     codes,
     d_star,
     degree,
@@ -37,6 +38,7 @@ from factorcode import (
     periodic_image_points,
     sofic_image,
 )
+from factorcode import graphs
 from factorcode.codes import IMAGE_WORD_BUDGET
 from factorcode.core import FactorTriple
 
@@ -237,6 +239,34 @@ def test_presentation_shape_frozen():
         image = sofic_image(fixtures.load(name))
         assert image.triple.x.symbols == states
         assert image.irreducible
+
+
+def test_check_on_an_irreducible_domain_runs_no_tarjan_pass_over_the_image(
+        monkeypatch):
+    """``check`` reads the image's irreducibility off an irreducible
+    domain, so no strongly connected components pass runs over the
+    presentation; on a reducible domain one runs, when the image's
+    irreducibility is first read."""
+    seen = []
+    tarjan = graphs.strongly_connected_components
+
+    def recorded(adj):
+        seen.append(adj)
+        return tarjan(adj)
+
+    monkeypatch.setattr(graphs, "strongly_connected_components", recorded)
+    for name in FIXTURE_NAMES:
+        t = fixtures.load(name)
+        assert t.x.is_irreducible
+        cli._cmd_check(t, None, {})
+        image = sofic_image(t)
+        assert "components" not in vars(image)
+        assert all(adj is not image.successors for adj in seen)
+    x = make_sft(("a", "b"), [("a", "a"), ("a", "b"), ("b", "b")])
+    t = FactorTriple(x, {"a": "0", "b": "1"}, ("0", "1"))
+    cli._cmd_check(t, None, {})
+    image = sofic_image(t)
+    assert [adj is image.successors for adj in seen].count(True) == 1
 
 
 def test_presentation_is_right_resolving_and_label_homogeneous():

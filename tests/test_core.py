@@ -213,6 +213,20 @@ def test_higher_block_two_on_a_two_cycle():
     assert rt.y_alphabet == t.y_alphabet
 
 
+def test_higher_block_refuses_windows_that_join_to_one_name():
+    # ("a.b", "c") and ("a", "b.c") both join to "a.b.c"
+    x = make_sft(("a.b", "c", "a", "b.c"), [("a.b", "c"), ("c", "a"),
+                                            ("a", "b.c"), ("b.c", "a.b")])
+    t = FactorTriple(x, dict.fromkeys(x.symbols, "0"), ("0",))
+    with pytest.raises(ValueError, match="collide"):
+        higher_block(t, 2)
+
+
+def test_fixture_loader_refuses_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown fixture"):
+        fixtures.load("nope")
+
+
 def test_higher_block_round_trips():
     rng = random.Random(7)
     for name in FIXTURE_NAMES:

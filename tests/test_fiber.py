@@ -321,6 +321,12 @@ def test_enumerate_periodic_preimages_refuse_a_period_over_the_walk_budget(
         enumerate_periodic_preimages(t, y, 8)
 
 
+def test_enumerate_periodic_preimages_refuse_a_max_period_below_the_period():
+    t = fixtures.load("fix_d")
+    with pytest.raises(ValueError, match="smaller than the point's period"):
+        enumerate_periodic_preimages(t, PeriodicPoint(("0", "1")), 1)
+
+
 def test_enumerate_periodic_preimages_frozen_and_brute_checked():
     t = fixtures.load("fix_c")
     pts = enumerate_periodic_preimages(t, PeriodicPoint(("0",)), 2)

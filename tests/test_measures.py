@@ -314,6 +314,7 @@ def test_image_word_measure_specific_values():
     _, measure = image_measure(t, "orbit01")
     assert abs(image_word_measure(t, measure, ("0", "1")) - 0.5) < 1e-12
     assert image_word_measure(t, measure, ("0", "0")) == 0.0
+    assert image_word_measure(t, measure, ()) == 1.0
     with pytest.raises(ValueError, match="unknown image symbol"):
         image_word_measure(t, measure, ("z",))
 
