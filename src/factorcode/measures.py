@@ -34,8 +34,10 @@ NEWTON_STEPS = 100
 # magnitude, a few hundred.
 _PERRON_STEPS = 1000
 # Most entries of the dense affine-kernel system and the k-block matrix of
-# one piece of the entropy bound's solve. The largest piece of the
-# benchmark pools needs 533 x 147 and 130 x 130.
+# one piece of the entropy bound's solve, both counted on the piece's
+# blocks and k-blocks. The largest piece of the benchmark pools counts
+# 533 x 147 and 130 x 130; its Newton solve runs on the lumped 128 x 49
+# system and 32 x 32 matrices, and its lift builds the 130 x 130 matrix.
 SOLVE_ENTRY_BUDGET = 4_000_000
 # Most walks of the domain, of 1 to k steps, that the entropy bound at k
 # may take to list its (k+1)-blocks; their number grows exponentially
@@ -406,7 +408,8 @@ class RelativeEntropyBound:
     marginal constraint families by the optimizer (the image one is
     |grad D|). ``iterations`` counts Newton steps over all pieces.
     ``converged`` is true when every piece that can carry the image
-    measure reached |grad D| <= ``tolerance``."""
+    measure reached |grad D| <= ``tolerance``, on its lumped graph and,
+    for the reported piece, on its k-blocks too."""
 
     k: int
     value: float
@@ -500,16 +503,31 @@ def _gibbs_chain(weight, src, dst, x):
     return rho, masses / masses.sum(), x
 
 
-def _dual_piece(cell, src, dst, n, nu):
-    """Newton's method on the dual D of one strongly connected piece.
+def _dual_point(lam, cell, src, dst, x, nu):
+    """D(lam), grad D, the Gibbs masses of the edges and the right Perron
+    vector on the graph whose edge i runs from state ``src[i]`` to state
+    ``dst[i]`` and carries image word ``cell[i]``, by one ``_gibbs_chain``
+    started at the positive vector ``x``."""
+    import numpy as np
 
-    Block i runs from k-block ``src[i]`` to k-block ``dst[i]`` (numbered
-    0..n-1 within the piece) and carries image word ``cell[i]``. For lam
-    over the image words, A holds e^lam[cell[i]] at (src[i], dst[i]) and
-    D(lam) = log rho(A) - lam . nu. ``_gibbs_chain`` gives rho, from
-    above, so that every D is an upper bound, and the Gibbs chain's mass
-    of every block; each evaluation starts its Perron iteration from the
-    vector of the point it steps from (ones at lam = 0). grad D is the
+    # D ignores a shift of lam; this one keeps every weight <= 1
+    shift = lam.max()
+    rho, q, right = _gibbs_chain(np.exp(lam[cell] - shift), src, dst, x)
+    grad = np.bincount(cell, weights=q, minlength=len(nu)) - nu
+    return log(rho) + shift - lam @ nu, grad, q, right
+
+
+def _dual_piece(cell, src, dst, n, nu):
+    """Newton's method on the dual D of one strongly connected piece, run
+    on its lumped graph (see ``relative_entropy_upper_bound``).
+
+    Edge i runs from state ``src[i]`` to state ``dst[i]`` (numbered 0..n-1)
+    and carries image word ``cell[i]``, and every image word has an edge.
+    For lam over the image words, A holds e^lam[cell[i]] at (src[i],
+    dst[i]) and D(lam) = log rho(A) - lam . nu. ``_dual_point`` gives rho,
+    from above, so that every D is an upper bound, and the Gibbs chain's
+    mass of every edge; each evaluation starts its Perron iteration from
+    the vector of the point it steps from (ones at lam = 0). grad D is the
     chain's mass of each image word minus nu, and the Hessian their
     asymptotic covariance, through the group inverse (I - P + 1 pi)^-1 -
     1 pi of I - P, with P the chain's transition matrix and pi its
@@ -518,45 +536,24 @@ def _dual_piece(cell, src, dst, n, nu):
     lam spreads the entries of A over many orders of magnitude.
 
     D is affine along the directions v with v[cell] = phi[dst] - phi[src]
-    + c on every block (A moves by a diagonal similarity and the factor
+    + c on every edge (A moves by a diagonal similarity and the factor
     e^c): lam -> lam + c, and the direction of any image word the piece
     lacks, among others. They are the kernel of that linear system over
     (v, phi, c), restricted to v, read off the SVD of the R factor of the
     system's QR decomposition: it has the system's singular values and
-    right singular vectors, without the blocks x blocks left factor. A
+    right singular vectors, without the edges x edges left factor. A
     gradient along them means the piece cannot carry nu, and D is
-    returned as -inf; so is it at once for a piece that lacks an image
-    word. Newton steps solve the Newton system on the other directions
-    by least squares. Each is halved until D falls; near the optimum D
-    moves by less than its rounding, and a step that lowers |grad D| is
-    taken instead. The solve stops once |grad D| <= DUAL_TOLERANCE, once
-    D < -DUAL_TOLERANCE, when no step is taken or after NEWTON_STEPS
-    steps, and returns D, grad D, the block masses and the number of
-    steps.
-
-    PreconditionError, before any matrix is built, when the linear system
-    (blocks x (image words + k-blocks + 1)) or A has more than
-    SOLVE_ENTRY_BUDGET entries. A piece with a block for every image
-    word has at least as many blocks as image words and as k-blocks, so
-    every matrix of its solve is within a few times that budget."""
+    returned as -inf. Newton steps solve the Newton system on the other
+    directions by least squares. Each is halved until D falls; near the
+    optimum D moves by less than its rounding, and a step that lowers
+    |grad D| is taken instead. The solve stops once |grad D| <=
+    DUAL_TOLERANCE, once D < -DUAL_TOLERANCE, when no step is taken or
+    after NEWTON_STEPS steps, and returns D, grad D, the edge masses, the
+    number of steps, and the last lam and right Perron vector, from which
+    the caller lifts the solve to the piece's k-blocks."""
     import numpy as np
 
     m = len(nu)
-    if np.bincount(cell, minlength=m).min() == 0:
-        return -np.inf, None, None, 0
-    entries = max(len(cell) * (m + n + 1), n * n)
-    if entries > SOLVE_ENTRY_BUDGET:
-        raise PreconditionError(
-            "the entropy bound's solve on a piece of %d blocks needs a "
-            "matrix of %d entries, more than the limit of %d"
-            % (len(cell), entries, SOLVE_ENTRY_BUDGET))
-
-    def evaluate(lam, x):
-        # D ignores a shift of lam; this one keeps every weight <= 1
-        shift = lam.max()
-        rho, q, right = _gibbs_chain(np.exp(lam[cell] - shift), src, dst, x)
-        grad = np.bincount(cell, weights=q, minlength=m) - nu
-        return log(rho) + shift - lam @ nu, grad, q, right
 
     def hessian(grad, q):
         pi = np.bincount(src, weights=q, minlength=n)
@@ -588,9 +585,9 @@ def _dual_piece(cell, src, dst, n, nu):
     curved = basis[len(flat):]
 
     lam = np.zeros(m)
-    value, grad, q, right = evaluate(lam, np.ones(n))
+    value, grad, q, right = _dual_point(lam, cell, src, dst, np.ones(n), nu)
     if np.abs(flat.T @ (flat @ grad)).max() > DUAL_TOLERANCE:
-        return -np.inf, grad, q, 0
+        return -np.inf, grad, q, 0, lam, right
     steps = 0
     while steps < NEWTON_STEPS:
         gap = np.abs(grad).max()
@@ -602,7 +599,7 @@ def _dual_piece(cell, src, dst, n, nu):
         rounding = 1e-15 * (1.0 + np.abs(lam).max())
         for halving in range(40):
             trial = lam - step / 2 ** halving
-            point = evaluate(trial, right)
+            point = _dual_point(trial, cell, src, dst, right, nu)
             if point[0] < value or (point[0] <= value + rounding
                                     and np.abs(point[1]).max() < gap):
                 break
@@ -611,7 +608,7 @@ def _dual_piece(cell, src, dst, n, nu):
         lam = trial
         value, grad, q, right = point
         steps += 1
-    return value, grad, q, steps
+    return value, grad, q, steps, lam, right
 
 
 def relative_entropy_upper_bound(t, measure, k):
@@ -630,16 +627,38 @@ def relative_entropy_upper_bound(t, measure, k):
     nu is ergodic, so the relaxation's supremum is attained by an ergodic
     lift, whose blocks lie in one strongly connected piece of the pruned
     block graph. Each piece is solved on its own (``_dual_piece``) and
-    the largest D reported. A piece whose D falls below -tolerance is
-    dropped: by weak duality one that can carry nu has D >= 0 at every
-    lam. A linear algebra failure in the solve is raised as RuntimeError,
-    an internal error, since numpy's LinAlgError is a ValueError.
+    the largest D reported. A piece that lacks an image word, or whose D
+    falls below -tolerance, is dropped: by weak duality one that can
+    carry nu has D >= 0 at every lam. A linear algebra failure in the
+    solve is raised as RuntimeError, an internal error, since numpy's
+    LinAlgError is a ValueError.
+
+    The solve runs on the piece's lumped graph. A block's weight depends
+    only on its image word, and a k-block's successors only on its last
+    symbol, so the k-blocks with one image k-word and one last symbol
+    form a class whose members have the same weighted edges into every
+    class: the partition is equitable, and the Gibbs chain is strongly
+    lumpable onto it (Kemeny-Snell, Finite Markov Chains, 6.3). The
+    lumped graph has a state per class and an edge per (prefix class,
+    suffix class) pair of a block, carrying that block's image word;
+    blocks of one pair with different image words are a broken
+    invariant, raised as AssertionError. Its rho, D, grad D and Hessian
+    are those of the piece, and the right Perron vector of A is the
+    lumped one read per class. A piece whose classes are single k-blocks
+    is its own lumped graph. Otherwise the best piece is lifted by one
+    evaluation of its k-block matrix at the last lam, started from that
+    vector, which gives the reported value, masses and residuals.
+    ``converged`` asks |grad D| <= tolerance of every piece that can
+    carry nu and of the lifted one.
 
     A piece that can carry nu has a block per image word, so m words need
     a system of at least m(m + 1) entries: past SOLVE_ENTRY_BUDGET, the
     PreconditionError comes right after the words are listed, before any
     domain block is. So does the one for more than DOMAIN_WALK_BUDGET
     walks of the domain of up to k steps, counted without listing one.
+    A piece whose dense system (blocks x (image words + k-blocks + 1)) or
+    k-block matrix has more entries than the budget is refused before
+    either is built.
     """
     import numpy as np
 
@@ -660,10 +679,15 @@ def relative_entropy_upper_bound(t, measure, k):
         raise PreconditionError(
             "the domain blocks of length up to %d take more than %d walks "
             "of the domain, the limit" % (k + 1, DOMAIN_WALK_BUDGET))
-    piece_of = _prune_support(
-        U for U in levels[-1] if t.label_word(U) in nu)
+    word_of = {}
+    for U in levels[-1]:
+        w = t.label_word(U)
+        if w in nu:
+            word_of[U] = w
+    piece_of = _prune_support(word_of)
     blocks = list(piece_of)
     words = sorted(nu)
+    m = len(words)
     cell_index = {w: i for i, w in enumerate(words)}
     targets = np.array([nu[w] for w in words])
 
@@ -674,16 +698,43 @@ def relative_entropy_upper_bound(t, measure, k):
     converged = True
     iterations = 0
     for piece in pieces.values():
-        cell = np.array([cell_index[t.label_word(blocks[i])] for i in piece],
-                        dtype=np.intp)
+        labels = [word_of[blocks[i]] for i in piece]
+        cell = np.array([cell_index[w] for w in labels], dtype=np.intp)
+        if np.bincount(cell, minlength=m).min() == 0:
+            continue
         kindex = {}
         src = np.array([kindex.setdefault(blocks[i][:k], len(kindex))
                         for i in piece], dtype=np.intp)
         dst = np.array([kindex.setdefault(blocks[i][1:], len(kindex))
                         for i in piece], dtype=np.intp)
+        n = len(kindex)
+        entries = max(len(cell) * (m + n + 1), n * n)
+        if entries > SOLVE_ENTRY_BUDGET:
+            raise PreconditionError(
+                "the entropy bound's solve on a piece of %d blocks needs a "
+                "matrix of %d entries, more than the limit of %d"
+                % (len(cell), entries, SOLVE_ENTRY_BUDGET))
+        # classes by (image word, last symbol), numbered in the order of
+        # the k-blocks, so that single-block classes keep their numbers
+        cindex = {}
+        csrc = np.array([cindex.setdefault((w[:k], blocks[i][k - 1]),
+                                           len(cindex))
+                         for i, w in zip(piece, labels)], dtype=np.intp)
+        cdst = np.array([cindex.setdefault((w[1:], blocks[i][k]),
+                                           len(cindex))
+                         for i, w in zip(piece, labels)], dtype=np.intp)
+        lumped = (cell, csrc, cdst)
+        if len(cindex) < n:
+            _, first, edge = np.unique(csrc * len(cindex) + cdst,
+                                       return_index=True,
+                                       return_inverse=True)
+            if not np.array_equal(cell[first][edge], cell):
+                raise AssertionError(
+                    "blocks of one lumped edge carry different image words")
+            lumped = (cell[first], csrc[first], cdst[first])
         try:
-            value, grad, q, steps = _dual_piece(cell, src, dst, len(kindex),
-                                                targets)
+            value, grad, q, steps, lam, right = _dual_piece(
+                *lumped, len(cindex), targets)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("entropy bound solve failed: %s" % exc) from exc
         iterations += steps
@@ -691,12 +742,25 @@ def relative_entropy_upper_bound(t, measure, k):
             continue
         converged = converged and np.abs(grad).max() <= DUAL_TOLERANCE
         if best is None or value > best[0]:
-            best = (value, grad, q, piece, src, dst, len(kindex))
+            lift = None
+            if len(cindex) < n:
+                start = np.empty(n)
+                start[src], start[dst] = right[csrc], right[cdst]
+                lift = (lam, cell, start)
+            best = (value, grad, q, piece, src, dst, n, lift)
     if best is None:
         raise AssertionError("no piece of the block graph carries the "
                              "image measure")
 
-    value, grad, q, piece, src, dst, n = best
+    value, grad, q, piece, src, dst, n, lift = best
+    if lift is not None:
+        lam, cell, start = lift
+        try:
+            value, grad, q, _ = _dual_point(lam, cell, src, dst, start,
+                                            targets)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError("entropy bound solve failed: %s" % exc) from exc
+        converged = converged and np.abs(grad).max() <= DUAL_TOLERANCE
     weights = np.zeros(len(blocks))
     weights[piece] = q
     marginal = np.abs(np.bincount(src, weights=q, minlength=n)

@@ -9,7 +9,7 @@ length at most eight or so); the tests keep within that envelope.
 
 import itertools
 import string
-from math import inf, lcm, sqrt
+from math import inf, lcm, log, sqrt
 from types import SimpleNamespace
 
 import numpy as np
@@ -1012,6 +1012,25 @@ def ref_perron(a):
         pair.append((values[top].real, np.abs(vectors[:, top].real)))
     (rho, right), (_, left) = pair
     return rho, right, left
+
+
+def ref_orbit_entropy(t, word):
+    """log rho*, the relative maximal entropy over the periodic image point
+    of ``word`` (Petersen-Quas-Shin, ETDS 2003): rho* is the largest
+    spectral radius among the cyclic components of its pruned phase
+    graph, each from ``ref_perron`` of the component's 0/1 matrix."""
+    word = canonical_orbit_word(word)
+    cover = _unrolled(t, word, len(word))
+    radii = []
+    for comp in cover.cyclic:
+        index = {v: i for i, v in enumerate(comp)}
+        a = np.zeros((len(comp), len(comp)))
+        for v in comp:
+            for u in cover.adjacency[v]:
+                if u in index:
+                    a[index[v], index[u]] = 1.0
+        radii.append(ref_perron(a)[0])
+    return log(max(radii))
 
 
 def ref_relative_entropy_upper_bound(t, measure, k,

@@ -20,6 +20,7 @@ from conftest import (
     image_measure,
     random_code,
     random_triple,
+    ref_orbit_entropy,
     ref_perron,
     ref_positive_word_measures,
     ref_relative_entropy_upper_bound,
@@ -713,6 +714,129 @@ def test_bound_is_taken_on_the_pieces_that_carry_the_measure(text, rows,
         b = relative_entropy_upper_bound(t, measure, k)
         assert b.converged is True
         assert abs(b.value - value) <= 1e-12
+
+
+def simple_cycle_orbits():
+    """One case per image orbit of a simple presentation cycle of length
+    at most 3, on the fixtures and 40 seeded random triples: (name, t,
+    presentation, cycle, image word). A cycle that revisits a state gives
+    an ``orbit_measure`` that is not the point mass of its image orbit."""
+    triples = [(name, fixtures.load(name)) for name in FIXTURE_NAMES]
+    triples += [("s%d" % seed, random_triple(random.Random(seed)))
+                for seed in range(40)]
+    cases = []
+    for name, t in triples:
+        pres = sofic_image(t).triple
+        seen = set()
+        for n in (1, 2, 3):
+            for cycle in all_cycle_words(pres.x, n):
+                y = factorcode.canonical_orbit_word(pres.label_word(cycle))
+                if len(set(cycle)) == n and y not in seen:
+                    seen.add(y)
+                    cases.append((name, t, pres, cycle, y))
+    return cases
+
+
+def test_bound_over_an_orbit_is_at_least_the_orbit_entropy():
+    """Over the point mass of a periodic image orbit the relative maximal
+    entropy is log rho* (``ref_orbit_entropy``): every k gives an upper
+    bound for it, and the bounds do not increase with k. The equality at
+    k = 2, seen on every case, is an observation, frozen on two orbits."""
+    cases = simple_cycle_orbits()
+    assert len(cases) == 59
+    frozen = {}
+    for name, t, pres, cycle, y in cases:
+        entropy = ref_orbit_entropy(t, y)
+        measure = orbit_measure(pres.x, PeriodicPoint(cycle))
+        values = [relative_entropy_upper_bound(t, measure, k).value
+                  for k in (1, 2, 3)]
+        assert min(values) >= entropy - 1e-9, (name, y)
+        assert values[1] <= values[0] + 1e-9, (name, y)
+        assert values[2] <= values[1] + 1e-9, (name, y)
+        frozen[(name, "".join(y))] = [round(v, 6) for v in values]
+    assert frozen[("fix_d", "001")] == [0.636514, 0.231049, 0.231049]
+    assert frozen[("fix_e", "011")] == [0.550777, 0.0, 0.0]
+
+
+def lumping_cases():
+    """Parry measures of seeded irreducible random codes."""
+    for seed in range(12):
+        rng = random.Random(seed)
+        t = random_code(rng, rng.randint(4, 7), reducible=False)
+        yield rng, t, parry_measure(sofic_image(t).triple.x)
+
+
+def kblock_classes(t, blocks, k):
+    """The k-blocks of ``blocks`` grouped by (image word, last symbol)."""
+    classes = {}
+    for W in dict.fromkeys([U[:k] for U in blocks] + [U[1:] for U in blocks]):
+        classes.setdefault((t.label_word(W), W[-1]), []).append(W)
+    return classes
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_right_perron_vector_is_constant_on_the_lumped_classes(k):
+    """On the piece the bound reports, weighting each block by any
+    positive weight of its image word, the right Perron vector of the
+    k-block matrix takes one value on the k-blocks with one image word
+    and one last symbol: the partition the solve lumps by is equitable."""
+    lumped = 0
+    for rng, t, measure in lumping_cases():
+        b = relative_entropy_upper_bound(t, measure, k)
+        blocks = [U for U, v in b.optimizer.items() if v > 0]
+        weight = {w: rng.uniform(0.05, 20.0)
+                  for w in {t.label_word(U) for U in blocks}}
+        classes = kblock_classes(t, blocks, k)
+        index = {W: i for i, W in enumerate(
+            W for members in classes.values() for W in members)}
+        src = np.array([index[U[:k]] for U in blocks])
+        dst = np.array([index[U[1:]] for U in blocks])
+        # Noda's iteration on the full matrix, from ones: its entries are
+        # accurate to working precision, where eig's reach 1e-13 apart
+        right = measures._gibbs_chain(
+            np.array([weight[t.label_word(U)] for U in blocks]), src, dst,
+            np.ones(len(index)))[2]
+        for members in classes.values():
+            entries = right[[index[W] for W in members]]
+            assert entries.max() - entries.min() <= 1e-12 * entries.max()
+        lumped += len(classes) < len(index)
+    assert lumped >= 10
+
+
+def test_bound_solves_on_the_lumped_graph_and_lifts_once(monkeypatch):
+    """Newton runs on one state per class, fewer than the k-blocks, and
+    the lift to the k-blocks takes at most one Noda step and the
+    stationary law: at most two dense solves after the last piece."""
+    sizes, solves = [], []
+    dual_piece, solve = measures._dual_piece, np.linalg.solve
+
+    def spy_piece(cell, src, dst, n, nu):
+        sizes.append(n)
+        out = dual_piece(cell, src, dst, n, nu)
+        solves.clear()
+        return out
+
+    def spy_solve(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "_dual_piece", spy_piece)
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    lumped = 0
+    for k in (2, 3):
+        for _, t, measure in lumping_cases():
+            sizes.clear()
+            b = relative_entropy_upper_bound(t, measure, k)
+            blocks = [U for U, v in b.optimizer.items() if v > 0]
+            classes = kblock_classes(t, blocks, k)
+            kblocks = sum(len(members) for members in classes.values())
+            assert sizes == [len(classes)]
+            if len(classes) < kblocks:
+                lumped += 1
+                assert 1 <= len(solves) <= 2
+            else:
+                assert solves == []
+    assert lumped >= 20
 
 
 def test_bound_rejects_bad_arguments():
