@@ -16,11 +16,14 @@ degree search, ``image_blocks``, the phase graphs and the measure pushes
 read it. The subset automata and the finite-to-one test read each row of
 that table packed into one int (``_packed_rows``), the mask of the k-th
 image symbol at bits k*n to k*n + n - 1 for n domain symbols, so a mask
-steps to every image symbol at once by one OR per member. The
-finite-to-one test walks the label product as one mask per first
-coordinate. The sofic image keeps its presentation int-indexed; its
-state names and named triple are built on first read. Frozensets are
-built only by the public functions that return them.
+steps to every image symbol at once by one OR per member. The subset
+automata are grown breadth first, and only as far as a reader needs: d*
+stops at the depth its shortest one-symbol meet allows, and the sofic
+image grows the forward one in full. The finite-to-one test walks the
+label product as one mask per first coordinate. The sofic image keeps
+its presentation int-indexed; its state names and named triple are
+built on first read. Frozensets are built only by the public functions
+that return them.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from math import inf
 
 from . import graphs
 from .core import (EmptyShiftError, FactorTriple, PeriodicPoint,
@@ -106,35 +110,6 @@ class MagicWitness:
     value: int
 
 
-@dataclass
-class _SubsetAutomaton:
-    """Reachable subset states of the label-determinized automaton.
-
-    State i is the bitmask ``masks[i]`` over X-symbol indices (bit j is
-    ``t.x.symbols[j]``) of equally labeled symbols, carrying the image
-    symbol ``labels[i]``. ``succ[i]`` lists the states one image symbol
-    away, in image alphabet order. State i was first reached from state
-    ``parent[i]`` (None for the one-symbol preimage sets the search starts
-    from), so the labels along the parent chain spell a shortest witness
-    word of the state, read from the start state; ``depth[i]`` is its
-    length minus one.
-    """
-
-    masks: list
-    labels: list
-    parent: list
-    depth: list
-    succ: list
-
-    def witness(self, i):
-        """Labels from state i back to its start state."""
-        out = []
-        while i is not None:
-            out.append(self.labels[i])
-            i = self.parent[i]
-        return out
-
-
 @per_triple
 def _packed_rows(t, forward):
     """Each ``_label_masks`` row packed into one int: the mask of the
@@ -158,50 +133,125 @@ def _fold(rows, mask):
     return out
 
 
-@per_triple
-def _subset_automaton(t, forward):
-    """Breadth-first subset construction from the one-symbol preimage
-    sets, stepping along successors (forward) or predecessors (backward).
+class _SubsetAutomaton:
+    """Reachable subset states of the label-determinized automaton, by a
+    breadth-first subset construction from the one-symbol preimage sets,
+    stepping along successors (forward) or predecessors (backward).
+
+    State i is the bitmask ``masks[i]`` over X-symbol indices (bit j is
+    ``t.x.symbols[j]``) of equally labeled symbols, carrying the image
+    symbol ``labels[i]``. ``succ[i]`` lists the states one image symbol
+    away, in image alphabet order. State i was first reached from state
+    ``parent[i]`` (None for the one-symbol preimage sets the search starts
+    from), so the labels along the parent chain spell a shortest witness
+    word of the state, read from the start state; ``depth[i]`` is its
+    length minus one.
 
     Discovery order follows the image alphabet at every state, so state
     numbers and witness words are deterministic. A state's successors are
     one ``_fold`` of the packed rows (``_packed_rows``), one OR per
     member bit, read off in image alphabet order by shift and mask.
-    Built once per triple and direction, and kept on the triple."""
-    rows = _packed_rows(t, forward)
-    n = len(rows)
-    full = (1 << n) - 1
-    found = {}
-    masks, labels, parent, depth, succ = [], [], [], [], []
-    for c, mask in _bits(t)[1].items():
-        found[mask] = len(masks)
-        masks.append(mask)
-        labels.append(c)
-        parent.append(None)
-        depth.append(0)
-        succ.append(None)
-    head = 0
-    while head < len(masks):
-        acc = _fold(rows, masks[head])
-        out = succ[head] = []
-        below = depth[head] + 1
-        for c in t.y_alphabet:
-            mask = acc & full
-            if mask:
-                i = found.get(mask)
-                if i is None:
-                    i = found[mask] = len(masks)
-                    masks.append(mask)
-                    labels.append(c)
-                    parent.append(head)
-                    depth.append(below)
-                    succ.append(None)
-                out.append(i)
-            acc >>= n
-            if not acc:
+
+    The construction is grown only as far as its reader asks:
+    ``grow(depth)`` processes the states of depth below ``depth``, and
+    ``grow()`` all of them; the states before ``head`` are processed, and
+    ``succ`` is None from ``head`` on. Breadth-first search discovers the
+    states level by level, so once the states below some depth are
+    processed, every state up to that depth has the number, label, parent
+    and depth, and every processed state the successors, that the complete
+    construction gives it.
+    """
+
+    def __init__(self, t, forward):
+        self.rows = _packed_rows(t, forward)
+        self.y_alphabet = t.y_alphabet
+        starts = _bits(t)[1]
+        self.masks = list(starts.values())
+        self.labels = list(starts)
+        self.found = {mask: i for i, mask in enumerate(self.masks)}
+        self.parent = [None] * len(starts)
+        self.depth = [0] * len(starts)
+        self.succ = [None] * len(starts)
+        self.head = 0
+
+    @property
+    def complete(self):
+        return self.head == len(self.masks)
+
+    def grow(self, depth=inf):
+        """Process the states of depth below ``depth``; return self."""
+        rows = self.rows
+        n = len(rows)
+        full = (1 << n) - 1
+        found = self.found
+        masks, labels, parent = self.masks, self.labels, self.parent
+        depths, succ = self.depth, self.succ
+        head = self.head
+        while head < len(masks) and depths[head] < depth:
+            acc = _fold(rows, masks[head])
+            out = succ[head] = []
+            below = depths[head] + 1
+            for c in self.y_alphabet:
+                mask = acc & full
+                if mask:
+                    i = found.get(mask)
+                    if i is None:
+                        i = found[mask] = len(masks)
+                        masks.append(mask)
+                        labels.append(c)
+                        parent.append(head)
+                        depths.append(below)
+                        succ.append(None)
+                    out.append(i)
+                acc >>= n
+                if not acc:
+                    break
+            head += 1
+        self.head = head
+        return self
+
+    def witness(self, i):
+        """Labels from state i back to its start state."""
+        out = []
+        while i is not None:
+            out.append(self.labels[i])
+            i = self.parent[i]
+        return out
+
+
+@per_triple
+def _subset_search(t, forward):
+    """The subset construction of ``t`` in one direction, grown only as
+    far as its readers have asked so far. Kept on the triple, so every
+    reader resumes the one construction."""
+    return _SubsetAutomaton(t, forward)
+
+
+def _subset_automaton(t, forward):
+    """The complete subset construction of ``t`` in one direction: the
+    kept ``_subset_search``, grown in full."""
+    return _subset_search(t, forward).grow()
+
+
+def _pair_new_states(auto, start, own, other, shortest):
+    """Move the states of ``auto`` from ``start`` on into ``own``, and
+    pair each with the ``other`` states of its label. Both are maps from
+    label to the (mask, depth, state) of the states paired so far, in
+    state order. Returns the least length below ``shortest`` of such a
+    pair that meets in one symbol, or ``shortest``."""
+    masks, depths, labels = auto.masks, auto.depth, auto.labels
+    for i in range(start, len(masks)):
+        mask, depth, c = masks[i], depths[i], labels[i]
+        # depths are non-decreasing, so the first meet is the shortest
+        for omask, odepth, _ in other.get(c, ()):
+            if depth + odepth + 1 >= shortest:
                 break
-        head += 1
-    return _SubsetAutomaton(masks, labels, parent, depth, succ)
+            meet = mask & omask
+            if meet and not meet & (meet - 1):
+                shortest = depth + odepth + 1
+                break
+        own.setdefault(c, []).append((mask, depth, i))
+    return shortest
 
 
 def d_star(t):
@@ -217,24 +267,46 @@ def d_star(t):
     (label, forward state, backward state) order winning exact ties; a
     witness word is spelled out only for pairs whose (value, length) can
     tie or beat the best so far.
+
+    Both automata are grown breadth first (``_subset_search``), one depth
+    at a time, and only as deep as the answer needs. No meet is below 1,
+    so once some pair meets in one symbol, with length l, only pairs no
+    longer than l can still tie or beat it, and both states of such a pair
+    have depth at most l - 1. So each state new at a depth is paired with
+    the opposite states of its label for a one-symbol meet, each against
+    the states short enough to give a pair below the shortest l so far,
+    and the growth stops once the states up to depth l - 1 are all found
+    and paired; a pair with a deeper state is longer than l. The pairing
+    above then runs over the states found, which are numbered as in the
+    complete automata, from (1, l) as the best (value, length). Where no
+    pair meets in one symbol, d* is at least 2, and both automata are
+    grown in full.
     """
-    fwd = _subset_automaton(t, True)
-    bwd = _subset_automaton(t, False)
-    by_label_f = {}
-    for i, c in enumerate(fwd.labels):
-        by_label_f.setdefault(c, []).append(i)
-    by_label_b = {}
-    for j, c in enumerate(bwd.labels):
-        by_label_b.setdefault(c, []).append((bwd.masks[j], bwd.depth[j], j))
+    fwd = _subset_search(t, True)
+    bwd = _subset_search(t, False)
+    by_label_f, by_label_b = {}, {}
+    shortest = inf
+    depth = paired_f = paired_b = 0
+    while True:
+        shortest = _pair_new_states(fwd, paired_f, by_label_f, by_label_b,
+                                    shortest)
+        shortest = _pair_new_states(bwd, paired_b, by_label_b, by_label_f,
+                                    shortest)
+        paired_f, paired_b = len(fwd.masks), len(bwd.masks)
+        if shortest <= depth + 1 or (fwd.complete and bwd.complete):
+            break
+        depth += 1
+        fwd.grow(depth)
+        bwd.grow(depth)
     best = None
-    best_value = best_length = None
+    # a pair that meets in one symbol, of length shortest, is among them
+    best_value = 1 if shortest < inf else inf
+    best_length = shortest
     for c in t.y_alphabet:
         backward = by_label_b.get(c, [])
         # breadth-first numbering makes depths non-decreasing
         bdepths = [bdepth for _, bdepth, _ in backward]
-        for i in by_label_f.get(c, ()):
-            fmask = fwd.masks[i]
-            fdepth = fwd.depth[i]
+        for fmask, fdepth, i in by_label_f.get(c, ()):
             candidates = backward
             if best_value == 1:
                 # no value is below 1: only words no longer than the best
@@ -247,8 +319,7 @@ def d_star(t):
                     continue
                 value = meet.bit_count()
                 length = fdepth + bdepth + 1
-                if best is not None and (value, length) > (best_value,
-                                                           best_length):
+                if (value, length) > (best_value, best_length):
                     continue
                 fword = fwd.witness(i)
                 fword.reverse()

@@ -11,7 +11,8 @@ non-essential symbols, at up to 30 domain symbols.
 
 import random
 import time
-from itertools import product
+from itertools import count, product
+from pathlib import Path
 
 import pytest
 
@@ -40,8 +41,9 @@ from factorcode import (
     make_sft,
     sofic_image,
 )
-from factorcode.codes import _label_masks, _subset_automaton, _symbols, step
-from factorcode.core import sub_triple
+from factorcode.codes import (_label_masks, _subset_automaton, _subset_search,
+                              _SubsetAutomaton, _symbols, step)
+from factorcode.core import parse_triple, sub_triple
 from factorcode.graphs import (bi_essential_nodes, invert,
                                nontrivial_components, shortest_walk,
                                strongly_connected_components, walk_depths,
@@ -217,6 +219,67 @@ def test_d_star_matches_frozenset_scan():
         values.add(w.value)
     # the length cut of the scan applies only once the best value is 1
     assert values - {1}
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_subset_automaton_grown_by_depth_is_a_prefix_of_the_complete_one(
+        forward):
+    """Grown one depth at a time, the construction has found exactly the
+    states up to that depth and processed exactly those below it, each
+    with the number, mask, label, parent and depth, and each processed one
+    with the successors, of the complete construction; grown in full, it
+    is the complete construction in every field."""
+    for t in population(89):
+        full = _subset_automaton(t, forward)
+        part = _SubsetAutomaton(t, forward)
+        for depth in count():
+            part.grow(depth)
+            found = sum(d <= depth for d in full.depth)
+            assert part.head == sum(d < depth for d in full.depth)
+            assert part.masks == full.masks[:found]
+            assert part.labels == full.labels[:found]
+            assert part.parent == full.parent[:found]
+            assert part.depth == full.depth[:found]
+            assert part.succ[:part.head] == full.succ[:part.head]
+            assert part.succ[part.head:] == [None] * (found - part.head)
+            if part.complete:
+                break
+        assert vars(part.grow()) == vars(full)
+
+
+# a twin code of the benchmark pool: two copies of one right-resolving
+# code, joined by one edge each way, with d* = 2 and a forward automaton
+# 20 deep
+TWIN = Path(__file__).resolve().parent.parent / "perfbench" / "pool" \
+    / "twin-12-s11.triple"
+
+
+def test_d_star_grows_the_automata_only_as_deep_as_its_witness():
+    """Where d* is 1, no state as deep as the witness word is long is
+    processed in either direction: a pair with a deeper state is longer
+    than the witness. Where d* is above 1, both automata are grown in
+    full. Either way the answer is the frozenset scan's."""
+    rng = random.Random(97)
+    fixed = {name: fixtures.load(name) for name in FIXTURE_NAMES}
+    twin = parse_triple(TWIN.read_text())
+    triples = [*fixed.values(), twin]
+    triples += [random_code(rng, rng.randint(1, 30), reducible=False)
+                for _ in range(40)]
+    values, cut = set(), 0
+    for t in triples:
+        w = d_star(t)
+        assert (w.word, w.index, w.value) == ref_d_star(t)
+        autos = [_subset_search(t, forward) for forward in (True, False)]
+        if w.value == 1:
+            for auto in autos:
+                assert max(auto.depth[:auto.head], default=-1) < len(w.word)
+            cut += not all(auto.complete for auto in autos)
+        else:
+            assert all(auto.complete for auto in autos)
+        values.add(w.value)
+    assert [d_star(t).value for t in (fixed["fix_b"], fixed["fix_c"],
+                                      fixed["fix_e"], twin)] == [2, 2, 2, 2]
+    assert 1 in values and cut
 
 
 def test_labelled_tables_and_step_match_definition():
