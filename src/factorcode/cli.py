@@ -27,8 +27,7 @@ from .core import (EmptyShiftError, MeasureParseError, PeriodicPoint,
 from .fiber import (build_fiber_graph, synchronizing_extension,
                     transition_classes)
 from .measures import (entropy_rate, parry_measure, parse_measure, pqs_bound,
-                       relative_entropy_upper_bound, spectral_entropy,
-                       uniform_conditional_diagnostic)
+                       relative_entropy_upper_bound, spectral_entropy)
 
 SCHEMA = "factorcode/1"
 
@@ -243,7 +242,6 @@ def _cmd_bound(t, args, inputs):
         "tolerance": bound.tolerance,
         "converged": bound.converged,
         "iterations": bound.iterations,
-        "diagnostic": uniform_conditional_diagnostic(t, bound),
     }, 0 if bound.converged else 5
 
 

@@ -773,111 +773,3 @@ def relative_entropy_upper_bound(t, measure, k):
         iterations=iterations, converged=bool(converged),
         tolerance=DUAL_TOLERANCE)
 
-
-def uniform_conditional_diagnostic(t, bound):
-    """Largest total-variation gap between the optimizer's center-coordinate
-    conditionals and the uniform distribution on the locally admissible
-    fiber symbols.
-
-    The optimizer's (k+1)-block weights extend canonically to a stationary
-    k-step Markov law on (2k+1)-windows; for every window context and
-    center image symbol, the conditional law of the center is compared
-    with the uniform law on {a : previous -> a -> next allowed, label(a) =
-    center image symbol}. Values near zero are the signature of a relative
-    maximal entropy measure at window scale.
-
-    The windows are built as arrays, all at once, in lexicographic domain
-    symbol order, the order in which the bound lists the optimizer's
-    blocks and so reads them, unsorted. A window of weight w whose last
-    block ends in the k-block W extends by each block U with prefix W, to
-    weight (w * q(U)) / m(W). Each window is the only one with its (left
-    context, center, right context), so a context's total is the sum of
-    its windows' weights in center order, and its gap half the sum of
-    |weight / total - share| over its admissible symbols in symbol order;
-    both sums are taken with ``bincount`` in those orders."""
-    import numpy as np
-
-    k = bound.k
-    q = bound.optimizer
-    symbols = t.x.symbols
-    xorder = {s: i for i, s in enumerate(symbols)}
-    blocks = [U for U, p in q.items() if p > 0]
-    if not blocks:
-        return 0.0
-    codes = np.array([[xorder[s] for s in U] for U in blocks], dtype=np.intp)
-    weight = np.array([q[U] for U in blocks])
-    kindex = {}
-    prefix = np.array([kindex.setdefault(U[:k], len(kindex))
-                       for U in blocks], dtype=np.intp)
-    suffix = np.array([kindex.setdefault(U[1:], len(kindex))
-                       for U in blocks], dtype=np.intp)
-    marginal = np.bincount(prefix, weights=weight, minlength=len(kindex))
-    # blocks sharing a prefix are consecutive in lexicographic order, and
-    # prefixes are numbered in that order, so they run in ascending runs
-    fanout = np.bincount(prefix, minlength=len(kindex))
-    first = np.cumsum(fanout) - fanout
-
-    def ranges(starts, counts):
-        """The ranges [starts[i], starts[i] + counts[i]) laid end to end,
-        and the i each entry came from."""
-        owner = np.repeat(np.arange(len(counts)), counts)
-        offset = np.cumsum(counts) - counts
-        return owner, starts[owner] + np.arange(len(owner)) - offset[owner]
-
-    head = last = np.arange(len(blocks))
-    w = weight
-    for _ in range(k):
-        tail = suffix[last]
-        rep, child = ranges(first[tail], fanout[tail])
-        w = (w[rep] * weight[child]) / marginal[tail[rep]]
-        head, last = head[rep], child
-
-    center = codes[head, k]
-    ylabel = {c: i for i, c in enumerate(t.y_alphabet)}
-    label_of = np.array([ylabel[t.label[s]] for s in symbols],
-                        dtype=np.intp)
-    ny = len(t.y_alphabet)
-    context = ((prefix[head] * len(kindex) + suffix[last]) * ny
-               + label_of[center])
-    _, where, group = np.unique(context, return_index=True,
-                                return_inverse=True)
-    totals = np.bincount(group, weights=w)
-
-    # admissible symbols per (previous symbol, center label, next symbol)
-    n = len(symbols)
-    triple = ((codes[head[where], k - 1] * ny + label_of[center[where]]) * n
-              + codes[last[where], 1])
-    triples, kind = np.unique(triple, return_inverse=True)
-    after, before = _label_masks(t, True), _label_masks(t, False)
-    admissible = []
-    for code in triples.tolist():
-        rest, nxt = divmod(code, n)
-        prev, y0 = divmod(rest, ny)
-        c = t.y_alphabet[y0]
-        admissible.append(list(_bit_indices(after[prev].get(c, 0)
-                                            & before[nxt].get(c, 0))))
-    size = np.array([len(a) for a in admissible], dtype=np.intp)
-    flat = np.array([a for adm in admissible for a in adm], dtype=np.intp)
-
-    # one entry per (context, admissible symbol), in ascending (context,
-    # symbol) order, holding the weight of the window with that context
-    # and center, else 0
-    count = size[kind]
-    entry_group, at = ranges((np.cumsum(size) - size)[kind], count)
-    entry_key = entry_group * n + flat[at]
-    window_key = group * n + center
-    pos = np.minimum(np.searchsorted(entry_key, window_key),
-                     len(entry_key) - 1)
-    hit = entry_key[pos] == window_key
-    dist = np.zeros(len(entry_key))
-    dist[pos[hit]] = w[hit]
-
-    # contexts of negligible mass are skipped
-    valid = totals > 1e-15
-    totals = np.where(valid, totals, 1.0)
-    gaps = 0.5 * np.bincount(
-        entry_group,
-        weights=np.abs(dist / totals[entry_group]
-                       - 1.0 / count[entry_group]),
-        minlength=len(count))
-    return float(gaps[valid].max(initial=0.0))

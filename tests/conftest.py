@@ -1164,22 +1164,19 @@ def ref_relative_entropy_upper_bound(t, measure, k,
         iterations=iterations)
 
 
-def _add_in_order(values):
-    """Left-to-right float sum. ``sum`` adds floats this way up to Python
-    3.11 and compensates from 3.12 on; the diagnostic fixes the order."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 def ref_uniform_conditional_diagnostic(t, bound):
-    """The uniform-conditional diagnostic by a recursive walk over the
-    (2k+1)-windows, one dict entry per window and per context: the walk
-    the library used before its array build, with its two sums taken
-    left to right by ``_add_in_order`` where it called ``sum``. The two
-    agree bit for bit up to Python 3.11. The library's array build must
-    give the same float as this walk, bit for bit."""
+    """Largest total-variation gap between the center conditionals of
+    ``bound.optimizer``'s Markov extension and the uniform law on the
+    admissible centers, by a recursive walk over the (2k+1)-windows, one
+    dict entry per window and per context.
+
+    The positive (k+1)-block weights extend to a k-step Markov law on
+    (2k+1)-windows. For every (left context, right context, center image
+    symbol) the law of the center is compared with the uniform law on the
+    symbols a with previous -> a -> next allowed and label(a) the center
+    image symbol; contexts of mass at most 1e-15 are skipped. A measure
+    of relative maximal entropy has uniform conditionals on the fibre
+    (Allahbakhshi-Quas), so this is near 0 on one."""
     k = bound.k
     q = bound.optimizer
     xorder = {s: i for i, s in enumerate(t.x.symbols)}
@@ -1220,12 +1217,11 @@ def ref_uniform_conditional_diagnostic(t, bound):
     for (left, right, y0), dist in sorted(groups.items()):
         admissible = [a for a in labelled_successors(t, left[-1], y0)
                       if (a, right[0]) in t.x.transitions]
-        total = _add_in_order(
-            dist[a] for a in sorted(dist, key=lambda s: xorder[s]))
+        total = sum(dist.values())
         if total <= 1e-15 or not admissible:
             continue
         share = 1.0 / len(admissible)
-        gap = 0.5 * _add_in_order(abs(dist.get(a, 0.0) / total - share)
-                                  for a in admissible)
+        gap = 0.5 * sum(abs(dist.get(a, 0.0) / total - share)
+                        for a in admissible)
         worst = max(worst, gap)
     return worst

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -21,6 +22,7 @@ from factorcode import (classdegree, cli, codes, fiber, fixtures, graphs,
                         measures, parse_triple, sofic_image, triple_to_text)
 
 FIXDIR = Path(factorcode.__file__).parent / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = (1 + sqrt(5)) / 2
 
 
@@ -248,19 +250,20 @@ def test_non_finite_probability_exits_1(tmp_path):
     assert proc.stderr == "error: line 3: non-finite probability 'nan'\n"
 
 
-def test_bound_command_reports_value_pqs_and_diagnostic():
+def test_bound_command_reports_value_pqs_and_convergence():
     envelope = run_json(
         "bound", fixture_path("fix_c"),
         "--measure", fixture_path("fix_c_point", ".measure"), "--k", "2")
     assert "measure_sha256" in envelope["input"]
     result = envelope["result"]
+    assert set(result) == {"k", "value", "units", "pqs", "residuals",
+                           "tolerance", "converged", "iterations"}
     assert result["k"] == 2
     assert result["units"] == "nats"
     assert abs(result["value"] - log(2)) < 1e-12
     assert result["pqs"] == 2
     assert result["residuals"]["image"] < 1e-10
     assert result["residuals"]["marginal"] < 1e-10
-    assert result["diagnostic"] <= 1e-8
     # lam = 0 is already optimal: the fiber is the full 2-shift
     assert result["iterations"] == 0
     assert result["converged"] is True
@@ -271,6 +274,54 @@ def test_bound_command_reports_value_pqs_and_diagnostic():
         "--k", "2", "--bits")["result"]
     assert abs(bits["value"] - 1.0) < 1e-12
     assert bits["units"] == "bits"
+
+
+def readme_examples():
+    """(argv, shown result) for each ``$ factorcode ...`` example in
+    README.md: the command with its continuation lines joined and its
+    repository paths made absolute, and the ``result`` object printed
+    under it. The ``...`` lines and the truncated hashes lie outside
+    that object."""
+    examples = []
+    text = (ROOT / "README.md").read_text()
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        lines = block.splitlines()
+        command = lines.pop(0)
+        if not command.startswith("$ factorcode "):
+            continue
+        while command.endswith("\\"):
+            command = command[:-1] + lines.pop(0)
+        argv = [str(ROOT / a) if (ROOT / a).is_file() else a
+                for a in command.split()[2:]]
+        output = "\n".join(lines)
+        start = output.index('"result": ') + len('"result": ')
+        shown, _ = json.JSONDecoder().raw_decode(output, start)
+        examples.append((argv, shown))
+    return examples
+
+
+def assert_same_report(shown, actual):
+    if isinstance(shown, dict):
+        assert set(shown) == set(actual)
+        for key in shown:
+            assert_same_report(shown[key], actual[key])
+    elif isinstance(shown, list):
+        assert len(shown) == len(actual)
+        for a, b in zip(shown, actual):
+            assert_same_report(a, b)
+    elif isinstance(shown, float):
+        assert abs(shown - actual) <= 1e-12
+    else:
+        assert shown == actual
+
+
+def test_readme_examples_show_what_the_cli_prints():
+    """Every result object shown in README.md has the CLI's keys, and its
+    values within 1e-12."""
+    examples = readme_examples()
+    assert {"classdegree", "bound"} <= {argv[0] for argv, _ in examples}
+    for argv, shown in examples:
+        assert_same_report(shown, run_json(*argv)["result"])
 
 
 def test_usage_and_parse_failures_exit_1(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for Markov measures, entropies, and the relative entropy bound."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -47,7 +48,6 @@ from factorcode import (
     relative_entropy_upper_bound,
     sofic_image,
     spectral_entropy,
-    uniform_conditional_diagnostic,
 )
 
 GOLDEN = (1 + sqrt(5)) / 2
@@ -849,52 +849,65 @@ def test_bound_rejects_bad_arguments():
         relative_entropy_upper_bound(t, foreign, 1)
 
 
-def test_uniform_conditional_diagnostic_vanishes_on_optimizers():
-    """The optimizer is a Gibbs chain: a block's weight depends on its
-    image word alone, so the centers a window context admits are equally
-    likely."""
+@functools.lru_cache(maxsize=None)
+def uniform_conditional_cases():
+    """(t, bound) at k = 1, 2, 3 for the fixture measure pairs and for the
+    Parry measure and one orbit measure of seeded irreducible random
+    codes."""
+    cases = []
     for name, kind in MEASURE_PAIRS:
         t = fixtures.load(name)
-        for k in (1, 2, 3):
-            b = bound_for(name, kind, k)
-            assert uniform_conditional_diagnostic(t, b) <= 1e-12
+        cases.append((t, image_measure(t, kind)[1]))
+    for seed in range(12):
+        rng = random.Random(seed)
+        t = random_code(rng, rng.randint(4, 7), reducible=False)
+        pres = sofic_image(t).triple
+        cycle = next(w for n in (2, 3, 1) for w in all_cycle_words(pres.x, n))
+        cases += [(t, parry_measure(pres.x)),
+                  (t, orbit_measure(pres.x, PeriodicPoint(cycle)))]
+    return tuple((t, relative_entropy_upper_bound(t, measure, k))
+                 for t, measure in cases for k in (1, 2, 3))
+
+
+def test_uniform_conditional_diagnostic_vanishes_on_optimizers():
+    """The optimizer is the Gibbs chain at the optimal lam (see below), so
+    its conditionals are uniform to rounding."""
+    for t, b in uniform_conditional_cases():
+        assert ref_uniform_conditional_diagnostic(t, b) <= 1e-12
+
+
+def test_gibbs_chains_have_uniform_conditionals():
+    """The uniform distribution property of measures of relative maximal
+    entropy (Allahbakhshi-Quas), in Gibbs form: on the optimizer's blocks,
+    the Gibbs chain of any weights exp(lam[w]) that depend on the image
+    word w alone makes the centers a window context admits equally
+    likely."""
+    rng = random.Random(0)
+    for t, b in uniform_conditional_cases():
+        k = b.k
+        blocks = [U for U, p in b.optimizer.items() if p > 0]
+        words = [t.label_word(U) for U in blocks]
+        lam = {w: rng.uniform(-3.0, 3.0) for w in dict.fromkeys(words)}
+        kindex = {}
+        src = np.array([kindex.setdefault(U[:k], len(kindex))
+                        for U in blocks])
+        dst = np.array([kindex.setdefault(U[1:], len(kindex))
+                        for U in blocks])
+        _, q, _ = measures._gibbs_chain(np.exp([lam[w] for w in words]),
+                                        src, dst, np.ones(len(kindex)))
+        chain = SimpleNamespace(k=k, optimizer=dict(zip(blocks, q.tolist())))
+        assert ref_uniform_conditional_diagnostic(t, chain) <= 1e-9
 
 
 def test_uniform_conditional_diagnostic_is_a_total_variation():
-    for name, kind in MEASURE_PAIRS:
-        t = fixtures.load(name)
-        b = bound_for(name, kind, 1)
-        gap = uniform_conditional_diagnostic(t, b)
-        assert 0.0 <= gap <= 1.0
-
-
-@pytest.mark.parametrize("k", (1, 2, 3))
-def test_uniform_conditional_diagnostic_matches_recursive_walk(k):
-    for name, kind in MEASURE_PAIRS:
-        t = fixtures.load(name)
-        b = bound_for(name, kind, k)
-        assert uniform_conditional_diagnostic(t, b) \
-            == ref_uniform_conditional_diagnostic(t, b)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_uniform_conditional_diagnostic_matches_recursive_walk_on_random_codes(
-        seed):
-    rng = random.Random(seed)
-    t = random_code(rng, rng.randint(4, 7), reducible=False)
-    pres = sofic_image(t).triple
-    cycle = next(w for n in (2, 3, 1) for w in all_cycle_words(pres.x, n))
-    for measure in (parry_measure(pres.x),
-                    orbit_measure(pres.x, PeriodicPoint(cycle))):
-        for k in (1, 2, 3):
-            b = relative_entropy_upper_bound(t, measure, k)
-            assert uniform_conditional_diagnostic(t, b) \
-                == ref_uniform_conditional_diagnostic(t, b)
-            # weights far from any optimizer, some of them zero: contexts
-            # miss admissible centers and the gaps are large
-            weights = {U: rng.choice((0.0, rng.random()))
-                       for U in b.optimizer}
-            off = SimpleNamespace(k=k, optimizer=weights)
-            gap = uniform_conditional_diagnostic(t, off)
-            assert gap == ref_uniform_conditional_diagnostic(t, off)
-            assert 0.0 <= gap <= 1.0
+    """Weights far from any Gibbs chain, some of them zero: contexts miss
+    admissible centers and the reference's gaps are large, but stay
+    total variations."""
+    rng = random.Random(0)
+    gaps = []
+    for t, b in uniform_conditional_cases():
+        weights = {U: rng.choice((0.0, rng.random())) for U in b.optimizer}
+        off = SimpleNamespace(k=b.k, optimizer=weights)
+        gaps.append(ref_uniform_conditional_diagnostic(t, off))
+    assert all(0.0 <= gap <= 1.0 for gap in gaps)
+    assert max(gaps) > 0.0
