@@ -15,34 +15,35 @@ do not pay for importing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial, reduce
 from math import isfinite, log
 
 from . import graphs
 from .core import (MeasureParseError, PeriodicPoint, PreconditionError,
                    primitive_root, sub_triple)
-from .codes import (_bit_indices, _check_image_word, _label_masks,
-                    image_blocks, sofic_image)
+from .codes import (_bit_indices, _bits, _check_image_word, _label_masks,
+                    image_blocks, sofic_image, step)
 
 ROW_SUM_TOLERANCE = 1e-9
-# The Newton solve of the relative entropy bound stops on each piece
-# once the gradient of the dual is within the tolerance, or at the cap.
+# The Newton solve of the relative entropy bound stops on each component
+# of its class graph once the gradient of the dual is within the
+# tolerance, or at the cap.
 DUAL_TOLERANCE = 1e-12
 NEWTON_STEPS = 100
 # Noda steps allowed for one Perron vector. The benchmark pools need 10
 # at most; a cold start on a matrix whose entries span 200 orders of
 # magnitude, a few hundred.
 _PERRON_STEPS = 1000
-# Most entries of the dense affine-kernel system and the k-block matrix of
-# one piece of the entropy bound's solve, both counted on the piece's
-# blocks and k-blocks. The largest piece of the benchmark pools counts
-# 533 x 147 and 130 x 130; its Newton solve runs on the lumped 128 x 49
-# system and 32 x 32 matrices, and its lift builds the 130 x 130 matrix.
+# Most entries of the dense affine-kernel system (edges x (image words +
+# classes + 1)) and of the class matrix of one component of the entropy
+# bound's class graph, and of the k-block matrix its optimizer builds when
+# read. The benchmark pools need 128 x 49, 32 x 32 and 130 x 130 at most.
 SOLVE_ENTRY_BUDGET = 4_000_000
-# Most walks of the domain, of 1 to k steps, that the entropy bound at k
-# may take to list its (k+1)-blocks; their number grows exponentially
-# with k. The benchmark pools need 695 at most (533 blocks of length 4),
-# and the full shift on four symbols passes the limit at k = 8.
+# Most walks of the domain, of 1 to k steps, that reading the optimizer of
+# the entropy bound at k may take to list its (k+1)-blocks; the solve
+# lists none. The benchmark pools need 695 at most (533 blocks of length
+# 4), and the full shift on four symbols passes the limit at k = 8.
 DOMAIN_WALK_BUDGET = 100_000
 _ROW_INVARIANT = 1e-12
 _FLOW_INVARIANT = 1e-10
@@ -398,49 +399,55 @@ class RelativeEntropyBound:
     """Result of the k-block relative entropy relaxation.
 
     ``value`` is in nats: the dual value D at the last Newton iterate of
-    the piece where it is largest, or 0 where that D is negative (the
-    relaxation is an entropy, so never below 0), an upper bound for the
-    relaxation whether or not the solve converged. ``optimizer`` maps
-    the admissible (k+1)-blocks of the domain kept by pruning, symbol
-    tuples, lexicographic in domain-symbol order, to the weights of that
-    iterate's Gibbs chain, 0 off its piece;
+    the class component where it is largest, or 0 where that D is
+    negative (the relaxation is an entropy, so never below 0), an upper
+    bound for the relaxation whether or not the solve converged.
     ``residuals`` reports the largest violation of the image and
-    marginal constraint families by the optimizer (the image one is
-    |grad D|). ``iterations`` counts Newton steps over all pieces.
-    ``converged`` is true when every piece that can carry the image
-    measure reached |grad D| <= ``tolerance``, on its lumped graph and,
-    for the reported piece, on its k-blocks too."""
+    marginal constraint families by that iterate's Gibbs chain on the
+    component (the image one is |grad D|). ``iterations`` counts Newton
+    steps over all components. ``converged`` is true when every
+    component that can carry the image measure reached |grad D| <=
+    ``tolerance``. ``optimizer``, built on first read, maps the domain
+    (k+1)-blocks over the reported component kept by pruning, symbol
+    tuples, lexicographic in domain-symbol order, to the weights of the
+    Gibbs chain of that iterate on the first closed piece of their block
+    graph, 0 off it. The read raises PreconditionError past
+    DOMAIN_WALK_BUDGET walks, before listing a block, and past
+    SOLVE_ENTRY_BUDGET entries of the k-block matrix, before building it."""
 
     k: int
     value: float
-    optimizer: dict
     residuals: dict
     iterations: int
     converged: bool
     tolerance: float
+    _weigh_blocks: object = field(repr=False, compare=False)
+
+    @cached_property
+    def optimizer(self):
+        return self._weigh_blocks()
 
 
-def _prune_support(blocks):
-    """The blocks that can carry weight under marginal consistency, each
-    mapped to the number of the strongly connected piece it lies in, in
-    the order given: symbol tuples, lexicographic in domain-symbol order,
-    as ``graphs.walks`` lists them.
+def _prune_support(edges):
+    """The edges that can carry weight under marginal consistency, each
+    mapped to the number of the strongly connected component it lies in,
+    in the order given; ``edges`` maps each edge to its (tail, head).
 
-    Read each (k+1)-block as an edge from its prefix k-block to its suffix
-    k-block. Marginally consistent weights are circulations on that graph,
-    and a nonnegative circulation vanishes off cycles, so exactly the
-    blocks whose two ends share a strongly connected component stay."""
-    blocks = list(blocks)
+    Marginally consistent weights are circulations on the graph, and a
+    nonnegative circulation vanishes off cycles, so exactly the edges
+    whose two ends share a strongly connected component stay. Components
+    are numbered in the order Tarjan's algorithm completes them, so no
+    edge leaves component 0."""
     adj = {}
-    for U in blocks:
-        adj.setdefault(U[:-1], []).append(U[1:])
-        adj.setdefault(U[1:], [])
+    for tail, head in edges.values():
+        adj.setdefault(tail, []).append(head)
+        adj.setdefault(head, [])
     component = {}
     for i, comp in enumerate(graphs.strongly_connected_components(adj)):
-        for W in comp:
-            component[W] = i
-    return {U: component[U[:-1]] for U in blocks
-            if component[U[:-1]] == component[U[1:]]}
+        for v in comp:
+            component[v] = i
+    return {e: component[tail] for e, (tail, head) in edges.items()
+            if component[tail] == component[head]}
 
 
 def _gibbs_chain(weight, src, dst, x):
@@ -518,8 +525,8 @@ def _dual_point(lam, cell, src, dst, x, nu):
 
 
 def _dual_piece(cell, src, dst, n, nu):
-    """Newton's method on the dual D of one strongly connected piece, run
-    on its lumped graph (see ``relative_entropy_upper_bound``).
+    """Newton's method on the dual D of one strongly connected component
+    of the class graph (see ``relative_entropy_upper_bound``).
 
     Edge i runs from state ``src[i]`` to state ``dst[i]`` (numbered 0..n-1)
     and carries image word ``cell[i]``, and every image word has an edge.
@@ -537,20 +544,19 @@ def _dual_piece(cell, src, dst, n, nu):
 
     D is affine along the directions v with v[cell] = phi[dst] - phi[src]
     + c on every edge (A moves by a diagonal similarity and the factor
-    e^c): lam -> lam + c, and the direction of any image word the piece
-    lacks, among others. They are the kernel of that linear system over
-    (v, phi, c), restricted to v, read off the SVD of the R factor of the
-    system's QR decomposition: it has the system's singular values and
-    right singular vectors, without the edges x edges left factor. A
-    gradient along them means the piece cannot carry nu, and D is
-    returned as -inf. Newton steps solve the Newton system on the other
-    directions by least squares. Each is halved until D falls; near the
-    optimum D moves by less than its rounding, and a step that lowers
-    |grad D| is taken instead. The solve stops once |grad D| <=
+    e^c): lam -> lam + c, and the direction of any image word the
+    component lacks, among others. They are the kernel of that linear
+    system over (v, phi, c), restricted to v, read off the SVD of the R
+    factor of the system's QR decomposition: it has the system's singular
+    values and right singular vectors, without the edges x edges left
+    factor. A gradient along them means the component cannot carry nu,
+    and D is returned as -inf. Newton steps solve the Newton system on
+    the other directions by least squares. Each is halved until D falls;
+    near the optimum D moves by less than its rounding, and a step that
+    lowers |grad D| is taken instead. The solve stops once |grad D| <=
     DUAL_TOLERANCE, once D < -DUAL_TOLERANCE, when no step is taken or
     after NEWTON_STEPS steps, and returns D, grad D, the edge masses, the
-    number of steps, and the last lam and right Perron vector, from which
-    the caller lifts the solve to the piece's k-blocks."""
+    number of steps, and the last lam and right Perron vector."""
     import numpy as np
 
     m = len(nu)
@@ -624,41 +630,32 @@ def relative_entropy_upper_bound(t, measure, k):
     D(lam) = log rho(A) - lam . nu, where A is the weighted matrix from
     prefix to suffix k-blocks, and D is convex.
 
+    The solve runs on the class graph and lists no domain block. A
+    block's weight depends only on its image word, and a k-block's
+    successors only on its last symbol, so the k-blocks with one image
+    k-word w and one last symbol s (a symbol ``step`` reaches along w)
+    form a class (w, s), and every member of a class has exactly one
+    successor in each class it reaches: the partition is equitable
+    (Kemeny-Snell, Finite Markov Chains, 6.3). The class graph has an
+    edge (w, s) -> (w[1:]c, s') carrying wc for each nu-positive word wc
+    and each s' in ``_label_masks(t, True)[s][c]``.
+
     nu is ergodic, so the relaxation's supremum is attained by an ergodic
     lift, whose blocks lie in one strongly connected piece of the pruned
-    block graph. Each piece is solved on its own (``_dual_piece``) and
-    the largest D reported. A piece that lacks an image word, or whose D
-    falls below -tolerance, is dropped: by weak duality one that can
-    carry nu has D >= 0 at every lam. A linear algebra failure in the
-    solve is raised as RuntimeError, an internal error, since numpy's
-    LinAlgError is a ValueError.
+    block graph, over one strongly connected component C of the pruned
+    class graph. A piece over C has rho(A) <= rho_C at every lam, with
+    equality on the closed ones, so each component is solved on its own
+    (``_dual_piece``) and the largest D reported. A component that lacks
+    an image word, or whose D falls below -tolerance, is dropped: by weak
+    duality one that can carry nu has D >= 0 at every lam. A linear
+    algebra failure in the solve is raised as RuntimeError, an internal
+    error, since numpy's LinAlgError is a ValueError.
 
-    The solve runs on the piece's lumped graph. A block's weight depends
-    only on its image word, and a k-block's successors only on its last
-    symbol, so the k-blocks with one image k-word and one last symbol
-    form a class whose members have the same weighted edges into every
-    class: the partition is equitable, and the Gibbs chain is strongly
-    lumpable onto it (Kemeny-Snell, Finite Markov Chains, 6.3). The
-    lumped graph has a state per class and an edge per (prefix class,
-    suffix class) pair of a block, carrying that block's image word;
-    blocks of one pair with different image words are a broken
-    invariant, raised as AssertionError. Its rho, D, grad D and Hessian
-    are those of the piece, and the right Perron vector of A is the
-    lumped one read per class. A piece whose classes are single k-blocks
-    is its own lumped graph. Otherwise the best piece is lifted by one
-    evaluation of its k-block matrix at the last lam, started from that
-    vector, which gives the reported value, masses and residuals.
-    ``converged`` asks |grad D| <= tolerance of every piece that can
-    carry nu and of the lifted one.
-
-    A piece that can carry nu has a block per image word, so m words need
-    a system of at least m(m + 1) entries: past SOLVE_ENTRY_BUDGET, the
-    PreconditionError comes right after the words are listed, before any
-    domain block is. So does the one for more than DOMAIN_WALK_BUDGET
-    walks of the domain of up to k steps, counted without listing one.
-    A piece whose dense system (blocks x (image words + k-blocks + 1)) or
-    k-block matrix has more entries than the budget is refused before
-    either is built.
+    A component that can carry nu has an edge per image word, so m words
+    need a system of at least m(m + 1) entries: past SOLVE_ENTRY_BUDGET,
+    the PreconditionError comes right after the words are listed, and a
+    component whose system or class matrix would pass it is refused
+    before either is built.
     """
     import numpy as np
 
@@ -673,68 +670,48 @@ def relative_entropy_upper_bound(t, measure, k):
             "of at least %d entries, more than the limit of %d"
             % (len(positive), least, SOLVE_ENTRY_BUDGET))
     nu = {w: _word_measure(support, measure, w) for w in positive}
-    levels = graphs.walks(t.x.successor_map, t.x.symbols, k,
-                          DOMAIN_WALK_BUDGET)
-    if levels is None:
-        raise PreconditionError(
-            "the domain blocks of length up to %d take more than %d walks "
-            "of the domain, the limit" % (k + 1, DOMAIN_WALK_BUDGET))
-    word_of = {}
-    for U in levels[-1]:
-        w = t.label_word(U)
-        if w in nu:
-            word_of[U] = w
-    piece_of = _prune_support(word_of)
-    blocks = list(piece_of)
     words = sorted(nu)
     m = len(words)
     cell_index = {w: i for i, w in enumerate(words)}
     targets = np.array([nu[w] for w in words])
 
-    pieces = {}
-    for i, U in enumerate(blocks):
-        pieces.setdefault(piece_of[U], []).append(i)
+    # an edge (w, s) -> (w[1:]c, s') per nu-positive wc, keyed (wc, s, s')
+    symbols, table = t.x.symbols, _label_masks(t, True)
+    edges = {}
+    for w in words:
+        for i in _bit_indices(reduce(partial(step, table), w[1:k],
+                                     _bits(t)[1][w[0]])):
+            for j in _bit_indices(table[i].get(w[k], 0)):
+                edges[(w, symbols[i], symbols[j])] = ((w[:k], symbols[i]),
+                                                      (w[1:], symbols[j]))
+    component_of = _prune_support(edges)
+    components = {}
+    for e, i in component_of.items():
+        components.setdefault(i, []).append(e)
+
     best = None
     converged = True
     iterations = 0
-    for piece in pieces.values():
-        labels = [word_of[blocks[i]] for i in piece]
-        cell = np.array([cell_index[w] for w in labels], dtype=np.intp)
+    for component in components.values():
+        cell = np.array([cell_index[w] for w, _, _ in component],
+                        dtype=np.intp)
         if np.bincount(cell, minlength=m).min() == 0:
             continue
-        kindex = {}
-        src = np.array([kindex.setdefault(blocks[i][:k], len(kindex))
-                        for i in piece], dtype=np.intp)
-        dst = np.array([kindex.setdefault(blocks[i][1:], len(kindex))
-                        for i in piece], dtype=np.intp)
-        n = len(kindex)
+        cindex = {}
+        src = np.array([cindex.setdefault(edges[e][0], len(cindex))
+                        for e in component], dtype=np.intp)
+        dst = np.array([cindex.setdefault(edges[e][1], len(cindex))
+                        for e in component], dtype=np.intp)
+        n = len(cindex)
         entries = max(len(cell) * (m + n + 1), n * n)
         if entries > SOLVE_ENTRY_BUDGET:
             raise PreconditionError(
-                "the entropy bound's solve on a piece of %d blocks needs a "
-                "matrix of %d entries, more than the limit of %d"
-                % (len(cell), entries, SOLVE_ENTRY_BUDGET))
-        # classes by (image word, last symbol), numbered in the order of
-        # the k-blocks, so that single-block classes keep their numbers
-        cindex = {}
-        csrc = np.array([cindex.setdefault((w[:k], blocks[i][k - 1]),
-                                           len(cindex))
-                         for i, w in zip(piece, labels)], dtype=np.intp)
-        cdst = np.array([cindex.setdefault((w[1:], blocks[i][k]),
-                                           len(cindex))
-                         for i, w in zip(piece, labels)], dtype=np.intp)
-        lumped = (cell, csrc, cdst)
-        if len(cindex) < n:
-            _, first, edge = np.unique(csrc * len(cindex) + cdst,
-                                       return_index=True,
-                                       return_inverse=True)
-            if not np.array_equal(cell[first][edge], cell):
-                raise AssertionError(
-                    "blocks of one lumped edge carry different image words")
-            lumped = (cell[first], csrc[first], cdst[first])
+                "the entropy bound's solve on a class component of %d "
+                "edges needs a matrix of %d entries, more than the limit "
+                "of %d" % (len(cell), entries, SOLVE_ENTRY_BUDGET))
         try:
             value, grad, q, steps, lam, right = _dual_piece(
-                *lumped, len(cindex), targets)
+                cell, src, dst, n, targets)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("entropy bound solve failed: %s" % exc) from exc
         iterations += steps
@@ -742,34 +719,55 @@ def relative_entropy_upper_bound(t, measure, k):
             continue
         converged = converged and np.abs(grad).max() <= DUAL_TOLERANCE
         if best is None or value > best[0]:
-            lift = None
-            if len(cindex) < n:
-                start = np.empty(n)
-                start[src], start[dst] = right[csrc], right[cdst]
-                lift = (lam, cell, start)
-            best = (value, grad, q, piece, src, dst, n, lift)
+            best = (value, grad, q, src, dst, n, lam, set(component),
+                    dict(zip(cindex, right)))
     if best is None:
-        raise AssertionError("no piece of the block graph carries the "
+        raise AssertionError("no component of the class graph carries the "
                              "image measure")
+    value, grad, q, src, dst, n, lam, over_edges, right = best
 
-    value, grad, q, piece, src, dst, n, lift = best
-    if lift is not None:
-        lam, cell, start = lift
+    def weigh_blocks():
+        """The blocks over the reported component, weighted by the Gibbs
+        chain at ``lam`` on the first closed piece of their block graph:
+        it meets every class, and its right Perron vector is the
+        component's, read per class."""
+        levels = graphs.walks(t.x.successor_map, t.x.symbols, k,
+                              DOMAIN_WALK_BUDGET)
+        if levels is None:
+            raise PreconditionError(
+                "the optimizer's domain blocks of length %d take more than "
+                "%d walks of the domain, the limit DOMAIN_WALK_BUDGET"
+                % (k + 1, DOMAIN_WALK_BUDGET))
+        over = {U: (U[:-1], U[1:]) for U in levels[-1]
+                if (t.label_word(U), U[-2], U[-1]) in over_edges}
+        kept = _prune_support(over)
+        blocks = [U for U, piece in kept.items() if piece == 0]
+        kindex = {}
+        bsrc = np.array([kindex.setdefault(U[:-1], len(kindex))
+                         for U in blocks], dtype=np.intp)
+        bdst = np.array([kindex.setdefault(U[1:], len(kindex))
+                         for U in blocks], dtype=np.intp)
+        if len(kindex) ** 2 > SOLVE_ENTRY_BUDGET:
+            raise PreconditionError(
+                "the entropy bound's optimizer on %d k-blocks needs a "
+                "matrix of %d entries, more than the limit of %d"
+                % (len(kindex), len(kindex) ** 2, SOLVE_ENTRY_BUDGET))
+        start = np.array([right[(t.label_word(W), W[-1])] for W in kindex])
+        cell = np.array([cell_index[t.label_word(U)] for U in blocks],
+                        dtype=np.intp)
         try:
-            value, grad, q, _ = _dual_point(lam, cell, src, dst, start,
-                                            targets)
+            masses = _dual_point(lam, cell, bsrc, bdst, start, targets)[2]
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("entropy bound solve failed: %s" % exc) from exc
-        converged = converged and np.abs(grad).max() <= DUAL_TOLERANCE
-    weights = np.zeros(len(blocks))
-    weights[piece] = q
+        weights = dict.fromkeys(kept, 0.0)
+        weights.update(zip(blocks, masses.tolist()))
+        return weights
+
     marginal = np.abs(np.bincount(src, weights=q, minlength=n)
                       - np.bincount(dst, weights=q, minlength=n)).max()
     return RelativeEntropyBound(
         k=k, value=max(float(value), 0.0),
-        optimizer=dict(zip(blocks, weights.tolist())),
         residuals={"image": float(np.abs(grad).max()),
                    "marginal": float(marginal)},
         iterations=iterations, converged=bool(converged),
-        tolerance=DUAL_TOLERANCE)
-
+        tolerance=DUAL_TOLERANCE, _weigh_blocks=weigh_blocks)

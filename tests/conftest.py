@@ -1051,8 +1051,9 @@ def ref_relative_entropy_upper_bound(t, measure, k,
     def block_key(block):
         return tuple(xorder[s] for s in block)
 
-    support = _prune_support(
-        U for U in enumerate_blocks(t.x, k + 1) if t.label_word(U) in nu)
+    support = _prune_support({U: (U[:-1], U[1:])
+                              for U in enumerate_blocks(t.x, k + 1)
+                              if t.label_word(U) in nu})
     blocks = sorted(support, key=block_key)
     if not blocks:
         raise AssertionError("image measure admits no preimage blocks")

@@ -832,10 +832,12 @@ edges: %s
 """ % " ".join("%s>%s" % (u, v) for u in "abcd" for v in "abcd")
 
 
-def test_bound_past_the_domain_walk_budget_exits_2_at_once(
+def test_bound_past_the_domain_walk_budget_answers_without_a_block(
         monkeypatch, capsys, tmp_path):
     # one image word of each length, but 4^11 domain blocks at k = 10:
-    # refused before any is listed, where listing them took minutes
+    # the class graph has 4 classes and 16 edges, so the bound answers
+    # log 4 without listing a walk of the domain; only reading the
+    # optimizer needs the blocks, and that is refused before any is listed
     calls = []
 
     def spy(*args):
@@ -852,11 +854,25 @@ def test_bound_past_the_domain_walk_budget_exits_2_at_once(
     status = cli.main(["bound", str(triple), "--measure", str(measure),
                        "--k", "10"])
     assert time.perf_counter() - start < 1.0
-    assert status == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "more than %d walks" % measures.DOMAIN_WALK_BUDGET in captured.err
+    assert status == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert abs(result["value"] - log(4)) <= 1e-12
+    assert result["converged"] is True
+    assert calls == []
+    t = parse_triple(FULL_SHIFT_4)
+    pres = sofic_image(t).triple
+    full = measures.parse_measure(measure.read_text(), pres.x)
+    bound = measures.relative_entropy_upper_bound(t, full, 10)
+    with pytest.raises(factorcode.PreconditionError,
+                       match="DOMAIN_WALK_BUDGET"):
+        bound.optimizer
     assert calls == [None]
+    # the k-block matrix of the optimizer's piece has its own limit: at
+    # k = 3 the solve needs 96 entries, the optimizer 64 x 64
+    monkeypatch.setattr(measures, "SOLVE_ENTRY_BUDGET", 1000)
+    bound = measures.relative_entropy_upper_bound(t, full, 3)
+    with pytest.raises(factorcode.PreconditionError, match="64 k-blocks"):
+        bound.optimizer
 
 
 NON_ESSENTIAL_FIX_E = """\

@@ -1,6 +1,7 @@
 """Tests for Markov measures, entropies, and the relative entropy bound."""
 
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from conftest import (
     ref_uniform_conditional_diagnostic,
 )
 import factorcode
-from factorcode import measures
+from factorcode import cli, measures
 from factorcode.codes import image_blocks
 from factorcode import (
     MeasureParseError,
@@ -466,12 +467,35 @@ def value_of_block_measure(q_items, k):
     return total
 
 
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool"
+
+
+def pool_bound_measures():
+    """(name, t, measure) for the Parry and orbit measures of the
+    entropy-bound pool's random codes."""
+    cases = []
+    for path in sorted(POOL.glob("bound-*.measure")):
+        triple = path.name.rpartition("_")[0] + ".triple"
+        t = parse_triple((POOL / triple).read_text())
+        measure = parse_measure(path.read_text(), sofic_image(t).triple.x)
+        cases.append((path.stem, t, measure))
+    return cases
+
+
 def test_bound_value_matches_independent_objective_evaluation():
+    """The value, solved on the class graph, is the conditional block
+    entropy of the block-level optimizer, evaluated on its own."""
+    cases = []
     for name, kind in MEASURE_PAIRS:
-        k = 2
-        b = bound_for(name, kind, k)
-        assert abs(value_of_block_measure(list(b.optimizer.items()), k) -
-                   b.value) < 1e-9
+        t = fixtures.load(name)
+        cases.append(("%s_%s" % (name, kind), t, image_measure(t, kind)[1]))
+    cases += pool_bound_measures()
+    assert len(cases) == 19
+    for name, t, measure in cases:
+        for k in (1, 2, 3, 4):
+            b = relative_entropy_upper_bound(t, measure, k)
+            assert abs(value_of_block_measure(list(b.optimizer.items()), k)
+                       - b.value) < 1e-9, (name, k)
 
 
 def test_bound_optimizer_is_locally_optimal():
@@ -779,7 +803,7 @@ def test_right_perron_vector_is_constant_on_the_lumped_classes(k):
     """On the piece the bound reports, weighting each block by any
     positive weight of its image word, the right Perron vector of the
     k-block matrix takes one value on the k-blocks with one image word
-    and one last symbol: the partition the solve lumps by is equitable."""
+    and one last symbol: the partition of the class graph is equitable."""
     lumped = 0
     for rng, t, measure in lumping_cases():
         b = relative_entropy_upper_bound(t, measure, k)
@@ -803,12 +827,15 @@ def test_right_perron_vector_is_constant_on_the_lumped_classes(k):
     assert lumped >= 10
 
 
-def test_bound_solves_on_the_lumped_graph_and_lifts_once(monkeypatch):
-    """Newton runs on one state per class, fewer than the k-blocks, and
-    the lift to the k-blocks takes at most one Noda step and the
-    stationary law: at most two dense solves after the last piece."""
-    sizes, solves = [], []
-    dual_piece, solve = measures._dual_piece, np.linalg.solve
+def test_bound_solves_on_the_class_graph_and_lists_blocks_on_read(
+        monkeypatch):
+    """Newton runs on one state per class of the component the bound
+    reports: the classes of the k-blocks of the optimizer's positive
+    blocks. The bound lists no domain walk, and makes no dense solve
+    after the last component; reading the optimizer lists the walks
+    once."""
+    sizes, solves, walks = [], [], []
+    dual_piece = measures._dual_piece
 
     def spy_piece(cell, src, dst, n, nu):
         sizes.append(n)
@@ -816,27 +843,45 @@ def test_bound_solves_on_the_lumped_graph_and_lifts_once(monkeypatch):
         solves.clear()
         return out
 
-    def spy_solve(*args, **kwargs):
-        solves.append(args)
-        return solve(*args, **kwargs)
+    def spy(calls, real):
+        def call(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return call
 
     monkeypatch.setattr(measures, "_dual_piece", spy_piece)
-    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    monkeypatch.setattr(np.linalg, "solve", spy(solves, np.linalg.solve))
+    monkeypatch.setattr(measures.graphs, "walks",
+                        spy(walks, measures.graphs.walks))
     lumped = 0
     for k in (2, 3):
         for _, t, measure in lumping_cases():
             sizes.clear()
+            walks.clear()
             b = relative_entropy_upper_bound(t, measure, k)
+            assert solves == [] and walks == []
             blocks = [U for U, v in b.optimizer.items() if v > 0]
+            assert len(walks) == 1
             classes = kblock_classes(t, blocks, k)
             kblocks = sum(len(members) for members in classes.values())
             assert sizes == [len(classes)]
-            if len(classes) < kblocks:
-                lumped += 1
-                assert 1 <= len(solves) <= 2
-            else:
-                assert solves == []
+            lumped += len(classes) < kblocks
     assert lumped >= 20
+
+
+def test_bound_on_a_pool_code_answers_at_large_k(capsys):
+    """The Parry measure of ``bound-8-s11``, which has 36,378 domain
+    7-blocks but 256 classes at k = 6: the bound converges at every k and
+    does not increase with it."""
+    argv = ["bound", str(POOL / "bound-8-s11.triple"), "--measure",
+            str(POOL / "bound-8-s11_parry.measure")]
+    values = []
+    for k in (3, 4, 5, 6):
+        assert cli.main(argv + ["--k", str(k)]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["converged"] is True
+        values.append(result["value"])
+    assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_bound_rejects_bad_arguments():
