@@ -35,10 +35,10 @@ NEWTON_STEPS = 100
 # at most; a cold start on a matrix whose entries span 200 orders of
 # magnitude, a few hundred.
 _PERRON_STEPS = 1000
-# Most entries of the dense affine-kernel system (edges x (image words +
-# classes + 1)) and of the class matrix of one component of the entropy
-# bound's class graph, and of the k-block matrix its optimizer builds when
-# read. The benchmark pools need 128 x 49, 32 x 32 and 130 x 130 at most.
+# Most entries of the Hessian (image words x image words) and of the class
+# matrix of one component of the entropy bound's class graph, and of the
+# k-block matrix its optimizer builds when read. The benchmark pools need
+# 16 x 16, 32 x 32 and 130 x 130 at most.
 SOLVE_ENTRY_BUDGET = 4_000_000
 # Most walks of the domain, of 1 to k steps, that reading the optimizer of
 # the entropy bound at k may take to list its (k+1)-blocks; the solve
@@ -544,14 +544,13 @@ def _dual_piece(cell, src, dst, n, nu):
 
     D is affine along the directions v with v[cell] = phi[dst] - phi[src]
     + c on every edge (A moves by a diagonal similarity and the factor
-    e^c): lam -> lam + c, and the direction of any image word the
-    component lacks, among others. They are the kernel of that linear
-    system over (v, phi, c), restricted to v, read off the SVD of the R
-    factor of the system's QR decomposition: it has the system's singular
-    values and right singular vectors, without the edges x edges left
-    factor. A gradient along them means the component cannot carry nu,
-    and D is returned as -inf. Newton steps solve the Newton system on
-    the other directions by least squares. Each is halved until D falls;
+    e^c), lam -> lam + c among them. The chain is irreducible, so these
+    are exactly the directions of zero asymptotic variance (Kemeny-Snell,
+    Finite Markov Chains): the null space of the Hessian, read once at
+    lam = 0 from its eigendecomposition. A gradient along them means the
+    component cannot carry nu, and D is returned as -inf. Newton steps
+    solve the Newton system on the other directions by least squares,
+    the first with that Hessian. Each is halved until D falls;
     near the optimum D moves by less than its rounding, and a step that
     lowers |grad D| is taken instead. The solve stops once |grad D| <=
     DUAL_TOLERANCE, once D < -DUAL_TOLERANCE, when no step is taken or
@@ -576,22 +575,12 @@ def _dual_piece(cell, src, dst, n, nu):
         mass = grad + nu
         return np.diag(mass) - np.outer(mass, mass) + cross + cross.T
 
-    # the directions where D is affine: the kernel of ``system`` over
-    # (v, phi, c), restricted to v
-    rows = np.arange(len(cell))
-    system = np.zeros((len(cell), m + n + 1))
-    system[rows, cell] = 1.0
-    np.add.at(system, (rows, m + src), 1.0)
-    np.add.at(system, (rows, m + dst), -1.0)
-    system[:, -1] = -1.0
-    sing, basis = np.linalg.svd(np.linalg.qr(system, mode="r"))[1:]
-    kernel = basis[np.count_nonzero(sing > 1e-9 * sing[0]):, :m]
-    sing, basis = np.linalg.svd(kernel)[1:]
-    flat = basis[:np.count_nonzero(sing > 1e-9)]
-    curved = basis[len(flat):]
-
     lam = np.zeros(m)
     value, grad, q, right = _dual_point(lam, cell, src, dst, np.ones(n), nu)
+    curvature = hessian(grad, q)
+    eigenvalues, basis = np.linalg.eigh(curvature)
+    flat, curved = np.split(basis.T, [np.count_nonzero(
+        eigenvalues <= 1e-9 * max(eigenvalues[-1], 1.0))])
     if np.abs(flat.T @ (flat @ grad)).max() > DUAL_TOLERANCE:
         return -np.inf, grad, q, 0, lam, right
     steps = 0
@@ -599,9 +588,10 @@ def _dual_piece(cell, src, dst, n, nu):
         gap = np.abs(grad).max()
         if gap <= DUAL_TOLERANCE or value < -DUAL_TOLERANCE:
             break
+        if steps:
+            curvature = hessian(grad, q)
         step = curved.T @ np.linalg.lstsq(
-            curved @ hessian(grad, q) @ curved.T, curved @ grad,
-            rcond=None)[0]
+            curved @ curvature @ curved.T, curved @ grad, rcond=None)[0]
         rounding = 1e-15 * (1.0 + np.abs(lam).max())
         for halving in range(40):
             trial = lam - step / 2 ** halving
@@ -651,11 +641,10 @@ def relative_entropy_upper_bound(t, measure, k):
     algebra failure in the solve is raised as RuntimeError, an internal
     error, since numpy's LinAlgError is a ValueError.
 
-    A component that can carry nu has an edge per image word, so m words
-    need a system of at least m(m + 1) entries: past SOLVE_ENTRY_BUDGET,
-    the PreconditionError comes right after the words are listed, and a
-    component whose system or class matrix would pass it is refused
-    before either is built.
+    The solve's Hessian has m x m entries for m image words: past
+    SOLVE_ENTRY_BUDGET, the PreconditionError comes right after the words
+    are listed, and a component whose class matrix would pass it is
+    refused before it is built.
     """
     import numpy as np
 
@@ -663,12 +652,11 @@ def relative_entropy_upper_bound(t, measure, k):
         raise ValueError("k must be >= 1")
     support = _measure_support(t, measure)
     positive = image_blocks(support, k + 1)
-    least = len(positive) * (len(positive) + 1)
-    if least > SOLVE_ENTRY_BUDGET:
+    if len(positive) ** 2 > SOLVE_ENTRY_BUDGET:
         raise PreconditionError(
             "the entropy bound's solve over %d image words needs a matrix "
-            "of at least %d entries, more than the limit of %d"
-            % (len(positive), least, SOLVE_ENTRY_BUDGET))
+            "of %d entries, more than the limit of %d"
+            % (len(positive), len(positive) ** 2, SOLVE_ENTRY_BUDGET))
     nu = {w: _word_measure(support, measure, w) for w in positive}
     words = sorted(nu)
     m = len(words)
@@ -703,12 +691,11 @@ def relative_entropy_upper_bound(t, measure, k):
         dst = np.array([cindex.setdefault(edges[e][1], len(cindex))
                         for e in component], dtype=np.intp)
         n = len(cindex)
-        entries = max(len(cell) * (m + n + 1), n * n)
-        if entries > SOLVE_ENTRY_BUDGET:
+        if n * n > SOLVE_ENTRY_BUDGET:
             raise PreconditionError(
                 "the entropy bound's solve on a class component of %d "
-                "edges needs a matrix of %d entries, more than the limit "
-                "of %d" % (len(cell), entries, SOLVE_ENTRY_BUDGET))
+                "classes needs a matrix of %d entries, more than the limit "
+                "of %d" % (n, n * n, SOLVE_ENTRY_BUDGET))
         try:
             value, grad, q, steps, lam, right = _dual_piece(
                 cell, src, dst, n, targets)

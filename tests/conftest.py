@@ -1014,11 +1014,10 @@ def ref_perron(a):
     return rho, right, left
 
 
-def ref_orbit_entropy(t, word):
-    """log rho*, the relative maximal entropy over the periodic image point
-    of ``word`` (Petersen-Quas-Shin, ETDS 2003): rho* is the largest
-    spectral radius among the cyclic components of its pruned phase
-    graph, each from ``ref_perron`` of the component's 0/1 matrix."""
+def ref_orbit_radii(t, word):
+    """The spectral radius of each cyclic component of the pruned phase
+    graph of the periodic image point of ``word``, from ``ref_perron`` of
+    the component's 0/1 matrix."""
     word = canonical_orbit_word(word)
     cover = _unrolled(t, word, len(word))
     radii = []
@@ -1030,7 +1029,35 @@ def ref_orbit_entropy(t, word):
                 if u in index:
                     a[index[v], index[u]] = 1.0
         radii.append(ref_perron(a)[0])
-    return log(max(radii))
+    return radii
+
+
+def ref_orbit_entropy(t, word):
+    """log rho*, the relative maximal entropy over the periodic image point
+    of ``word`` (Petersen-Quas-Shin, ETDS 2003): rho* is the largest of
+    ``ref_orbit_radii``."""
+    return log(max(ref_orbit_radii(t, word)))
+
+
+def ref_affine_directions(cell, src, dst, n, m):
+    """An orthonormal basis, one row each, of the directions v over the m
+    image words along which the entropy bound's dual is affine on a class
+    component (edge i from class src[i] to dst[i], carrying image word
+    cell[i]): those with v[cell] = phi[dst] - phi[src] + c on every edge
+    for some phi and c. They are the kernel of that linear system over
+    (v, phi, c), restricted to v, read off the SVD of the R factor of the
+    system's QR decomposition, which has the system's singular values and
+    right singular vectors; a second SVD gives a basis of their span."""
+    rows = np.arange(len(cell))
+    system = np.zeros((len(cell), m + n + 1))
+    system[rows, cell] = 1.0
+    np.add.at(system, (rows, m + src), 1.0)
+    np.add.at(system, (rows, m + dst), -1.0)
+    system[:, -1] = -1.0
+    sing, basis = np.linalg.svd(np.linalg.qr(system, mode="r"))[1:]
+    kernel = basis[np.count_nonzero(sing > 1e-9 * sing[0]):, :m]
+    sing, basis = np.linalg.svd(kernel)[1:]
+    return basis[:np.count_nonzero(sing > 1e-9)]
 
 
 def ref_relative_entropy_upper_bound(t, measure, k,

@@ -507,7 +507,7 @@ def test_a_failed_extract_self_check_exits_4(name, broken, message,
 @pytest.mark.parametrize("name, error, message", [
     ("solve", np.linalg.LinAlgError("Singular matrix"),
      "entropy bound solve failed: Singular matrix"),
-    ("qr", MemoryError("Unable to allocate 25.9 GiB"),
+    ("eigh", MemoryError("Unable to allocate 25.9 GiB"),
      "Unable to allocate 25.9 GiB"),
 ])
 def test_bound_linear_algebra_failures_exit_4(name, error, message,
@@ -805,7 +805,7 @@ def test_bound_over_the_word_budget_exits_2_at_once(capsys):
 
 def test_bound_over_the_solve_budget_exits_2(monkeypatch, capsys):
     # 46,368 positive words of length 22 are under the word limit, but
-    # the solve would need at least 46,368 x 46,369 entries: refused
+    # the solve's Hessian would need 46,368 x 46,368 entries: refused
     # before any domain walk is counted or listed
     listed = []
 
@@ -822,6 +822,23 @@ def test_bound_over_the_solve_budget_exits_2(monkeypatch, capsys):
     assert captured.out == ""
     assert "limit of %d" % measures.SOLVE_ENTRY_BUDGET in captured.err
     assert listed == []
+
+
+def test_bound_counts_the_hessian_and_class_matrix_against_the_budget(
+        monkeypatch, capsys):
+    # bound-8-s11 with its Parry measure at k = 3 has 16 image words and
+    # one class component of 32 classes and 128 edges: the solve's
+    # largest matrix is the 32 x 32 class matrix, 1,024 entries
+    argv = ["bound", str(ROOT / "perfbench" / "pool" / "bound-8-s11.triple"),
+            "--measure",
+            str(ROOT / "perfbench" / "pool" / "bound-8-s11_parry.measure"),
+            "--k", "3"]
+    monkeypatch.setattr(measures, "SOLVE_ENTRY_BUDGET", 2000)
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["converged"] is True
+    monkeypatch.setattr(measures, "SOLVE_ENTRY_BUDGET", 1023)
+    assert cli.main(argv) == 2
+    assert "needs a matrix of 1024 entries" in capsys.readouterr().err
 
 
 FULL_SHIFT_4 = """\
@@ -868,7 +885,7 @@ def test_bound_past_the_domain_walk_budget_answers_without_a_block(
         bound.optimizer
     assert calls == [None]
     # the k-block matrix of the optimizer's piece has its own limit: at
-    # k = 3 the solve needs 96 entries, the optimizer 64 x 64
+    # k = 3 the solve needs 4 x 4 entries, the optimizer 64 x 64
     monkeypatch.setattr(measures, "SOLVE_ENTRY_BUDGET", 1000)
     bound = measures.relative_entropy_upper_bound(t, full, 3)
     with pytest.raises(factorcode.PreconditionError, match="64 k-blocks"):

@@ -22,7 +22,9 @@ from conftest import (
     image_measure,
     random_code,
     random_triple,
+    ref_affine_directions,
     ref_orbit_entropy,
+    ref_orbit_radii,
     ref_perron,
     ref_positive_word_measures,
     ref_relative_entropy_upper_bound,
@@ -35,6 +37,7 @@ from factorcode import (
     MeasureParseError,
     PeriodicPoint,
     PreconditionError,
+    build_fiber_graph,
     enumerate_blocks,
     entropy_rate,
     fixtures,
@@ -49,6 +52,7 @@ from factorcode import (
     relative_entropy_upper_bound,
     sofic_image,
     spectral_entropy,
+    transition_classes,
 )
 
 GOLDEN = (1 + sqrt(5)) / 2
@@ -482,14 +486,80 @@ def pool_bound_measures():
     return cases
 
 
-def test_bound_value_matches_independent_objective_evaluation():
-    """The value, solved on the class graph, is the conditional block
-    entropy of the block-level optimizer, evaluated on its own."""
+def fixture_and_pool_measures():
+    """(name, t, measure) for the fixture measure pairs and the pool's
+    bound-* measures."""
     cases = []
     for name, kind in MEASURE_PAIRS:
         t = fixtures.load(name)
         cases.append(("%s_%s" % (name, kind), t, image_measure(t, kind)[1]))
-    cases += pool_bound_measures()
+    return cases + pool_bound_measures()
+
+
+def affine_direction_cases():
+    """(name, t, measure): ``fixture_and_pool_measures``, and for seeded
+    random triples the Parry measure where the presentation is
+    irreducible and the orbit measure of a simple presentation cycle of
+    length at most 3, where there is one."""
+    cases = fixture_and_pool_measures()
+    for seed in range(12):
+        t = random_triple(random.Random(seed))
+        pres = sofic_image(t).triple
+        if pres.x.is_irreducible:
+            cases.append(("s%d_parry" % seed, t, parry_measure(pres.x)))
+        cycle = next((w for n in (3, 2, 1) for w in all_cycle_words(pres.x, n)
+                      if len(set(w)) == n), None)
+        if cycle:
+            cases.append(("s%d_orbit" % seed, t,
+                          orbit_measure(pres.x, PeriodicPoint(cycle))))
+    return cases
+
+
+def test_hessian_null_space_is_where_the_dual_is_affine(monkeypatch):
+    """On an irreducible chain the asymptotic covariance of a functional
+    of the edges vanishes exactly when it is a coboundary plus a
+    constant (Kemeny-Snell, Finite Markov Chains). So the eigenvectors
+    of the Hessian at lam = 0 with near-zero eigenvalues span the
+    directions ``ref_affine_directions`` finds from the edges alone, and
+    the other eigenvalues lie at least six orders of magnitude above
+    them."""
+    splits = []
+    dual_piece, eigh = measures._dual_piece, np.linalg.eigh
+
+    def spy_piece(cell, src, dst, n, nu):
+        splits.append([ref_affine_directions(cell, src, dst, n, len(nu))])
+        return dual_piece(cell, src, dst, n, nu)
+
+    def spy_eigh(a):
+        splits[-1].append(eigh(a))
+        return splits[-1][-1]
+
+    monkeypatch.setattr(measures, "_dual_piece", spy_piece)
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    cases = affine_direction_cases()
+    checked = set()
+    for name, t, measure in cases:
+        for k in (1, 2, 3, 4):
+            splits.clear()
+            relative_entropy_upper_bound(t, measure, k)
+            for flat, (eigenvalues, basis) in splits:
+                r = len(flat)
+                near = basis[:, :r]
+                assert np.abs(near @ near.T - flat.T @ flat).max() <= 1e-8, \
+                    (name, k)
+                assert r == np.count_nonzero(
+                    eigenvalues <= 1e-9 * max(eigenvalues[-1], 1.0))
+                if r < len(eigenvalues):
+                    assert eigenvalues[r] >= 1e6 * np.abs(
+                        eigenvalues[:r]).max(), (name, k)
+                checked.add(name)
+    assert len(checked) == len(cases)
+
+
+def test_bound_value_matches_independent_objective_evaluation():
+    """The value, solved on the class graph, is the conditional block
+    entropy of the block-level optimizer, evaluated on its own."""
+    cases = fixture_and_pool_measures()
     assert len(cases) == 19
     for name, t, measure in cases:
         for k in (1, 2, 3, 4):
@@ -780,6 +850,25 @@ def test_bound_over_an_orbit_is_at_least_the_orbit_entropy():
         frozen[(name, "".join(y))] = [round(v, 6) for v in values]
     assert frozen[("fix_d", "001")] == [0.636514, 0.231049, 0.231049]
     assert frozen[("fix_e", "011")] == [0.550777, 0.0, 0.0]
+
+
+def test_orbits_of_relative_maximal_entropy_are_at_most_the_classes():
+    """The paper's bound over the point mass of a periodic image orbit:
+    each cyclic component of its pruned phase graph whose spectral
+    radius reaches rho* carries its own ergodic measure of relative
+    maximal entropy, and there are never more of them than transition
+    classes over the point."""
+    cases = simple_cycle_orbits()
+    assert len(cases) == 59
+    equal = 0
+    for name, t, pres, cycle, y in cases:
+        radii = ref_orbit_radii(t, y)
+        top = max(radii)
+        attaining = sum(r >= top * (1 - 1e-12) for r in radii)
+        count = transition_classes(build_fiber_graph(t, y)).class_count
+        assert 1 <= attaining <= count, (name, y)
+        equal += attaining == count
+    assert equal == 45
 
 
 def lumping_cases():
