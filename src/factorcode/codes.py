@@ -18,8 +18,9 @@ that table packed into one int (``_packed_rows``), the mask of the k-th
 image symbol at bits k*n to k*n + n - 1 for n domain symbols, so a mask
 steps to every image symbol at once by one OR per member. The subset
 automata are grown breadth first, and only as far as a reader needs: d*
-stops at the depth its shortest one-symbol meet allows, and the sofic
-image grows the forward one in full. The finite-to-one test walks the
+meets their states pairwise, once each, in order of joined length and
+stops at the length of its first one-symbol meet; the sofic image grows
+the forward one in full. The finite-to-one test walks the
 label product as one mask per first coordinate. The sofic image keeps
 its presentation int-indexed; its state names and named triple are
 built on first read. Frozensets are built only by the public functions
@@ -28,7 +29,6 @@ that return them.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -233,25 +233,13 @@ def _subset_automaton(t, forward):
     return _subset_search(t, forward).grow()
 
 
-def _pair_new_states(auto, start, own, other, shortest):
-    """Move the states of ``auto`` from ``start`` on into ``own``, and
-    pair each with the ``other`` states of its label. Both are maps from
-    label to the (mask, depth, state) of the states paired so far, in
-    state order. Returns the least length below ``shortest`` of such a
-    pair that meets in one symbol, or ``shortest``."""
-    masks, depths, labels = auto.masks, auto.depth, auto.labels
-    for i in range(start, len(masks)):
-        mask, depth, c = masks[i], depths[i], labels[i]
-        # depths are non-decreasing, so the first meet is the shortest
-        for omask, odepth, _ in other.get(c, ()):
-            if depth + odepth + 1 >= shortest:
-                break
-            meet = mask & omask
-            if meet and not meet & (meet - 1):
-                shortest = depth + odepth + 1
-                break
-        own.setdefault(c, []).append((mask, depth, i))
-    return shortest
+def _file_levels(auto, levels, start):
+    """File the states of ``auto`` from ``start`` on in ``levels``, a map
+    from (label, depth) to states in state order; return the number of
+    states filed."""
+    for s in range(start, len(auto.masks)):
+        levels.setdefault((auto.labels[s], auto.depth[s]), []).append(s)
+    return len(auto.masks)
 
 
 def d_star(t):
@@ -262,78 +250,66 @@ def d_star(t):
     preimage of another word) over a common image symbol meet in the
     profile of the joined word at the joint; every profile arises this
     way. Both automata keep their states as bitmasks, so each pair costs
-    one ``&`` and one ``int.bit_count()``. The witness is chosen to
-    minimize (value, total length, word), the first such pair in
-    (label, forward state, backward state) order winning exact ties; a
-    witness word is spelled out only for pairs whose (value, length) can
-    tie or beat the best so far.
+    one ``&`` and one ``int.bit_count()``. The witness is the pair of
+    least key (value, length, word, label rank, forward state, backward
+    state), where the length of the joined word is one more than the sum
+    of the two states' depths; the last three fields break exact ties,
+    the first pair in (label, forward state, backward state) order
+    winning. A witness word is spelled out only for pairs whose (value,
+    length) can tie or beat the best so far.
 
-    Both automata are grown breadth first (``_subset_search``), one depth
-    at a time, and only as deep as the answer needs. No meet is below 1,
-    so once some pair meets in one symbol, with length l, only pairs no
-    longer than l can still tie or beat it, and both states of such a pair
-    have depth at most l - 1. So each state new at a depth is paired with
-    the opposite states of its label for a one-symbol meet, each against
-    the states short enough to give a pair below the shortest l so far,
-    and the growth stops once the states up to depth l - 1 are all found
-    and paired; a pair with a deeper state is longer than l. The pairing
-    above then runs over the states found, which are numbered as in the
-    complete automata, from (1, l) as the best (value, length). Where no
-    pair meets in one symbol, d* is at least 2, and both automata are
-    grown in full.
+    One pairing loop meets every pair once, in order of length. A pair of
+    length l joins two states whose depths sum to l - 1, so both automata
+    are grown breadth first (``_subset_search``) to depth l - 1 before the
+    pairs of length l are met, each state filed under its (label, depth).
+    No value is below 1, so once the best value is 1 no longer pair can
+    tie it: the loop stops, and neither automaton has processed a state as
+    deep as the witness word is long. The states found are numbered as in
+    the complete automata. Where the best value stays above 1, both
+    automata are grown in full and every pair is met.
     """
     fwd = _subset_search(t, True)
     bwd = _subset_search(t, False)
-    by_label_f, by_label_b = {}, {}
-    shortest = inf
-    depth = paired_f = paired_b = 0
-    while True:
-        shortest = _pair_new_states(fwd, paired_f, by_label_f, by_label_b,
-                                    shortest)
-        shortest = _pair_new_states(bwd, paired_b, by_label_b, by_label_f,
-                                    shortest)
-        paired_f, paired_b = len(fwd.masks), len(bwd.masks)
-        if shortest <= depth + 1 or (fwd.complete and bwd.complete):
+    fmasks, fdepths = fwd.masks, fwd.depth
+    bmasks, bdepths = bwd.masks, bwd.depth
+    flevels, blevels = {}, {}
+    filed_f = filed_b = 0
+    # the two depth-0 states of any image symbol meet in its preimages, so
+    # the pairs of length 1 replace this key
+    best = (inf, inf)
+    length = 0
+    while best[0] > 1:
+        length += 1
+        fwd.grow(length - 1)
+        bwd.grow(length - 1)
+        if (fwd.complete and bwd.complete
+                and length > fdepths[-1] + bdepths[-1] + 1):
             break
-        depth += 1
-        fwd.grow(depth)
-        bwd.grow(depth)
-    best = None
-    # a pair that meets in one symbol, of length shortest, is among them
-    best_value = 1 if shortest < inf else inf
-    best_length = shortest
-    for c in t.y_alphabet:
-        backward = by_label_b.get(c, [])
-        # breadth-first numbering makes depths non-decreasing
-        bdepths = [bdepth for _, bdepth, _ in backward]
-        for fmask, fdepth, i in by_label_f.get(c, ()):
-            candidates = backward
-            if best_value == 1:
-                # no value is below 1: only words no longer than the best
-                # can still tie it
-                candidates = backward[:bisect_right(
-                    bdepths, best_length - fdepth - 1)]
-            for bmask, bdepth, j in candidates:
-                meet = fmask & bmask
-                if not meet:
-                    continue
-                value = meet.bit_count()
-                length = fdepth + bdepth + 1
-                if (value, length) > (best_value, best_length):
-                    continue
-                fword = fwd.witness(i)
-                fword.reverse()
-                # the backward witness was read right to left; drop the
-                # shared symbol at the joint
-                word = tuple(fword + bwd.witness(j)[1:])
-                key = (value, length, word)
-                if best is None or key < best:
-                    best = key
-                    best_value, best_length = value, length
-                    best_witness = MagicWitness(word, fdepth, value)
-    if best is None:
-        raise EmptyShiftError("image shift is empty")
-    return best_witness
+        filed_f = _file_levels(fwd, flevels, filed_f)
+        filed_b = _file_levels(bwd, blevels, filed_b)
+        for rank, c in enumerate(t.y_alphabet):
+            # depths that some found state has: either automaton may be
+            # complete above depth length - 1, or grown below it by
+            # another reader
+            for fdepth in range(max(0, length - 1 - bdepths[-1]),
+                                min(length, fdepths[-1] + 1)):
+                bstates = blevels.get((c, length - 1 - fdepth), ())
+                for i in flevels.get((c, fdepth), ()):
+                    for j in bstates:
+                        meet = fmasks[i] & bmasks[j]
+                        if not meet:
+                            continue
+                        value = meet.bit_count()
+                        if (value, length) > best[:2]:
+                            continue
+                        fword = fwd.witness(i)
+                        fword.reverse()
+                        # the backward witness was read right to left;
+                        # drop the shared symbol at the joint
+                        word = tuple(fword + bwd.witness(j)[1:])
+                        best = min(best, (value, length, word, rank, i, j))
+    value, _, word, _, i, _ = best
+    return MagicWitness(word, fdepths[i], value)
 
 
 def _diagonal_reach(t, forward):

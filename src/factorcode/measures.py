@@ -92,7 +92,9 @@ def markov_measure(base, kernel):
     positive ones must sit on transitions of the base shift. The positive
     part of the kernel must have a unique closed communicating class, so
     the stationary measure is unique and ergodic; otherwise
-    PreconditionError is raised.
+    PreconditionError is raised. A linear algebra failure in the
+    stationary solve is raised as RuntimeError, an internal error, since
+    numpy's LinAlgError is a ValueError.
     """
     import numpy as np
 
@@ -146,7 +148,11 @@ def markov_measure(base, kernel):
     system = np.vstack([matrix.T - np.eye(n), np.ones((1, n))])
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
-    pi = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    try:
+        pi = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("stationary measure solve failed: %s"
+                           % exc) from exc
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
     stationary = {s: 0.0 for s in base.symbols}
@@ -263,7 +269,8 @@ def spectral_entropy(base):
 def _perron_pair(base):
     """The Perron root and right Perron vector of the 0/1 transition
     matrix of an irreducible SFT, in symbol order, by ``_gibbs_chain``'s
-    iteration from the all-ones vector."""
+    iteration from the all-ones vector. A linear algebra failure is
+    raised as RuntimeError, as in ``markov_measure``."""
     import numpy as np
 
     if not base.is_irreducible:
@@ -271,8 +278,11 @@ def _perron_pair(base):
     index = {s: i for i, s in enumerate(base.symbols)}
     src, dst = np.array([[index[s], index[t]]
                          for s, t in base.transitions]).T
-    rho, _, right = _gibbs_chain(np.ones(len(src)), src, dst,
-                                 np.ones(len(index)))
+    try:
+        rho, _, right = _gibbs_chain(np.ones(len(src)), src, dst,
+                                     np.ones(len(index)))
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("Perron iteration failed: %s" % exc) from exc
     return float(rho), right, index
 
 

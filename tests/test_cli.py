@@ -18,8 +18,9 @@ import pytest
 import factorcode
 from conftest import (PLUS_TRIPLE, closed_class_measure, image_measure,
                       measure_text, random_code)
-from factorcode import (classdegree, cli, codes, fiber, fixtures, graphs,
-                        measures, parse_triple, sofic_image, triple_to_text)
+from factorcode import (classdegree, cli, codes, core, fiber, fixtures,
+                        graphs, measures, parse_triple, sofic_image,
+                        triple_to_text)
 
 FIXDIR = Path(factorcode.__file__).parent / "fixtures"
 ROOT = Path(__file__).resolve().parents[1]
@@ -193,6 +194,19 @@ def test_extract_depth_equals_class_count():
     assert result["depth"] == result["class_count"] == 3
     assert result["n2"] == 1 and result["n3"] == 2 and result["n4"] == 4
     assert result["radius"] == 0
+
+
+def test_recode_past_the_block_walk_budget_exits_2(capsys):
+    """fix_a's 22-blocks take 121,388 walks of its domain, past
+    ``BLOCK_WALK_BUDGET``; the recoding is refused before any is listed,
+    naming the limit, and its 21-blocks are within it."""
+    assert cli.main(["recode", fixture_path("fix_a"), "--n", "22"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the domain blocks of length 22 take more than %d walks of "
+        "the domain, the limit\n" % core.BLOCK_WALK_BUDGET)
+    assert len(core.enumerate_blocks(fixtures.load("fix_a").x, 21)) == 28657
 
 
 def test_recode_round_trips_through_the_parser(tmp_path):
@@ -520,6 +534,33 @@ def test_bound_linear_algebra_failures_exit_4(name, error, message,
     monkeypatch.setattr(np.linalg, name, broken)
     argv = ["bound", fixture_path("fix_c"), "--measure",
             fixture_path("fix_c_point", ".measure"), "--k", "1"]
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: %s\n" % message
+
+
+@pytest.mark.parametrize("argv, name, message", [
+    (["bound", fixture_path("fix_c"), "--measure",
+      fixture_path("fix_c_point", ".measure"), "--k", "1"], "lstsq",
+     "stationary measure solve failed: SVD did not converge"),
+    (["classdegree", fixture_path("fix_a"), "--measure",
+      fixture_path("fix_a_parry", ".measure")], "lstsq",
+     "stationary measure solve failed: SVD did not converge"),
+    (["entropy", fixture_path("fix_a")], "solve",
+     "Perron iteration failed: Singular matrix"),
+    (["entropy", fixture_path("fix_a"), "--parry"], "solve",
+     "Perron iteration failed: Singular matrix"),
+], ids=["bound", "classdegree", "entropy", "entropy-parry"])
+def test_measure_and_perron_linear_algebra_failures_exit_4(
+        argv, name, message, monkeypatch, capsys):
+    """The stationary solve of a Markov measure and the Perron iteration
+    of ``entropy`` fail as internal errors, not as bad input: numpy's
+    LinAlgError is a ValueError."""
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError(message.rpartition(": ")[2])
+
+    monkeypatch.setattr(np.linalg, name, broken)
     assert cli.main(argv) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
