@@ -4,10 +4,12 @@ A transition block for an image word w is an interior index n together
 with a set m of preimage symbols such that every preimage path of w can be
 rerouted, keeping its endpoints and labels, through some symbol of m at
 coordinate n. The depth of the block is |m|. The class degree of the code
-is the minimal depth over all image words; it also equals the minimal
-number of fiber transition classes over periodic image points, which is
-what the certification step checks, and extraction builds a block that
-deep out of the class data ``fiber`` reads off one point's phase graph.
+is the minimal depth over all image words. The number of fiber transition
+classes over a point is an upper bound on it, equal to it over doubly
+transitive points, which a periodic point is not: the certification step
+compares the two upper bounds at one periodic image point, and extraction
+builds a block as deep as the class count out of the class data
+``fiber`` reads off one point's phase graph.
 
 Route sets are computed per endpoint pair: the reroutes of a preimage U at
 index n depend only on (U_0, U_end), namely the exact-length forward set
@@ -304,11 +306,12 @@ def minimal_depth_at(t, word, below=None, routes=None):
 class DepthSearchResult:
     """Outcome of the class degree search.
 
-    ``value`` is the smallest depth found up to the horizon; when
-    ``certified`` is true a periodic image point with exactly ``value``
-    transition classes was exhibited (the ``certificate``), which pins the
-    class degree to ``value`` exactly. An uncertified value is still a
-    valid upper bound.
+    ``value`` is the smallest depth found up to the horizon, an upper
+    bound on the class degree. ``certified`` is true when a periodic image
+    point with exactly ``value`` transition classes was exhibited (the
+    ``certificate``). A certified 1 is the class degree; a certified value
+    above 1 means only that two upper bounds agree at one periodic point
+    (fix_e is certified 2, and its class degree is 1).
     """
 
     value: int
@@ -462,11 +465,12 @@ def find_minimal_transition_block(t, horizon=8):
 
     The search enumerates image words by length then lexicographic order,
     seeded with a block padded out of a magic word so the class degree of
-    a finite-to-one code is always reached and certified. After every
-    length pass the best candidate is closed into a periodic image point;
-    when the number of transition classes over that point equals the
-    candidate depth the result is exact (certified). An uncertified result
-    is an upper bound for the class degree.
+    a finite-to-one code is always reached. After every length pass the
+    best candidate is closed into a periodic image point; the result is
+    certified when the number of transition classes over that point
+    equals the candidate depth. Every result is an upper bound for the
+    class degree; a certified one is exact only when it is 1, and above 1
+    means that two upper bounds agree at one periodic point.
     """
     if horizon < 3:
         raise ValueError("horizon must be >= 3")
@@ -483,9 +487,9 @@ def find_minimal_transition_block(t, horizon=8):
 
 def class_count_for_measure(t, measure, horizon=8):
     """Minimal transition class count over points generic for a Markov
-    measure on the image presentation: the depth search restricted to
-    measure-positive image words, certified over measure-generic periodic
-    points whenever a closure succeeds."""
+    measure on the image presentation, bounded above by the depth search
+    restricted to measure-positive image words; certified as in
+    ``find_minimal_transition_block``, over measure-generic points."""
     if horizon < 3:
         raise ValueError("horizon must be >= 3")
     support = _measure_support(t, measure)

@@ -12,31 +12,31 @@ Sets of domain symbols are int bitmasks inside this package, bit i
 standing for ``t.x.symbols[i]``. The labelled step ``step`` maps a mask to
 a mask through one table per triple and direction (``_label_masks``), the
 package's one labelled-neighbour table: the route sweeps of the class
-degree search, ``image_blocks``, the phase graphs and the measure pushes
-read it. The subset automata and the finite-to-one test read each row of
-that table packed into one int (``_packed_rows``), the mask of the k-th
-image symbol at bits k*n to k*n + n - 1 for n domain symbols, so a mask
-steps to every image symbol at once by one OR per member. The subset
-automata are grown breadth first, and only as far as a reader needs: d*
-meets their states pairwise, once each, in order of joined length and
-stops at the length of its first one-symbol meet; the sofic image grows
-the forward one in full. The finite-to-one test walks the
-label product as one mask per first coordinate. The sofic image keeps
-its presentation int-indexed; its state names and named triple are
-built on first read. Frozensets are built only by the public functions
-that return them.
+degree search, the phase graphs and the measure pushes read it. The
+subset automata and the finite-to-one test read each row of that table
+packed into one int (``_packed_rows``), the mask of the k-th image
+symbol at bits k*n to k*n + n - 1 for n domain symbols, so a mask steps
+to every image symbol at once by one OR per member. The subset automata
+are grown breadth first, and only as far as a reader needs: d* meets
+their states pairwise, once each, in order of joined length and stops at
+the length of its first one-symbol meet; ``image_blocks`` lists the
+words of length n as the walks of n - 1 edges of the forward one, grown
+to depth n - 1; the sofic image grows it in full. The finite-to-one test
+walks the label product as one mask per first coordinate. The sofic
+image keeps its presentation int-indexed; its state names and named
+triple are built on first read. Frozensets are built only by the public
+functions that return them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from math import inf
 
 from . import graphs
 from .core import (EmptyShiftError, FactorTriple, PeriodicPoint,
-                   PreconditionError, Sft, canonical_orbit_word,
+                   PreconditionError, Sft, _walks, canonical_orbit_word,
                    per_triple)
 
 
@@ -466,34 +466,19 @@ def image_irreducible(t):
     return t.x.is_irreducible or sofic_image(t).irreducible
 
 
-# Most image words of one length that ``image_blocks`` lists. The class
-# degree search walks every length up to its horizon; the searches of the
-# benchmark pools list 256 words of one length at most, and a code with
-# two image symbols and no forbidden word passes the limit at length 16.
-IMAGE_WORD_BUDGET = 50_000
-
-
 def image_blocks(t, n):
     """All n-blocks of the image shift, lexicographic in the image
-    alphabet order; enumerated directly on X via nonempty forward sets.
-    PreconditionError once some length up to n has more than
-    ``IMAGE_WORD_BUDGET`` words, after listing one word past the budget."""
+    alphabet order: the label words of the walks of n - 1 edges out of the
+    start states of the forward subset automaton, which is deterministic
+    and lists successors in image alphabet order. PreconditionError,
+    before any is listed, past ``WALK_BUDGET`` walks of the automaton."""
     if n < 1:
         raise ValueError("block length must be >= 1")
-    table = _label_masks(t, True)
-    # (word, its last forward set), level by level in lexicographic order
-    blocks = [((c,), mask) for c, mask in _bits(t)[1].items()]
-    for length in range(2, n + 1):
-        # lazily, so that a level past the budget is never built whole
-        blocks = list(islice(((word + (c,), nxt) for word, mask in blocks
-                              for c in t.y_alphabet
-                              if (nxt := step(table, mask, c))),
-                             IMAGE_WORD_BUDGET + 1))
-        if len(blocks) > IMAGE_WORD_BUDGET:
-            raise PreconditionError(
-                "the image has more than %d words of length %d, the "
-                "limit of one length" % (IMAGE_WORD_BUDGET, length))
-    return [word for word, _ in blocks]
+    auto = _subset_search(t, True).grow(n - 1)
+    levels = _walks(auto.succ, range(len(t.y_alphabet)), n - 1,
+                    "the image words of length %d" % n,
+                    "the subset automaton")
+    return [tuple(map(auto.labels.__getitem__, walk)) for walk in levels[-1]]
 
 
 def degree_witness(t, strict=False):
@@ -521,32 +506,21 @@ def degree(t, strict=False):
     return degree_witness(t, strict).value
 
 
-# Most walks of the presentation that ``periodic_image_points`` may list;
-# their number grows exponentially with the period. The fixtures need
-# 592 at most, at period 8, and the fiber inputs of the benchmark pools,
-# listed at period 8, 39,953.
-PERIODIC_WALK_BUDGET = 200_000
-
-
 def periodic_image_points(t, max_period):
     """Orbit representatives of image points with period <= max_period.
 
-    Reads the cycles of the presentation graph off ``graphs.walks`` and
+    Reads the cycles of the presentation graph off its walks and
     canonicalizes their label words (primitive root, least rotation).
     Sorted by (period, word). PreconditionError, before any is listed,
-    when that takes more than ``PERIODIC_WALK_BUDGET`` walks of the
-    presentation.
+    past ``WALK_BUDGET`` walks of the presentation.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     image = sofic_image(t)
     succ = image.successors
-    levels = graphs.walks(succ, succ, max_period - 1, PERIODIC_WALK_BUDGET)
-    if levels is None:
-        raise PreconditionError(
-            "the periodic points of period up to %d take more than %d "
-            "walks of the presentation, the limit"
-            % (max_period, PERIODIC_WALK_BUDGET))
+    levels = _walks(succ, succ, max_period - 1,
+                    "the periodic points of period up to %d" % max_period,
+                    "the presentation")
     label = image.labels
     yorder = {c: i for i, c in enumerate(t.y_alphabet)}
     seen = {canonical_orbit_word(tuple(map(label.__getitem__, walk)))

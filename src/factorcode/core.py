@@ -372,31 +372,36 @@ def triple_to_text(t):
     return "\n".join(lines) + "\n"
 
 
-# Most walks of the domain that ``enumerate_blocks``, and so
-# ``higher_block`` and ``recode``, may list; their number grows
-# exponentially with the block length. The tests recode with windows up to
-# 3 and list 154 walks at most (fix_d's 5-blocks); the README names no
-# window. fix_a's 22-blocks, 121,388 walks, are refused; on a 2 vCPU
-# shared host its recoding at n = 22 took 0.8 s and 104 MB peak RSS, and
-# at n = 24 2.4 s and 239 MB.
-BLOCK_WALK_BUDGET = 100_000
+# Most walks that one listing of ``_walks`` may take; their number grows
+# exponentially with the length listed. Making the benchmark pools takes
+# 39,953 at most (the periodic points of a fiber input, to period 8).
+# fix_a's 22-blocks, or its image words of length 22, take 121,388; on a
+# 2 vCPU shared host its recoding at n = 24 took 2.4 s and 239 MB.
+WALK_BUDGET = 100_000
+
+
+def _walks(adj, starts, max_edges, what, graph):
+    """``graphs.walks(adj, starts, max_edges, WALK_BUDGET)``, the one
+    listing of walks in the package. Before any walk is listed,
+    PreconditionError "<what> take more than N walks of <graph>, the
+    limit" when the walks of 1 to ``max_edges`` edges number more than
+    N = ``WALK_BUDGET``."""
+    levels = graphs.walks(adj, starts, max_edges, WALK_BUDGET)
+    if levels is None:
+        raise PreconditionError("%s take more than %d walks of %s, the limit"
+                                % (what, WALK_BUDGET, graph))
+    return levels
 
 
 def enumerate_blocks(x, n):
     """All n-blocks of an essential SFT, as symbol tuples, lexicographic in
-    domain-symbol order: the walks of n - 1 edges that ``graphs.walks``
-    lists out of the symbols, whose successors come in symbol order.
-    PreconditionError, before any is listed, when that takes more than
-    ``BLOCK_WALK_BUDGET`` walks of the domain."""
+    domain-symbol order: the walks of n - 1 edges out of the symbols,
+    whose successors come in symbol order. PreconditionError, before any
+    is listed, past ``WALK_BUDGET`` walks of the domain."""
     if n < 1:
         raise ValueError("block length must be >= 1")
-    levels = graphs.walks(x.successor_map, x.symbols, n - 1,
-                          BLOCK_WALK_BUDGET)
-    if levels is None:
-        raise PreconditionError(
-            "the domain blocks of length %d take more than %d walks of the "
-            "domain, the limit" % (n, BLOCK_WALK_BUDGET))
-    return levels[-1]
+    return _walks(x.successor_map, x.symbols, n - 1,
+                  "the domain blocks of length %d" % n, "the domain")[-1]
 
 
 @dataclass

@@ -43,7 +43,8 @@ from math import inf, lcm
 from operator import or_
 
 from . import graphs
-from .core import PeriodicPoint, PreconditionError, per_triple, primitive_root
+from .core import (PeriodicPoint, PreconditionError, _walks, per_triple,
+                   primitive_root)
 from .codes import _bits, _check_image_word, _label_masks, _symbols
 
 
@@ -328,20 +329,13 @@ def transition_classes(g):
         class_match={pair(v): names[j] for v, j in class_match.items()})
 
 
-# Most walks of the pruned phase graph that ``enumerate_periodic_preimages``
-# may list; their number grows exponentially with the period. The
-# fixtures need 508 at most, over their points of period up to 8 listed
-# to period 8.
-PREIMAGE_WALK_BUDGET = 50_000
-
-
 def enumerate_periodic_preimages(t, y, max_period):
     """Periodic preimages of y with period at most max_period, as points.
 
     Each result is phase aligned with y (coordinate 0 maps to y_0); both
     members of a rotation pair are reported when they are distinct points.
-    PreconditionError, before any is listed, when that takes more than
-    ``PREIMAGE_WALK_BUDGET`` walks of the pruned phase graph.
+    PreconditionError, before any is listed, past ``WALK_BUDGET`` walks of
+    the pruned phase graph.
     """
     g = build_fiber_graph(t, y)
     if max_period < g.period:
@@ -353,12 +347,9 @@ def enumerate_periodic_preimages(t, y, max_period):
     # the phase-0 vertices, in symbol order, are their own symbol
     # indices; words are tuples of symbol indices until they are sorted
     starts = [v for v in adj if v < n]
-    levels = graphs.walks(adj, starts, max_period - 1, PREIMAGE_WALK_BUDGET)
-    if levels is None:
-        raise PreconditionError(
-            "the periodic preimages of period up to %d take more than %d "
-            "walks of the phase graph, the limit"
-            % (max_period, PREIMAGE_WALK_BUDGET))
+    levels = _walks(adj, starts, max_period - 1,
+                    "the periodic preimages of period up to %d" % max_period,
+                    "the phase graph")
     words = (tuple(v % n for v in w) for level in levels for w in level
              if w[0] in adj[w[-1]])
     found = {w for w in words if primitive_root(w) == w}
@@ -389,31 +380,22 @@ def _window_graph(t, y, interval):
     return build_fiber_graph(t, y)
 
 
-# Most walks of a phase graph that the listing of a window's blocks may
-# try; their number grows exponentially with the width of the window.
-# The sync ops of the benchmark pools try 1,364 at most, and a window of
-# 1,501 coordinates with one block tries 1,500.
-WINDOW_WALK_BUDGET = 100_000
-
-
 def _window_paths(g, adjacency, interval, keep_start=None, keep_end=None):
     """Symbol blocks of the paths across the window in ``adjacency`` whose
     start passes ``keep_start`` and whose end passes ``keep_end`` (None
-    keeps every vertex), in symbol order: the last level of the walks
-    ``graphs.walks`` lists out of the starts, which ascend, as does each
-    adjacency list, so a path's vertices and its block sort alike; a
-    block fixes its path. PreconditionError, before any is listed, when
-    that takes more than ``WINDOW_WALK_BUDGET`` walks of ``adjacency``."""
+    keeps every vertex), in symbol order: the last level of the walks out
+    of the starts, which ascend, as does each adjacency list, so a path's
+    vertices and its block sort alike; a block fixes its path.
+    PreconditionError, before any is listed, past ``WALK_BUDGET`` walks
+    of ``adjacency``."""
     m, n = interval
     symbols = g.triple.x.symbols
     size = len(symbols)
     starts = [v for v in adjacency if v // size == m % g.period
               and (keep_start is None or keep_start(v))]
-    levels = graphs.walks(adjacency, starts, n - m, WINDOW_WALK_BUDGET)
-    if levels is None:
-        raise PreconditionError(
-            "the blocks of the window %d..%d take more than %d walks of "
-            "the phase graph, the limit" % (m, n, WINDOW_WALK_BUDGET))
+    levels = _walks(adjacency, starts, n - m,
+                    "the blocks of the window %d..%d" % (m, n),
+                    "the phase graph")
     # vertex k * size + i names symbol i at every phase k
     names = symbols * g.period
     return [tuple(map(names.__getitem__, path)) for path in levels[-1]

@@ -21,7 +21,7 @@ from math import isfinite, log
 
 from . import graphs
 from .core import (MeasureParseError, PeriodicPoint, PreconditionError,
-                   primitive_root, sub_triple)
+                   _walks, primitive_root, sub_triple)
 from .codes import (_bit_indices, _bits, _check_image_word, _label_masks,
                     image_blocks, sofic_image, step)
 
@@ -40,11 +40,6 @@ _PERRON_STEPS = 1000
 # k-block matrix its optimizer builds when read. The benchmark pools need
 # 16 x 16, 32 x 32 and 130 x 130 at most.
 SOLVE_ENTRY_BUDGET = 4_000_000
-# Most walks of the domain, of 1 to k steps, that reading the optimizer of
-# the entropy bound at k may take to list its (k+1)-blocks; the solve
-# lists none. The benchmark pools need 695 at most (533 blocks of length
-# 4), and the full shift on four symbols passes the limit at k = 8.
-DOMAIN_WALK_BUDGET = 100_000
 _ROW_INVARIANT = 1e-12
 _FLOW_INVARIANT = 1e-10
 
@@ -421,9 +416,10 @@ class RelativeEntropyBound:
     (k+1)-blocks over the reported component kept by pruning, symbol
     tuples, lexicographic in domain-symbol order, to the weights of the
     Gibbs chain of that iterate on the first closed piece of their block
-    graph, 0 off it. The read raises PreconditionError past
-    DOMAIN_WALK_BUDGET walks, before listing a block, and past
-    SOLVE_ENTRY_BUDGET entries of the k-block matrix, before building it."""
+    graph, 0 off it. The read raises PreconditionError past WALK_BUDGET
+    walks of the domain, before listing a block (the benchmark pools take
+    695 at most), and past SOLVE_ENTRY_BUDGET entries of the k-block
+    matrix, before building it."""
 
     k: int
     value: float
@@ -728,13 +724,9 @@ def relative_entropy_upper_bound(t, measure, k):
         chain at ``lam`` on the first closed piece of their block graph:
         it meets every class, and its right Perron vector is the
         component's, read per class."""
-        levels = graphs.walks(t.x.successor_map, t.x.symbols, k,
-                              DOMAIN_WALK_BUDGET)
-        if levels is None:
-            raise PreconditionError(
-                "the optimizer's domain blocks of length %d take more than "
-                "%d walks of the domain, the limit DOMAIN_WALK_BUDGET"
-                % (k + 1, DOMAIN_WALK_BUDGET))
+        levels = _walks(t.x.successor_map, t.x.symbols, k,
+                        "the optimizer's domain blocks of length %d" % (k + 1),
+                        "the domain")
         over = {U: (U[:-1], U[1:]) for U in levels[-1]
                 if (t.label_word(U), U[-2], U[-1]) in over_edges}
         kept = _prune_support(over)

@@ -198,14 +198,14 @@ def test_extract_depth_equals_class_count():
 
 def test_recode_past_the_block_walk_budget_exits_2(capsys):
     """fix_a's 22-blocks take 121,388 walks of its domain, past
-    ``BLOCK_WALK_BUDGET``; the recoding is refused before any is listed,
+    ``WALK_BUDGET``; the recoding is refused before any is listed,
     naming the limit, and its 21-blocks are within it."""
     assert cli.main(["recode", fixture_path("fix_a"), "--n", "22"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "error: the domain blocks of length 22 take more than %d walks of "
-        "the domain, the limit\n" % core.BLOCK_WALK_BUDGET)
+        "the domain, the limit\n" % core.WALK_BUDGET)
     assert len(core.enumerate_blocks(fixtures.load("fix_a").x, 21)) == 28657
 
 
@@ -377,7 +377,7 @@ def test_timing_flag_adds_elapsed_ms():
     assert "elapsed_ms" not in without
 
 
-@pytest.mark.parametrize("argv, automata", [
+@pytest.mark.parametrize("argv, directions", [
     (["bound", fixture_path("fix_a"), "--measure",
       fixture_path("fix_a_parry", ".measure"), "--k", "1"], 1),
     (["classdegree", fixture_path("fix_a"), "--measure",
@@ -385,19 +385,21 @@ def test_timing_flag_adds_elapsed_ms():
     (["classdegree", "RANDOM", "--horizon", "5"], 2),
 ])
 def test_one_image_and_one_automaton_per_direction_per_command(
-        argv, automata, monkeypatch, tmp_path, capsys):
+        argv, directions, monkeypatch, tmp_path, capsys):
     """Derived objects are built once per triple: one sofic image per
-    command, one subset automaton per direction the command needs
-    (forward for the image; d* in classdegree adds the backward one), and
-    at most one mask table per triple and direction. ``classdegree
-    --measure`` steps the measure's support as well as the triple, so the
-    tables are counted per triple."""
+    command, at most one subset automaton per triple and direction, in the
+    directions the command needs (forward for the image and its words; d*
+    in classdegree adds the backward one), and at most one mask table per
+    triple and direction. ``bound`` and ``classdegree --measure`` list
+    the words of the measure's support as well as stepping the triple, so
+    automata and tables are counted per triple."""
     if "RANDOM" in argv:
         path = tmp_path / "random.triple"
         path.write_text(triple_to_text(
             random_code(random.Random(3), 12, reducible=False)))
         argv = [str(path) if a == "RANDOM" else a for a in argv]
     built = Counter()
+    automata = {}
 
     def counting(kind, cls):
         def build(*args):
@@ -405,10 +407,15 @@ def test_one_image_and_one_automaton_per_direction_per_command(
             return cls(*args)
         return build
 
+    def automaton(t, forward):
+        # holding t keeps its id unique meanwhile
+        automata.setdefault((id(t), forward), []).append(t)
+        return real_automaton(t, forward)
+
+    real_automaton = codes._SubsetAutomaton
     monkeypatch.setattr(codes, "SoficImage",
                         counting("image", codes.SoficImage))
-    monkeypatch.setattr(codes, "_SubsetAutomaton",
-                        counting("automaton", codes._SubsetAutomaton))
+    monkeypatch.setattr(codes, "_SubsetAutomaton", automaton)
     tables = {}
     mask_table = codes._label_masks
 
@@ -421,7 +428,9 @@ def test_one_image_and_one_automaton_per_direction_per_command(
     monkeypatch.setattr(codes, "_label_masks", watched)
     assert cli.main(argv) in (0, 3)
     capsys.readouterr()
-    assert built == {"image": 1, "automaton": automata}
+    assert built == {"image": 1}
+    assert all(len(ts) == 1 for ts in automata.values())
+    assert len({forward for _, forward in automata}) == directions
     assert tables and all(len(ids) == 1 for ids in tables.values())
 
 
@@ -458,7 +467,7 @@ def test_sync_over_the_walk_budget_exits_2_at_once(name, stop, capsys):
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
         "error: the blocks of the window 0..%d take more than %d walks of "
-        "the phase graph, the limit\n" % (stop, fiber.WINDOW_WALK_BUDGET))
+        "the phase graph, the limit\n" % (stop, core.WALK_BUDGET))
 
 
 def test_sync_walks_a_wide_window(capsys):
@@ -818,46 +827,50 @@ def twin_full_shift(k):
 
 def test_classdegree_over_the_word_budget_exits_2_at_once(tmp_path,
                                                           capsys):
-    # 64,000 image words of length 3: refused once the listing passes
-    # the budget, whatever the horizon
+    # 125,000 image words of length 3, which take 2,500 + 125,000
+    # walks of the subset automaton: refused once the count passes the
+    # budget, before any word of length 3 is listed, whatever the horizon
     path = tmp_path / "twin.triple"
-    path.write_text(twin_full_shift(40))
+    path.write_text(twin_full_shift(50))
     start = time.perf_counter()
     assert cli.main(["classdegree", str(path), "--horizon", "30"]) == 2
     assert time.perf_counter() - start < 2.0
-    err = capsys.readouterr().err
-    assert "more than %d words of length 3" % codes.IMAGE_WORD_BUDGET \
-        in err
+    assert capsys.readouterr().err == (
+        "error: the image words of length 3 take more than %d walks of the "
+        "subset automaton, the limit\n" % core.WALK_BUDGET)
 
 
 def test_bound_over_the_word_budget_exits_2_at_once(capsys):
     # the measure-positive words are the image blocks of the measure's
-    # support, listed under the same limit of one length; fix_a's Parry
-    # measure passes it at length 23
+    # support, listed under the same walk limit; fix_a's Parry measure
+    # passes it at length 22 (121,388 walks)
     argv = ["bound", fixture_path("fix_a"), "--measure",
             fixture_path("fix_a_parry", ".measure"), "--k", "40"]
     start = time.perf_counter()
     assert cli.main(argv) == 2
     assert time.perf_counter() - start < 5.0
-    err = capsys.readouterr().err
-    assert "more than %d words of length 23" % codes.IMAGE_WORD_BUDGET \
-        in err
+    assert capsys.readouterr().err == (
+        "error: the image words of length 41 take more than %d walks of the "
+        "subset automaton, the limit\n" % core.WALK_BUDGET)
+    argv[-1] = "21"
+    assert cli.main(argv) == 2
+    assert "length 22 take more than" in capsys.readouterr().err
 
 
 def test_bound_over_the_solve_budget_exits_2(monkeypatch, capsys):
-    # 46,368 positive words of length 22 are under the word limit, but
-    # the solve's Hessian would need 46,368 x 46,368 entries: refused
-    # before any domain walk is counted or listed
+    # 28,657 positive words of length 21 take 75,020 walks, under the
+    # walk limit, but the solve's Hessian would need 28,657 x 28,657
+    # entries: refused before any domain walk is counted or listed
     listed = []
 
     def spy(*args):
         listed.append(args)
         return real_walks(*args)
 
-    real_walks = graphs.walks
-    monkeypatch.setattr(graphs, "walks", spy)
+    real_walks = measures._walks
+    monkeypatch.setattr(measures, "_walks", spy)
     argv = ["bound", fixture_path("fix_a"), "--measure",
-            fixture_path("fix_a_parry", ".measure"), "--k", "21"]
+            fixture_path("fix_a_parry", ".measure"), "--k", "20"]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -898,9 +911,13 @@ def test_bound_past_the_domain_walk_budget_answers_without_a_block(
     # optimizer needs the blocks, and that is refused before any is listed
     calls = []
 
-    def spy(*args):
-        calls.append(real_walks(*args))
-        return calls[-1]
+    def spy(adj, starts, *args):
+        # only the walks of the domain, out of its symbols: the image
+        # words are walks of the subset automaton, out of its states
+        levels = real_walks(adj, starts, *args)
+        if tuple(starts) == tuple("abcd"):
+            calls.append(levels)
+        return levels
 
     real_walks = graphs.walks
     monkeypatch.setattr(graphs, "walks", spy)
@@ -922,7 +939,8 @@ def test_bound_past_the_domain_walk_budget_answers_without_a_block(
     full = measures.parse_measure(measure.read_text(), pres.x)
     bound = measures.relative_entropy_upper_bound(t, full, 10)
     with pytest.raises(factorcode.PreconditionError,
-                       match="DOMAIN_WALK_BUDGET"):
+                       match="domain blocks of length 11 take more than %d "
+                       "walks of the domain, the limit" % core.WALK_BUDGET):
         bound.optimizer
     assert calls == [None]
     # the k-block matrix of the optimizer's piece has its own limit: at

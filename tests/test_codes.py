@@ -2,6 +2,7 @@
 
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from conftest import (
     preimage_blocks,
     preimage_profile,
     preimage_profiles,
+    random_code,
     random_triple,
     ref_pair_graph,
 )
@@ -38,9 +40,10 @@ from factorcode import (
     periodic_image_points,
     sofic_image,
 )
-from factorcode import graphs
-from factorcode.codes import IMAGE_WORD_BUDGET
+from factorcode import core, graphs, measures
 from factorcode.core import FactorTriple
+
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool"
 
 
 D_STAR_EXPECTED = {
@@ -300,50 +303,87 @@ def test_presentation_language_equals_image_language():
             assert presented == brute_image_words(t, n)
 
 
+def assert_image_blocks_are_the_image_words(t, lengths):
+    yorder = {c: i for i, c in enumerate(t.y_alphabet)}
+    for n in lengths:
+        got = image_blocks(t, n)
+        assert set(got) == brute_image_words(t, n)
+        assert got == sorted(got, key=lambda w: tuple(yorder[c] for c in w))
+
+
 def test_image_blocks_sorted_in_image_alphabet_order():
     for name in FIXTURE_NAMES:
-        t = fixtures.load(name)
-        yorder = {c: i for i, c in enumerate(t.y_alphabet)}
-        for n in (1, 2, 3, 4):
-            got = image_blocks(t, n)
-            assert set(got) == brute_image_words(t, n)
-            assert got == sorted(
-                got, key=lambda w: tuple(yorder[c] for c in w))
+        assert_image_blocks_are_the_image_words(fixtures.load(name),
+                                                (1, 2, 3, 4))
     with pytest.raises(ValueError):
         image_blocks(fixtures.load("fix_a"), 0)
 
 
+def test_image_blocks_are_the_image_words_on_random_codes():
+    """The walks of the subset automaton spell every image word once, in
+    order, on irreducible and on non-essential domains alike."""
+    rng = random.Random(30)
+    triples = [random_triple(rng) for _ in range(20)]
+    triples += [random_code(rng, rng.randint(2, 5), i % 2 == 0)
+                for i in range(20)]
+    assert any(not t.x.is_essential for t in triples)
+    for t in triples:
+        assert_image_blocks_are_the_image_words(t, range(1, 7))
+
+
+def test_image_blocks_are_the_image_words_on_the_pool_measure_supports():
+    """The measure-positive words that the class degree search and the
+    entropy bound read are the image blocks of each support."""
+    supports = 0
+    for path in sorted(POOL.glob("*.measure")):
+        t = parse_triple((POOL / (path.stem.rpartition("_")[0]
+                                  + ".triple")).read_text())
+        measure = measures.parse_measure(path.read_text(),
+                                         sofic_image(t).triple.x)
+        support = measures._measure_support(t, measure)
+        assert_image_blocks_are_the_image_words(support, range(1, 7))
+        supports += 1
+    assert supports == 26
+
+
 def test_image_blocks_refuse_a_length_over_the_word_budget():
-    # the golden mean shift has 46,368 words of length 22 and 75,025 of
-    # length 23
+    # the golden mean shift has 28,657 words of length 21 and 46,368 of
+    # length 22: the words of length 2 to 22 are 121,388 walks of the
+    # subset automaton, those of length 2 to 21 75,020
     t = fixtures.load("fix_a")
     with pytest.raises(PreconditionError) as info:
         image_blocks(t, 40)
-    assert "more than %d words of length 23" % IMAGE_WORD_BUDGET \
-        in str(info.value)
-    assert "limit" in str(info.value)
+    assert str(info.value) == (
+        "the image words of length 40 take more than %d walks of the "
+        "subset automaton, the limit" % core.WALK_BUDGET)
+    assert len(image_blocks(t, 21)) == 28657
+    with pytest.raises(PreconditionError, match="length 22 take more"):
+        image_blocks(t, 22)
 
 
 def test_image_blocks_stop_listing_a_level_at_the_word_budget(monkeypatch):
-    """The full shift on 40 symbols has 1,600 words of length 2; with a
-    budget of 100 the level is cut at its 101st word, not built whole
-    and then counted."""
+    """The full shift on 40 symbols has 1,600 words of length 2, one walk
+    of one edge each: the walks are counted, and a count past the budget
+    refuses the listing before any word is listed. The limit is exact."""
     syms = ["s%d" % i for i in range(40)]
     t = FactorTriple(make_sft(syms, [(a, b) for a in syms for b in syms]),
                      {s: s for s in syms}, tuple(syms))
-    steps = []
-    real = codes.step
+    listed = []
+    real = graphs.walks
 
-    def counted(*args):
-        steps.append(args)
-        return real(*args)
+    def spy(*args):
+        listed.append(real(*args))
+        return listed[-1]
 
-    monkeypatch.setattr(codes, "IMAGE_WORD_BUDGET", 100)
-    monkeypatch.setattr(codes, "step", counted)
+    monkeypatch.setattr(graphs, "walks", spy)
+    monkeypatch.setattr(core, "WALK_BUDGET", 1599)
     with pytest.raises(PreconditionError,
-                       match="more than 100 words of length 2"):
+                       match="length 2 take more than 1599 walks"):
         image_blocks(t, 2)
-    assert len(steps) == 101
+    assert listed == [None]
+    monkeypatch.setattr(core, "WALK_BUDGET", 1600)
+    assert len(image_blocks(t, 2)) == 1600
+    assert len(listed[-1][-1]) == 1600
 
 
 def test_periodic_image_points_frozen_and_brute_checked():
@@ -364,15 +404,15 @@ def test_periodic_image_points_refuse_a_period_over_the_walk_budget(
     start = time.perf_counter()
     with pytest.raises(PreconditionError,
                        match="period up to 60 take more than %d walks"
-                       % codes.PERIODIC_WALK_BUDGET):
+                       % core.WALK_BUDGET):
         periodic_image_points(t, 60)
     assert time.perf_counter() - start < 1.0
     # fix_d needs 592 walks at period 8: the limit is exact
     t = fixtures.load("fix_d")
     want = periodic_image_points(t, 8)
-    monkeypatch.setattr(codes, "PERIODIC_WALK_BUDGET", 592)
+    monkeypatch.setattr(core, "WALK_BUDGET", 592)
     assert periodic_image_points(t, 8) == want
-    monkeypatch.setattr(codes, "PERIODIC_WALK_BUDGET", 591)
+    monkeypatch.setattr(core, "WALK_BUDGET", 591)
     with pytest.raises(PreconditionError, match="more than 591 walks"):
         periodic_image_points(t, 8)
 

@@ -36,7 +36,7 @@ from factorcode import (
     transition_classes,
     window_blocks,
 )
-from factorcode import fiber, graphs, make_sft
+from factorcode import core, fiber, graphs, make_sft
 from factorcode.core import FactorTriple
 from factorcode.fiber import _unrolled, class_cover
 
@@ -309,14 +309,14 @@ def test_enumerate_periodic_preimages_refuse_a_period_over_the_walk_budget(
     start = time.perf_counter()
     with pytest.raises(PreconditionError,
                        match="period up to 60 take more than %d walks"
-                       % fiber.PREIMAGE_WALK_BUDGET):
+                       % core.WALK_BUDGET):
         enumerate_periodic_preimages(t, y, 60)
     assert time.perf_counter() - start < 1.0
     # listing to period 8 takes 508 walks: the limit is exact
     want = enumerate_periodic_preimages(t, y, 8)
-    monkeypatch.setattr(fiber, "PREIMAGE_WALK_BUDGET", 508)
+    monkeypatch.setattr(core, "WALK_BUDGET", 508)
     assert enumerate_periodic_preimages(t, y, 8) == want
-    monkeypatch.setattr(fiber, "PREIMAGE_WALK_BUDGET", 507)
+    monkeypatch.setattr(core, "WALK_BUDGET", 507)
     with pytest.raises(PreconditionError, match="more than 507 walks"):
         enumerate_periodic_preimages(t, y, 8)
 
@@ -431,8 +431,7 @@ def test_window_listings_refuse_a_window_over_the_walk_budget(monkeypatch):
     radius in the label-compatible one."""
     t = fixtures.load("fix_c")
     y = PeriodicPoint(("0",))
-    message = "window 0..16 take more than %d walks" % \
-        fiber.WINDOW_WALK_BUDGET
+    message = "window 0..16 take more than %d walks" % core.WALK_BUDGET
     for listing in (synchronizing_extension, window_blocks,
                     lambda t, y, interval: window_blocks(t, y, interval, 2)):
         with pytest.raises(PreconditionError, match=message):
@@ -440,9 +439,9 @@ def test_window_listings_refuse_a_window_over_the_walk_budget(monkeypatch):
     # the window 0..6 takes 4 + 8 + ... + 128 = 252 walks: the limit is
     # exact
     want = synchronizing_extension(t, y, (0, 6))
-    monkeypatch.setattr(fiber, "WINDOW_WALK_BUDGET", 252)
+    monkeypatch.setattr(core, "WALK_BUDGET", 252)
     assert synchronizing_extension(t, y, (0, 6)) == want
-    monkeypatch.setattr(fiber, "WINDOW_WALK_BUDGET", 251)
+    monkeypatch.setattr(core, "WALK_BUDGET", 251)
     with pytest.raises(PreconditionError, match="more than 251 walks"):
         synchronizing_extension(t, y, (0, 6))
 

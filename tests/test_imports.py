@@ -183,3 +183,34 @@ def import_cycle(paths):
 
 def test_the_package_imports_form_no_cycle():
     assert import_cycle(MODULES) == []
+
+
+def walk_listing_callers(tree):
+    """The module-level functions in ``tree`` that call ``graphs.walks``,
+    as ``graphs.walks`` or by a name imported from ``graphs``, once per
+    call; "<module>" for a call outside any function."""
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "graphs"
+               for alias in node.names if alias.name == "walks"}
+    for stmt in tree.body:
+        name = stmt.name if isinstance(stmt, (ast.FunctionDef,
+                                              ast.ClassDef)) else "<module>"
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "walks" and \
+                    isinstance(func.value, ast.Name) and \
+                    func.value.id == "graphs" or \
+                    isinstance(func, ast.Name) and func.id in aliases:
+                yield name
+
+
+def test_one_helper_lists_walks():
+    """Every listing of walks goes through ``core._walks``, which holds
+    the one walk budget and its one refusal: no other function of the
+    package calls ``graphs.walks``."""
+    callers = [(path.name, name) for path in MODULES
+               for name in walk_listing_callers(
+                   ast.parse(path.read_text(encoding="utf-8"), str(path)))]
+    assert callers == [("core.py", "_walks")]

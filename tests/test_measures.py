@@ -940,8 +940,9 @@ def test_bound_solves_on_the_class_graph_and_lists_blocks_on_read(
 
     monkeypatch.setattr(measures, "_dual_piece", spy_piece)
     monkeypatch.setattr(np.linalg, "solve", spy(solves, np.linalg.solve))
-    monkeypatch.setattr(measures.graphs, "walks",
-                        spy(walks, measures.graphs.walks))
+    # the domain's walks: the image words are walks of a subset
+    # automaton, listed in ``codes``
+    monkeypatch.setattr(measures, "_walks", spy(walks, measures._walks))
     lumped = 0
     for k in (2, 3):
         for _, t, measure in lumping_cases():
