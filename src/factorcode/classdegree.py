@@ -6,10 +6,13 @@ rerouted, keeping its endpoints and labels, through some symbol of m at
 coordinate n. The depth of the block is |m|. The class degree of the code
 is the minimal depth over all image words. The number of fiber transition
 classes over a point is an upper bound on it, equal to it over doubly
-transitive points, which a periodic point is not: the certification step
-compares the two upper bounds at one periodic image point, and extraction
-builds a block as deep as the class count out of the class data
-``fiber`` reads off one point's phase graph.
+transitive points, which a periodic point is not. A block of depth 1 is
+its own proof that the class degree is 1, since no depth is below 1;
+above 1, the certification step compares the two upper bounds at one
+periodic image point, so the image presentation, in which it closes the
+word, is built only to certify a value above 1. Extraction builds a
+block as deep as the class count out of the class data ``fiber`` reads
+off one point's phase graph.
 
 Route sets are computed per endpoint pair: the reroutes of a preimage U at
 index n depend only on (U_0, U_end), namely the exact-length forward set
@@ -44,6 +47,7 @@ and is usually not the first in that order).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import graphs
 from .core import PeriodicPoint, PreconditionError
@@ -307,11 +311,12 @@ class DepthSearchResult:
     """Outcome of the class degree search.
 
     ``value`` is the smallest depth found up to the horizon, an upper
-    bound on the class degree. ``certified`` is true when a periodic image
-    point with exactly ``value`` transition classes was exhibited (the
-    ``certificate``). A certified 1 is the class degree; a certified value
-    above 1 means only that two upper bounds agree at one periodic point
-    (fix_e is certified 2, and its class degree is 1).
+    bound on the class degree. A value of 1 is its own proof, since no
+    depth is below 1: it is always certified, and its ``certificate`` is
+    None. A value above 1 is certified when a periodic image point with
+    exactly ``value`` transition classes was exhibited (the
+    ``certificate``), which means only that two upper bounds agree at one
+    periodic point (fix_e is certified 2, and its class degree is 1).
     """
 
     value: int
@@ -391,15 +396,19 @@ def _pad_to_interior(t, word, index, routes):
 
 def _depth_search(t, horizon, words_of_length, seed_word, closure, routes):
     """Shared search core for the plain and measure-restricted variants;
-    candidates are closed into periodic points by ``_close_word`` on the
-    presentation ``closure`` = (successor mapping, label lookup, cyclic
-    components), and their route masks come from the ``_Routes`` memo
-    ``routes``."""
+    the route masks of candidates come from the ``_Routes`` memo
+    ``routes``. A depth-1 block is its own proof, since no depth is below
+    1, and is only checked again (``is_transition_block``). A deeper one
+    is closed into a periodic point by ``_close_word`` on the presentation
+    that the zero-argument callable ``closure`` returns, as (successor
+    mapping, label lookup, cyclic components): it is called only then,
+    once, so a search that answers 1 builds no presentation."""
     best = None
     failed = set()
     top_length = 0
     yorder = {c: i for i, c in enumerate(t.y_alphabet)}
     xorder = {s: i for i, s in enumerate(t.x.symbols)}
+    closure = cache(closure)
 
     def consider(word):
         nonlocal best
@@ -419,14 +428,20 @@ def _depth_search(t, horizon, words_of_length, seed_word, closure, routes):
         return True
 
     def certify():
-        y = _close_word(*closure, best[1])
+        """(certified, certificate) for the best block."""
+        _, word, n, m = best
+        if len(m) == 1:
+            if not is_transition_block(t, word, n, m):
+                raise AssertionError("depth 1 block fails its check")
+            return True, None
+        y = _close_word(*closure(), word)
         if y is None:
-            return None
+            return False, None
         count = len(class_cover(build_fiber_graph(t, y)).cyclic)
-        if count > len(best[3]):
+        if count > len(m):
             raise AssertionError(
                 "class count exceeds transition block depth")
-        return y if count == len(best[3]) else None
+        return (True, y) if count == len(m) else (False, None)
 
     if seed_word is not None:
         consider(seed_word)
@@ -436,41 +451,42 @@ def _depth_search(t, horizon, words_of_length, seed_word, closure, routes):
         top_length = max(top_length, length)
         for word in words_of_length(length):
             if consider(word) and len(best[3]) == 1:
-                certificate = certify()
-                if certificate is None:
-                    raise AssertionError(
-                        "depth 1 block failed certification")
-                return _result(t, best, top_length, certificate)
+                return _result(best, top_length, *certify())
         if best[0] not in failed:
-            certificate = certify()
-            if certificate is not None:
-                return _result(t, best, top_length, certificate)
+            certified, certificate = certify()
+            if certified:
+                return _result(best, top_length, True, certificate)
             failed.add(best[0])
-    return _result(t, best, top_length, None)
+    return _result(best, top_length, False, None)
 
 
-def _result(t, best, top_length, certificate):
+def _result(best, top_length, certified, certificate):
     _, word, n, m = best
     return DepthSearchResult(
         value=len(m),
         witness=TransitionBlock(word, n, m),
         horizon=top_length,
-        certified=certificate is not None,
+        certified=certified,
         certificate=certificate)
 
 
 def find_minimal_transition_block(t, horizon=8):
     """Search image words up to the horizon for a minimal-depth transition
-    block; certify the result against a periodic point when possible.
+    block; certify the result when possible.
 
     The search enumerates image words by length then lexicographic order,
     seeded with a block padded out of a magic word so the class degree of
-    a finite-to-one code is always reached. After every length pass the
-    best candidate is closed into a periodic image point; the result is
-    certified when the number of transition classes over that point
-    equals the candidate depth. Every result is an upper bound for the
-    class degree; a certified one is exact only when it is 1, and above 1
-    means that two upper bounds agree at one periodic point.
+    a finite-to-one code is always reached. A block of depth 1 ends the
+    search: it is the class degree, since no depth is below 1, so it is
+    certified with no periodic point. Otherwise, after every length pass,
+    the best candidate is closed into a periodic image point; the result
+    is certified when the number of transition classes over that point
+    equals the candidate depth. Only that closure reads the image
+    presentation (``sofic_image``), so a search that answers 1 builds
+    none: its words are walks of the forward subset automaton, grown to
+    depth ``horizon - 1`` at most. Every result is an upper bound for the
+    class degree; a certified one is exact when it is 1, and above 1
+    means only that two upper bounds agree at one periodic point.
     """
     if horizon < 3:
         raise ValueError("horizon must be >= 3")
@@ -479,24 +495,30 @@ def find_minimal_transition_block(t, horizon=8):
     witness = d_star(t)
     routes = _Routes(t)
     seed_word, _ = _pad_to_interior(t, witness.word, witness.index, routes)
-    image = sofic_image(t)
+
+    def closure():
+        image = sofic_image(t)
+        return image.successors, image.labels, image.components
+
     return _depth_search(t, horizon, lambda n: image_blocks(t, n), seed_word,
-                         (image.successors, image.labels, image.components),
-                         routes)
+                         closure, routes)
 
 
 def class_count_for_measure(t, measure, horizon=8):
     """Minimal transition class count over points generic for a Markov
     measure on the image presentation, bounded above by the depth search
     restricted to measure-positive image words; certified as in
-    ``find_minimal_transition_block``, over measure-generic points."""
+    ``find_minimal_transition_block``, over measure-generic points. A
+    value of 1 is its own proof; only a value above 1 runs the Tarjan
+    pass over the support that closing its word needs."""
     if horizon < 3:
         raise ValueError("horizon must be >= 3")
     support = _measure_support(t, measure)
     succ = support.x.successor_map
     return _depth_search(t, horizon, lambda n: image_blocks(support, n), None,
-                         (succ, support.label,
-                          graphs.nontrivial_components(succ)), _Routes(t))
+                         lambda: (succ, support.label,
+                                  graphs.nontrivial_components(succ)),
+                         _Routes(t))
 
 
 @dataclass

@@ -394,9 +394,12 @@ def image_word_measure(t, measure, word):
 def pqs_bound(t, measure):
     """Preimage-count bound for the class degree relative to a measure on
     the image presentation: the smallest number of preimage symbols among
-    measure-positive image symbols, a positive integer."""
-    return min(len(t.preimages(c))
-               for c in _measure_support(t, measure).y_alphabet)
+    measure-positive image symbols, a positive integer: the labels of
+    the measure's support states."""
+    pres = sofic_image(t).triple
+    _require_presentation_measure(measure, pres)
+    return min(len(t.preimages(pres.label[s]))
+               for s in measure.support_states())
 
 
 @dataclass

@@ -805,7 +805,10 @@ def ref_depth_search(t, horizon, measure=None):
     """``find_minimal_transition_block`` (or, with a measure,
     ``class_count_for_measure``) with the unbounded ``minimal_depth_at``
     of every word: each word's least block is compared with the best by
-    its whole key (depth, length, word, index, symbols)."""
+    its whole key (depth, length, word, index, symbols). The presentation
+    is built up front, and every best block, a depth-1 one included, is
+    closed into a periodic point, which is the certificate; over a
+    depth-1 block's point the class count must be 1."""
     if measure is None:
         witness = d_star(t)
         seed_word, _ = _pad_to_interior(t, witness.word, witness.index,
@@ -838,10 +841,13 @@ def ref_depth_search(t, horizon, measure=None):
 
     def certify():
         y = _close_word(*closure, best[1])
-        if y is None or len(class_cover(build_fiber_graph(t, y)).cyclic) \
-                != len(best[3]):
-            return None
-        return y
+        count = None if y is None else \
+            len(class_cover(build_fiber_graph(t, y)).cyclic)
+        if len(best[3]) == 1:
+            # the search takes a depth-1 block as its own proof; its word
+            # still closes into a point with one class
+            assert count == 1
+        return y if count == len(best[3]) else None
 
     if seed_word is not None:
         consider(seed_word)
@@ -850,13 +856,13 @@ def ref_depth_search(t, horizon, measure=None):
         top_length = max(top_length, length)
         for word in image_blocks(t if measure is None else pres, length):
             if consider(word) and len(best[3]) == 1:
-                return _result(t, best, top_length, certify())
+                return _result(best, top_length, True, certify())
         if best[0] not in failed:
             certificate = certify()
             if certificate is not None:
-                return _result(t, best, top_length, certificate)
+                return _result(best, top_length, True, certificate)
             failed.add(best[0])
-    return _result(t, best, top_length, None)
+    return _result(best, top_length, False, None)
 
 
 def ref_close_word(pres, word):

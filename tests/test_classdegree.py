@@ -341,7 +341,9 @@ def test_search_frozen_results():
 def test_search_matches_the_unbounded_reference():
     """The search passes each word the bound that its best block so far
     sets; every field of the result equals that of the search that takes
-    the least block of every word and compares whole keys."""
+    the least block of every word and compares whole keys, except that a
+    value of 1 has no certificate, where the reference closes the word
+    into a point and checks that it carries one class."""
     cases = [(fixtures.load(name), None, horizon)
              for name in FIXTURE_NAMES for horizon in range(3, 9)]
     cases += [(fixtures.load(name), image_measure(fixtures.load(name),
@@ -362,9 +364,11 @@ def test_search_matches_the_unbounded_reference():
         except (PreconditionError, EmptyShiftError):
             continue
         want = ref_depth_search(t, horizon, measure)
-        assert (got.value, got.witness, got.horizon, got.certified,
-                got.certificate) == (want.value, want.witness, want.horizon,
-                                     want.certified, want.certificate)
+        assert (got.value, got.witness, got.horizon, got.certified) == \
+            (want.value, want.witness, want.horizon, want.certified)
+        # a value of 1 needs no point; the reference closes one anyway
+        assert got.certificate == (want.certificate if got.value > 1
+                                   else None)
         uncertified += not got.certified
     assert uncertified
 
@@ -418,9 +422,13 @@ def test_labelled_steps_per_search(name, horizon, steps, monkeypatch):
 
 
 def test_search_certificate_contains_witness_and_counts_match():
+    """A certified value above 1 comes with a periodic point that contains
+    the witness word and carries that many classes. A value of 1 comes
+    with none; its witness word, closed here, carries one class."""
     rng = random.Random(47)
     triples = [fixtures.load(name) for name in FIXTURE_NAMES]
     triples += [random_triple(rng) for _ in range(30)]
+    values = set()
     for t in triples:
         res = find_minimal_transition_block(t, horizon=6)
         w = res.witness
@@ -431,11 +439,20 @@ def test_search_certificate_contains_witness_and_counts_match():
                  for word in brute_image_words(t, n)
                  if brute_min_depth(t, word) is not None]
         assert res.value <= min(short)
-        if res.certified:
-            y = res.certificate
-            assert y.window(0, len(w.word) - 1) == w.word
-            report = transition_classes(build_fiber_graph(t, y))
-            assert report.class_count == res.value
+        y = res.certificate
+        if res.value == 1:
+            assert res.certified and y is None
+            image = sofic_image(t)
+            y = _close_word(image.successors, image.labels,
+                            image.components, w.word)
+        elif not res.certified:
+            assert y is None
+            continue
+        values.add(res.value)
+        assert y.window(0, len(w.word) - 1) == w.word
+        report = transition_classes(build_fiber_graph(t, y))
+        assert report.class_count == res.value
+    assert {1, 2} <= values
 
 
 def test_search_rejects_small_horizon_and_uncertified_image():
@@ -462,8 +479,10 @@ def test_uncertified_horizon_then_certified_at_longer_horizon():
 
 
 def test_transient_state_in_presentation_still_certifies():
-    # The presentation of this code has a state {a, c, d} that no cycle
-    # returns to; closing words must happen inside a cyclic component.
+    # The presentation of this code has a state {a, c, d} that the other
+    # cyclic component never returns to; closing words must happen inside
+    # a cyclic component. A value of 1 needs no closed point, so the test
+    # closes the witness word itself.
     t = parse_triple("""
     xsymbols: a b c d
     ysymbols: 0 1
@@ -471,8 +490,18 @@ def test_transient_state_in_presentation_still_certifies():
     edges: a>b b>b b>c c>d d>a d>c
     """)
     res = find_minimal_transition_block(t)
-    assert (res.value, res.certified) == (1, True)
-    assert res.certificate.window(0, 2) == res.witness.word
+    assert (res.value, res.certified, res.certificate) == (1, True, None)
+    image = sofic_image(t)
+    word = res.witness.word
+    # from the first state carrying its first symbol, {a, c, d}, the word
+    # leaves that state's component for one that never returns to it, so
+    # the closure must present it from a later start, inside one component
+    first = image.labels.index(word[0])
+    path = classdegree._walk(image.successors, image.labels, first, word)
+    assert not any(set(path) <= set(comp) for comp in image.components)
+    y = _close_word(image.successors, image.labels, image.components, word)
+    assert y.window(0, 2) == word
+    assert transition_classes(build_fiber_graph(t, y)).class_count == 1
 
 
 def test_plain_classdegree_builds_no_named_triple():

@@ -386,13 +386,16 @@ def test_timing_flag_adds_elapsed_ms():
 ])
 def test_one_image_and_one_automaton_per_direction_per_command(
         argv, directions, monkeypatch, tmp_path, capsys):
-    """Derived objects are built once per triple: one sofic image per
-    command, at most one subset automaton per triple and direction, in the
-    directions the command needs (forward for the image and its words; d*
-    in classdegree adds the backward one), and at most one mask table per
-    triple and direction. ``bound`` and ``classdegree --measure`` list
-    the words of the measure's support as well as stepping the triple, so
-    automata and tables are counted per triple."""
+    """Derived objects are built once per triple: at most one sofic image
+    per command, at most one subset automaton per triple and direction, in
+    the directions the command needs (forward for the image and its words;
+    d* in classdegree adds the backward one), and at most one mask table
+    per triple and direction. A measure file names the image's states, so
+    its commands build the image, and one presentation of the measure's
+    support; a plain search that answers 1 builds neither. ``bound`` and
+    ``classdegree --measure`` list the words of the support as well as
+    stepping the triple, so automata and tables are counted per
+    triple."""
     if "RANDOM" in argv:
         path = tmp_path / "random.triple"
         path.write_text(triple_to_text(
@@ -426,9 +429,12 @@ def test_one_image_and_one_automaton_per_direction_per_command(
         return table
 
     monkeypatch.setattr(codes, "_label_masks", watched)
+    monkeypatch.setattr(measures, "sub_triple",
+                        counting("support", measures.sub_triple))
     assert cli.main(argv) in (0, 3)
     capsys.readouterr()
-    assert built == {"image": 1}
+    assert built == ({"image": 1, "support": 1} if "--measure" in argv
+                     else {})
     assert all(len(ts) == 1 for ts in automata.values())
     assert len({forward for _, forward in automata}) == directions
     assert tables and all(len(ids) == 1 for ids in tables.values())
@@ -741,7 +747,7 @@ def test_class_degree_certificate_reads_only_the_class_cover(monkeypatch,
     pytest.param(["classdegree", fixture_path("fix_e")], 4,
                  id="classdegree"),
     pytest.param(["classdegree", fixture_path("fix_a"), "--measure",
-                  fixture_path("fix_a_parry", ".measure")], 3,
+                  fixture_path("fix_a_parry", ".measure")], 1,
                  id="classdegree-measure"),
 ])
 def test_tarjan_passes_per_command(argv, passes, monkeypatch, capsys):
@@ -750,17 +756,18 @@ def test_tarjan_passes_per_command(argv, passes, monkeypatch, capsys):
     it is, and the subset automaton and every phase graph are pruned by
     one peel each way. The domain takes one pass for its irreducibility,
     and the image presentation one only where its cyclic components are
-    read: by the plain class degree search, or for the image's
-    irreducibility where the domain is reducible. A phase graph takes
-    one over its pruned part, its cover at its own period, where its
-    cyclic components are read:
-    never for sync. fiber adds the cover at 2P for the doubling check,
-    here P being the period, which extract does not read; the class degree
-    certificate adds the cover at the class period, here twice the
-    period. A measure adds one to find its closed class and one for the
-    components of its support. Only the measure file, whose states are
-    named, makes a command read the presentation's named triple: the
-    class degree certificate walks the int-indexed presentation."""
+    read: by the class degree certificate of a value above 1, as fix_e's,
+    or for the image's irreducibility where the domain is reducible. A
+    phase graph takes one over its pruned part, its cover at its own
+    period, where its cyclic components are read: never for sync. fiber
+    adds the cover at 2P for the doubling check, here P being the period,
+    which extract does not read; the class degree certificate adds the
+    cover at the class period, here twice the period. A measure adds one
+    to find its closed class; the components of its support are read
+    only to certify a value above 1, and fix_a's is 1, which is its own
+    proof. Only the measure file, whose states are named, makes a command
+    read the presentation's named triple: the class degree certificate
+    walks the int-indexed presentation."""
     calls, triples = [], []
 
     def count(adj):
@@ -779,6 +786,73 @@ def test_tarjan_passes_per_command(argv, passes, monkeypatch, capsys):
     capsys.readouterr()
     assert len(calls) == passes
     assert bool(triples) == ("--measure" in argv)
+
+
+@pytest.mark.parametrize("name, complete", [("fix_a", True),
+                                            ("random-12", False)])
+def test_plain_classdegree_of_1_builds_no_image(name, complete, monkeypatch,
+                                                tmp_path, capsys):
+    """A plain search that answers 1 has its own proof, so it builds no
+    sofic image and runs Tarjan only on the domain, for its
+    irreducibility. Its words are walks of the forward subset automaton,
+    grown only to depth horizon - 1: fix_a's has 2 states, complete once
+    d* has read it, and a 12-symbol random code's stays incomplete."""
+    if name == "fix_a":
+        path, horizon = fixture_path("fix_a"), 8
+    else:
+        path, horizon = tmp_path / "random.triple", 5
+        path.write_text(triple_to_text(
+            random_code(random.Random(3), 12, reducible=False)))
+    domain = set(parse_triple(Path(path).read_text()).x.symbols)
+    passes, automata = [], {}
+
+    def refuse(*args):
+        raise AssertionError("sofic image built")
+
+    def count(adj):
+        passes.append(set(adj))
+        return real_scc(adj)
+
+    def automaton(t, forward):
+        automata[forward] = real_automaton(t, forward)
+        return automata[forward]
+
+    real_scc, real_automaton = (graphs.strongly_connected_components,
+                                codes._SubsetAutomaton)
+    monkeypatch.setattr(codes, "SoficImage", refuse)
+    monkeypatch.setattr(graphs, "strongly_connected_components", count)
+    monkeypatch.setattr(codes, "_SubsetAutomaton", automaton)
+    assert cli.main(["classdegree", str(path),
+                     "--horizon", str(horizon)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["value"], result["certified"]) == (1, True)
+    assert passes == [domain]
+    auto = automata[True]
+    assert auto.complete == complete
+    assert max(auto.depth[:auto.head]) < horizon - 1
+
+
+def test_plain_classdegree_above_1_builds_one_image(monkeypatch, capsys):
+    """fix_e answers 2, so the search builds the image presentation,
+    once, and closes its witness word 011 into the certificate (011)^inf,
+    over which fiber counts 2 classes."""
+    built = []
+
+    def image(*args):
+        built.append(real_image(*args))
+        return built[-1]
+
+    real_image = codes.SoficImage
+    monkeypatch.setattr(codes, "SoficImage", image)
+    assert cli.main(["classdegree", fixture_path("fix_e")]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["value"], result["certified"]) == (2, True)
+    assert len(built) == 1
+    t = fixtures.load("fix_e")
+    res = classdegree.find_minimal_transition_block(t)
+    assert res.certificate.word == ("0", "1", "1")
+    assert fiber.transition_classes(
+        fiber.build_fiber_graph(t, res.certificate)).class_count == 2
 
 
 def cycles_triple(lengths):
