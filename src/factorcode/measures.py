@@ -15,13 +15,13 @@ do not pay for importing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from dataclasses import dataclass
+from functools import partial, reduce
 from math import isfinite, log
 
 from . import graphs
 from .core import (MeasureParseError, PeriodicPoint, PreconditionError,
-                   _walks, primitive_root, sub_triple)
+                   primitive_root, sub_triple)
 from .codes import (_bit_indices, _bits, _check_image_word, _label_masks,
                     image_blocks, sofic_image, step)
 
@@ -36,9 +36,8 @@ NEWTON_STEPS = 100
 # magnitude, a few hundred.
 _PERRON_STEPS = 1000
 # Most entries of the Hessian (image words x image words) and of the class
-# matrix of one component of the entropy bound's class graph, and of the
-# k-block matrix its optimizer builds when read. The benchmark pools need
-# 16 x 16, 32 x 32 and 130 x 130 at most.
+# matrix of one component of the entropy bound's class graph. The
+# benchmark pools need 16 x 16 and 32 x 32 at most.
 SOLVE_ENTRY_BUDGET = 4_000_000
 _ROW_INVARIANT = 1e-12
 _FLOW_INVARIANT = 1e-10
@@ -415,14 +414,15 @@ class RelativeEntropyBound:
     component (the image one is |grad D|). ``iterations`` counts Newton
     steps over all components. ``converged`` is true when every
     component that can carry the image measure reached |grad D| <=
-    ``tolerance``. ``optimizer``, built on first read, maps the domain
-    (k+1)-blocks over the reported component kept by pruning, symbol
-    tuples, lexicographic in domain-symbol order, to the weights of the
-    Gibbs chain of that iterate on the first closed piece of their block
-    graph, 0 off it. The read raises PreconditionError past WALK_BUDGET
-    walks of the domain, before listing a block (the benchmark pools take
-    695 at most), and past SOLVE_ENTRY_BUDGET entries of the k-block
-    matrix, before building it."""
+    ``tolerance``. ``optimizer`` maps each edge (w, s) -> (w[1:]c, s')
+    of the reported component's class graph, keyed (wc, s, s'), in
+    sorted-word order and then domain-symbol order, to its mass under
+    that iterate's Gibbs chain, and ``dual`` maps each nu-positive image
+    (k+1)-word, sorted, to lam at that iterate. The classes partition the
+    k-blocks equitably, so lam fixes the block-level optimizer too: the
+    Gibbs chain of the blocks weighted e^lam[image word] on the first
+    closed piece of their block graph, whose masses sum over the blocks
+    of each class edge to that edge's mass."""
 
     k: int
     value: float
@@ -430,11 +430,8 @@ class RelativeEntropyBound:
     iterations: int
     converged: bool
     tolerance: float
-    _weigh_blocks: object = field(repr=False, compare=False)
-
-    @cached_property
-    def optimizer(self):
-        return self._weigh_blocks()
+    optimizer: dict
+    dual: dict
 
 
 def _prune_support(edges):
@@ -564,7 +561,7 @@ def _dual_piece(cell, src, dst, n, nu):
     lowers |grad D| is taken instead. The solve stops once |grad D| <=
     DUAL_TOLERANCE, once D < -DUAL_TOLERANCE, when no step is taken or
     after NEWTON_STEPS steps, and returns D, grad D, the edge masses, the
-    number of steps, and the last lam and right Perron vector."""
+    number of steps and the last lam."""
     import numpy as np
 
     m = len(nu)
@@ -591,7 +588,7 @@ def _dual_piece(cell, src, dst, n, nu):
     flat, curved = np.split(basis.T, [np.count_nonzero(
         eigenvalues <= 1e-9 * max(eigenvalues[-1], 1.0))])
     if np.abs(flat.T @ (flat @ grad)).max() > DUAL_TOLERANCE:
-        return -np.inf, grad, q, 0, lam, right
+        return -np.inf, grad, q, 0, lam
     steps = 0
     while steps < NEWTON_STEPS:
         gap = np.abs(grad).max()
@@ -613,7 +610,7 @@ def _dual_piece(cell, src, dst, n, nu):
         lam = trial
         value, grad, q, right = point
         steps += 1
-    return value, grad, q, steps, lam, right
+    return value, grad, q, steps, lam
 
 
 def relative_entropy_upper_bound(t, measure, k):
@@ -706,7 +703,7 @@ def relative_entropy_upper_bound(t, measure, k):
                 "classes needs a matrix of %d entries, more than the limit "
                 "of %d" % (n, n * n, SOLVE_ENTRY_BUDGET))
         try:
-            value, grad, q, steps, lam, right = _dual_piece(
+            value, grad, q, steps, lam = _dual_piece(
                 cell, src, dst, n, targets)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("entropy bound solve failed: %s" % exc) from exc
@@ -715,46 +712,11 @@ def relative_entropy_upper_bound(t, measure, k):
             continue
         converged = converged and np.abs(grad).max() <= DUAL_TOLERANCE
         if best is None or value > best[0]:
-            best = (value, grad, q, src, dst, n, lam, set(component),
-                    dict(zip(cindex, right)))
+            best = (value, grad, q, src, dst, n, lam, component)
     if best is None:
         raise AssertionError("no component of the class graph carries the "
                              "image measure")
-    value, grad, q, src, dst, n, lam, over_edges, right = best
-
-    def weigh_blocks():
-        """The blocks over the reported component, weighted by the Gibbs
-        chain at ``lam`` on the first closed piece of their block graph:
-        it meets every class, and its right Perron vector is the
-        component's, read per class."""
-        levels = _walks(t.x.successor_map, t.x.symbols, k,
-                        "the optimizer's domain blocks of length %d" % (k + 1),
-                        "the domain")
-        over = {U: (U[:-1], U[1:]) for U in levels[-1]
-                if (t.label_word(U), U[-2], U[-1]) in over_edges}
-        kept = _prune_support(over)
-        blocks = [U for U, piece in kept.items() if piece == 0]
-        kindex = {}
-        bsrc = np.array([kindex.setdefault(U[:-1], len(kindex))
-                         for U in blocks], dtype=np.intp)
-        bdst = np.array([kindex.setdefault(U[1:], len(kindex))
-                         for U in blocks], dtype=np.intp)
-        if len(kindex) ** 2 > SOLVE_ENTRY_BUDGET:
-            raise PreconditionError(
-                "the entropy bound's optimizer on %d k-blocks needs a "
-                "matrix of %d entries, more than the limit of %d"
-                % (len(kindex), len(kindex) ** 2, SOLVE_ENTRY_BUDGET))
-        start = np.array([right[(t.label_word(W), W[-1])] for W in kindex])
-        cell = np.array([cell_index[t.label_word(U)] for U in blocks],
-                        dtype=np.intp)
-        try:
-            masses = _dual_point(lam, cell, bsrc, bdst, start, targets)[2]
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("entropy bound solve failed: %s" % exc) from exc
-        weights = dict.fromkeys(kept, 0.0)
-        weights.update(zip(blocks, masses.tolist()))
-        return weights
-
+    value, grad, q, src, dst, n, lam, component = best
     marginal = np.abs(np.bincount(src, weights=q, minlength=n)
                       - np.bincount(dst, weights=q, minlength=n)).max()
     return RelativeEntropyBound(
@@ -762,4 +724,5 @@ def relative_entropy_upper_bound(t, measure, k):
         residuals={"image": float(np.abs(grad).max()),
                    "marginal": float(marginal)},
         iterations=iterations, converged=bool(converged),
-        tolerance=DUAL_TOLERANCE, _weigh_blocks=weigh_blocks)
+        tolerance=DUAL_TOLERANCE, optimizer=dict(zip(component, q.tolist())),
+        dual=dict(zip(words, lam.tolist())))

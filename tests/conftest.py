@@ -34,7 +34,8 @@ from factorcode.classdegree import (_close_word, _pad_to_interior, _result,
 from factorcode.codes import _check_image_word, d_star, image_blocks
 from factorcode.core import FactorTriple, enumerate_blocks, sub_triple
 from factorcode.fiber import _unrolled, class_cover
-from factorcode.measures import _prune_support, _require_presentation_measure
+from factorcode.measures import (_gibbs_chain, _prune_support,
+                                 _require_presentation_measure)
 
 
 FIXTURE_NAMES = ("fix_a", "fix_b", "fix_c", "fix_d", "fix_e", "fix_g")
@@ -1198,11 +1199,36 @@ def ref_relative_entropy_upper_bound(t, measure, k,
         iterations=iterations)
 
 
-def ref_uniform_conditional_diagnostic(t, bound):
-    """Largest total-variation gap between the center conditionals of
-    ``bound.optimizer``'s Markov extension and the uniform law on the
-    admissible centers, by a recursive walk over the (2k+1)-windows, one
-    dict entry per window and per context.
+def ref_block_optimizer(t, bound):
+    """The block-level optimizer of ``bound``, lifted from its class
+    edges and dual point: the domain (k+1)-blocks U whose class edge
+    (label_word(U), U[-2], U[-1]) is a key of ``bound.optimizer``, in
+    ``enumerate_blocks`` order, kept by ``_prune_support``, each weighted
+    by the Gibbs chain of the weights e^(dual[label_word(U)] - max) on
+    piece 0 of their block graph, started from ones, and 0 off it."""
+    k, lam = bound.k, bound.dual
+    kept = _prune_support({U: (U[:-1], U[1:])
+                           for U in enumerate_blocks(t.x, k + 1)
+                           if (t.label_word(U), U[-2], U[-1])
+                           in bound.optimizer})
+    blocks = [U for U, piece in kept.items() if piece == 0]
+    kindex = {}
+    src = np.array([kindex.setdefault(U[:-1], len(kindex)) for U in blocks])
+    dst = np.array([kindex.setdefault(U[1:], len(kindex)) for U in blocks])
+    shift = max(lam.values())
+    _, masses, _ = _gibbs_chain(
+        np.exp([lam[t.label_word(U)] - shift for U in blocks]), src, dst,
+        np.ones(len(kindex)))
+    weights = dict.fromkeys(kept, 0.0)
+    weights.update(zip(blocks, masses.tolist()))
+    return weights
+
+
+def ref_uniform_conditional_diagnostic(t, k, q):
+    """Largest total-variation gap between the center conditionals of the
+    Markov extension of the (k+1)-block weights ``q`` and the uniform law
+    on the admissible centers, by a recursive walk over the
+    (2k+1)-windows, one dict entry per window and per context.
 
     The positive (k+1)-block weights extend to a k-step Markov law on
     (2k+1)-windows. For every (left context, right context, center image
@@ -1211,8 +1237,6 @@ def ref_uniform_conditional_diagnostic(t, bound):
     image symbol; contexts of mass at most 1e-15 are skipped. A measure
     of relative maximal entropy has uniform conditionals on the fibre
     (Allahbakhshi-Quas), so this is near 0 on one."""
-    k = bound.k
-    q = bound.optimizer
     xorder = {s: i for i, s in enumerate(t.x.symbols)}
 
     def word_key(word):

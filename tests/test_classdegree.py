@@ -504,18 +504,33 @@ def test_transient_state_in_presentation_still_certifies():
     assert transition_classes(build_fiber_graph(t, y)).class_count == 1
 
 
+def images_built(t):
+    """The image presentations kept on ``t``."""
+    return [v for v in t.derived.values() if isinstance(v, codes.SoficImage)]
+
+
 def test_plain_classdegree_builds_no_named_triple():
-    """The plain search closes its best word on the int-indexed image
+    """The plain search builds the image presentation only to certify a
+    value above 1, and then closes its best word on the int-indexed
     presentation, following its successor mapping and labels, so neither
     the state names nor the named triple of the presentation is built:
     only a measure file, whose states are named, needs them."""
+    checked = []
     for name in FIXTURE_NAMES:
         t = fixtures.load(name)
-        assert find_minimal_transition_block(t).certified
-        assert not {"names", "triple"} & set(vars(sofic_image(t)))
+        result = find_minimal_transition_block(t)
+        assert result.certified
+        if result.value == 1:
+            assert images_built(t) == []
+            continue
+        [image] = images_built(t)
+        assert not {"names", "triple"} & set(vars(image))
+        checked.append(name)
+    assert "fix_b" in checked
     t = parse_triple(INFINITE_TO_ONE_PROBE)
     assert find_minimal_transition_block(t, horizon=5).certified
-    assert "triple" not in vars(sofic_image(t))
+    [image] = images_built(t)
+    assert "triple" not in vars(image)
 
 
 def test_close_word_matches_the_sub_triple_oracle():

@@ -936,13 +936,17 @@ def test_bound_over_the_solve_budget_exits_2(monkeypatch, capsys):
     # walk limit, but the solve's Hessian would need 28,657 x 28,657
     # entries: refused before any domain walk is counted or listed
     listed = []
+    domain = tuple(fixtures.load("fix_a").x.symbols)
 
-    def spy(*args):
-        listed.append(args)
-        return real_walks(*args)
+    def spy(adj, starts, *args):
+        # only the walks of the domain, out of its symbols: the image
+        # words are walks of the subset automaton, out of its states
+        if tuple(starts) == domain:
+            listed.append(args)
+        return real_walks(adj, starts, *args)
 
-    real_walks = measures._walks
-    monkeypatch.setattr(measures, "_walks", spy)
+    real_walks = graphs.walks
+    monkeypatch.setattr(graphs, "walks", spy)
     argv = ["bound", fixture_path("fix_a"), "--measure",
             fixture_path("fix_a_parry", ".measure"), "--k", "20"]
     assert cli.main(argv) == 2
@@ -981,8 +985,8 @@ def test_bound_past_the_domain_walk_budget_answers_without_a_block(
         monkeypatch, capsys, tmp_path):
     # one image word of each length, but 4^11 domain blocks at k = 10:
     # the class graph has 4 classes and 16 edges, so the bound answers
-    # log 4 without listing a walk of the domain; only reading the
-    # optimizer needs the blocks, and that is refused before any is listed
+    # log 4 without listing a walk of the domain, and its optimizer holds
+    # the masses of those 16 edges
     calls = []
 
     def spy(adj, starts, *args):
@@ -1012,17 +1016,9 @@ def test_bound_past_the_domain_walk_budget_answers_without_a_block(
     pres = sofic_image(t).triple
     full = measures.parse_measure(measure.read_text(), pres.x)
     bound = measures.relative_entropy_upper_bound(t, full, 10)
-    with pytest.raises(factorcode.PreconditionError,
-                       match="domain blocks of length 11 take more than %d "
-                       "walks of the domain, the limit" % core.WALK_BUDGET):
-        bound.optimizer
-    assert calls == [None]
-    # the k-block matrix of the optimizer's piece has its own limit: at
-    # k = 3 the solve needs 4 x 4 entries, the optimizer 64 x 64
-    monkeypatch.setattr(measures, "SOLVE_ENTRY_BUDGET", 1000)
-    bound = measures.relative_entropy_upper_bound(t, full, 3)
-    with pytest.raises(factorcode.PreconditionError, match="64 k-blocks"):
-        bound.optimizer
+    assert len(bound.optimizer) == 16
+    assert list(bound.dual) == [("0",) * 11]
+    assert calls == []
 
 
 NON_ESSENTIAL_FIX_E = """\

@@ -8,7 +8,6 @@ import sys
 import random
 from math import log, sqrt
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from conftest import (
     random_code,
     random_triple,
     ref_affine_directions,
+    ref_block_optimizer,
     ref_orbit_entropy,
     ref_orbit_radii,
     ref_perron,
@@ -31,14 +31,13 @@ from conftest import (
     ref_uniform_conditional_diagnostic,
 )
 import factorcode
-from factorcode import cli, measures
+from factorcode import cli, graphs, measures
 from factorcode.codes import image_blocks
 from factorcode import (
     MeasureParseError,
     PeriodicPoint,
     PreconditionError,
     build_fiber_graph,
-    enumerate_blocks,
     entropy_rate,
     fixtures,
     image_word_measure,
@@ -424,7 +423,7 @@ def test_bound_optimizer_is_a_consistent_block_measure():
         _, measure = image_measure(t, kind)
         for k in (1, 2):
             b = bound_for(name, kind, k)
-            q = b.optimizer
+            q = ref_block_optimizer(t, b)
             assert all(v >= 0 for v in q.values())
             assert abs(sum(q.values()) - 1.0) < 1e-9
             assert b.residuals["image"] < 1e-8
@@ -439,21 +438,22 @@ def test_bound_optimizer_is_a_consistent_block_measure():
 
 
 def test_residuals_report_true_constraint_violations():
+    """The residuals, recomputed from the class-edge masses: each image
+    word's mass against nu, and the mass leaving each class (w, s)
+    against the mass entering it."""
     for name, kind in MEASURE_PAIRS:
         t = fixtures.load(name)
         _, measure = image_measure(t, kind)
         b = bound_for(name, kind, 1)
-        q = b.optimizer
         cells = {}
-        for U, v in q.items():
-            cells[t.label_word(U)] = cells.get(t.label_word(U), 0.0) + v
-        image_r = max(abs(mass - image_word_measure(t, measure, w))
-                      for w, mass in cells.items())
         prefix = {}
         suffix = {}
-        for U, v in q.items():
-            prefix[U[:1]] = prefix.get(U[:1], 0.0) + v
-            suffix[U[1:]] = suffix.get(U[1:], 0.0) + v
+        for (w, s, s2), v in b.optimizer.items():
+            cells[w] = cells.get(w, 0.0) + v
+            prefix[(w[:-1], s)] = prefix.get((w[:-1], s), 0.0) + v
+            suffix[(w[1:], s2)] = suffix.get((w[1:], s2), 0.0) + v
+        image_r = max(abs(mass - image_word_measure(t, measure, w))
+                      for w, mass in cells.items())
         marginal_r = max(abs(prefix.get(W, 0.0) - suffix.get(W, 0.0))
                          for W in set(prefix) | set(suffix))
         assert abs(b.residuals["image"] - image_r) < 1e-10
@@ -556,16 +556,42 @@ def test_hessian_null_space_is_where_the_dual_is_affine(monkeypatch):
     assert len(checked) == len(cases)
 
 
-def test_bound_value_matches_independent_objective_evaluation():
-    """The value, solved on the class graph, is the conditional block
-    entropy of the block-level optimizer, evaluated on its own."""
+@functools.lru_cache(maxsize=None)
+def lifted_bounds():
+    """(name, t, measure, bound, its reference block optimizer) for
+    ``fixture_and_pool_measures`` at k = 1-4."""
     cases = fixture_and_pool_measures()
     assert len(cases) == 19
+    out = []
     for name, t, measure in cases:
         for k in (1, 2, 3, 4):
             b = relative_entropy_upper_bound(t, measure, k)
-            assert abs(value_of_block_measure(list(b.optimizer.items()), k)
-                       - b.value) < 1e-9, (name, k)
+            out.append((name, t, measure, b, ref_block_optimizer(t, b)))
+    return tuple(out)
+
+
+def test_bound_value_matches_independent_objective_evaluation():
+    """The value, solved on the class graph, is the conditional block
+    entropy of the block-level optimizer, evaluated on its own."""
+    for name, _, _, b, lifted in lifted_bounds():
+        assert abs(value_of_block_measure(list(lifted.items()), b.k)
+                   - b.value) < 1e-9, (name, b.k)
+
+
+def test_dual_and_class_edge_masses_fix_the_block_optimizer():
+    """``dual`` holds lam on exactly the nu-positive image words, sorted,
+    and the block-level optimizer lifted from it puts on the blocks of
+    each class edge the edge's mass in ``optimizer``."""
+    for name, t, measure, b, lifted in lifted_bounds():
+        pres = sofic_image(t).triple
+        words = ref_positive_word_measures(pres, measure, b.k + 1)
+        assert list(b.dual) == sorted(w for w, v in words.items() if v > 0)
+        per_edge = dict.fromkeys(b.optimizer, 0.0)
+        for U, v in lifted.items():
+            per_edge[(t.label_word(U), U[-2], U[-1])] += v
+        assert len(per_edge) == len(b.optimizer), (name, b.k)
+        assert max(abs(per_edge[e] - v)
+                   for e, v in b.optimizer.items()) <= 1e-9, (name, b.k)
 
 
 def test_bound_optimizer_is_locally_optimal():
@@ -578,7 +604,8 @@ def test_bound_optimizer_is_locally_optimal():
             b = bound_for(name, kind, k)
             if b.residuals["marginal"] >= 1e-8:
                 continue
-            support = [U for U, v in sorted(b.optimizer.items(),
+            lifted = ref_block_optimizer(t, b)
+            support = [U for U, v in sorted(lifted.items(),
                                             key=lambda item: tuple(item[0]))
                        if v > 1e-10]
             if len(support) < 2:
@@ -608,9 +635,9 @@ def test_bound_optimizer_is_locally_optimal():
             null = vt[rank:]
             if not len(null):
                 continue
-            q = np.array([b.optimizer[U] for U in support])
+            q = np.array([lifted[U] for U in support])
             base_value = value_of_block_measure(
-                [(U, b.optimizer[U]) for U in support], k)
+                [(U, lifted[U]) for U in support], k)
             for d in null:
                 step = min(1e-5, float(q.min()) / (2 * np.abs(d).max()))
                 for sign in (1.0, -1.0):
@@ -654,9 +681,10 @@ def test_level_scheduled_solver_matches_sequential_one_on_random_codes(seed):
 
 
 def test_bound_blocks_are_symbol_tuples_in_lexicographic_order():
-    """The bound takes its blocks in the order ``enumerate_blocks`` lists
-    them, symbol tuples lexicographic in domain-symbol order, and keeps
-    that order in the optimizer's keys."""
+    """The optimizer's keys are class edges (wc, s, s'), with wc an image
+    word as a symbol tuple and s -> s' a domain transition labelled by
+    its last two symbols, in sorted-word order and then domain-symbol
+    order."""
     cases = []
     for name, kind in MEASURE_PAIRS:
         t = fixtures.load(name)
@@ -674,11 +702,12 @@ def test_bound_blocks_are_symbol_tuples_in_lexicographic_order():
     for t, measure in cases:
         xorder = {s: i for i, s in enumerate(t.x.symbols)}
         for k in (1, 2, 3):
-            blocks = enumerate_blocks(t.x, k + 1)
             keys = list(relative_entropy_upper_bound(t, measure, k).optimizer)
-            assert all(type(U) is tuple for U in blocks + keys)
-            assert set(keys) <= set(blocks)
-            codes = [tuple(xorder[s] for s in U) for U in keys]
+            for w, s, s2 in keys:
+                assert type(w) is tuple and len(w) == k + 1
+                assert (s, s2) in t.x.transitions
+                assert (t.label[s], t.label[s2]) == w[-2:]
+            codes = [(w, xorder[s], xorder[s2]) for w, s, s2 in keys]
             assert codes == sorted(codes)
 
 
@@ -896,7 +925,7 @@ def test_right_perron_vector_is_constant_on_the_lumped_classes(k):
     lumped = 0
     for rng, t, measure in lumping_cases():
         b = relative_entropy_upper_bound(t, measure, k)
-        blocks = [U for U, v in b.optimizer.items() if v > 0]
+        blocks = [U for U, v in ref_block_optimizer(t, b).items() if v > 0]
         weight = {w: rng.uniform(0.05, 20.0)
                   for w in {t.label_word(U) for U in blocks}}
         classes = kblock_classes(t, blocks, k)
@@ -916,13 +945,13 @@ def test_right_perron_vector_is_constant_on_the_lumped_classes(k):
     assert lumped >= 10
 
 
-def test_bound_solves_on_the_class_graph_and_lists_blocks_on_read(
+def test_bound_solves_on_the_class_graph_and_lists_no_domain_walk(
         monkeypatch):
     """Newton runs on one state per class of the component the bound
-    reports: the classes of the k-blocks of the optimizer's positive
-    blocks. The bound lists no domain walk, and makes no dense solve
-    after the last component; reading the optimizer lists the walks
-    once."""
+    reports: the classes at the ends of the optimizer's class edges,
+    which are those of the k-blocks of the reference block optimizer's
+    positive blocks. The bound lists no domain walk, and makes no dense
+    solve after the last component."""
     sizes, solves, walks = [], [], []
     dual_piece = measures._dual_piece
 
@@ -940,21 +969,31 @@ def test_bound_solves_on_the_class_graph_and_lists_blocks_on_read(
 
     monkeypatch.setattr(measures, "_dual_piece", spy_piece)
     monkeypatch.setattr(np.linalg, "solve", spy(solves, np.linalg.solve))
-    # the domain's walks: the image words are walks of a subset
-    # automaton, listed in ``codes``
-    monkeypatch.setattr(measures, "_walks", spy(walks, measures._walks))
+    # only the walks of the domain, out of its symbols: the image words
+    # are walks of the subset automaton, out of its states
+    real_walks = graphs.walks
+
+    def spy_walks(adj, starts, *args):
+        if tuple(starts) == tuple(t.x.symbols):
+            walks.append(args)
+        return real_walks(adj, starts, *args)
+
+    monkeypatch.setattr(graphs, "walks", spy_walks)
     lumped = 0
     for k in (2, 3):
         for _, t, measure in lumping_cases():
             sizes.clear()
             walks.clear()
             b = relative_entropy_upper_bound(t, measure, k)
+            classes = set()
+            for w, s, s2 in b.optimizer:
+                classes |= {(w[:-1], s), (w[1:], s2)}
             assert solves == [] and walks == []
-            blocks = [U for U, v in b.optimizer.items() if v > 0]
-            assert len(walks) == 1
-            classes = kblock_classes(t, blocks, k)
-            kblocks = sum(len(members) for members in classes.values())
             assert sizes == [len(classes)]
+            blocks = [U for U, v in ref_block_optimizer(t, b).items() if v > 0]
+            lifted = kblock_classes(t, blocks, k)
+            assert set(lifted) == classes
+            kblocks = sum(len(members) for members in lifted.values())
             lumped += len(classes) < kblocks
     assert lumped >= 20
 
@@ -986,9 +1025,9 @@ def test_bound_rejects_bad_arguments():
 
 @functools.lru_cache(maxsize=None)
 def uniform_conditional_cases():
-    """(t, bound) at k = 1, 2, 3 for the fixture measure pairs and for the
-    Parry measure and one orbit measure of seeded irreducible random
-    codes."""
+    """(t, k, reference block optimizer of the bound) at k = 1, 2, 3 for
+    the fixture measure pairs and for the Parry measure and one orbit
+    measure of seeded irreducible random codes."""
     cases = []
     for name, kind in MEASURE_PAIRS:
         t = fixtures.load(name)
@@ -1000,15 +1039,16 @@ def uniform_conditional_cases():
         cycle = next(w for n in (2, 3, 1) for w in all_cycle_words(pres.x, n))
         cases += [(t, parry_measure(pres.x)),
                   (t, orbit_measure(pres.x, PeriodicPoint(cycle)))]
-    return tuple((t, relative_entropy_upper_bound(t, measure, k))
-                 for t, measure in cases for k in (1, 2, 3))
+    return tuple((t, k, ref_block_optimizer(
+        t, relative_entropy_upper_bound(t, measure, k)))
+        for t, measure in cases for k in (1, 2, 3))
 
 
 def test_uniform_conditional_diagnostic_vanishes_on_optimizers():
     """The optimizer is the Gibbs chain at the optimal lam (see below), so
     its conditionals are uniform to rounding."""
-    for t, b in uniform_conditional_cases():
-        assert ref_uniform_conditional_diagnostic(t, b) <= 1e-12
+    for t, k, q in uniform_conditional_cases():
+        assert ref_uniform_conditional_diagnostic(t, k, q) <= 1e-12
 
 
 def test_gibbs_chains_have_uniform_conditionals():
@@ -1018,9 +1058,8 @@ def test_gibbs_chains_have_uniform_conditionals():
     word w alone makes the centers a window context admits equally
     likely."""
     rng = random.Random(0)
-    for t, b in uniform_conditional_cases():
-        k = b.k
-        blocks = [U for U, p in b.optimizer.items() if p > 0]
+    for t, k, optimizer in uniform_conditional_cases():
+        blocks = [U for U, p in optimizer.items() if p > 0]
         words = [t.label_word(U) for U in blocks]
         lam = {w: rng.uniform(-3.0, 3.0) for w in dict.fromkeys(words)}
         kindex = {}
@@ -1030,8 +1069,8 @@ def test_gibbs_chains_have_uniform_conditionals():
                         for U in blocks])
         _, q, _ = measures._gibbs_chain(np.exp([lam[w] for w in words]),
                                         src, dst, np.ones(len(kindex)))
-        chain = SimpleNamespace(k=k, optimizer=dict(zip(blocks, q.tolist())))
-        assert ref_uniform_conditional_diagnostic(t, chain) <= 1e-9
+        assert ref_uniform_conditional_diagnostic(
+            t, k, dict(zip(blocks, q.tolist()))) <= 1e-9
 
 
 def test_uniform_conditional_diagnostic_is_a_total_variation():
@@ -1040,9 +1079,8 @@ def test_uniform_conditional_diagnostic_is_a_total_variation():
     total variations."""
     rng = random.Random(0)
     gaps = []
-    for t, b in uniform_conditional_cases():
-        weights = {U: rng.choice((0.0, rng.random())) for U in b.optimizer}
-        off = SimpleNamespace(k=b.k, optimizer=weights)
-        gaps.append(ref_uniform_conditional_diagnostic(t, off))
+    for t, k, optimizer in uniform_conditional_cases():
+        weights = {U: rng.choice((0.0, rng.random())) for U in optimizer}
+        gaps.append(ref_uniform_conditional_diagnostic(t, k, weights))
     assert all(0.0 <= gap <= 1.0 for gap in gaps)
     assert max(gaps) > 0.0
