@@ -22,7 +22,9 @@ for the i-th domain symbol, so route sets are masks from the start;
 frozensets are built only for the symbol sets this module returns. One
 builder, ``_Routes``, keeps the sweeps per prefix and per suffix, so the
 words of one search, which share them, take each labelled step once; a
-word checked on its own takes a fresh one.
+word checked on its own takes a fresh one. One check, ``_routing_failure``,
+decides whether (w, n, m) is a transition block, for the predicate
+``is_transition_block`` and the constructor ``transition_block`` alike.
 
 The measure-restricted search lists the image blocks of the measure's
 support presentation (``measures._measure_support``), which are the
@@ -38,10 +40,11 @@ the last pick from the intersection of the sets still uncovered. Ties
 therefore go to the first set in lexicographic domain symbol order, as a
 size-by-size walk through all combinations would find.
 
-The search over words only asks each word for a block that would replace
-the best one so far: one of smaller depth, or of the same depth on a word
-ordered before the best word (the seed word padded out of d* comes first
-and is usually not the first in that order).
+The search over words keys its best block by (depth, length, word in
+image alphabet order) and only asks each word for a block that would
+replace the best one so far: one of smaller depth, or of the same depth
+on a word ordered before the best word (the seed word padded out of d*
+comes first and is usually not the first in that order).
 """
 
 from __future__ import annotations
@@ -119,14 +122,6 @@ class _Routes:
         return self._columns(word, True), self._columns(word, False)
 
 
-def _pairs(fcols, bcols):
-    """The (start, end) positions in ``fcols[n]`` and ``bcols[n]`` of the
-    endpoint pairs joined by some preimage path, in symbol order."""
-    ends = bcols[-1]
-    return [(i, j) for i, f in enumerate(fcols[-1]) if f
-            for j, e in enumerate(ends) if f & e]
-
-
 def _interior_or_raise(word, index):
     if not 0 < index < len(word) - 1:
         raise ValueError("index must be interior to the word")
@@ -147,54 +142,42 @@ def routable_symbols(t, word, index, preimage):
     return _symbols(t, fcols[index][i] & bcols[index][j])
 
 
-def _meets(t, word, index):
-    """The nonzero meets at ``index`` of the forward mask of each start
-    and the backward mask of each end: one per start and end joined by a
-    preimage path, none iff the word is not an image block. The word is
-    swept forward only up to the index and backward only down to it."""
+def _routing_failure(t, word, index, symbols):
+    """None when ``symbols`` route the tuple ``word`` at ``index``, else
+    the error ``transition_block`` raises (ValueError: not an image block;
+    PreconditionError: routing fails); a bad index or image symbol raises
+    ValueError. A start and an end are joined by a preimage path iff their
+    forward and backward masks meet at the index, and every such meet
+    must hold a symbol of the block: one sweep decides both."""
+    _interior_or_raise(word, index)
+    _check_image_word(t, word)
     routes = _Routes(t)
     fwd = routes._columns(word[:index + 1], True)[-1]
     bwd = routes._columns(word[index:], False)[0]
-    return [m for f in fwd for b in bwd if (m := f & b)]
-
-
-def _block_mask(t, word, index, symbols):
-    """The mask of ``symbols`` when they are a nonempty set of preimages
-    of the image symbol at ``index``, else 0."""
-    if not symbols or not symbols <= set(t.preimages(word[index])):
-        return 0
-    return sum(map(_bits(t)[0].__getitem__, symbols))
+    meets = [m for f in fwd for b in bwd if (m := f & b)]
+    if not meets:
+        return ValueError("word is not an image block")
+    if symbols <= set(t.preimages(word[index])):
+        mask = sum(map(_bits(t)[0].__getitem__, symbols))
+        if all(m & mask for m in meets):
+            return None
+    return PreconditionError("not a transition block: routing fails")
 
 
 def is_transition_block(t, word, index, symbols):
-    """Machine check of the transition block property.
-
-    A start and an end are joined by a preimage path iff the forward mask
-    of the start and the backward mask of the end meet at the index
-    (``_meets``), and every such meet must hold a symbol of the block."""
-    word = tuple(word)
-    _interior_or_raise(word, index)
-    mask = _block_mask(t, word, index, frozenset(symbols))
-    if not mask:
-        return False
-    meets = _meets(t, word, index)
-    return bool(meets) and all(m & mask for m in meets)
+    """Machine check of the transition block property."""
+    return _routing_failure(t, tuple(word), index,
+                            frozenset(symbols)) is None
 
 
 def transition_block(t, word, index, symbols):
     """Constructor that machine-checks the routing property: ValueError
     when the word is not an image block, PreconditionError when it is
-    but the symbols do not route it. One sweep decides both."""
-    word = tuple(word)
-    _interior_or_raise(word, index)
-    word = _check_image_word(t, word)
-    meets = _meets(t, word, index)
-    if not meets:
-        raise ValueError("word is not an image block")
-    symbols = frozenset(symbols)
-    mask = _block_mask(t, word, index, symbols)
-    if not mask or not all(m & mask for m in meets):
-        raise PreconditionError("not a transition block: routing fails")
+    but the symbols do not route it (``_routing_failure``)."""
+    word, symbols = tuple(word), frozenset(symbols)
+    failure = _routing_failure(t, word, index, symbols)
+    if failure is not None:
+        raise failure
     return TransitionBlock(word, index, symbols)
 
 
@@ -295,7 +278,8 @@ def minimal_depth_at(t, word, below=None, routes=None):
             found = common & -common
         elif below > 2:
             # no single symbol meets them all, so sizes start at 2
-            pairs = pairs or _pairs(fcols, bcols)
+            pairs = pairs or [(i, j) for i in starts for j in ends
+                              if fcols[-1][i] & bcols[-1][j]]
             found = _min_hitting_set([f[i] & b[j] for i, j in pairs],
                                      below, 2)
         else:
@@ -326,22 +310,6 @@ class DepthSearchResult:
     certificate: PeriodicPoint | None
 
 
-def _walk(succ, label, start, word):
-    """The state path that presents ``word`` from ``start`` in a
-    right-resolving presentation with successor mapping ``succ`` and
-    label lookup ``label``, or None."""
-    path = [start]
-    for c in word[1:]:
-        # right-resolving: at most one successor carries c
-        for nxt in succ[path[-1]]:
-            if label[nxt] == c:
-                path.append(nxt)
-                break
-        else:
-            return None
-    return path
-
-
 def _close_word(succ, label, cyclic, word):
     """Extend an image word into a periodic image point containing it.
 
@@ -364,8 +332,12 @@ def _close_word(succ, label, cyclic, word):
         for start in succ:
             if start not in members or label[start] != word[0]:
                 continue
-            path = _walk(succ, label, start, word)
-            if path and members.issuperset(path):
+            path = [start]
+            for c in word[1:]:
+                # right-resolving: at most one successor carries c, so the
+                # path presents the word iff no step is missing
+                path += [q for q in succ[path[-1]] if label[q] == c]
+            if len(path) == len(word) and members.issuperset(path):
                 break
         else:
             continue
@@ -402,12 +374,13 @@ def _depth_search(t, horizon, words_of_length, seed_word, closure, routes):
     is closed into a periodic point by ``_close_word`` on the presentation
     that the zero-argument callable ``closure`` returns, as (successor
     mapping, label lookup, cyclic components): it is called only then,
-    once, so a search that answers 1 builds no presentation."""
-    best = None
-    failed = set()
+    once, so a search that answers 1 builds no presentation. A word is
+    weighed at most twice (as the seed, then needing a strictly smaller
+    depth), so the key (depth, length, word) fixes the block; each
+    replacement lowers it, so only the last failed key is kept."""
+    best = failed = None
     top_length = 0
     yorder = {c: i for i, c in enumerate(t.y_alphabet)}
-    xorder = {s: i for i, s in enumerate(t.x.symbols)}
     closure = cache(closure)
 
     def consider(word):
@@ -417,14 +390,13 @@ def _depth_search(t, horizon, words_of_length, seed_word, closure, routes):
         if best is not None:
             # a word ordered before the best one wins ties at its depth;
             # any other word needs a strictly smaller depth
-            below = len(best[3]) + (place < best[0][1:3])
+            below = len(best[3]) + (place < best[0][1:])
         found = minimal_depth_at(t, word, below, routes)
         if found is None:
             return False
         # below the bound, the key is less than the best one
         n, m = found
-        best = ((len(m),) + place + (n, tuple(sorted(xorder[s] for s in m))),
-                word, n, m)
+        best = ((len(m),) + place, word, n, m)
         return True
 
     def certify():
@@ -452,11 +424,11 @@ def _depth_search(t, horizon, words_of_length, seed_word, closure, routes):
         for word in words_of_length(length):
             if consider(word) and len(best[3]) == 1:
                 return _result(best, top_length, *certify())
-        if best[0] not in failed:
+        if best[0] != failed:
             certified, certificate = certify()
             if certified:
                 return _result(best, top_length, True, certificate)
-            failed.add(best[0])
+            failed = best[0]
     return _result(best, top_length, False, None)
 
 

@@ -227,12 +227,6 @@ def _subset_search(t, forward):
     return _SubsetAutomaton(t, forward)
 
 
-def _subset_automaton(t, forward):
-    """The complete subset construction of ``t`` in one direction: the
-    kept ``_subset_search``, grown in full."""
-    return _subset_search(t, forward).grow()
-
-
 def _file_levels(auto, levels, start):
     """File the states of ``auto`` from ``start`` on in ``levels``, a map
     from (label, depth) to states in state order; return the number of
@@ -425,8 +419,9 @@ class SoficImage:
 def sofic_image(t):
     """Canonical right-resolving presentation of the image shift.
 
-    Runs the forward subset construction from the one-symbol preimage
-    sets and keeps the states on some bi-infinite walk of its state graph
+    Grows the forward subset construction kept on the triple
+    (``_subset_search``) in full, from the one-symbol preimage sets, and
+    keeps the states on some bi-infinite walk of its state graph
     (``graphs.bi_essential_nodes``; every finite image block is still
     presented, since each run can be stabilized on the left into that
     part), in breadth-first discovery order. The presentation stays
@@ -435,7 +430,7 @@ def sofic_image(t):
     when no state survives. Built once per triple and kept on it: every
     command that needs the image shares one.
     """
-    auto = _subset_automaton(t, True)
+    auto = _subset_search(t, True).grow()
     graph = dict(enumerate(auto.succ))
     pred = graphs.invert(graph)
     alive = graphs.bi_essential_nodes(graph, pred)

@@ -37,7 +37,7 @@ they stay within a budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from math import inf, lcm
 from operator import or_
@@ -60,8 +60,9 @@ class FiberGraph:
     longest forward walk out of and the longest backward walk into each
     vertex (``inf`` where unbounded), one peel from the sinks and one
     from the sources; and ``pruned``, the vertices where both are
-    unbounded, which are those on bi-infinite walks. The cyclic
-    components lie in ``pruned``; the 1-fold cover
+    unbounded, which are those on bi-infinite walks, with their edges in
+    ``pruned_adjacency`` (not to be modified), which every command reads.
+    The cyclic components lie in ``pruned``; the 1-fold cover
     (``_unrolled(triple, word, period)``) finds them by one Tarjan pass
     over the pruned graph when they are first read.
     """
@@ -72,18 +73,8 @@ class FiberGraph:
     vertices: tuple
     adjacency: dict
     pruned: frozenset
+    pruned_adjacency: dict
     depths: tuple
-    _pruned_adjacency: dict = field(default=None, init=False, repr=False,
-                                    compare=False)
-
-    def pruned_adjacency(self):
-        """``adjacency`` restricted to ``pruned``, built on first use and
-        kept; callers must not modify it."""
-        if self._pruned_adjacency is None:
-            self._pruned_adjacency = {
-                v: [w for w in self.adjacency[v] if w in self.pruned]
-                for v in self.vertices if v in self.pruned}
-        return self._pruned_adjacency
 
 
 def build_fiber_graph(t, y):
@@ -133,7 +124,9 @@ def _phase_graph(t, word):
                        if fwd[v] is None and back[v] is None)
     depths = tuple({v: inf if d is None else d for v, d in side.items()}
                    for side in (fwd, back))
-    return FiberGraph(t, word, p, vertices, adjacency, pruned, depths)
+    return FiberGraph(t, word, p, vertices, adjacency, pruned,
+                      {v: [w for w in adjacency[v] if w in pruned]
+                       for v in vertices if v in pruned}, depths)
 
 
 # Most vertices a fiber report may lift into the cover of its doubling
@@ -168,7 +161,7 @@ def _unrolled(t, word, period):
     of its period, searched by one Tarjan pass. At the period itself the
     cover is the pruned graph; at a larger multiple it is lifted from
     that graph."""
-    adjacency = _phase_graph(t, word).pruned_adjacency()
+    adjacency = _phase_graph(t, word).pruned_adjacency
     if period != len(word):
         n = len(t.x.symbols)
         base = [(v, v // n + 1, [u % n for u in nbrs])
@@ -340,7 +333,7 @@ def enumerate_periodic_preimages(t, y, max_period):
     g = build_fiber_graph(t, y)
     if max_period < g.period:
         raise ValueError("max_period is smaller than the point's period")
-    adj = g.pruned_adjacency()
+    adj = g.pruned_adjacency
     symbols = t.x.symbols
     n = len(symbols)
 
@@ -461,7 +454,7 @@ def window_blocks(t, y, interval, radius=None):
     """
     g = _window_graph(t, y, interval)
     if radius is None:
-        return _window_paths(g, g.pruned_adjacency(), interval)
+        return _window_paths(g, g.pruned_adjacency, interval)
     if radius < 0:
         raise ValueError("radius must be >= 0")
     fwd, back = g.depths
@@ -482,7 +475,7 @@ def synchronizing_extension(t, y, interval):
     g = _window_graph(t, y, interval)
     # listed first, so that a window over the walk budget is refused
     # before the sweep, which costs its width
-    true_blocks = tuple(_window_paths(g, g.pruned_adjacency(), interval))
+    true_blocks = tuple(_window_paths(g, g.pruned_adjacency, interval))
     radius = _synchronizing_radius(g, interval)
     m, n = interval
     per_coordinate = tuple(frozenset(w[i] for w in true_blocks)

@@ -330,9 +330,13 @@ def orbit_measure(base, point):
     return measure
 
 
-def _require_presentation_measure(measure, pres):
+def _presentation(t, measure):
+    """The named image presentation of ``t``, on whose states ``measure``
+    must live: PreconditionError when it does not."""
+    pres = sofic_image(t).triple
     if tuple(measure.base.symbols) != tuple(pres.x.symbols):
         raise PreconditionError("measure is not on the image presentation")
+    return pres
 
 
 def _push(pres, measure, vec, c):
@@ -372,8 +376,7 @@ def _measure_support(t, measure):
     """The image presentation restricted to the support of ``measure``:
     its states of positive stationary weight and the kernel's transitions
     among them. Its image blocks are the measure-positive image words."""
-    pres = sofic_image(t).triple
-    _require_presentation_measure(measure, pres)
+    pres = _presentation(t, measure)
     keep = set(measure.support_states())
     return sub_triple(pres, keep, (e for e in measure.kernel
                                    if e[0] in keep and e[1] in keep))
@@ -382,8 +385,7 @@ def _measure_support(t, measure):
 def image_word_measure(t, measure, word):
     """Measure of a finite image word under a Markov measure on the states
     of the code's image presentation."""
-    pres = sofic_image(t).triple
-    _require_presentation_measure(measure, pres)
+    pres = _presentation(t, measure)
     word = tuple(word)
     if not word:
         return 1.0
@@ -395,8 +397,7 @@ def pqs_bound(t, measure):
     the image presentation: the smallest number of preimage symbols among
     measure-positive image symbols, a positive integer: the labels of
     the measure's support states."""
-    pres = sofic_image(t).triple
-    _require_presentation_measure(measure, pres)
+    pres = _presentation(t, measure)
     return min(len(t.preimages(pres.label[s]))
                for s in measure.support_states())
 

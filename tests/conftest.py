@@ -29,13 +29,14 @@ from factorcode import (
     transition_classes,
 )
 from factorcode import graphs
-from factorcode.classdegree import (_close_word, _pad_to_interior, _result,
-                                    _Routes, minimal_depth_at)
-from factorcode.codes import _check_image_word, d_star, image_blocks
+from factorcode.classdegree import (_close_word, _min_hitting_set,
+                                    _pad_to_interior, _result, _Routes,
+                                    minimal_depth_at)
+from factorcode.codes import (_bits, _check_image_word, _label_masks, d_star,
+                              image_blocks, step)
 from factorcode.core import FactorTriple, enumerate_blocks, sub_triple
 from factorcode.fiber import _unrolled, class_cover
-from factorcode.measures import (_gibbs_chain, _prune_support,
-                                 _require_presentation_measure)
+from factorcode.measures import _gibbs_chain, _presentation, _prune_support
 
 
 FIXTURE_NAMES = ("fix_a", "fix_b", "fix_c", "fix_d", "fix_e", "fix_g")
@@ -866,6 +867,52 @@ def ref_depth_search(t, horizon, measure=None):
     return _result(best, top_length, False, None)
 
 
+def ref_class_degree(t):
+    """The class degree of ``t``, exactly: the least depth of a transition
+    block over every image word and interior index, by pairing mask
+    families as ``d_star`` pairs subset states (None when nothing pairs).
+
+    The forward family of an image word u is the set of nonzero masks the
+    labelled steps along u reach from the preimages of its first symbol;
+    the backward family of v is the same from its last symbol. When u
+    ends with the symbol v starts with, the route masks of the joined
+    word u + v[1:] at the joint are the nonzero meets of a mask of the
+    one family and a mask of the other, so its least depth there is a
+    minimum hitting set of them. Both sides grow breadth first,
+    interleaved, and each new family of a label is paired with every
+    opposite family of that label known so far. Families count from one
+    step on, so the joint is interior: the one-symbol start families are
+    stepped but neither paired nor seen, since a longer word whose family
+    equals one must still pair. Families are finite, so the pairing ends;
+    it stops at depth 1, below which nothing lies."""
+    bit = _bits(t)[0]
+    tables = [_label_masks(t, True), _label_masks(t, False)]
+    starts = [frozenset(bit[s] for s in t.preimages(c)) for c in t.y_alphabet]
+    frontiers = [starts, starts]
+    # the families of each side by label, from one step on
+    known = [{c: set() for c in t.y_alphabet} for _ in tables]
+    best = len(t.x.symbols) + 1
+    while best > 1 and any(frontiers):
+        for side, table in enumerate(tables):
+            grown = []
+            for family in frontiers[side]:
+                for c in t.y_alphabet:
+                    new = frozenset(m for f in family
+                                    if (m := step(table, f, c)))
+                    if not new or new in known[side][c]:
+                        continue
+                    grown.append(new)
+                    for other in known[1 - side][c]:
+                        meets = [m for f in new for b in other
+                                 if (m := f & b)]
+                        found = meets and _min_hitting_set(meets, best)
+                        if found:
+                            best = found.bit_count()
+                    known[side][c].add(new)
+            frontiers[side] = grown
+    return None if best > len(t.x.symbols) else best
+
+
 def ref_close_word(pres, word):
     """``classdegree._close_word`` as a frozenset sweep through the part
     (``sub_triple``) of the presentation on each cyclic component in
@@ -1076,8 +1123,7 @@ def ref_relative_entropy_upper_bound(t, measure, k,
     small, the library's dual solve must reach the same value."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    pres = sofic_image(t).triple
-    _require_presentation_measure(measure, pres)
+    pres = _presentation(t, measure)
 
     nu = ref_positive_word_measures(pres, measure, k + 1)
     xorder = {s: i for i, s in enumerate(t.x.symbols)}

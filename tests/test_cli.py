@@ -515,17 +515,18 @@ def test_an_unlisted_exception_exits_4_on_one_line(monkeypatch, capsys):
     assert captured.err == "internal error: KeyError: 'a'\n"
 
 
-@pytest.mark.parametrize("name, broken, message", [
-    ("_block_mask", lambda *args: 0,
-     "not a transition block: routing fails"),
-    ("_meets", lambda *args: [], "word is not an image block"),
-])
-def test_a_failed_extract_self_check_exits_4(name, broken, message,
-                                             monkeypatch, capsys):
+@pytest.mark.parametrize("error, message", [
+    (core.PreconditionError, "not a transition block: routing fails"),
+    (ValueError, "word is not an image block"),
+], ids=["routing-fails", "not-an-image-block"])
+def test_a_failed_extract_self_check_exits_4(error, message, monkeypatch,
+                                             capsys):
     """extract checks the block it builds with ``transition_block``. A
-    block that fails that check is a fault of the construction, not a
-    failed precondition (exit 2) or bad input (exit 1)."""
-    monkeypatch.setattr(classdegree, name, broken)
+    block that fails that check, in either way, is a fault of the
+    construction, not a failed precondition (exit 2) or bad input (exit
+    1)."""
+    monkeypatch.setattr(classdegree, "_routing_failure",
+                        lambda *args: error(message))
     assert cli.main(["extract", fixture_path("fix_e"), "--y", "0", "1"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -697,7 +698,7 @@ def test_one_phase_graph_per_point_per_command(argv, words, monkeypatch,
 
     def lift(period, adjacency, *args):
         covers.append(
-            (period, adjacency is graphs_built[-1].pruned_adjacency()))
+            (period, adjacency is graphs_built[-1].pruned_adjacency))
         return real_cover(period, adjacency, *args)
 
     real_graph, real_cover = fiber.FiberGraph, fiber.PhaseCover

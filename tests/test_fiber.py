@@ -169,7 +169,7 @@ def test_one_pass_depths_and_pruning_match_their_definitions():
         g = build_fiber_graph(t, y)
         adj = decode(t, g.adjacency)
         cyclic = decode(t, _unrolled(t, g.word, g.period).cyclic)
-        pruned_adj = decode(t, g.pruned_adjacency())
+        pruned_adj = decode(t, g.pruned_adjacency)
         assert list(cyclic) == [
             c for c in ref_strongly_connected_components(pruned_adj)
             if graphs.is_cyclic(pruned_adj, c)]
@@ -222,11 +222,11 @@ def test_cyclic_components_are_those_of_the_pruned_graph():
         for y in points:
             g = build_fiber_graph(t, y)
             one = _unrolled(t, g.word, g.period)
-            assert one.adjacency is g.pruned_adjacency()
+            assert one.adjacency is g.pruned_adjacency
             cyclic = one.cyclic
             assert {frozenset(c) for c in cyclic} == {
                 frozenset(c) for c in
-                graphs.nontrivial_components(g.pruned_adjacency())}
+                graphs.nontrivial_components(g.pruned_adjacency)}
             p = g.period
             big_p = transition_classes(g).unrolled_period
             cyclic = decode(t, cyclic)

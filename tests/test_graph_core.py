@@ -41,7 +41,7 @@ from factorcode import (
     make_sft,
     sofic_image,
 )
-from factorcode.codes import (_label_masks, _subset_automaton, _subset_search,
+from factorcode.codes import (_label_masks, _subset_search,
                               _SubsetAutomaton, _symbols, step)
 from factorcode.core import parse_triple, sub_triple
 from factorcode.graphs import (bi_essential_nodes, invert,
@@ -190,7 +190,7 @@ def test_subset_automaton_matches_frozenset_construction(forward):
     order."""
     for t in population(89):
         found, edges = ref_subset_automaton(t, forward)
-        auto = _subset_automaton(t, forward)
+        auto = _subset_search(t, forward).grow()
         states = list(found)
         words = [found[s][0] for s in states]
         index = {s: i for i, s in enumerate(states)}
@@ -230,7 +230,7 @@ def test_subset_automaton_grown_by_depth_is_a_prefix_of_the_complete_one(
     with the successors, of the complete construction; grown in full, it
     is the complete construction in every field."""
     for t in population(89):
-        full = _subset_automaton(t, forward)
+        full = _subset_search(t, forward).grow()
         part = _SubsetAutomaton(t, forward)
         for depth in count():
             part.grow(depth)
