@@ -14,16 +14,20 @@ word, is built only to certify a value above 1. Extraction builds a
 block as deep as the class count out of the class data ``fiber`` reads
 off one point's phase graph.
 
-Route sets are computed per endpoint pair: the reroutes of a preimage U at
+Route sets are computed on mask families: the reroutes of a preimage U at
 index n depend only on (U_0, U_end), namely the exact-length forward set
-from U_0 intersected with the exact-length backward set from U_end. Both
-sweeps run the labelled step ``codes.step`` on int masks, bit i standing
-for the i-th domain symbol, so route sets are masks from the start;
-frozensets are built only for the symbol sets this module returns. One
-builder, ``_Routes``, keeps the sweeps per prefix and per suffix, so the
-words of one search, which share them, take each labelled step once; a
-word checked on its own takes a fresh one. One check, ``_routing_failure``,
-decides whether (w, n, m) is a transition block, for the predicate
+from U_0 intersected with the exact-length backward set from U_end. Sets
+of domain symbols are int masks, bit i standing for the i-th domain
+symbol, and frozensets are built only for the symbol sets this module
+returns. The forward sets of all starts at n form the forward family of
+the prefix, a set of masks, and the backward sets of all ends the
+backward family of the suffix; the route sets at n are the nonzero meets
+of the two, so the least depth at n depends only on the family pair. One
+builder, ``_Routes``, interns the families of one search, steps each
+family to each image symbol once, keeps the families of every prefix and
+every suffix, and solves each family pair once; a word checked on its own
+takes a fresh one. One check, ``_routing_failure``, decides
+whether (w, n, m) is a transition block, for the predicate
 ``is_transition_block`` and the constructor ``transition_block`` alike.
 
 The measure-restricted search lists the image blocks of the measure's
@@ -80,46 +84,113 @@ class _Routes:
     serves a whole search, and a word checked on its own takes a fresh
     one.
 
-    ``fwd`` maps a prefix of a word to the forward masks at its last
-    coordinate, one per preimage of its first symbol (in ``t.preimages``
-    order); ``bwd`` maps a suffix to the backward masks at its first
-    coordinate, one per preimage of its last symbol. So R(s, e, n) =
-    fwd[word[:n + 1]][s] & bwd[word[n:]][e]. Words of a search share
-    prefixes and suffixes, and each labelled step is taken once: a word
-    whose prefix and suffix one symbol shorter are known costs one step
-    per start and one per end symbol.
+    A family is a frozenset of nonzero masks, interned per instance. The
+    forward family of a word u is the set of nonzero masks the labelled
+    steps along u reach from the preimages of its first symbol, at its
+    last coordinate; the backward family of v the same from the
+    preimages of its last symbol, at its first coordinate. The forward
+    column of a word lists the families of its prefixes, the backward
+    column those of its suffixes, in coordinate order, so the route masks
+    at index n are the nonzero meets of the two families at n. Each
+    column comes from the column of the prefix (suffix) one symbol
+    shorter, in a memo per direction, and one step of its last (first)
+    family. A family steps to an image symbol once per direction, by one
+    labelled step (``codes.step``) of each member, and only when some
+    word asks for it.
+
+    ``minimal_depth_at`` reads one entry of ``pairs`` per family pair,
+    which keeps the mask ``solve`` found with the bound ``below`` it was
+    solved under, and ``_min_hitting_set`` runs once per route family
+    (the set of meets) unless a later bound asks past the one it ran
+    under.
     """
 
     def __init__(self, t):
         self.t = t
-        self.fwd = {}
-        self.bwd = {}
+        self.families = {}
+        self.steps = {True: {}, False: {}}
+        self.prefixes = {}
+        self.suffixes = {}
+        self.pairs = {}
+        self.solved = {}
 
-    def _columns(self, word, forward):
-        """The masks of ``word`` at every coordinate, in coordinate order,
-        walking its prefixes (forward) or suffixes from the shortest; only
-        the ones not yet known take a step."""
-        memo = self.fwd if forward else self.bwd
+    def _intern(self, masks):
+        family = frozenset(masks)
+        return self.families.setdefault(family, family)
+
+    def _step(self, family, c, forward):
+        """The family one labelled step of ``c`` away from ``family``."""
         table = _label_masks(self.t, forward)
-        order = range(len(word)) if forward else range(len(word) - 1, -1, -1)
-        cols = []
-        for i in order:
-            part = word[:i + 1] if forward else word[i:]
-            masks = memo.get(part)
-            if masks is None:
-                # one labelled step of every live mask, or the one-symbol
-                # masks of the preimages at the first coordinate walked
-                masks = memo[part] = (
-                    tuple([m and step(table, m, word[i]) for m in cols[-1]])
-                    if cols else tuple(map(_bits(self.t)[0].__getitem__,
-                                           self.t.preimages(word[i]))))
-            cols.append(masks)
-        return cols if forward else cols[::-1]
+        return self._intern([m for f in family if (m := step(table, f, c))])
 
-    def columns(self, word):
-        """(fcols, bcols): the forward and backward masks of ``word`` at
-        every coordinate."""
-        return self._columns(word, True), self._columns(word, False)
+    def column(self, word, forward):
+        """The families of the prefixes (``forward``) or suffixes of the
+        tuple ``word``, in coordinate order; only the parts not yet known
+        take a step."""
+        memo = self.prefixes if forward else self.suffixes
+        size = len(word)
+        k, col = size, memo.get(word)
+        while col is None and k > 1:
+            k -= 1
+            col = memo.get(word[:k] if forward else word[size - k:])
+        if col is None:
+            k, c = 1, word[0] if forward else word[-1]
+            col = memo[(c,)] = (self._intern(
+                map(_bits(self.t)[0].__getitem__, self.t.preimages(c))),)
+        steps = self.steps[forward]
+        while k < size:
+            k += 1
+            c = word[k - 1] if forward else word[size - k]
+            key = (col[-1] if forward else col[0], c)
+            family = steps.get(key)
+            if family is None:
+                family = steps[key] = self._step(*key, forward)
+            if forward:
+                col = memo[word[:k]] = col + (family,)
+            else:
+                col = memo[word[size - k:]] = (family,) + col
+        return col
+
+    def solve(self, fwd, bwd, below):
+        """The least hitting set, lowest bits first, of the route masks
+        of the families ``fwd`` and ``bwd`` at one interior index, as a
+        mask of fewer than ``below`` (at least 2) bits, or None; kept in
+        ``pairs`` with ``below``, so a found mask is the least one and None
+        holds for every lower bound."""
+        # one symbol meets every route mask iff it lies in every forward
+        # mask that some path leaves and every backward mask one enters
+        ufwd = ubwd = 0
+        for f in fwd:
+            ufwd |= f
+        for b in bwd:
+            ubwd |= b
+        common = -1
+        for f in fwd:
+            if f & ubwd:
+                common &= f
+        for b in bwd:
+            if b & ufwd:
+                common &= b
+        if common:
+            # size 1, as _min_hitting_set would find it
+            found = common & -common
+        elif below > 2:
+            # no single symbol meets them all, so sizes start at 2
+            found = self._hitting_set(frozenset(
+                m for f in fwd for b in bwd if (m := f & b)), below)
+        else:
+            found = None
+        self.pairs[(fwd, bwd)] = (found, below)
+        return found
+
+    def _hitting_set(self, meets, below):
+        """``_min_hitting_set`` of a route family with no common bit, once
+        per family unless ``below`` asks past the bound it ran under."""
+        found, under = self.solved.get(meets, (None, 2))
+        if not found and below > under:
+            found = _min_hitting_set(meets, below, under)
+            self.solved[meets] = (found, below)
+        return found if found and found.bit_count() < below else None
 
 
 def _interior_or_raise(word, index):
@@ -128,7 +199,9 @@ def _interior_or_raise(word, index):
 
 
 def routable_symbols(t, word, index, preimage):
-    """Symbols through which one specific preimage path can be rerouted."""
+    """Symbols through which one specific preimage path can be rerouted:
+    the forward set of its start meets the backward set of its end at the
+    index, one labelled step per coordinate."""
     word = tuple(word)
     _interior_or_raise(word, index)
     path = tuple(preimage.symbols if hasattr(preimage, "symbols")
@@ -136,24 +209,30 @@ def routable_symbols(t, word, index, preimage):
     if len(path) != len(word) or not t.x.admits_word(path) \
             or t.label_word(path) != word:
         raise ValueError("block is not a preimage of the word")
-    fcols, bcols = _Routes(t).columns(word)
-    i = t.preimages(word[0]).index(path[0])
-    j = t.preimages(word[-1]).index(path[-1])
-    return _symbols(t, fcols[index][i] & bcols[index][j])
+    bit = _bits(t)[0]
+    fwd, bwd = bit[path[0]], bit[path[-1]]
+    table = _label_masks(t, True)
+    for c in word[1:index + 1]:
+        fwd = step(table, fwd, c)
+    table = _label_masks(t, False)
+    for c in word[-2:index - 1:-1]:
+        bwd = step(table, bwd, c)
+    return _symbols(t, fwd & bwd)
 
 
-def _routing_failure(t, word, index, symbols):
+def _routing_failure(t, word, index, symbols, routes=None):
     """None when ``symbols`` route the tuple ``word`` at ``index``, else
     the error ``transition_block`` raises (ValueError: not an image block;
     PreconditionError: routing fails); a bad index or image symbol raises
     ValueError. A start and an end are joined by a preimage path iff their
     forward and backward masks meet at the index, and every such meet
-    must hold a symbol of the block: one sweep decides both."""
+    must hold a symbol of the block: one sweep decides both, on the
+    ``_Routes`` memo ``routes`` or a fresh one."""
     _interior_or_raise(word, index)
     _check_image_word(t, word)
-    routes = _Routes(t)
-    fwd = routes._columns(word[:index + 1], True)[-1]
-    bwd = routes._columns(word[index:], False)[0]
+    routes = routes or _Routes(t)
+    fwd = routes.column(word[:index + 1], True)[-1]
+    bwd = routes.column(word[index:], False)[0]
     meets = [m for f in fwd for b in bwd if (m := f & b)]
     if not meets:
         return ValueError("word is not an image block")
@@ -247,44 +326,31 @@ def minimal_depth_at(t, word, below=None, routes=None):
     symbol set (in domain symbol order). With ``below``, returns None
     when no block of the word has fewer than ``below`` symbols, and the
     same (index, symbols) otherwise. ``routes`` is a ``_Routes`` memo
-    shared with other words of the same triple.
+    shared with other words of the same triple. An unknown image symbol
+    raises ValueError wherever it stands.
     """
     word = tuple(word)
     if len(word) < 3:
         raise ValueError("word must have length >= 3")
-    fcols, bcols = (routes or _Routes(t)).columns(word)
-    # every start (end) that some preimage path leaves (enters) is in a
-    # pair, so the route masks of all pairs meet in the masks of these
-    starts = [i for i, f in enumerate(fcols[-1]) if f]
-    ends = [j for j, b in enumerate(bcols[0]) if b]
-    if not starts:
+    _check_image_word(t, word)
+    routes = routes or _Routes(t)
+    fcol = routes.column(word, True)
+    if not fcol[-1]:
         raise ValueError("word is not an image block")
+    bcol = routes.column(word, False)
     if below is None:
         below = len(t.x.symbols) + 1
     # bit i stands for t.x.symbols[i], so ascending bits are symbol order;
     # the first index reaching the least depth finds it first, bound or not
-    best = pairs = None
+    pairs = routes.pairs
+    best = None
     for n in range(1, len(word) - 1):
         if below < 2:
             break
-        f, b = fcols[n], bcols[n]
-        common = -1
-        for i in starts:
-            common &= f[i]
-        for j in ends:
-            common &= b[j]
-        if common:
-            # size 1, as _min_hitting_set would find it
-            found = common & -common
-        elif below > 2:
-            # no single symbol meets them all, so sizes start at 2
-            pairs = pairs or [(i, j) for i in starts for j in ends
-                              if fcols[-1][i] & bcols[-1][j]]
-            found = _min_hitting_set([f[i] & b[j] for i, j in pairs],
-                                     below, 2)
-        else:
-            continue
-        if found:
+        found, under = pairs.get((fcol[n], bcol[n]), (None, 0))
+        if not found and below > under:
+            found = routes.solve(fcol[n], bcol[n], below)
+        if found and found.bit_count() < below:
             # only a strictly smaller depth can improve on an earlier index
             best, below = (n, found), found.bit_count()
     return None if best is None else (best[0], _symbols(t, best[1]))
@@ -357,7 +423,7 @@ def _pad_to_interior(t, word, index, routes):
         left = index == 0
         for c in t.y_alphabet:
             longer = (c,) + word if left else word + (c,)
-            if any(routes._columns(longer, True)[-1]):
+            if routes.column(longer, True)[-1]:
                 word, index = longer, index + left
                 break
         else:
@@ -370,14 +436,15 @@ def _depth_search(t, horizon, words_of_length, seed_word, closure, routes):
     """Shared search core for the plain and measure-restricted variants;
     the route masks of candidates come from the ``_Routes`` memo
     ``routes``. A depth-1 block is its own proof, since no depth is below
-    1, and is only checked again (``is_transition_block``). A deeper one
-    is closed into a periodic point by ``_close_word`` on the presentation
-    that the zero-argument callable ``closure`` returns, as (successor
-    mapping, label lookup, cyclic components): it is called only then,
-    once, so a search that answers 1 builds no presentation. A word is
-    weighed at most twice (as the seed, then needing a strictly smaller
-    depth), so the key (depth, length, word) fixes the block; each
-    replacement lowers it, so only the last failed key is kept."""
+    1, and is only checked again (``_routing_failure``, on the same
+    memo). A deeper one is closed into a periodic point by ``_close_word``
+    on the presentation that the zero-argument callable ``closure``
+    returns, as (successor mapping, label lookup, cyclic components): it
+    is called only then, once, so a search that answers 1 builds no
+    presentation. A word is weighed at most twice (as the seed, then
+    needing a strictly smaller depth), so the key (depth, length, word)
+    fixes the block; each replacement lowers it, so only the last failed
+    key is kept."""
     best = failed = None
     top_length = 0
     yorder = {c: i for i, c in enumerate(t.y_alphabet)}
@@ -385,7 +452,7 @@ def _depth_search(t, horizon, words_of_length, seed_word, closure, routes):
 
     def consider(word):
         nonlocal best
-        place = (len(word), tuple(yorder[c] for c in word))
+        place = (len(word), tuple(map(yorder.__getitem__, word)))
         below = None
         if best is not None:
             # a word ordered before the best one wins ties at its depth;
@@ -403,7 +470,7 @@ def _depth_search(t, horizon, words_of_length, seed_word, closure, routes):
         """(certified, certificate) for the best block."""
         _, word, n, m = best
         if len(m) == 1:
-            if not is_transition_block(t, word, n, m):
+            if _routing_failure(t, word, n, m, routes) is not None:
                 raise AssertionError("depth 1 block fails its check")
             return True, None
         y = _close_word(*closure(), word)

@@ -14,6 +14,8 @@ from conftest import (
     brute_min_depth,
     brute_preimage_blocks,
     brute_routable,
+    exact_backward_sweep,
+    exact_forward_sweep,
     image_measure,
     labelled_successors,
     random_code,
@@ -27,6 +29,7 @@ from conftest import (
 )
 from factorcode import (
     EmptyShiftError,
+    PeriodicPoint,
     PreconditionError,
     TransitionBlock,
     build_fiber_graph,
@@ -317,13 +320,12 @@ def test_bounded_minimal_depth_matches_the_unbounded_one():
 
 
 def test_route_memo_matches_whole_word_sweeps():
-    """The memo's masks at every coordinate equal one sweep per start and
-    per end symbol across the whole word, whether the memo is fresh (as
-    for a word checked on its own) or already holds the word's prefixes
-    and suffixes; starts and ends whose sweep dies keep an empty mask at
-    the far end. A start and an end are joined by a preimage path iff the
-    start's forward mask at the last coordinate holds the end, as
-    ``minimal_depth_at`` pairs them."""
+    """The memo's family at every coordinate is the set of nonzero masks
+    of the sweeps from every start (forward) or end symbol across the
+    whole word, whether the memo is fresh (as for a word checked on its
+    own) or already holds the word's prefixes and suffixes. At an interior
+    index, the nonzero meets of the two families are the route sets of
+    the start and end pairs that a preimage path joins."""
     rng = random.Random(73)
     cases = [(fixtures.load(name), 8) for name in FIXTURE_NAMES]
     cases += [(random_triple(rng), 6) for _ in range(40)]
@@ -331,30 +333,41 @@ def test_route_memo_matches_whole_word_sweeps():
         shared = _Routes(t)
         for n in range(1, longest + 1):
             for word in image_blocks(t, n):
-                pairs, fsweeps, bsweeps = ref_route_table(t, word)
-                starts = t.preimages(word[0])
-                ends = t.preimages(word[-1])
-                for fcols, bcols in (shared.columns(word),
-                                     _Routes(t).columns(word)):
-                    for i, s in enumerate(starts):
-                        column = [_symbols(t, masks[i]) for masks in fcols]
-                        assert column == fsweeps.get(s, column)
-                        assert bool(column[-1]) == (s in fsweeps)
-                    for j, e in enumerate(ends):
-                        column = [_symbols(t, masks[j]) for masks in bcols]
-                        assert column == bsweeps.get(e, column)
-                        assert bool(column[0]) == (e in bsweeps)
-                    assert [(s, e) for i, s in enumerate(starts)
-                            for j, e in enumerate(ends)
-                            if fcols[-1][i] & bcols[-1][j]] == pairs
+                fsweeps = [exact_forward_sweep(t, s, word)
+                           for s in t.preimages(word[0])]
+                bsweeps = [exact_backward_sweep(t, e, word)
+                           for e in t.preimages(word[-1])]
+                pairs, fsw, bsw = ref_route_table(t, word)
+                for routes in (shared, _Routes(t)):
+                    fcol = routes.column(word, True)
+                    bcol = routes.column(word, False)
+                    for col, sweeps in ((fcol, fsweeps), (bcol, bsweeps)):
+                        assert [{_symbols(t, m) for m in family}
+                                for family in col] == \
+                            [{sweep[i] for sweep in sweeps if sweep[i]}
+                             for i in range(n)]
+                        assert all(all(family) for family in col)
+                    for i in range(1, n - 1):
+                        assert {_symbols(t, f & b) for f in fcol[i]
+                                for b in bcol[i] if f & b} == \
+                            {fsw[s][i] & bsw[e][i] for s, e in pairs}
 
 
 def test_minimal_depth_rejects_bad_words():
+    """An unknown image symbol raises the same ValueError at the start, in
+    the middle and at the end of the word, with or without a shared
+    memo, before any family is looked up."""
     t = fixtures.load("fix_a")
     with pytest.raises(ValueError, match="length"):
         minimal_depth_at(t, ("0", "0"))
     with pytest.raises(ValueError, match="not an image block"):
         minimal_depth_at(t, ("1", "1", "1"))
+    routes = _Routes(t)
+    minimal_depth_at(t, ("0", "0", "1"), routes=routes)
+    for word in (("z", "0", "1"), ("0", "z", "1"), ("0", "0", "z")):
+        for memo in (None, routes):
+            with pytest.raises(ValueError, match="unknown image symbol"):
+                minimal_depth_at(t, word, routes=memo)
 
 
 def test_search_frozen_results():
@@ -425,32 +438,42 @@ def test_seed_word_loses_ties_to_earlier_words(name, witness):
     assert res.value == 1 and res.certified
 
 
-@pytest.mark.parametrize("name, horizon, steps", [
-    ("probe", 4, 18),
-    ("fix_e", 8, 52),
+@pytest.mark.parametrize("name, horizon, steps, masks", [
+    ("probe", 4, 6, 18),
+    ("fix_e", 8, 15, 46),
 ])
-def test_labelled_steps_per_search(name, horizon, steps, monkeypatch):
+def test_labelled_steps_per_search(name, horizon, steps, masks,
+                                   monkeypatch):
     """Words of one search, and the padding of its seed word, share the
-    sweeps of their common prefixes and suffixes, so each labelled step is
-    taken once. The image words themselves are walks of the subset
-    automaton, which takes no labelled step. (With the 5 and 10 steps
-    that listing the words level by level took, the search took 50 and 98
-    steps when every word swept its own route table, 26 and 64 when the
-    padding swept on its own, and 23 and 62 before the words became
-    walks.)"""
+    families of their common prefixes and suffixes, so each family steps
+    to each image symbol once per direction, by one labelled step of each
+    of its masks. The image words themselves are walks of the subset
+    automaton, which takes no labelled step. (Before the families, the
+    search took 18 and 52 labelled steps, one per start or end and
+    coordinate; 50 and 98 when every word swept its own route table, 26
+    and 64 when the padding swept on its own, and 23 and 62 before the
+    words became walks, with the 5 and 10 steps that listing the words
+    level by level took.)"""
     t = parse_triple(INFINITE_TO_ONE_PROBE) if name == "probe" else \
         fixtures.load(name)
-    calls = []
-    real = codes.step
+    families, labelled = [], []
+    real_family = classdegree._Routes._step
+    real_step = codes.step
+
+    def family_step(routes, family, c, forward):
+        families.append((id(routes), family, c, forward))
+        return real_family(routes, family, c, forward)
 
     def count(table, mask, c):
-        calls.append(c)
-        return real(table, mask, c)
+        labelled.append(c)
+        return real_step(table, mask, c)
 
+    monkeypatch.setattr(classdegree._Routes, "_step", family_step)
     monkeypatch.setattr(codes, "step", count)
     monkeypatch.setattr(classdegree, "step", count)
     find_minimal_transition_block(t, horizon)
-    assert len(calls) == steps
+    assert len(families) == len(set(families)) == steps
+    assert len(labelled) == masks
 
 
 def test_search_certificate_contains_witness_and_counts_match():
@@ -713,6 +736,61 @@ def test_search_values_bound_the_exact_class_degree():
         assert least >= exact
         longer += least > exact
     assert longer
+
+
+def test_regression_depth_two_word_over_a_two_class_point():
+    """On this code the word 010 has least depth 2 and closes into a point
+    with 2 classes, (01)^inf, yet the class degree is 1: the search finds
+    a block of depth 1 on 011."""
+    t = random_triple(random.Random(5))
+    assert minimal_depth_at(t, "010") == (1, frozenset({"b", "e"}))
+    g = build_fiber_graph(t, PeriodicPoint(("0", "1")))
+    assert transition_classes(g).class_count == 2
+    assert ref_class_degree(t) == 1
+    res = find_minimal_transition_block(t)
+    w = res.witness
+    assert (res.value, w.word, w.index, w.symbols) == \
+        (1, ("0", "1", "1"), 1, frozenset({"d"}))
+
+
+def test_search_work_on_a_twin_code(monkeypatch):
+    """One search on twin-12-s150 up to length 8 weighs 505 words through
+    402 families, 488 family steps, 1,136 family pairs and 36 hitting-set
+    solves, one per route family; its value stays 2, uncertified. Before
+    the families, its prefixes and suffixes (510 each) were swept one
+    preimage at a time, and 291 (word, index) hitting-set problems were
+    solved."""
+    t = parse_triple((POOL / "twin-12-s150.triple").read_text())
+    made, words, solves = [], [], []
+    real_routes = classdegree._Routes
+    real_depth = classdegree.minimal_depth_at
+    real_solve = classdegree._min_hitting_set
+
+    class Routes(real_routes):
+        def __init__(self, t):
+            super().__init__(t)
+            made.append(self)
+
+    def depth(*args):
+        words.append(args[1])
+        return real_depth(*args)
+
+    def solve(*args):
+        solves.append(args[0])
+        return real_solve(*args)
+
+    monkeypatch.setattr(classdegree, "_Routes", Routes)
+    monkeypatch.setattr(classdegree, "minimal_depth_at", depth)
+    monkeypatch.setattr(classdegree, "_min_hitting_set", solve)
+    res = find_minimal_transition_block(t, 8)
+    assert (res.value, res.certified) == (2, False)
+    (routes,) = made
+    assert (len(words), len(routes.prefixes), len(routes.suffixes)) == \
+        (505, 510, 510)
+    assert len(routes.families) == 402
+    assert len(routes.pairs) == 1136
+    assert len(solves) == len(set(solves)) == len(routes.solved) == 36
+    assert len(routes.steps[True]) + len(routes.steps[False]) == 488
 
 
 @pytest.mark.parametrize("name", sorted(
