@@ -24,11 +24,11 @@ the prefix, a set of masks, and the backward sets of all ends the
 backward family of the suffix; the route sets at n are the nonzero meets
 of the two, so the least depth at n depends only on the family pair. One
 builder, ``_Routes``, interns the families of one search, steps each
-family to each image symbol once, keeps the families of every prefix and
-every suffix, and solves each family pair once; a word checked on its own
-takes a fresh one. One check, ``_routing_failure``, decides
-whether (w, n, m) is a transition block, for the predicate
-``is_transition_block`` and the constructor ``transition_block`` alike.
+family to each image symbol once, folds a word's column out of those
+steps, and solves each family pair once; a word checked on its own takes
+a fresh one. One check, ``_routing_failure``, decides whether (w, n, m)
+is a transition block, for the predicate ``is_transition_block`` and the
+constructor ``transition_block`` alike.
 
 The measure-restricted search lists the image blocks of the measure's
 support presentation (``measures._measure_support``), which are the
@@ -54,7 +54,7 @@ comes first and is usually not the first in that order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial, reduce
 
 from . import graphs
 from .core import PeriodicPoint, PreconditionError
@@ -91,12 +91,13 @@ class _Routes:
     preimages of its last symbol, at its first coordinate. The forward
     column of a word lists the families of its prefixes, the backward
     column those of its suffixes, in coordinate order, so the route masks
-    at index n are the nonzero meets of the two families at n. Each
-    column comes from the column of the prefix (suffix) one symbol
-    shorter, in a memo per direction, and one step of its last (first)
-    family. A family steps to an image symbol once per direction, by one
-    labelled step (``codes.step``) of each member, and only when some
-    word asks for it.
+    at index n are the nonzero meets of the two families at n. A column
+    is a fold: it starts from the family of the first (last) symbol's
+    preimages, interned once in ``starts``, and reads one entry of
+    ``steps`` per coordinate. A family steps to an image symbol once per
+    direction, by one labelled step (``codes.step``) of each member, and
+    only when some word asks for it, so every memo is keyed by families
+    and none grows with the number of words.
 
     ``minimal_depth_at`` reads one entry of ``pairs`` per family pair,
     which keeps the mask ``solve`` found with the bound ``below`` it was
@@ -109,10 +110,11 @@ class _Routes:
         self.t = t
         self.families = {}
         self.steps = {True: {}, False: {}}
-        self.prefixes = {}
-        self.suffixes = {}
         self.pairs = {}
         self.solved = {}
+        bit = _bits(t)[0]
+        self.starts = {c: self._intern(map(bit.__getitem__, t.preimages(c)))
+                       for c in t.y_alphabet}
 
     def _intern(self, masks):
         family = frozenset(masks)
@@ -125,31 +127,20 @@ class _Routes:
 
     def column(self, word, forward):
         """The families of the prefixes (``forward``) or suffixes of the
-        tuple ``word``, in coordinate order; only the parts not yet known
-        take a step."""
-        memo = self.prefixes if forward else self.suffixes
-        size = len(word)
-        k, col = size, memo.get(word)
-        while col is None and k > 1:
-            k -= 1
-            col = memo.get(word[:k] if forward else word[size - k:])
-        if col is None:
-            k, c = 1, word[0] if forward else word[-1]
-            col = memo[(c,)] = (self._intern(
-                map(_bits(self.t)[0].__getitem__, self.t.preimages(c))),)
+        tuple ``word``, in coordinate order: a fold of ``steps`` from the
+        start family of its first (last) symbol, stepping a family only
+        on a miss."""
         steps = self.steps[forward]
-        while k < size:
-            k += 1
-            c = word[k - 1] if forward else word[size - k]
-            key = (col[-1] if forward else col[0], c)
+        symbols = word if forward else word[::-1]
+        family = self.starts[symbols[0]]
+        col = [family]
+        for c in symbols[1:]:
+            key = (family, c)
             family = steps.get(key)
             if family is None:
                 family = steps[key] = self._step(*key, forward)
-            if forward:
-                col = memo[word[:k]] = col + (family,)
-            else:
-                col = memo[word[size - k:]] = (family,) + col
-        return col
+            col.append(family)
+        return col if forward else col[::-1]
 
     def solve(self, fwd, bwd, below):
         """The least hitting set, lowest bits first, of the route masks
@@ -210,13 +201,10 @@ def routable_symbols(t, word, index, preimage):
             or t.label_word(path) != word:
         raise ValueError("block is not a preimage of the word")
     bit = _bits(t)[0]
-    fwd, bwd = bit[path[0]], bit[path[-1]]
-    table = _label_masks(t, True)
-    for c in word[1:index + 1]:
-        fwd = step(table, fwd, c)
-    table = _label_masks(t, False)
-    for c in word[-2:index - 1:-1]:
-        bwd = step(table, bwd, c)
+    fwd = reduce(partial(step, _label_masks(t, True)),
+                 word[1:index + 1], bit[path[0]])
+    bwd = reduce(partial(step, _label_masks(t, False)),
+                 word[-2:index - 1:-1], bit[path[-1]])
     return _symbols(t, fwd & bwd)
 
 

@@ -164,6 +164,7 @@ def parse_measure(text, base):
     A ``states:`` line names every state of the base shift, then one
     ``row STATE: p1 p2 ...`` line per state gives its transition
     probabilities in the order of the states line. '#' starts a comment.
+    A state name may hold ':', so a row is split at its last ':'.
     """
     order = None
     rows = {}
@@ -174,7 +175,11 @@ def parse_measure(text, base):
         if ":" not in line:
             raise MeasureParseError("line %d: expected 'key: values'"
                                     % lineno)
+        # state names may hold ':', a probability never does: only the
+        # states line is split at its first ':'
         key, _, rest = line.partition(":")
+        if key.split() != ["states"]:
+            key, _, rest = line.rpartition(":")
         fields = key.split()
         values = rest.split()
         if fields == ["states"]:

@@ -323,7 +323,7 @@ def test_route_memo_matches_whole_word_sweeps():
     """The memo's family at every coordinate is the set of nonzero masks
     of the sweeps from every start (forward) or end symbol across the
     whole word, whether the memo is fresh (as for a word checked on its
-    own) or already holds the word's prefixes and suffixes. At an interior
+    own) or already holds the steps along the word. At an interior
     index, the nonzero meets of the two families are the route sets of
     the start and end pairs that a preimage path joins."""
     rng = random.Random(73)
@@ -444,16 +444,15 @@ def test_seed_word_loses_ties_to_earlier_words(name, witness):
 ])
 def test_labelled_steps_per_search(name, horizon, steps, masks,
                                    monkeypatch):
-    """Words of one search, and the padding of its seed word, share the
-    families of their common prefixes and suffixes, so each family steps
-    to each image symbol once per direction, by one labelled step of each
-    of its masks. The image words themselves are walks of the subset
-    automaton, which takes no labelled step. (Before the families, the
-    search took 18 and 52 labelled steps, one per start or end and
-    coordinate; 50 and 98 when every word swept its own route table, 26
-    and 64 when the padding swept on its own, and 23 and 62 before the
-    words became walks, with the 5 and 10 steps that listing the words
-    level by level took.)"""
+    """Words of one search, and the padding of its seed word, share one
+    memo of family steps, so each family steps to each image symbol once
+    per direction, by one labelled step of each of its masks. The image
+    words themselves are walks of the subset automaton, which takes no
+    labelled step. (Before the families, the search took 18 and 52
+    labelled steps, one per start or end and coordinate; 50 and 98 when
+    every word swept its own route table, 26 and 64 when the padding
+    swept on its own, and 23 and 62 before the words became walks, with
+    the 5 and 10 steps that listing the words level by level took.)"""
     t = parse_triple(INFINITE_TO_ONE_PROBE) if name == "probe" else \
         fixtures.load(name)
     families, labelled = [], []
@@ -720,10 +719,24 @@ def test_certified_values_are_exact_off_the_unsound_registry():
     assert is_transition_block(t, "1101011010", 4, {"e"})
 
 
+def least_word_depth(t, longest):
+    """The least depth of the image words of lengths 3 to ``longest``,
+    through one shared memo."""
+    routes = _Routes(t)
+    return min(len(minimal_depth_at(t, w, None, routes)[1])
+               for n in range(3, longest + 1) for w in image_blocks(t, n))
+
+
 def test_search_values_bound_the_exact_class_degree():
     """On seeded codes every search value is at least the exact class
-    degree, and every certified one equals it; so does the least depth
-    of the words up to length 6. Some codes need longer words."""
+    degree, and every certified one equals it. So is the least depth of
+    the image words up to length 10, on the seeded codes and on the
+    fixtures, where it equals the class degree (fix_e first reaches 1 at
+    length 10). Some codes need longer words: one of 150 seeds at length
+    10, six at length 6."""
+    for name in FIXTURE_NAMES:
+        t = fixtures.load(name)
+        assert least_word_depth(t, 10) == ref_class_degree(t)
     longer = 0
     for seed in range(150):
         t = random_triple(random.Random(seed))
@@ -731,8 +744,7 @@ def test_search_values_bound_the_exact_class_degree():
         exact = ref_class_degree(t)
         assert res.value >= exact
         assert not res.certified or res.value == exact
-        least = min(len(minimal_depth_at(t, w)[1])
-                    for n in range(3, 7) for w in image_blocks(t, n))
+        least = least_word_depth(t, 10)
         assert least >= exact
         longer += least > exact
     assert longer
@@ -759,7 +771,8 @@ def test_search_work_on_a_twin_code(monkeypatch):
     solves, one per route family; its value stays 2, uncertified. Before
     the families, its prefixes and suffixes (510 each) were swept one
     preimage at a time, and 291 (word, index) hitting-set problems were
-    solved."""
+    solved; until the columns became folds of the family steps, the memo
+    also kept a column for each of those prefixes and suffixes."""
     t = parse_triple((POOL / "twin-12-s150.triple").read_text())
     made, words, solves = [], [], []
     real_routes = classdegree._Routes
@@ -785,8 +798,7 @@ def test_search_work_on_a_twin_code(monkeypatch):
     res = find_minimal_transition_block(t, 8)
     assert (res.value, res.certified) == (2, False)
     (routes,) = made
-    assert (len(words), len(routes.prefixes), len(routes.suffixes)) == \
-        (505, 510, 510)
+    assert len(words) == 505
     assert len(routes.families) == 402
     assert len(routes.pairs) == 1136
     assert len(solves) == len(set(solves)) == len(routes.solved) == 36

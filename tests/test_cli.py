@@ -460,6 +460,31 @@ def test_a_shared_state_name_exits_2_only_where_a_measure_names_states(
             "named 'a+b'\n")
 
 
+def test_a_state_name_holding_a_colon_reads_as_its_renamed_twin(
+        tmp_path, capsys):
+    """A domain symbol may hold ':', and the presentation's state names
+    inherit it, so a measure row is split at its last ':'. Every command
+    that reads a measure reports on the triple with the symbol a:b what
+    it reports on the same triple with a:b renamed ab."""
+    triple = ("xsymbols: a:b c\nysymbols: 0 1\nmap: a:b>0 c>1\n"
+              "edges: a:b>a:b a:b>c c>a:b c>c\n")
+    measure = "states: a:b c\nrow a:b: 0.5 0.5\nrow c: 0.5 0.5\n"
+    reports = []
+    for name, rename in (("colon", "a:b"), ("plain", "ab")):
+        paths = [tmp_path / (name + suffix) for suffix in (".triple",
+                                                           ".measure")]
+        for path, text in zip(paths, (triple, measure)):
+            path.write_text(text.replace("a:b", rename))
+        results = []
+        for argv in (["entropy"], ["bound", "--k", "2"], ["classdegree"]):
+            assert cli.main([argv[0], str(paths[0]), "--measure",
+                             str(paths[1])] + argv[1:]) == 0
+            out = json.loads(capsys.readouterr().out)["result"]
+            results.append(json.dumps(out).replace(rename, "ab"))
+        reports.append(results)
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("name, stop", [("fix_c", 16), ("fix_a", 3000000)])
 def test_sync_over_the_walk_budget_exits_2_at_once(name, stop, capsys):
     """fix_c's window 0..16 over the fixed point 0 takes 262,140 walks,

@@ -11,7 +11,9 @@ no caller at all: every module-level function is exported by the package
 root or read somewhere in the package outside its own body, by a bare
 name that no enclosing function binds or as an attribute of its module.
 And no module imports itself through others, in a function body or not:
-the package's imports form a chain without a cycle.
+the package's imports form a chain without a cycle. No module holds an
+``assert`` statement, which ``python -O`` strips: the package's
+invariant checks raise AssertionError themselves.
 """
 
 import ast
@@ -214,3 +216,10 @@ def test_one_helper_lists_walks():
                for name in walk_listing_callers(
                    ast.parse(path.read_text(encoding="utf-8"), str(path)))]
     assert callers == [("core.py", "_walks")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_holds_no_assert_statement(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)] == []
