@@ -22,10 +22,12 @@ their states pairwise, once each, in order of joined length and stops at
 the length of its first one-symbol meet; ``image_blocks`` lists the
 words of length n as the walks of n - 1 edges of the forward one, grown
 to depth n - 1; the sofic image grows it in full. The finite-to-one test
-walks the label product as one mask per first coordinate. The sofic
-image keeps its presentation int-indexed; its state names and named
-triple are built on first read. Frozensets are built only by the public
-functions that return them.
+walks the label product forward from its diagonal, as one mask per first
+coordinate, and stops at the first diamond; the sofic image peels its
+state graph by in-degree, without inverting it. So both read forward
+tables only. The sofic image keeps its presentation int-indexed; its
+state names and named triple are built on first read. Frozensets are
+built only by the public functions that return them.
 """
 
 from __future__ import annotations
@@ -306,15 +308,22 @@ def d_star(t):
     return MagicWitness(word, fdepths[i], value)
 
 
-def _diagonal_reach(t, forward):
-    """The label product reached from its diagonal, as one mask per first
-    coordinate: entry a is the mask of every b with (a, b) reachable from
-    some (s, s) along pairs of equally labelled successors (forward) or
-    predecessors. Deltas are pushed: the second coordinates new under a
-    are stepped once, by one ``_fold``, and handed to a's neighbours
-    under each label."""
-    table = _label_masks(t, forward)
-    rows = _packed_rows(t, forward)
+def is_finite_to_one(t):
+    """A 1-block code is finite-to-one iff it admits no diamond: two
+    distinct equally labeled paths with equal endpoints.
+
+    The label product is walked forward from its diagonal, held as one
+    mask per first coordinate: entry a is the mask of every b with (a, b)
+    reached along pairs of equally labelled successors. Deltas are pushed:
+    the second coordinates new under a are stepped once, by one
+    ``_fold``, and handed to a's successors under each label. A diamond's
+    two paths part at some pair off the diagonal and meet again where a
+    pair reached from it steps onto the diagonal, so the walk returns
+    False as soon as a pushed pair (a, b) with b != a has a successor of
+    a and one of b under one label in common, and True once it ends. On
+    a right-resolving code it never leaves the diagonal."""
+    table = _label_masks(t, True)
+    rows = _packed_rows(t, True)
     n = len(rows)
     full = (1 << n) - 1
     offset = {c: k * n for k, c in enumerate(t.y_alphabet)}
@@ -324,9 +333,13 @@ def _diagonal_reach(t, forward):
     stack = list(range(n))
     while stack:
         a = stack.pop()
-        reach = _fold(rows, delta[a])
+        own = 1 << a
+        off = _fold(rows, delta[a] & ~own)
+        reach = off | rows[a] if delta[a] & own else off
         delta[a] = 0
         for c, heads in table[a].items():
+            if heads & (off >> offset[c]):
+                return False
             news = (reach >> offset[c]) & full
             while news and heads:
                 low = heads & -heads
@@ -338,21 +351,7 @@ def _diagonal_reach(t, forward):
                     if not delta[h]:
                         stack.append(h)
                     delta[h] |= new
-    return got
-
-
-def is_finite_to_one(t):
-    """A 1-block code is finite-to-one iff it admits no diamond: two
-    distinct equally labeled paths with equal endpoints. Equivalently, no
-    off-diagonal pair of the label product is reachable from the diagonal
-    and reaches it back. With the product held as one mask per first
-    coordinate a, from the diagonal forward and backward
-    (``_diagonal_reach``), that is: no ``fwd[a] & bwd[a]`` has a bit other
-    than a's own."""
-    fwd = _diagonal_reach(t, True)
-    bwd = _diagonal_reach(t, False)
-    return not any(f & b & ~(1 << a)
-                   for a, (f, b) in enumerate(zip(fwd, bwd)))
+    return True
 
 
 @dataclass
@@ -421,32 +420,48 @@ def sofic_image(t):
 
     Grows the forward subset construction kept on the triple
     (``_subset_search``) in full, from the one-symbol preimage sets, and
-    keeps the states on some bi-infinite walk of its state graph
-    (``graphs.bi_essential_nodes``; every finite image block is still
-    presented, since each run can be stabilized on the left into that
-    part), in breadth-first discovery order. The presentation stays
-    int-indexed, and its names are built only when read (``SoficImage``).
-    Linear in the size of the subset automaton. Raises EmptyShiftError
-    when no state survives. Built once per triple and kept on it: every
-    command that needs the image shares one.
+    keeps the states on some bi-infinite walk of its state graph (every
+    finite image block is still presented, since each run can be
+    stabilized on the left into that part), in breadth-first discovery
+    order. Every state of an essential domain has a successor, so only
+    the states that no cycle reaches go: a Kahn peel on in-degrees, read
+    off the successor lists, removes them without an inverted graph. A
+    domain that is not essential, built in code, can leave a state with
+    no successor; then the states that reach no cycle are peeled first
+    (``graphs.walk_depths``). The presentation stays int-indexed, and its
+    names are built only when read (``SoficImage``). Linear in the size
+    of the subset automaton. Raises EmptyShiftError when no state
+    survives. Built once per triple and kept on it: every command that
+    needs the image shares one.
     """
     auto = _subset_search(t, True).grow()
-    graph = dict(enumerate(auto.succ))
-    pred = graphs.invert(graph)
-    alive = graphs.bi_essential_nodes(graph, pred)
-    if not alive:
+    succ = auto.succ
+    if not all(succ):
+        # a dead end, which only a domain that is not essential gives:
+        # keep the states that reach a cycle
+        depth = graphs.walk_depths(dict(enumerate(succ)))
+        succ = [[j for j in nxt if depth[j] is None] for nxt in succ]
+    # Kahn peel on in-degrees: the states left with an edge in are those
+    # a cycle reaches
+    indegree = [0] * len(succ)
+    for nxt in succ:
+        for j in nxt:
+            indegree[j] += 1
+    peel = [i for i, d in enumerate(indegree) if not d]
+    for i in peel:
+        for j in succ[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                peel.append(j)
+    kept = [i for i, d in enumerate(indegree) if d]
+    if not kept:
         raise EmptyShiftError("image shift is empty")
-    place = [-1] * len(graph)
-    kept = sorted(alive)
+    place = [-1] * len(succ)
     for p, i in enumerate(kept):
         place[i] = p
-    # the predecessor lists are ascending, so visiting the kept targets in
-    # order appends every successor list ascending
-    successors = {p: [] for p in range(len(kept))}
-    for q, j in enumerate(kept):
-        for i in pred[j]:
-            if place[i] >= 0:
-                successors[place[i]].append(q)
+    # a cycle reaches the successors of a kept state too
+    successors = {p: sorted(map(place.__getitem__, succ[i]))
+                  for p, i in enumerate(kept)}
     return SoficImage(t.x.symbols, t.y_alphabet,
                       [auto.masks[i] for i in kept],
                       [auto.labels[i] for i in kept], successors)

@@ -196,13 +196,11 @@ def walk_depths(adj, pred=None):
     return depth
 
 
-def bi_essential_nodes(adj, pred=None):
+def bi_essential_nodes(adj):
     """Nodes lying on some bi-infinite walk: both their walk depths are
     unbounded, since they reach a cycle and a cycle reaches them. Two
-    peels, one each way. ``pred`` is ``invert(adj)`` when the caller has
-    it."""
-    if pred is None:
-        pred = invert(adj)
+    peels, one each way."""
+    pred = invert(adj)
     fwd = walk_depths(adj, pred)
     back = walk_depths(pred, adj)
     return {u for u in adj if fwd[u] is None and back[u] is None}

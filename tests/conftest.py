@@ -178,15 +178,6 @@ def brute_image_words(t, n):
     return {t.label_word(u) for u in all_words(t.x, n)}
 
 
-def brute_route(t, word, u, index, a, blocks=None):
-    """Can preimage u of word be rerouted through a at index, keeping its
-    endpoints? Checked against the full preimage list."""
-    if blocks is None:
-        blocks = brute_preimage_blocks(t, word)
-    return any(v[0] == u[0] and v[-1] == u[-1] and v[index] == a
-               for v in blocks)
-
-
 def brute_routable(t, word, index, u, blocks=None):
     """The full route set of one preimage at one index."""
     if blocks is None:

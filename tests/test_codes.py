@@ -272,6 +272,22 @@ def test_check_on_an_irreducible_domain_runs_no_tarjan_pass_over_the_image(
     assert [adj is image.successors for adj in seen].count(True) == 1
 
 
+def test_check_reads_forward_tables_only(monkeypatch):
+    """The diamond test, the image presentation and the image's
+    irreducibility build no backward table and invert no graph."""
+    def refuse(adj):
+        raise AssertionError("a graph was inverted")
+
+    monkeypatch.setattr(graphs, "invert", refuse)
+    for name in FIXTURE_NAMES:
+        t = fixtures.load(name)
+        is_finite_to_one(t)
+        sofic_image(t)
+        image_irreducible(t)
+        assert (codes._subset_search.__wrapped__, True) in t.derived
+        assert not any(arg is False for key in t.derived for arg in key[1:])
+
+
 def test_presentation_is_right_resolving_and_label_homogeneous():
     rng = random.Random(31)
     triples = [fixtures.load(name) for name in FIXTURE_NAMES]

@@ -49,6 +49,8 @@ from factorcode.graphs import (bi_essential_nodes, invert,
                                strongly_connected_components, walk_depths,
                                walks)
 
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool"
+
 
 def population(seed):
     rng = random.Random(seed)
@@ -147,26 +149,43 @@ def test_essentialize_prunes_dangling_chains_as_the_reference():
     assert pruned
 
 
+def assert_sofic_image_is_the_reference(t):
+    want = ref_sofic_image(t)
+    if want is None:
+        with pytest.raises(EmptyShiftError):
+            sofic_image(t)
+        return
+    names, edges, label, members, connected = want
+    image = sofic_image(t)
+    assert image.triple.x.symbols == names
+    assert image.triple.x.transitions == edges
+    assert image.triple.label == label
+    assert image.triple.y_alphabet == tuple(
+        c for c in t.y_alphabet if c in set(label.values()))
+    assert image.names == names
+    assert {name: _symbols(t, mask) for name, mask in
+            zip(image.names, image.masks)} == members
+    assert image.irreducible == connected
+    assert [[names[p] for p in comp] for comp in image.components] == \
+        nontrivial_components(image.triple.x.successor_map)
+
+
 def test_sofic_image_matches_reference():
     for t in population(59):
-        want = ref_sofic_image(t)
-        if want is None:
-            with pytest.raises(EmptyShiftError):
-                sofic_image(t)
-            continue
-        names, edges, label, members, connected = want
-        image = sofic_image(t)
-        assert image.triple.x.symbols == names
-        assert image.triple.x.transitions == edges
-        assert image.triple.label == label
-        assert image.triple.y_alphabet == tuple(
-            c for c in t.y_alphabet if c in set(label.values()))
-        assert image.names == names
-        assert {name: _symbols(t, mask) for name, mask in
-                zip(image.names, image.masks)} == members
-        assert image.irreducible == connected
-        assert [[names[p] for p in comp] for comp in image.components] == \
-            nontrivial_components(image.triple.x.successor_map)
+        assert_sofic_image_is_the_reference(t)
+
+
+def test_sofic_image_peels_a_dead_end_as_the_reference():
+    """A domain built in code need not be essential, and then a subset
+    state can have no successor. Here fix_e gets a source h leading in, a
+    sink i and a chain j k into a sink, and is not essentialized: the
+    step under 2 from a state holding j is {k}, a dead end."""
+    symbols = tuple("habcdefgijk")
+    x = make_sft(symbols, [tuple(e) for e in (
+        "ha ab ba bc cd ce df fd eg ge fg gf ga di gj jk".split())])
+    t = FactorTriple(x, dict(zip(symbols, "21010011012")), ("0", "1", "2"))
+    assert not all(_subset_search(t, True).grow().succ)
+    assert_sofic_image_is_the_reference(t)
 
 
 def test_finite_to_one_matches_pair_graph_reachability():
@@ -180,6 +199,41 @@ def test_finite_to_one_matches_pair_graph_reachability():
     answers = [is_finite_to_one(t) for t in triples]
     assert answers == [ref_is_finite_to_one(t) for t in triples]
     assert set(answers) == {True, False}
+
+
+def right_resolving_part(t):
+    """``t`` keeping, out of each domain symbol, only its first successor
+    under each image symbol: a right-resolving code."""
+    edges = set()
+    for a in t.x.symbols:
+        first = {}
+        for u in t.x.successor_map[a]:
+            first.setdefault(t.label[u], u)
+        edges.update((a, u) for u in first.values())
+    return FactorTriple(make_sft(t.x.symbols, edges), t.label, t.y_alphabet)
+
+
+def transpose(t):
+    """``t`` with every domain edge reversed."""
+    return FactorTriple(make_sft(t.x.symbols,
+                                 [(b, a) for a, b in t.x.transitions]),
+                        t.label, t.y_alphabet)
+
+
+def test_finite_to_one_on_right_resolving_codes_and_their_transposes():
+    """Right-resolving codes and their edge-reversed transposes are all
+    finite-to-one. The walk of a right-resolving code stays on the
+    diagonal; a transpose's leaves it, and its first return to the
+    diagonal must not be taken for a diamond."""
+    rr = [right_resolving_part(t) for t in population(113)]
+    rr += [parse_triple((POOL / ("rr-40-s%d.triple" % seed)).read_text())
+           for seed in range(3)]
+    triples = rr + [transpose(t) for t in rr]
+    assert all(ref_is_finite_to_one(t) for t in triples)
+    assert all(map(is_finite_to_one, triples))
+    # the transposes' forward walks leave the diagonal
+    assert any(mask.bit_count() > 1 for t in triples[len(rr):]
+               for row in _label_masks(t, True) for mask in row.values())
 
 
 @pytest.mark.parametrize("forward", [True, False])
@@ -250,8 +304,7 @@ def test_subset_automaton_grown_by_depth_is_a_prefix_of_the_complete_one(
 # a twin code of the benchmark pool: two copies of one right-resolving
 # code, joined by one edge each way, with d* = 2 and a forward automaton
 # 20 deep
-TWIN = Path(__file__).resolve().parent.parent / "perfbench" / "pool" \
-    / "twin-12-s11.triple"
+TWIN = POOL / "twin-12-s11.triple"
 
 
 def test_d_star_grows_the_automata_only_as_deep_as_its_witness():
