@@ -272,6 +272,52 @@ def _flatten(obj, prefix=""):
     return items
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_scalar = json.JSONEncoder().encode
+
+
+def _dumps(obj, pad="\n"):
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for a
+    tree without cycles; ``pad`` is the newline and indent of the line
+    that ``obj`` starts on.
+
+    The standard library's C encoder serves only ``indent=None``, so its
+    indented writer is pure Python. Here strings are encoded by its C
+    function, and a list of strings in a few C calls; other scalars go to
+    the C encoder. A dict with a key that is not a string is left to
+    ``json.dumps`` and re-indented, which is sound as no encoded string
+    holds a newline."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        sep = "," + inner
+        try:
+            joined = "".join(obj)
+        except TypeError:
+            body = sep.join([_dumps(item, inner) for item in obj])
+        else:
+            # a string is escaped character by character, so when the
+            # joined strings need no escape, neither does any of them
+            if len(_encode_str(joined)) == len(joined) + 2:
+                body = '"' + ('"' + sep + '"').join(obj) + '"'
+            else:
+                body = sep.join(map(_encode_str, obj))
+        return "[" + inner + body + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(key, str) for key in obj):
+            return json.dumps(obj, indent=2, sort_keys=True).replace("\n",
+                                                                     pad)
+        return "{" + inner + ("," + inner).join([
+            _encode_str(key) + ": " + _dumps(obj[key], inner)
+            for key in sorted(obj)]) + pad + "}"
+    return _encode_scalar(obj)
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -310,7 +356,7 @@ def main(argv=None):
         for path, value in _flatten(envelope):
             print("%s %s" % (path, value))
     else:
-        print(json.dumps(envelope, indent=2, sort_keys=True))
+        print(_dumps(envelope))
     return status
 
 

@@ -478,7 +478,9 @@ def synchronizing_extension(t, y, interval):
     true_blocks = tuple(_window_paths(g, g.pruned_adjacency, interval))
     radius = _synchronizing_radius(g, interval)
     m, n = interval
-    per_coordinate = tuple(frozenset(w[i] for w in true_blocks)
-                           for i in range(n - m + 1))
+    # every block has n - m + 1 symbols, and there is at least one (a
+    # preimage of y, which build_fiber_graph requires, crosses the
+    # window), so the transpose has one set per coordinate
+    per_coordinate = tuple(map(frozenset, zip(*true_blocks)))
     return SynchronizingExtension((m, n), radius, true_blocks,
                                   per_coordinate)

@@ -82,6 +82,23 @@ def test_json_envelope_and_check_summary():
     assert result["presentation_states"] == 2
 
 
+@pytest.mark.parametrize("obj", [
+    {}, [], {"a": {}}, {"a": []}, [[]], [{}], [[], {}, [[]]],
+    ["quote \" and backslash \\", "tab\t, nul\x00 and bell\x07",
+     "\u00e9", "\U0001f600"],
+    ["plain", "\u00e9", "plain"], ["a", "b\"c"], ("x", "y\\"),
+    {"\u00e9": "\x1f", "a\"b": ["\\"], "\U0001f600": 1},
+    [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 0.1, 2.0],
+    [True, False, None], ["a", True, None, 1, 1.5, ["b"], {"c": ["d"]}],
+    [["x", "y"], ["z"], [], [1, "w"]],
+    (1, ["a", (2, "b")]), {"t": ("a", {"u": 1})},
+    {1: "a", 10: [2], 2: {"b": None}}, {"d": {3: ["x"], 1: {"y": 1}}},
+    "top", 7, -1.25, None,
+])
+def test_writer_is_byte_identical_to_the_standard_indented_encoder(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
 def test_output_is_byte_identical_across_interpreter_hash_seeds(tmp_path):
     parry = tmp_path / "fix_e_parry.measure"
     parry.write_text(measure_text(image_measure(fixtures.load("fix_e"),

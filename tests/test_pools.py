@@ -3,10 +3,13 @@
 must pass its own ``check_op``. That is the exit status and result digest
 recorded in ``perfbench/pool`` for most ops, and the invariants of the
 bound (value between the entropies, small residual) for the entropy-bound
-pool. A floating-point warning fails the replay, as it fails the op in
-the benchmark run under ``-W error::RuntimeWarning``."""
+pool. Every report it prints must also be, byte for byte, what
+``json.dumps(report, indent=2, sort_keys=True)`` prints. A floating-point
+warning fails the replay, as it fails the op in the benchmark run under
+``-W error::RuntimeWarning``."""
 
 import importlib.util
+import json
 import os
 import sys
 from pathlib import Path
@@ -45,6 +48,11 @@ def test_every_pool_op_gives_its_recorded_status_and_digest(workload):
         status, _, stdout, error = run.call_cli(cli.main,
                                                 run.expand(op["argv"]))
         reason = error or run.check_op(op, status, stdout)
+        # a report is what the standard indent-2 encoder prints; an op
+        # refused with exit 2 prints none
+        if stdout and stdout != json.dumps(json.loads(stdout), indent=2,
+                                           sort_keys=True) + "\n":
+            reason = reason or "not the standard indent-2 JSON"
         if reason is not None:
             failures.append((" ".join(op["argv"]), reason))
     assert failures == []
