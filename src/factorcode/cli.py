@@ -283,10 +283,11 @@ def _dumps(obj, pad="\n"):
 
     The standard library's C encoder serves only ``indent=None``, so its
     indented writer is pure Python. Here strings are encoded by its C
-    function, and a list of strings in a few C calls; other scalars go to
-    the C encoder. A dict with a key that is not a string is left to
-    ``json.dumps`` and re-indented, which is sound as no encoded string
-    holds a newline."""
+    function, and a list of strings in one join over it (an item that is
+    not a string raises ``TypeError`` and sends the list down the general
+    path); other scalars go to the C encoder. A dict with a key that is
+    not a string is left to ``json.dumps`` and re-indented, which is sound
+    as no encoded string holds a newline."""
     if isinstance(obj, str):
         return _encode_str(obj)
     inner = pad + "  "
@@ -295,16 +296,9 @@ def _dumps(obj, pad="\n"):
             return "[]"
         sep = "," + inner
         try:
-            joined = "".join(obj)
+            body = sep.join(map(_encode_str, obj))
         except TypeError:
             body = sep.join([_dumps(item, inner) for item in obj])
-        else:
-            # a string is escaped character by character, so when the
-            # joined strings need no escape, neither does any of them
-            if len(_encode_str(joined)) == len(joined) + 2:
-                body = '"' + ('"' + sep + '"').join(obj) + '"'
-            else:
-                body = sep.join(map(_encode_str, obj))
         return "[" + inner + body + pad + "]"
     if isinstance(obj, dict):
         if not obj:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from itertools import chain
 
 from . import graphs
 
@@ -51,11 +50,11 @@ class Sft:
     def __post_init__(self):
         if not self.symbols:
             raise EmptyShiftError("empty shift")
-        if len(self.symbol_set) != len(self.symbols):
+        if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("duplicate symbols")
-        if not self.symbol_set.issuperset(chain.from_iterable(
-                self.transitions)):
-            raise ValueError("transition uses unknown symbol")
+        for a, b in self.transitions:
+            if a not in self.symbol_set or b not in self.symbol_set:
+                raise ValueError("transition uses unknown symbol")
 
     @cached_property
     def symbol_set(self):
@@ -263,22 +262,13 @@ def essentialize_triple(t):
     return sub_triple(t, x.symbol_set, x.transitions)
 
 
-def _parse_pairs(rest, lineno, kind):
-    """The tokens a>b of a map or edges line, as (a, b) tuples. The line
-    is well formed when its pairs, joined again, give back its tokens;
-    only when they do not is it scanned token by token, to name the first
-    token that is not a>b."""
-    tokens = rest.split()
-    parts = rest.replace(">", " ").split()
-    pairs = list(zip(parts[::2], parts[1::2]))
-    if list(map(">".join, pairs)) == tokens:
-        return pairs
-    for tok in tokens:
-        parts = tok.split(">")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise TripleParseError(
-                "line %d: malformed %s token %r (expected a>b)"
-                % (lineno, kind, tok))
+def _parse_pair(token, lineno, kind):
+    parts = token.split(">")
+    if len(parts) != 2 or not parts[0] or not parts[1]:
+        raise TripleParseError(
+            "line %d: malformed %s token %r (expected a>b)"
+            % (lineno, kind, token))
+    return parts[0], parts[1]
 
 
 def parse_triple(text):
@@ -289,14 +279,11 @@ def parse_triple(text):
     edges. Sections may repeat and appear in any order; token order fixes
     symbol order. The parsed SFT is essentialized before being returned,
     and image symbols that lose every preimage are dropped.
-
-    Every line is checked whole, with set operations; only a line that
-    fails is scanned token by token, so the error names its first fault.
     """
     xsymbols = []
     ysymbols = []
-    label_lines = []
-    edge_lines = []
+    label_entries = []
+    edge_entries = []
     seen_x = set()
     seen_y = set()
     alphabets = {"xsymbols": ("x", xsymbols, seen_x),
@@ -309,27 +296,25 @@ def parse_triple(text):
         if not sep:
             raise TripleParseError("line %d: expected 'key: tokens'" % lineno)
         key = key.strip()
+        tokens = rest.split()
         if key in alphabets:
             side, symbols, seen = alphabets[key]
-            tokens = rest.split()
-            if ">" in rest or len(set(tokens)) < len(tokens) or \
-                    not seen.isdisjoint(tokens):
-                for tok in tokens:
-                    if ">" in tok:
-                        raise TripleParseError(
-                            "line %d: symbol %r may not contain '>'"
-                            % (lineno, tok))
-                    if tok in seen:
-                        raise TripleParseError(
-                            "line %d: duplicate %s symbol %r"
-                            % (lineno, side, tok))
-                    seen.add(tok)
-            seen.update(tokens)
-            symbols.extend(tokens)
+            for tok in tokens:
+                if ">" in tok:
+                    raise TripleParseError(
+                        "line %d: symbol %r may not contain '>'"
+                        % (lineno, tok))
+                if tok in seen:
+                    raise TripleParseError("line %d: duplicate %s symbol %r"
+                                           % (lineno, side, tok))
+                seen.add(tok)
+                symbols.append(tok)
         elif key == "map":
-            label_lines.append((lineno, _parse_pairs(rest, lineno, "map")))
+            for tok in tokens:
+                label_entries.append((lineno, _parse_pair(tok, lineno, "map")))
         elif key == "edges":
-            edge_lines.append((lineno, _parse_pairs(rest, lineno, "edge")))
+            for tok in tokens:
+                edge_entries.append((lineno, _parse_pair(tok, lineno, "edge")))
         else:
             raise TripleParseError("line %d: unknown section %r" % (lineno, key))
 
@@ -339,44 +324,29 @@ def parse_triple(text):
         raise TripleParseError("no ysymbols declared")
 
     label = {}
-    for lineno, pairs in label_lines:
-        line_label = dict(pairs)
-        if len(line_label) < len(pairs) or \
-                not seen_x.issuperset(line_label) or \
-                not seen_y.issuperset(line_label.values()) or \
-                not label.keys().isdisjoint(line_label):
-            for s, c in pairs:
-                if s not in seen_x:
-                    raise TripleParseError(
-                        "line %d: unknown x symbol %r" % (lineno, s))
-                if c not in seen_y:
-                    raise TripleParseError(
-                        "line %d: unknown y symbol %r" % (lineno, c))
-                if s in label:
-                    raise TripleParseError(
-                        "line %d: symbol %r labeled twice" % (lineno, s))
-                label[s] = c
-        label.update(line_label)
+    for lineno, (s, c) in label_entries:
+        if s not in seen_x:
+            raise TripleParseError("line %d: unknown x symbol %r" % (lineno, s))
+        if c not in seen_y:
+            raise TripleParseError("line %d: unknown y symbol %r" % (lineno, c))
+        if s in label:
+            raise TripleParseError(
+                "line %d: symbol %r labeled twice" % (lineno, s))
+        label[s] = c
     missing = [s for s in xsymbols if s not in label]
     if missing:
         raise TripleParseError("unlabeled x symbols: %s" % " ".join(missing))
 
     edges = set()
-    for lineno, pairs in edge_lines:
-        line_edges = set(pairs)
-        if len(line_edges) < len(pairs) or \
-                not seen_x.issuperset(chain.from_iterable(pairs)) or \
-                not edges.isdisjoint(line_edges):
-            for a, b in pairs:
-                for s in (a, b):
-                    if s not in seen_x:
-                        raise TripleParseError(
-                            "line %d: unknown x symbol %r" % (lineno, s))
-                if (a, b) in edges:
-                    raise TripleParseError(
-                        "line %d: duplicate edge %s>%s" % (lineno, a, b))
-                edges.add((a, b))
-        edges |= line_edges
+    for lineno, (a, b) in edge_entries:
+        if a not in seen_x:
+            raise TripleParseError("line %d: unknown x symbol %r" % (lineno, a))
+        if b not in seen_x:
+            raise TripleParseError("line %d: unknown x symbol %r" % (lineno, b))
+        if (a, b) in edges:
+            raise TripleParseError(
+                "line %d: duplicate edge %s>%s" % (lineno, a, b))
+        edges.add((a, b))
     if not edges:
         raise TripleParseError("no edges declared")
 

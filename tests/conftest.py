@@ -34,9 +34,7 @@ from factorcode.classdegree import (_close_word, _min_hitting_set,
                                     minimal_depth_at)
 from factorcode.codes import (_bits, _check_image_word, _label_masks, d_star,
                               image_blocks, step)
-from factorcode.core import (FactorTriple, Sft, TripleParseError,
-                             enumerate_blocks, essentialize_triple,
-                             sub_triple)
+from factorcode.core import FactorTriple, enumerate_blocks, sub_triple
 from factorcode.fiber import _unrolled, class_cover
 from factorcode.measures import _gibbs_chain, _presentation, _prune_support
 
@@ -556,97 +554,6 @@ def ref_essentialize(x):
     return make_sft([s for s in x.symbols if s in alive],
                     [(a, b) for (a, b) in x.transitions
                      if a in alive and b in alive])
-
-
-def _ref_parse_pair(token, lineno, kind):
-    parts = token.split(">")
-    if len(parts) != 2 or not parts[0] or not parts[1]:
-        raise TripleParseError(
-            "line %d: malformed %s token %r (expected a>b)"
-            % (lineno, kind, token))
-    return parts[0], parts[1]
-
-
-def ref_parse_triple(text):
-    """The triple parser as it was before it checked lines with set
-    operations: every token checked one at a time, in file order."""
-    xsymbols = []
-    ysymbols = []
-    label_entries = []
-    edge_entries = []
-    seen_x = set()
-    seen_y = set()
-    alphabets = {"xsymbols": ("x", xsymbols, seen_x),
-                 "ysymbols": ("y", ysymbols, seen_y)}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, rest = line.partition(":")
-        if not sep:
-            raise TripleParseError("line %d: expected 'key: tokens'" % lineno)
-        key = key.strip()
-        tokens = rest.split()
-        if key in alphabets:
-            side, symbols, seen = alphabets[key]
-            for tok in tokens:
-                if ">" in tok:
-                    raise TripleParseError(
-                        "line %d: symbol %r may not contain '>'"
-                        % (lineno, tok))
-                if tok in seen:
-                    raise TripleParseError("line %d: duplicate %s symbol %r"
-                                           % (lineno, side, tok))
-                seen.add(tok)
-                symbols.append(tok)
-        elif key == "map":
-            for tok in tokens:
-                label_entries.append(
-                    (lineno, _ref_parse_pair(tok, lineno, "map")))
-        elif key == "edges":
-            for tok in tokens:
-                edge_entries.append(
-                    (lineno, _ref_parse_pair(tok, lineno, "edge")))
-        else:
-            raise TripleParseError("line %d: unknown section %r" % (lineno, key))
-
-    if not xsymbols:
-        raise TripleParseError("no xsymbols declared")
-    if not ysymbols:
-        raise TripleParseError("no ysymbols declared")
-
-    label = {}
-    for lineno, (s, c) in label_entries:
-        if s not in seen_x:
-            raise TripleParseError("line %d: unknown x symbol %r" % (lineno, s))
-        if c not in seen_y:
-            raise TripleParseError("line %d: unknown y symbol %r" % (lineno, c))
-        if s in label:
-            raise TripleParseError(
-                "line %d: symbol %r labeled twice" % (lineno, s))
-        label[s] = c
-    missing = [s for s in xsymbols if s not in label]
-    if missing:
-        raise TripleParseError("unlabeled x symbols: %s" % " ".join(missing))
-
-    edges = set()
-    for lineno, (a, b) in edge_entries:
-        if a not in seen_x:
-            raise TripleParseError("line %d: unknown x symbol %r" % (lineno, a))
-        if b not in seen_x:
-            raise TripleParseError("line %d: unknown x symbol %r" % (lineno, b))
-        if (a, b) in edges:
-            raise TripleParseError(
-                "line %d: duplicate edge %s>%s" % (lineno, a, b))
-        edges.add((a, b))
-    if not edges:
-        raise TripleParseError("no edges declared")
-
-    raw_triple = FactorTriple(
-        Sft(tuple(xsymbols), frozenset(edges)),
-        label,
-        tuple(c for c in ysymbols if any(label[s] == c for s in xsymbols)))
-    return essentialize_triple(raw_triple)
 
 
 def _ref_step(t, state, c, forward):
