@@ -42,6 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser():
+    """The top-level parser, and its subparsers by command name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("triple", help="path to a triple file")
     common.add_argument("--plain", action="store_true",
@@ -110,7 +111,7 @@ def _build_parser():
     p.add_argument("--k", type=int, required=True,
                    help="block length parameter of the relaxation")
 
-    return parser
+    return parser, sub.choices
 
 
 def _symbol_order(t):
@@ -312,9 +313,26 @@ def _dumps(obj, pad="\n"):
     return _encode_scalar(obj)
 
 
+def _parse_argv(argv):
+    """``parse_args(argv)`` of the top-level parser. An argv that starts
+    with a command goes straight to that command's parser, as the
+    top-level one would hand it over, without the top-level pass over
+    every argument; anything else (no arguments, help, an unknown
+    command, an option before the command) takes the top-level path."""
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_argv(argv)
     start = time.perf_counter()
     try:
         with open(args.triple, "rb") as handle:

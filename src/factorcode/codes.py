@@ -71,17 +71,24 @@ def _bits(t):
 
 @per_triple
 def _label_masks(t, forward):
-    """The labelled neighbour table as bitmasks, built in one pass: entry
-    i maps every image symbol to the mask of the successors (forward) or
-    predecessors of ``t.x.symbols[i]`` carrying it. Kept on the triple."""
-    bit = _bits(t)[0]
-    neighbours = t.x.successor_map if forward else t.x.predecessor_map
-    table = []
-    for s in t.x.symbols:
-        row = {}
-        for u in neighbours[s]:
-            row[t.label[u]] = row.get(t.label[u], 0) | bit[u]
-        table.append(row)
+    """The labelled neighbour table as bitmasks, built in one pass over
+    the transitions, without a neighbour map: entry i maps every image
+    symbol to the mask of the successors (forward) or predecessors of
+    ``t.x.symbols[i]`` carrying it. Kept on the triple.
+
+    A row's keys come in the order the transitions are iterated, which
+    is a set's. That order shows in no result: ``step``, the phase
+    graphs and the measure pushes look a row up by image symbol,
+    ``_packed_rows`` ORs all of it, and the finite-to-one test walks it
+    to an answer that does not depend on the order."""
+    bit, label = _bits(t)[0], t.label
+    table = [{} for _ in t.x.symbols]
+    row_of = dict(zip(t.x.symbols, table))
+    edges = t.x.transitions if forward else (
+        (b, a) for a, b in t.x.transitions)
+    for a, b in edges:
+        row, c = row_of[a], label[b]
+        row[c] = row.get(c, 0) | bit[b]
     return table
 
 

@@ -109,8 +109,15 @@ class Sft:
 
     @cached_property
     def is_essential(self):
-        return all(self.successor_map[s] and self.predecessor_map[s]
-                   for s in self.symbols)
+        """Whether every symbol has a successor and a predecessor: the
+        sources and the targets of the transitions, which are all on known
+        symbols, each cover the alphabet. Neither neighbour map is built.
+        """
+        if not self.transitions:
+            return False
+        sources, targets = zip(*self.transitions)
+        n = len(self.symbols)
+        return len(set(sources)) == n and len(set(targets)) == n
 
     @cached_property
     def is_irreducible(self):
@@ -239,9 +246,10 @@ def essentialize(x):
     each of which keeps a successor and a predecessor inside it. Raises
     EmptyShiftError when nothing survives.
 
-    An essential ``x`` is returned itself, with the maps it has built: in
-    a finite graph, a successor and a predecessor at every symbol already
-    put each symbol on a bi-infinite walk."""
+    An essential ``x`` is returned itself, with nothing built on it but
+    the essential check, which reads the transitions and no neighbour
+    map: in a finite graph, a successor and a predecessor at every symbol
+    already put each symbol on a bi-infinite walk."""
     if x.is_essential:
         return x
     alive = graphs.bi_essential_nodes(x.successor_map)

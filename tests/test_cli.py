@@ -370,6 +370,43 @@ def test_usage_and_parse_failures_exit_1(tmp_path):
     assert noy.returncode == 1
 
 
+def test_argv_parses_as_the_top_level_parser_parses_it(monkeypatch,
+                                                       capsys):
+    """``main`` hands an argv that starts with a command straight to that
+    command's parser; status, output and errors are those of the
+    top-level ``parse_args``, on every interpreter CI runs. The argvs
+    parse, print help or fail, with options before, after and among the
+    arguments, and ``--`` on both sides of the command."""
+    def outcome(argv):
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        return (status,) + tuple(capsys.readouterr())
+
+    fix, m = fixture_path("fix_e"), fixture_path("fix_c_point", ".measure")
+    corpus = [
+        [], ["-h"], ["--help"], ["-h", "check"], ["check"], ["check", "-h"],
+        ["nosuch", fix], ["--plain", "check", fix], ["check", fix],
+        ["check", fix, "--plain"], ["check", fix, "--bogus"],
+        ["check", fix, fix], ["degree", fix, "--strict", "--bogus", "x"],
+        ["fiber", fix], ["fiber", fix, "--y", "0", "1", "1"],
+        ["fiber", fix, "--y=0", "1"], ["fiber", fix, "--y", "0", "1", "-x"],
+        ["classdegree", fix, "--horizon", "x"],
+        ["classdegree", fix, "--hor", "4"], ["classdegree", fix, "--h"],
+        ["sync", fix, "--y", "0", "1", "--interval", "1"],
+        ["sync", fix, "--y", "0", "1", "--interval", "-1", "3"],
+        ["entropy", fix, "--parry", "--measure", m],
+        ["--", "check", fix], ["check", "--", fix], ["check", fix, "--"],
+        ["fiber", fix, "--y", "0", "--", "1"], ["fiber", "--", fix],
+    ]
+    got = [outcome(argv) for argv in corpus]
+    monkeypatch.setattr(cli, "_parse_argv", cli._build_parser()[0].parse_args)
+    for argv, run in zip(corpus, got):
+        assert run == outcome(argv), argv
+    assert {status for status, _, _ in got} == {0, 1}
+
+
 def test_plain_format_emits_flat_lines():
     proc = run_cli("classdegree", fixture_path("fix_d"), "--plain")
     assert proc.returncode == 0

@@ -11,6 +11,7 @@ from factorcode import (
     PeriodicPoint,
     Sft,
     TripleParseError,
+    build_fiber_graph,
     canonical_orbit_word,
     enumerate_blocks,
     essentialize,
@@ -20,7 +21,10 @@ from factorcode import (
     least_rotation,
     make_sft,
     parse_triple,
+    periodic_image_points,
     primitive_root,
+    synchronizing_extension,
+    transition_classes,
     triple_to_text,
 )
 
@@ -141,12 +145,17 @@ def test_parse_essentializes_and_drops_unused_image_symbols():
     assert t.y_alphabet == ("0", "1")
 
 
-def test_essential_triple_parses_to_one_sft_keeping_its_maps():
-    # the neighbour maps that showed the domain essential are those of
-    # the parsed Sft: nothing is pruned or rebuilt
+def test_essential_triple_parses_to_one_sft_building_no_map():
+    # an essential domain is kept whole, nothing pruned or rebuilt, and
+    # neither the parse nor a fiber or sync op over a periodic image
+    # point builds a neighbour map
     for name in FIXTURE_NAMES:
-        t = parse_triple(fixtures.load_text(name + ".triple"))
-        assert {"successor_map", "predecessor_map"} <= set(vars(t.x))
+        text = fixtures.load_text(name + ".triple")
+        y = periodic_image_points(parse_triple(text), 3)[-1]
+        t = parse_triple(text)
+        transition_classes(build_fiber_graph(t, y))
+        synchronizing_extension(t, y, (0, y.period))
+        assert not {"successor_map", "predecessor_map"} & set(vars(t.x))
         assert essentialize(t.x) is t.x
         assert essentialize_triple(t) is t
 

@@ -33,13 +33,17 @@ from conftest import (
 from factorcode import (
     EmptyShiftError,
     FactorTriple,
+    build_fiber_graph,
     d_star,
     essentialize,
     essentialize_triple,
     fixtures,
     is_finite_to_one,
     make_sft,
+    periodic_image_points,
     sofic_image,
+    synchronizing_extension,
+    transition_classes,
 )
 from factorcode.codes import (_label_masks, _subset_search,
                               _SubsetAutomaton, _symbols, step)
@@ -72,6 +76,29 @@ def test_neighbour_maps_match_definition():
     for t in population(47):
         assert t.x.successor_map == ref_successor_map(t.x)
         assert t.x.predecessor_map == ref_predecessor_map(t.x)
+
+
+def test_label_tables_and_the_essential_check_match_the_neighbour_maps():
+    # both read the transitions only; the references read the maps, on
+    # domains that are not essential and on one with no transitions
+    bare = FactorTriple(make_sft(("a", "b"), ()), {"a": "0", "b": "1"},
+                        ("0", "1"))
+    triples = population(59) + [bare]
+    assert any(ref_essentialize(t.x) != t.x for t in triples)
+    for t in triples:
+        bit = {s: 1 << i for i, s in enumerate(t.x.symbols)}
+        for forward in (True, False):
+            neighbours = (t.x.successor_map if forward
+                          else t.x.predecessor_map)
+            want = [{} for _ in t.x.symbols]
+            for row, s in zip(want, t.x.symbols):
+                for u in neighbours[s]:
+                    row[t.label[u]] = row.get(t.label[u], 0) | bit[u]
+            assert _label_masks(t, forward) == want
+        assert t.x.is_essential == all(
+            t.x.successor_map[s] and t.x.predecessor_map[s]
+            for s in t.x.symbols)
+    assert not bare.x.is_essential
 
 
 def test_essentialize_matches_fixed_point_reference():
@@ -113,16 +140,19 @@ def with_dangling_chains(rng, t):
 
 def test_essential_domains_are_kept_whole():
     # an essential domain is its own essentialization: the same Sft and
-    # triple, keeping the neighbour maps and everything derived on it
+    # triple, keeping everything derived on it; neither that check, the
+    # sofic image nor a fiber or sync op builds a neighbour map
     kept_whole = 0
     for t in population(103):
         if ref_essentialize(t.x) != t.x:
             continue
         kept_whole += 1
-        sofic_image(t)
+        for y in periodic_image_points(t, 4)[-1:]:
+            transition_classes(build_fiber_graph(t, y))
+            synchronizing_extension(t, y, (0, y.period))
         kept = dict(t.derived)
         assert essentialize(t.x) is t.x
-        assert {"successor_map", "predecessor_map"} <= set(vars(t.x))
+        assert not {"successor_map", "predecessor_map"} & set(vars(t.x))
         assert essentialize_triple(t) is t
         assert t.derived == kept
     assert kept_whole > len(FIXTURE_NAMES)
