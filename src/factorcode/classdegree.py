@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial, reduce
+from math import inf
 
 from . import graphs
 from .core import PeriodicPoint, PreconditionError
@@ -584,10 +585,9 @@ def extract_transition_block(t, y):
     # n2: vertices on the longest walk through transient vertices
     transient_sub = {v: [w for w in adj[v] if w not in class_match]
                      for v in adj if v not in class_match}
-    depths = graphs.walk_depths(transient_sub)
-    if None in depths.values():
-        raise AssertionError("transient vertex reaches a cycle")
-    n2 = 1 + max(depths.values(), default=-1)
+    n2 = 1 + max(graphs.walk_depths(transient_sub).values(), default=-1)
+    if n2 == inf:
+        raise AssertionError("transient vertices hold a cycle")
 
     def step(frontier):
         return {w for v in frontier for w in adj[v]}

@@ -21,9 +21,8 @@ from .classdegree import (class_count_for_measure, extract_transition_block,
                           find_minimal_transition_block)
 from .codes import (degree_witness, image_irreducible, is_finite_to_one,
                     sofic_image)
-from .core import (EmptyShiftError, MeasureParseError, PeriodicPoint,
-                   PreconditionError, TripleParseError, higher_block,
-                   parse_triple, triple_to_text)
+from .core import (FactorCodeError, PeriodicPoint, PreconditionError,
+                   higher_block, parse_triple, triple_to_text)
 from .fiber import (build_fiber_graph, synchronizing_extension,
                     transition_classes)
 from .measures import (entropy_rate, parry_measure, parse_measure, pqs_bound,
@@ -343,8 +342,7 @@ def main(argv=None):
     except PreconditionError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
-    except (TripleParseError, MeasureParseError, EmptyShiftError,
-            ValueError, OSError) as exc:
+    except (FactorCodeError, ValueError, OSError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 1
     except (AssertionError, RuntimeError, MemoryError) as exc:

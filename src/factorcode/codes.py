@@ -24,7 +24,7 @@ words of length n as the walks of n - 1 edges of the forward one, grown
 to depth n - 1; the sofic image grows it in full. The finite-to-one test
 walks the label product forward from its diagonal, as one mask per first
 coordinate, and stops at the first diamond; the sofic image peels its
-state graph by in-degree, without inverting it. So both read forward
+state graph on in-degrees, without inverting it. So both read forward
 tables only. The sofic image keeps its presentation int-indexed; its
 state names and named triple are built on first read. Frozensets are
 built only by the public functions that return them.
@@ -431,36 +431,26 @@ def sofic_image(t):
     finite image block is still presented, since each run can be
     stabilized on the left into that part), in breadth-first discovery
     order. Every state of an essential domain has a successor, so only
-    the states that no cycle reaches go: a Kahn peel on in-degrees, read
-    off the successor lists, removes them without an inverted graph. A
-    domain that is not essential, built in code, can leave a state with
-    no successor; then the states that reach no cycle are peeled first
-    (``graphs.walk_depths``). The presentation stays int-indexed, and its
-    names are built only when read (``SoficImage``). Linear in the size
-    of the subset automaton. Raises EmptyShiftError when no state
-    survives. Built once per triple and kept on it: every command that
-    needs the image shares one.
+    the states that no cycle reaches go, by a peel on in-degrees
+    (``graphs.walk_depths``) without an inverted graph. A domain that is
+    not essential, built in code, can leave a state with no successor;
+    then the states that reach no cycle go first, by a peel of the
+    inverted graph. The presentation stays int-indexed, and its names
+    are built only when read (``SoficImage``). Linear in the size of the
+    subset automaton. Raises EmptyShiftError when no state survives.
+    Built once per triple and kept on it: every command that needs the
+    image shares one.
     """
     auto = _subset_search(t, True).grow()
     succ = auto.succ
     if not all(succ):
         # a dead end, which only a domain that is not essential gives:
         # keep the states that reach a cycle
-        depth = graphs.walk_depths(dict(enumerate(succ)))
-        succ = [[j for j in nxt if depth[j] is None] for nxt in succ]
-    # Kahn peel on in-degrees: the states left with an edge in are those
-    # a cycle reaches
-    indegree = [0] * len(succ)
-    for nxt in succ:
-        for j in nxt:
-            indegree[j] += 1
-    peel = [i for i, d in enumerate(indegree) if not d]
-    for i in peel:
-        for j in succ[i]:
-            indegree[j] -= 1
-            if not indegree[j]:
-                peel.append(j)
-    kept = [i for i, d in enumerate(indegree) if d]
+        depth = graphs.walk_depths(graphs.invert(dict(enumerate(succ))))
+        succ = [[j for j in nxt if depth[j] == inf] for nxt in succ]
+    # the states a cycle reaches
+    depth = graphs.walk_depths(dict(enumerate(succ)))
+    kept = [i for i, d in depth.items() if d == inf]
     if not kept:
         raise EmptyShiftError("image shift is empty")
     place = [-1] * len(succ)

@@ -252,12 +252,15 @@ def essentialize(x):
     already put each symbol on a bi-infinite walk."""
     if x.is_essential:
         return x
-    alive = graphs.bi_essential_nodes(x.successor_map)
+    index = {s: i for i, s in enumerate(x.symbols)}
+    alive = graphs.bi_essential_nodes(
+        {index[s]: [index[b] for b in nxt]
+         for s, nxt in x.successor_map.items()})
     if not alive:
         raise EmptyShiftError("empty shift")
-    symbols = tuple(s for s in x.symbols if s in alive)
+    symbols = tuple(s for i, s in enumerate(x.symbols) if i in alive)
     transitions = frozenset((a, b) for (a, b) in x.transitions
-                            if a in alive and b in alive)
+                            if index[a] in alive and index[b] in alive)
     return Sft(symbols, transitions)
 
 

@@ -5,9 +5,9 @@ vertices are pairs (symbol, phase) whose label matches y at that phase,
 numbered as ints (see below), and edges act by the transition relation
 while advancing the phase. Preimages of y are exactly the bi-infinite
 walks, so the graph is pruned to vertices lying on such walks. Peeling it
-from its sinks and from its sources gives the forward and backward walk
-depths and so the pruned part, with no Tarjan pass; one runs over the
-pruned part only where its components are read.
+and its inverse on in-degrees (``graphs.walk_depths``) gives the backward
+and forward walk depths and so the pruned part, with no Tarjan pass; one
+runs over the pruned part only where its components are read.
 
 Transition classes (mutual-reachability classes of preimages under
 coordinate splicing) are read off as the nontrivial strongly connected
@@ -56,12 +56,12 @@ class FiberGraph:
     (``triple.x.symbols[i]``, phase k) with n domain symbols.
     ``vertices`` lists every label-compatible one in integer order and
     ``adjacency`` covers them all; restrict to ``pruned`` for fiber
-    content. Two peels of ``adjacency`` give the rest: ``depths``, the
-    longest forward walk out of and the longest backward walk into each
-    vertex (``inf`` where unbounded), one peel from the sinks and one
-    from the sources; and ``pruned``, the vertices where both are
-    unbounded, which are those on bi-infinite walks, with their edges in
-    ``pruned_adjacency`` (not to be modified), which every command reads.
+    content. Two peels (``graphs.walk_depths``) give the rest: ``depths``,
+    the longest forward walk out of and the longest backward walk into
+    each vertex (``inf`` where unbounded); and ``pruned``, the vertices
+    where both are unbounded, which are those on bi-infinite walks, with
+    their edges in ``pruned_adjacency`` (not to be modified), which every
+    command reads.
     The cyclic components lie in ``pruned``; the 1-fold cover
     (``_unrolled(triple, word, period)``) finds them by one Tarjan pass
     over the pruned graph when they are first read.
@@ -117,16 +117,12 @@ def _phase_graph(t, word):
                 heads ^= low
                 out.append(base + low.bit_length() - 1)
     vertices = tuple(adjacency)
-    pred = graphs.invert(adjacency)
-    fwd = graphs.walk_depths(adjacency, pred)
-    back = graphs.walk_depths(pred, adjacency)
-    pruned = frozenset(v for v in vertices
-                       if fwd[v] is None and back[v] is None)
-    depths = tuple({v: inf if d is None else d for v, d in side.items()}
-                   for side in (fwd, back))
+    fwd = graphs.walk_depths(graphs.invert(adjacency))
+    back = graphs.walk_depths(adjacency)
+    pruned = frozenset(v for v in vertices if fwd[v] == back[v] == inf)
     return FiberGraph(t, word, p, vertices, adjacency, pruned,
                       {v: [w for w in adjacency[v] if w in pruned]
-                       for v in vertices if v in pruned}, depths)
+                       for v in vertices if v in pruned}, (fwd, back))
 
 
 # Most vertices a fiber report may lift into the cover of its doubling

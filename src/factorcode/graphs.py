@@ -1,9 +1,14 @@
 """Hand-rolled digraph utilities shared by the analysis modules.
 
 All functions operate on adjacency mappings ``{node: sequence of nodes}``
-over hashable nodes. Iteration order of the input dict (and of each
-neighbor sequence) determines every output order, so callers that pass
-deterministically ordered adjacencies get deterministic results back.
+over hashable nodes, ints for ``walk_depths``. Iteration order of the
+input dict (and of each neighbor sequence) determines every output order,
+so callers that pass deterministically ordered adjacencies get
+deterministic results back.
+
+Every graph the package prunes goes through one peel, ``walk_depths``:
+the image presentation's subset automaton, every phase graph and a
+domain that is not essential (``bi_essential_nodes``).
 
 Walks are listed in one place, ``walks``, which counts them first, so a
 caller with a budget refuses at the cost of the count.
@@ -11,7 +16,7 @@ caller with a budget refuses at the cost of the count.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, inf
 
 
 def invert(adj):
@@ -168,26 +173,28 @@ def walks(adj, starts, max_edges, limit):
     return levels
 
 
-def walk_depths(adj, pred=None):
-    """Length of the longest walk starting at each node, or None where
-    walks are unbounded because the node reaches a cycle.
+def walk_depths(adj):
+    """Length of the longest walk ending at each node, or ``inf`` where
+    walks are unbounded because a cycle reaches the node. The longest
+    walk starting at each node is ``walk_depths(invert(adj))``.
 
-    Peeling, in Kahn order, one level at a time: the sinks have depth 0,
-    and a node whose last unpeeled successor has depth d has depth d + 1,
-    the largest over its successors. The nodes never peeled are exactly
-    those that reach a cycle. ``pred`` is the inverse of ``adj``
-    (``invert(adj)``) when the caller has it."""
-    if pred is None:
-        pred = invert(adj)
-    left = {u: len(vs) for u, vs in adj.items()}
-    depth = dict.fromkeys(adj)
-    level = [u for u, n in left.items() if not n]
+    A Kahn peel on in-degrees, one level at a time: the sources have
+    depth 0, and a node whose last unpeeled predecessor has depth d has
+    depth d + 1, the largest over its predecessors. The nodes never
+    peeled are exactly those a cycle reaches. The nodes are ints, each a
+    key of ``adj``, and the in-degrees are counted in a list."""
+    left = [0] * (max(adj, default=-1) + 1)
+    for vs in adj.values():
+        for v in vs:
+            left[v] += 1
+    depth = dict.fromkeys(adj, inf)
+    level = [u for u in adj if not left[u]]
     d = 0
     while level:
         peeled = []
         for u in level:
             depth[u] = d
-            for w in pred[u]:
+            for w in adj[u]:
                 left[w] -= 1
                 if not left[w]:
                     peeled.append(w)
@@ -197,10 +204,8 @@ def walk_depths(adj, pred=None):
 
 
 def bi_essential_nodes(adj):
-    """Nodes lying on some bi-infinite walk: both their walk depths are
-    unbounded, since they reach a cycle and a cycle reaches them. Two
-    peels, one each way."""
-    pred = invert(adj)
-    fwd = walk_depths(adj, pred)
-    back = walk_depths(pred, adj)
-    return {u for u in adj if fwd[u] is None and back[u] is None}
+    """Nodes on some bi-infinite walk: a cycle reaches them and they reach
+    one, so the peels of ``adj`` and of its inverse leave them unbounded."""
+    back = walk_depths(adj)
+    fwd = walk_depths(invert(adj))
+    return {u for u in adj if back[u] == fwd[u] == inf}

@@ -323,7 +323,7 @@ def ref_extract_stages(t, y):
 
     transient_sub = {v: [w for w in adj[v] if w not in class_match]
                      for v in adj if v not in class_match}
-    depths = graphs.walk_depths(transient_sub)
+    depths = brute_walk_depths(transient_sub)
     n2 = 1 + max(depths.values(), default=-1)
 
     def step(frontier):
@@ -424,7 +424,7 @@ def brute_window_blocks_at_radius(t, y, interval, radius):
 def brute_walk_depths(adj):
     """Longest walk from each node, by the endpoint sets of the walks of
     each length; a walk of len(adj) steps repeats a node, so its start
-    reaches a cycle and gets None."""
+    reaches a cycle and gets ``inf``. Nodes may be any hashable."""
     out = {}
     for v in adj:
         frontier, length = {v}, 0
@@ -433,7 +433,7 @@ def brute_walk_depths(adj):
             if not frontier:
                 break
             length += 1
-        out[v] = None if length == len(adj) else length
+        out[v] = inf if length == len(adj) else length
     return out
 
 
@@ -943,12 +943,12 @@ def ref_window_radii(t, y, interval):
         raise ValueError("empty interval")
     g = build_fiber_graph(t, y)
     adjacency = decode(t, g.adjacency)
-    fwd = graphs.walk_depths(adjacency)
-    back = graphs.walk_depths(graphs.invert(adjacency))
+    fwd = brute_walk_depths(adjacency)
+    back = brute_walk_depths(graphs.invert(adjacency))
     width = n - m + 1
     radii = {}
     for v in (v for v in adjacency if v[1] == m % g.period):
-        start = inf if back[v] is None else back[v]
+        start = back[v]
         path, todo = [v], [iter(adjacency[v])]
         while path:
             if len(path) < width:
@@ -958,9 +958,7 @@ def ref_window_radii(t, y, interval):
                     todo.append(iter(adjacency[u]))
                     continue
             else:
-                end = fwd[path[-1]]
-                radii[tuple(u[0] for u in path)] = (
-                    start if end is None else min(start, end))
+                radii[tuple(u[0] for u in path)] = min(start, fwd[path[-1]])
             path.pop()
             todo.pop()
     xorder = {s: i for i, s in enumerate(t.x.symbols)}

@@ -12,6 +12,7 @@ non-essential symbols, at up to 30 domain symbols.
 import random
 import time
 from itertools import count, product
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -419,20 +420,18 @@ def test_walk_depths_match_bounded_enumeration():
         adj = {v: sorted(u for u in rng.sample(range(n), rng.randint(0, n))
                          if not acyclic or u > v)
                for v in range(n)}
-        got = walk_depths(adj)
-        assert got == brute_walk_depths(adj)
-        # a peel from the sources is a peel of the inverted graph; the
-        # inverse the caller passes in is the one it would build
+        # the longest walk ending at a node is the longest walk starting
+        # at it in the inverted graph, and the converse
         inverse = invert(adj)
-        assert walk_depths(inverse) == brute_walk_depths(inverse)
-        assert walk_depths(adj, inverse) == got
-        assert walk_depths(inverse, adj) == brute_walk_depths(inverse)
+        got = walk_depths(adj)
+        assert got == brute_walk_depths(inverse)
+        assert walk_depths(inverse) == brute_walk_depths(adj)
         # where both are unbounded is the bi-infinite part, by reachability
         pruned = bi_essential_nodes(adj)
         assert pruned == ref_bi_essential_nodes(adj)
         pruned_seen += bool(pruned) and len(pruned) < n
-        unbounded += sum(d is None for d in got.values())
-        finite += sum(d is not None and d > 1 for d in got.values())
+        unbounded += sum(d == inf for d in got.values())
+        finite += sum(1 < d < inf for d in got.values())
     assert unbounded and finite and pruned_seen
 
 
@@ -449,35 +448,35 @@ def test_peeling_matches_its_definitions_on_multigraphs():
     for _ in range(400):
         n = rng.randint(1, 10)
         adj = random_multigraph(rng, n)
+        inverse = invert(adj)
         depths = walk_depths(adj)
-        assert depths == brute_walk_depths(adj)
-        assert walk_depths(invert(adj)) == brute_walk_depths(invert(adj))
+        assert depths == brute_walk_depths(inverse)
+        assert walk_depths(inverse) == brute_walk_depths(adj)
         assert bi_essential_nodes(adj) == ref_bi_essential_nodes(adj)
         seen["self_loop"] += any(v in adj[v] for v in adj)
         seen["repeat"] += any(len(set(vs)) < len(vs) for vs in adj.values())
         seen["isolated"] += any(not adj[v] and all(v not in vs for vs in
                                                    adj.values())
                                 for v in adj)
-        # unbounded, though some successor is peeled
-        seen["partial"] += any(depths[v] is None and
-                               any(depths[u] is not None for u in adj[v])
+        # unbounded, though some predecessor is peeled
+        seen["partial"] += any(depths[v] == inf and
+                               any(depths[u] < inf for u in inverse[v])
                                for v in adj)
     assert all(seen.values()), seen
 
 
 def test_partial_peeling_leaks_no_finite_depth():
-    # a has one sink successor and one, twice, that reaches the loop at
-    # c: the sink peels one of a's three out-edges, and a must stay
-    # unbounded. The isolated node d and the repeated edge b -> s of the
-    # chain peel as they should
-    adj = {"a": ["s", "b", "b"], "b": ["c"], "c": ["c"], "s": [], "d": []}
-    assert walk_depths(adj) == {"a": None, "b": None, "c": None, "s": 0,
-                                "d": 0}
-    assert walk_depths(invert(adj)) == {"a": 0, "b": 1, "c": None,
-                                        "s": 1, "d": 0}
-    assert bi_essential_nodes(adj) == {"c"}
-    chain = {"a": ["b"], "b": ["s", "s"], "s": []}
-    assert walk_depths(chain) == {"a": 2, "b": 1, "s": 0}
+    # a has one source predecessor and one, twice, that the loop at c
+    # reaches: the source peels one of a's three in-edges, and a must
+    # stay unbounded. The isolated node d and the repeated edge s -> b of
+    # the chain peel as they should; the chain's nodes are not 0 to n - 1
+    a, b, c, s, d = range(5)
+    adj = {a: [], b: [a, a], c: [b, c], s: [a], d: []}
+    assert walk_depths(adj) == {a: inf, b: inf, c: inf, s: 0, d: 0}
+    assert walk_depths(invert(adj)) == {a: 0, b: 1, c: inf, s: 1, d: 0}
+    assert bi_essential_nodes(adj) == {c}
+    chain = {s: [b, b], b: [a], a: []}
+    assert walk_depths(chain) == {a: 2, b: 1, s: 0}
     assert bi_essential_nodes(chain) == set()
 
 
