@@ -58,7 +58,7 @@ from functools import cache, partial, reduce
 from math import inf
 
 from . import graphs
-from .core import PeriodicPoint, PreconditionError
+from .core import InputError, PeriodicPoint, PreconditionError
 from .codes import (_bit_indices, _bits, _check_image_word, _label_masks,
                     _symbols, d_star, image_blocks, image_irreducible,
                     sofic_image, step)
@@ -187,7 +187,7 @@ class _Routes:
 
 def _interior_or_raise(word, index):
     if not 0 < index < len(word) - 1:
-        raise ValueError("index must be interior to the word")
+        raise InputError("index must be interior to the word")
 
 
 def routable_symbols(t, word, index, preimage):
@@ -196,11 +196,10 @@ def routable_symbols(t, word, index, preimage):
     index, one labelled step per coordinate."""
     word = tuple(word)
     _interior_or_raise(word, index)
-    path = tuple(preimage.symbols if hasattr(preimage, "symbols")
-                 else preimage)
+    path = tuple(preimage)
     if len(path) != len(word) or not t.x.admits_word(path) \
             or t.label_word(path) != word:
-        raise ValueError("block is not a preimage of the word")
+        raise InputError("block is not a preimage of the word")
     bit = _bits(t)[0]
     fwd = reduce(partial(step, _label_masks(t, True)),
                  word[1:index + 1], bit[path[0]])
@@ -211,9 +210,9 @@ def routable_symbols(t, word, index, preimage):
 
 def _routing_failure(t, word, index, symbols, routes=None):
     """None when ``symbols`` route the tuple ``word`` at ``index``, else
-    the error ``transition_block`` raises (ValueError: not an image block;
+    the error ``transition_block`` raises (InputError: not an image block;
     PreconditionError: routing fails); a bad index or image symbol raises
-    ValueError. A start and an end are joined by a preimage path iff their
+    InputError. A start and an end are joined by a preimage path iff their
     forward and backward masks meet at the index, and every such meet
     must hold a symbol of the block: one sweep decides both, on the
     ``_Routes`` memo ``routes`` or a fresh one."""
@@ -224,7 +223,7 @@ def _routing_failure(t, word, index, symbols, routes=None):
     bwd = routes.column(word[index:], False)[0]
     meets = [m for f in fwd for b in bwd if (m := f & b)]
     if not meets:
-        return ValueError("word is not an image block")
+        return InputError("word is not an image block")
     if symbols <= set(t.preimages(word[index])):
         mask = sum(map(_bits(t)[0].__getitem__, symbols))
         if all(m & mask for m in meets):
@@ -239,7 +238,7 @@ def is_transition_block(t, word, index, symbols):
 
 
 def transition_block(t, word, index, symbols):
-    """Constructor that machine-checks the routing property: ValueError
+    """Constructor that machine-checks the routing property: InputError
     when the word is not an image block, PreconditionError when it is
     but the symbols do not route it (``_routing_failure``)."""
     word, symbols = tuple(word), frozenset(symbols)
@@ -316,16 +315,16 @@ def minimal_depth_at(t, word, below=None, routes=None):
     when no block of the word has fewer than ``below`` symbols, and the
     same (index, symbols) otherwise. ``routes`` is a ``_Routes`` memo
     shared with other words of the same triple. An unknown image symbol
-    raises ValueError wherever it stands.
+    raises InputError wherever it stands.
     """
     word = tuple(word)
     if len(word) < 3:
-        raise ValueError("word must have length >= 3")
+        raise InputError("word must have length >= 3")
     _check_image_word(t, word)
     routes = routes or _Routes(t)
     fcol = routes.column(word, True)
     if not fcol[-1]:
-        raise ValueError("word is not an image block")
+        raise InputError("word is not an image block")
     bcol = routes.column(word, False)
     if below is None:
         below = len(t.x.symbols) + 1
@@ -517,7 +516,7 @@ def find_minimal_transition_block(t, horizon=8):
     means only that two upper bounds agree at one periodic point.
     """
     if horizon < 3:
-        raise ValueError("horizon must be >= 3")
+        raise InputError("horizon must be >= 3")
     if not image_irreducible(t):
         raise PreconditionError("image shift is not certified irreducible")
     witness = d_star(t)
@@ -540,7 +539,7 @@ def class_count_for_measure(t, measure, horizon=8):
     value of 1 is its own proof; only a value above 1 runs the Tarjan
     pass over the support that closing its word needs."""
     if horizon < 3:
-        raise ValueError("horizon must be >= 3")
+        raise InputError("horizon must be >= 3")
     support = _measure_support(t, measure)
     succ = support.x.successor_map
     return _depth_search(t, horizon, lambda n: image_blocks(support, n), None,

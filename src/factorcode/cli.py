@@ -2,11 +2,12 @@
 
 Every subcommand reads a triple file and prints a JSON report (recode
 prints a triple file instead). Exit status: 0 success, 1 bad input or
-usage, 2 failed precondition, 3 uncertified class degree bound, 4 internal
-error (a broken invariant, an exhausted internal cap or any other
-unexpected exception), 5 relative entropy bound not converged (the report
-is still printed, and its value is still an upper bound, only a looser
-one).
+usage (an InputError or other FactorCodeError, or a file that cannot be
+read or is not UTF-8), 2 failed precondition, 3 uncertified class degree
+bound, 4 internal error (a broken invariant, an exhausted internal cap
+or any other unexpected exception, a ValueError included), 5 relative
+entropy bound not converged (the report is still printed, and its value
+is still an upper bound, only a looser one).
 """
 
 import argparse
@@ -342,7 +343,7 @@ def main(argv=None):
     except PreconditionError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
-    except (FactorCodeError, ValueError, OSError) as exc:
+    except (FactorCodeError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 1
     except (AssertionError, RuntimeError, MemoryError) as exc:

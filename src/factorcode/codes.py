@@ -37,18 +37,18 @@ from functools import cached_property
 from math import inf
 
 from . import graphs
-from .core import (EmptyShiftError, FactorTriple, PeriodicPoint,
-                   PreconditionError, Sft, _walks, canonical_orbit_word,
-                   per_triple)
+from .core import (EmptyShiftError, FactorTriple, InputError,
+                   PeriodicPoint, PreconditionError, Sft, _walks,
+                   canonical_orbit_word, per_triple)
 
 
 def _check_image_word(t, word):
     word = tuple(word)
     if not word:
-        raise ValueError("empty image word")
+        raise InputError("empty image word")
     for c in word:
         if c not in t.preimage_map:
-            raise ValueError("unknown image symbol %r" % (c,))
+            raise InputError("unknown image symbol %r" % (c,))
     return word
 
 
@@ -480,7 +480,7 @@ def image_blocks(t, n):
     and lists successors in image alphabet order. PreconditionError,
     before any is listed, past ``WALK_BUDGET`` walks of the automaton."""
     if n < 1:
-        raise ValueError("block length must be >= 1")
+        raise InputError("block length must be >= 1")
     auto = _subset_search(t, True).grow(n - 1)
     levels = _walks(auto.succ, range(len(t.y_alphabet)), n - 1,
                     "the image words of length %d" % n,
@@ -522,7 +522,7 @@ def periodic_image_points(t, max_period):
     past ``WALK_BUDGET`` walks of the presentation.
     """
     if max_period < 1:
-        raise ValueError("max_period must be >= 1")
+        raise InputError("max_period must be >= 1")
     image = sofic_image(t)
     succ = image.successors
     levels = _walks(succ, succ, max_period - 1,
@@ -533,6 +533,5 @@ def periodic_image_points(t, max_period):
     seen = {canonical_orbit_word(tuple(map(label.__getitem__, walk)))
             for level in levels for walk in level
             if walk[0] in succ[walk[-1]]}
-    words = [w for w in seen if len(w) <= max_period]
-    words.sort(key=lambda w: (len(w), tuple(yorder[c] for c in w)))
+    words = sorted(seen, key=lambda w: (len(w), tuple(yorder[c] for c in w)))
     return [PeriodicPoint(w) for w in words]

@@ -16,12 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
+from itertools import chain
 
 from . import graphs
 
 
 class FactorCodeError(Exception):
     """Base class for all structured errors raised by this package."""
+
+
+class InputError(FactorCodeError, ValueError):
+    """An argument or a file that the caller got wrong. It is a
+    ValueError, so callers that catch ValueError keep working."""
 
 
 class TripleParseError(FactorCodeError):
@@ -51,10 +57,12 @@ class Sft:
         if not self.symbols:
             raise EmptyShiftError("empty shift")
         if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("duplicate symbols")
-        for a, b in self.transitions:
-            if a not in self.symbol_set or b not in self.symbol_set:
-                raise ValueError("transition uses unknown symbol")
+            raise InputError("duplicate symbols")
+        if not {2}.issuperset(map(len, self.transitions)):
+            raise InputError("transition is not a pair of symbols")
+        if not self.symbol_set.issuperset(chain.from_iterable(
+                self.transitions)):
+            raise InputError("transition uses unknown symbol")
 
     @cached_property
     def symbol_set(self):
@@ -127,7 +135,7 @@ class Sft:
 
 
 def make_sft(symbols, edges):
-    return Sft(tuple(symbols), frozenset((a, b) for a, b in edges))
+    return Sft(tuple(symbols), frozenset(map(tuple, edges)))
 
 
 @dataclass(frozen=True)
@@ -138,7 +146,7 @@ class PeriodicPoint:
 
     def __post_init__(self):
         if not self.word:
-            raise ValueError("empty period word")
+            raise InputError("empty period word")
 
     @property
     def period(self):
@@ -194,12 +202,12 @@ class FactorTriple:
 
     def __post_init__(self):
         if set(self.label) != set(self.x.symbols):
-            raise ValueError("label map must cover exactly the SFT alphabet")
+            raise InputError("label map must cover exactly the SFT alphabet")
         used = {self.label[s] for s in self.x.symbols}
         if not set(self.y_alphabet) >= used:
-            raise ValueError("label map uses undeclared image symbol")
+            raise InputError("label map uses undeclared image symbol")
         if set(self.y_alphabet) != used:
-            raise ValueError("image alphabet has a symbol with no preimage")
+            raise InputError("image alphabet has a symbol with no preimage")
 
     @cached_property
     def preimage_map(self):
@@ -209,7 +217,7 @@ class FactorTriple:
 
     def preimages(self, c):
         if c not in self.preimage_map:
-            raise ValueError("unknown image symbol %r" % (c,))
+            raise InputError("unknown image symbol %r" % (c,))
         return self.preimage_map[c]
 
     def label_word(self, word):
@@ -409,7 +417,7 @@ def enumerate_blocks(x, n):
     whose successors come in symbol order. PreconditionError, before any
     is listed, past ``WALK_BUDGET`` walks of the domain."""
     if n < 1:
-        raise ValueError("block length must be >= 1")
+        raise InputError("block length must be >= 1")
     return _walks(x.successor_map, x.symbols, n - 1,
                   "the domain blocks of length %d" % n, "the domain")[-1]
 
@@ -432,7 +440,7 @@ class BlockRecoding:
     def _window_name(self, window):
         name = ".".join(window)
         if self.windows.get(name, window) != window:
-            raise ValueError("ambiguous recoded symbol name %r" % name)
+            raise InputError("ambiguous recoded symbol name %r" % name)
         return name
 
     def _window_of(self, name):
@@ -443,14 +451,14 @@ class BlockRecoding:
     def to_recoded_block(self, b):
         b = tuple(b)
         if len(b) < self.n:
-            raise ValueError("block shorter than the recoding window")
+            raise InputError("block shorter than the recoding window")
         return tuple(self._window_name(b[i:i + self.n])
                      for i in range(len(b) - self.n + 1))
 
     def to_base_block(self, b):
         b = tuple(b)
         if not b:
-            raise ValueError("empty block")
+            raise InputError("empty block")
         windows = [self._window_of(s) for s in b]
         return tuple(w[0] for w in windows) + windows[-1][1:]
 
@@ -475,13 +483,13 @@ def higher_block(t, n):
     the triple itself with identity maps.
     """
     if n < 1:
-        raise ValueError("recoding window must be >= 1")
+        raise InputError("recoding window must be >= 1")
     if n == 1:
         return t, BlockRecoding(1, t, t)
     blocks = enumerate_blocks(t.x, n)
     names = [".".join(b) for b in blocks]
     if len(set(names)) != len(names):
-        raise ValueError("symbol names collide under '.' joining")
+        raise InputError("symbol names collide under '.' joining")
     windows = dict(zip(names, blocks))
     by_prefix = {}
     for v in names:
@@ -492,5 +500,5 @@ def higher_block(t, n):
     label = {u: t.label[windows[u][0]] for u in names}
     recoded = FactorTriple(x, label, t.y_alphabet)
     if not recoded.x.is_essential:
-        raise ValueError("recoding of a non-essential SFT")
+        raise InputError("recoding of a non-essential SFT")
     return recoded, BlockRecoding(n, t, recoded, windows)

@@ -43,8 +43,8 @@ from math import inf, lcm
 from operator import or_
 
 from . import graphs
-from .core import (PeriodicPoint, PreconditionError, _walks, per_triple,
-                   primitive_root)
+from .core import (InputError, PeriodicPoint, PreconditionError, _walks,
+                   per_triple, primitive_root)
 from .codes import _bits, _check_image_word, _label_masks, _symbols
 
 
@@ -328,7 +328,7 @@ def enumerate_periodic_preimages(t, y, max_period):
     """
     g = build_fiber_graph(t, y)
     if max_period < g.period:
-        raise ValueError("max_period is smaller than the point's period")
+        raise InputError("max_period is smaller than the point's period")
     adj = g.pruned_adjacency
     symbols = t.x.symbols
     n = len(symbols)
@@ -365,7 +365,7 @@ def _window_graph(t, y, interval):
     """Phase graph of y, once the window is known to be nonempty."""
     m, n = interval
     if m > n:
-        raise ValueError("empty interval")
+        raise InputError("empty interval")
     return build_fiber_graph(t, y)
 
 
@@ -452,7 +452,7 @@ def window_blocks(t, y, interval, radius=None):
     if radius is None:
         return _window_paths(g, g.pruned_adjacency, interval)
     if radius < 0:
-        raise ValueError("radius must be >= 0")
+        raise InputError("radius must be >= 0")
     fwd, back = g.depths
     return _window_paths(g, g.adjacency, interval,
                          lambda v: back[v] >= radius,

@@ -2,7 +2,7 @@
 
 from importlib import resources
 
-from .core import parse_triple
+from .core import InputError, parse_triple
 
 _NAMES = ("fix_a", "fix_b", "fix_c", "fix_d", "fix_e", "fix_g")
 
@@ -16,7 +16,7 @@ def load_text(filename):
 def load(name):
     """Parse a bundled factor code by short name, e.g. "fix_a"."""
     if name not in _NAMES:
-        raise ValueError("unknown fixture %r" % (name,))
+        raise InputError("unknown fixture %r" % (name,))
     return parse_triple(load_text(name + ".triple"))
 
 

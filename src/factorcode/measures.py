@@ -20,8 +20,8 @@ from functools import partial, reduce
 from math import isfinite, log
 
 from . import graphs
-from .core import (MeasureParseError, PeriodicPoint, PreconditionError,
-                   primitive_root, sub_triple)
+from .core import (InputError, MeasureParseError, PeriodicPoint,
+                   PreconditionError, primitive_root, sub_triple)
 from .codes import (_bit_indices, _bits, _check_image_word, _label_masks,
                     image_blocks, sofic_image, step)
 
@@ -86,27 +86,25 @@ def markov_measure(base, kernel):
     positive ones must sit on transitions of the base shift. The positive
     part of the kernel must have a unique closed communicating class, so
     the stationary measure is unique and ergodic; otherwise
-    PreconditionError is raised. A linear algebra failure in the
-    stationary solve is raised as RuntimeError, an internal error, since
-    numpy's LinAlgError is a ValueError.
+    PreconditionError is raised.
     """
     import numpy as np
 
     rows = {s: {} for s in base.symbols}
     for (s, t), p in kernel.items():
         if s not in base.symbol_set or t not in base.symbol_set:
-            raise ValueError("kernel entry on unknown states %r -> %r"
+            raise InputError("kernel entry on unknown states %r -> %r"
                              % (s, t))
         if not isfinite(p):
-            raise ValueError("non-finite kernel probability for %r -> %r"
+            raise InputError("non-finite kernel probability for %r -> %r"
                              % (s, t))
         if p < 0:
-            raise ValueError("negative kernel probability for %r -> %r"
+            raise InputError("negative kernel probability for %r -> %r"
                              % (s, t))
         if p == 0:
             continue
         if not base.allows(s, t):
-            raise ValueError(
+            raise InputError(
                 "kernel assigns probability to the forbidden transition "
                 "%r -> %r" % (s, t))
         rows[s][t] = rows[s].get(t, 0.0) + p
@@ -114,7 +112,7 @@ def markov_measure(base, kernel):
     for s in base.symbols:
         total = sum(rows[s][t] for t in base.symbols if t in rows[s])
         if abs(total - 1.0) > ROW_SUM_TOLERANCE:
-            raise ValueError("kernel row for state %r sums to %.12g"
+            raise InputError("kernel row for state %r sums to %.12g"
                              % (s, total))
         for t in base.symbols:
             if t in rows[s]:
@@ -142,11 +140,7 @@ def markov_measure(base, kernel):
     system = np.vstack([matrix.T - np.eye(n), np.ones((1, n))])
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
-    try:
-        pi = np.linalg.lstsq(system, rhs, rcond=None)[0]
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("stationary measure solve failed: %s"
-                           % exc) from exc
+    pi = np.linalg.lstsq(system, rhs, rcond=None)[0]
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
     stationary = {s: 0.0 for s in base.symbols}
@@ -245,7 +239,7 @@ def parse_measure(text, base):
                 kernel[(s, t)] = p
     try:
         return markov_measure(base, kernel)
-    except ValueError as exc:
+    except InputError as exc:
         raise MeasureParseError(str(exc)) from None
 
 
@@ -268,8 +262,7 @@ def spectral_entropy(base):
 def _perron_pair(base):
     """The Perron root and right Perron vector of the 0/1 transition
     matrix of an irreducible SFT, in symbol order, by ``_gibbs_chain``'s
-    iteration from the all-ones vector. A linear algebra failure is
-    raised as RuntimeError, as in ``markov_measure``."""
+    iteration from the all-ones vector."""
     import numpy as np
 
     if not base.is_irreducible:
@@ -277,11 +270,8 @@ def _perron_pair(base):
     index = {s: i for i, s in enumerate(base.symbols)}
     src, dst = np.array([[index[s], index[t]]
                          for s, t in base.transitions]).T
-    try:
-        rho, _, right = _gibbs_chain(np.ones(len(src)), src, dst,
-                                     np.ones(len(index)))
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("Perron iteration failed: %s" % exc) from exc
+    rho, _, right = _gibbs_chain(np.ones(len(src)), src, dst,
+                                 np.ones(len(index)))
     return float(rho), right, index
 
 
@@ -310,7 +300,7 @@ def orbit_measure(base, point):
     word = point.word if isinstance(point, PeriodicPoint) else tuple(point)
     word = primitive_root(tuple(word))
     if not base.admits_cycle(word):
-        raise ValueError("orbit is not admissible in the shift")
+        raise InputError("orbit is not admissible in the shift")
     period = len(word)
     pair_counts = {}
     out_counts = {}
@@ -649,9 +639,7 @@ def relative_entropy_upper_bound(t, measure, k):
     equality on the closed ones, so each component is solved on its own
     (``_dual_piece``) and the largest D reported. A component that lacks
     an image word, or whose D falls below -tolerance, is dropped: by weak
-    duality one that can carry nu has D >= 0 at every lam. A linear
-    algebra failure in the solve is raised as RuntimeError, an internal
-    error, since numpy's LinAlgError is a ValueError.
+    duality one that can carry nu has D >= 0 at every lam.
 
     The solve's Hessian has m x m entries for m image words: past
     SOLVE_ENTRY_BUDGET, the PreconditionError comes right after the words
@@ -661,7 +649,7 @@ def relative_entropy_upper_bound(t, measure, k):
     import numpy as np
 
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     support = _measure_support(t, measure)
     positive = image_blocks(support, k + 1)
     if len(positive) ** 2 > SOLVE_ENTRY_BUDGET:
@@ -708,11 +696,7 @@ def relative_entropy_upper_bound(t, measure, k):
                 "the entropy bound's solve on a class component of %d "
                 "classes needs a matrix of %d entries, more than the limit "
                 "of %d" % (n, n * n, SOLVE_ENTRY_BUDGET))
-        try:
-            value, grad, q, steps, lam = _dual_piece(
-                cell, src, dst, n, targets)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("entropy bound solve failed: %s" % exc) from exc
+        value, grad, q, steps, lam = _dual_piece(cell, src, dst, n, targets)
         iterations += steps
         if value < -DUAL_TOLERANCE:
             continue

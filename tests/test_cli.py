@@ -594,6 +594,41 @@ def test_an_unlisted_exception_exits_4_on_one_line(monkeypatch, capsys):
     assert captured.err == "internal error: KeyError: 'a'\n"
 
 
+def test_an_internal_value_error_exits_4_on_one_line(monkeypatch, capsys):
+    """Only an ``InputError`` (or another ``FactorCodeError``) is bad
+    input: a plain ValueError raised inside a handler is a fault of the
+    program, exit 4."""
+    def broken(t, y, interval):
+        raise ValueError("max() arg is an empty sequence")
+
+    monkeypatch.setattr(cli, "synchronizing_extension", broken)
+    argv = ["sync", fixture_path("fix_e"), "--y", "0", "1", "--interval",
+            "0", "2"]
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: ValueError: max() arg is an empty sequence\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{bad}"],
+    ["entropy", fixture_path("fix_a"), "--measure", "{bad}"],
+], ids=["triple", "measure"])
+def test_a_file_that_is_not_utf8_exits_1(argv, tmp_path, capsys):
+    """A triple or measure file holding a byte that is not UTF-8 is bad
+    input, although the UnicodeDecodeError is not an InputError."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(fixtures.load_text("fix_a.triple").encode() + b"\xff\n")
+    argv = [arg.replace("{bad}", str(bad)) for arg in argv]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: 'utf-8' codec can't decode byte 0xff in position ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("error, message", [
     (core.PreconditionError, "not a transition block: routing fails"),
     (ValueError, "word is not an image block"),
@@ -615,14 +650,14 @@ def test_a_failed_extract_self_check_exits_4(error, message, monkeypatch,
 
 @pytest.mark.parametrize("name, error, message", [
     ("solve", np.linalg.LinAlgError("Singular matrix"),
-     "entropy bound solve failed: Singular matrix"),
+     "LinAlgError: Singular matrix"),
     ("eigh", MemoryError("Unable to allocate 25.9 GiB"),
      "Unable to allocate 25.9 GiB"),
 ])
 def test_bound_linear_algebra_failures_exit_4(name, error, message,
                                               monkeypatch, capsys):
-    """numpy's LinAlgError is a ValueError, which would read as bad
-    input; it and a failed allocation are internal errors."""
+    """numpy's LinAlgError is a ValueError but not an InputError; it and
+    a failed allocation are internal errors."""
     def broken(*args, **kwargs):
         raise error
 
@@ -638,20 +673,20 @@ def test_bound_linear_algebra_failures_exit_4(name, error, message,
 @pytest.mark.parametrize("argv, name, message", [
     (["bound", fixture_path("fix_c"), "--measure",
       fixture_path("fix_c_point", ".measure"), "--k", "1"], "lstsq",
-     "stationary measure solve failed: SVD did not converge"),
+     "LinAlgError: SVD did not converge"),
     (["classdegree", fixture_path("fix_a"), "--measure",
       fixture_path("fix_a_parry", ".measure")], "lstsq",
-     "stationary measure solve failed: SVD did not converge"),
+     "LinAlgError: SVD did not converge"),
     (["entropy", fixture_path("fix_a")], "solve",
-     "Perron iteration failed: Singular matrix"),
+     "LinAlgError: Singular matrix"),
     (["entropy", fixture_path("fix_a"), "--parry"], "solve",
-     "Perron iteration failed: Singular matrix"),
+     "LinAlgError: Singular matrix"),
 ], ids=["bound", "classdegree", "entropy", "entropy-parry"])
 def test_measure_and_perron_linear_algebra_failures_exit_4(
         argv, name, message, monkeypatch, capsys):
     """The stationary solve of a Markov measure and the Perron iteration
     of ``entropy`` fail as internal errors, not as bad input: numpy's
-    LinAlgError is a ValueError."""
+    LinAlgError is a ValueError, but not an InputError."""
     def broken(*args, **kwargs):
         raise np.linalg.LinAlgError(message.rpartition(": ")[2])
 

@@ -7,7 +7,9 @@ import pytest
 from conftest import FIXTURE_NAMES, all_words, random_triple
 from factorcode import (
     EmptyShiftError,
+    FactorCodeError,
     FactorTriple,
+    InputError,
     PeriodicPoint,
     Sft,
     TripleParseError,
@@ -53,17 +55,26 @@ def test_sft_admits_word_and_cycle():
     assert not x.admits_cycle(("1",))
 
 
+def test_input_error_is_a_package_error_and_a_value_error():
+    """Callers catching either the package's base error or ValueError see
+    every mistake in an argument or a file."""
+    assert issubclass(InputError, FactorCodeError)
+    assert issubclass(InputError, ValueError)
+
+
 def test_sft_validation():
     with pytest.raises(EmptyShiftError):
         Sft((), frozenset())
     with pytest.raises(ValueError, match="duplicate"):
         Sft(("a", "a"), frozenset())
-    with pytest.raises(ValueError, match="unknown symbol"):
+    with pytest.raises(InputError, match="unknown symbol"):
         Sft(("a",), frozenset([("a", "b")]))
     # a transition that is not a pair is refused when the shift is built
     for bad in (("a", "b", "a"), ("a",)):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="not a pair"):
             Sft(("a", "b"), frozenset([bad]))
+        with pytest.raises(InputError, match="not a pair"):
+            make_sft(("a", "b"), [bad])
 
 
 def test_periodic_point_window_is_inclusive():

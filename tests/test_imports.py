@@ -13,7 +13,10 @@ name that no enclosing function binds or as an attribute of its module.
 And no module imports itself through others, in a function body or not:
 the package's imports form a chain without a cycle. No module holds an
 ``assert`` statement, which ``python -O`` strips: the package's
-invariant checks raise AssertionError themselves.
+invariant checks raise AssertionError themselves. And only ``graphs``
+constructs a plain ValueError: input the caller got wrong raises
+``core.InputError``, and the command line reads any other ValueError as
+an internal error.
 """
 
 import ast
@@ -223,3 +226,17 @@ def test_module_holds_no_assert_statement(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     assert [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Assert)] == []
+
+
+def test_only_graphs_constructs_a_value_error():
+    """A plain ValueError is constructed, or raised by its bare name, only
+    in ``graphs``, the bottom layer, for a broken invariant."""
+    makers = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
+                                       str(path))):
+            made = node.func if isinstance(node, ast.Call) else \
+                node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(made, ast.Name) and made.id == "ValueError":
+                makers.append(path.name)
+    assert set(makers) == {"graphs.py"}
